@@ -276,9 +276,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] with
-    /// [`error_code::DRAIN_TIMEOUT`] if the server's drain deadline
-    /// expired; transport and protocol failures otherwise.
+    /// [`ClientError::Server`] with [`error_code::DRAIN_TIMEOUT`] if
+    /// the server is a router that ran out of drain failover retries;
+    /// transport and protocol failures otherwise.
     pub fn drain(&mut self) -> Result<Vec<(u64, Vec<u8>)>, ClientError> {
         write_msg(&mut self.conn, &Msg::Drain)?;
         match self.next_reply()? {

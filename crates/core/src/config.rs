@@ -7,10 +7,9 @@
 
 use crate::domain::DomainGeometry;
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Builder for a validated [`LatchParams`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatchConfig {
     domain_bytes: u32,
     ctc_entries: usize,
@@ -21,7 +20,7 @@ pub struct LatchConfig {
 }
 
 /// Validated LATCH sizing parameters, produced by [`LatchConfig::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatchParams {
     /// Taint-domain geometry.
     pub geometry: DomainGeometry,

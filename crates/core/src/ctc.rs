@@ -21,10 +21,9 @@ use crate::ctt::CoarseTaintTable;
 use crate::domain::{CttWordId, DomainGeometry};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::{Addr, PreciseView};
-use serde::{Deserialize, Serialize};
 
 /// One CTC line: a cached CTT word plus its per-domain clear bits.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CtcLine {
     valid: bool,
     word: u32,
@@ -45,7 +44,7 @@ fn odd_parity(bits: u32) -> bool {
 }
 
 /// Outcome of a [`CoarseTaintCache::scrub`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtcScrubReport {
     /// Valid lines whose parity was checked.
     pub lines_checked: u64,
@@ -83,7 +82,7 @@ pub struct CtcAccess {
 }
 
 /// Outcome of a clear-scan over domains with asserted clear bits.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClearScanReport {
     /// Domains whose precise state was examined.
     pub domains_scanned: u64,
@@ -104,7 +103,7 @@ impl ClearScanReport {
 }
 
 /// Hit/miss/write counters for the CTC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtcStats {
     /// Lookups that found the word cached.
     pub hits: u64,
@@ -137,7 +136,7 @@ impl CtcStats {
 }
 
 /// A fully-associative, LRU-replaced cache of CTT words.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoarseTaintCache {
     geom: DomainGeometry,
     lines: Vec<CtcLine>,

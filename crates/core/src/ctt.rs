@@ -21,7 +21,6 @@
 use crate::domain::{CttWordId, DomainGeometry, DomainId};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::{Addr, PreciseView, CTT_WORD_BITS};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Whether a 32-bit word has an odd number of set bits.
@@ -31,7 +30,7 @@ fn odd_parity(bits: u32) -> bool {
 }
 
 /// Outcome of a [`CoarseTaintTable::scrub`] pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CttScrubReport {
     /// Words whose parity was checked.
     pub words_checked: u64,
@@ -50,7 +49,7 @@ pub struct CttScrubReport {
 }
 
 /// Sparse, word-granular coarse taint table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoarseTaintTable {
     words: HashMap<u32, u32>,
     /// Odd-parity flag per stored word, maintained only by the

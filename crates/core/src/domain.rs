@@ -9,18 +9,17 @@
 
 use crate::{Addr, CTT_WORD_BITS, PAGE_SIZE};
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a single taint domain: `addr / domain_bytes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainId(pub u32);
 
 /// Identifies one 32-bit word of the CTT: `domain_id / 32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CttWordId(pub u32);
 
 /// Identifies a 4 KiB page: `addr / PAGE_SIZE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
 
 /// The taint-domain granularity and the derived geometry constants.
@@ -28,7 +27,7 @@ pub struct PageId(pub u32);
 /// The paper sweeps domain sizes from tens of bytes (4 B in H-LATCH's
 /// 32-bit domains, 64 B in S-LATCH) up to page size when characterizing
 /// false-positive rates (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainGeometry {
     domain_bytes: u32,
     domain_shift: u32,

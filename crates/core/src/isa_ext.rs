@@ -10,11 +10,10 @@
 //! [`LatchUnit`](crate::unit::LatchUnit) executes them.
 
 use crate::Addr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A decoded S-LATCH instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatchInstr {
     /// `strf`: bulk-set the taint register file from a packed value
     /// (4 taint bits per register).

@@ -10,11 +10,10 @@
 //! manipulating tainted data — switching back immediately would likely
 //! bounce straight back into software, so the hysteresis is deliberate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which layer is currently executing the monitored program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Native execution under coarse hardware checks.
     Hardware,
@@ -42,7 +41,7 @@ pub enum TrapOutcome {
 }
 
 /// Counters describing mode-switching behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeStats {
     /// Instructions retired in hardware mode.
     pub instrs_hardware: u64,
@@ -76,7 +75,7 @@ impl ModeStats {
 }
 
 /// Tracks the current mode and applies the S-LATCH timeout policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModeController {
     mode: Mode,
     timeout: u32,

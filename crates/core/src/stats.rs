@@ -3,10 +3,9 @@
 use crate::ctc::CtcStats;
 use crate::mode::ModeStats;
 use crate::tlb::TlbStats;
-use serde::{Deserialize, Serialize};
 
 /// Where a coarse taint check was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolvedAt {
     /// The page-level taint bit was clear: no CTC access needed.
     Tlb,
@@ -15,7 +14,7 @@ pub enum ResolvedAt {
 }
 
 /// Counters over coarse checks issued to a LATCH unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckStats {
     /// Total memory-operand checks.
     pub checks: u64,
@@ -41,7 +40,7 @@ impl CheckStats {
 }
 
 /// Counters over parity scrubs of the coarse state (CTT + CTC).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubStats {
     /// Scrub passes executed.
     pub scrubs: u64,
@@ -61,7 +60,7 @@ impl ScrubStats {
 }
 
 /// A snapshot of every counter a LATCH unit maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatchStats {
     /// Coarse-check counters.
     pub checks: CheckStats,
@@ -74,7 +73,7 @@ pub struct LatchStats {
 }
 
 /// A snapshot including S-LATCH mode-switching counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SLatchStats {
     /// The underlying unit counters.
     pub unit: LatchStats,

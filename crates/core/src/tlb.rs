@@ -13,12 +13,11 @@ use crate::ctt::CoarseTaintTable;
 use crate::domain::{DomainGeometry, PageId};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::{Addr, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The taint extension of the page table: per-page taint bits, one per
 /// page-level taint domain. Sparse; absent pages read as fully untainted.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTaintTable {
     pages: HashMap<u32, u32>,
 }
@@ -95,7 +94,7 @@ pub struct TlbAccess {
 }
 
 /// Hit/miss counters for the taint-extended TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that found the page resident.
     pub hits: u64,
@@ -112,7 +111,7 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
     valid: bool,
     page: u32,
@@ -124,7 +123,7 @@ struct TlbEntry {
 ///
 /// Only the taint-relevant behaviour is modelled; address translation
 /// itself is identity (the simulator uses virtual addresses throughout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaintTlb {
     geom: DomainGeometry,
     entries: Vec<TlbEntry>,

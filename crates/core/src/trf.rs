@@ -6,7 +6,6 @@
 //! bulk-loads it when S-LATCH's software layer hands control back to
 //! hardware after a period of in-software propagation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of architectural registers tracked (matches the simulator ISA).
@@ -16,7 +15,7 @@ pub const NUM_REGS: usize = 16;
 pub const REG_BYTES: u32 = 4;
 
 /// Byte-level taint of one register: bit *i* covers byte *i*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RegTaint(pub u8);
 
 impl RegTaint {
@@ -45,7 +44,7 @@ impl fmt::Display for RegTaint {
 }
 
 /// The taint register file: one [`RegTaint`] per architectural register.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintRegisterFile {
     regs: [RegTaint; NUM_REGS],
 }

@@ -25,7 +25,6 @@ use crate::tlb::{PageTaintTable, TaintTlb};
 use crate::trf::TaintRegisterFile;
 use crate::update::{apply_precise_update, UpdateReport};
 use crate::{Addr, PreciseView, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// The result of one coarse operand check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +38,7 @@ pub struct CheckOutcome {
 }
 
 /// Which coarse structure a fault-injection flip targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoarseStructure {
     /// The Coarse Taint Cache (a resident line's bits).
     Ctc,
@@ -48,7 +47,7 @@ pub enum CoarseStructure {
 }
 
 /// Outcome of a [`LatchUnit::scrub`] pass over both coarse structures.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// The CTT pass (runs first; the CTT is the CTC's fill authority).
     pub ctt: CttScrubReport,
@@ -70,7 +69,7 @@ const SNAP_MAGIC: u32 = 0x4C54_4348;
 const SNAP_VERSION: u32 = 2;
 
 /// The complete LATCH module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatchUnit {
     params: LatchParams,
     ctt: CoarseTaintTable,
@@ -81,7 +80,6 @@ pub struct LatchUnit {
     checks: CheckStats,
     scrub_stats: ScrubStats,
     last_exception_addr: Option<Addr>,
-    #[serde(skip)]
     pending_evictions: Vec<EvictedLine>,
 }
 

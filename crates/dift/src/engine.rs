@@ -15,10 +15,9 @@ use crate::shadow::ShadowMemory;
 use crate::tag::TaintTag;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::{Addr, PreciseView};
-use serde::{Deserialize, Serialize};
 
 /// Counters describing the precise tier's workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiftStats {
     /// Propagation rules applied (≈ instructions analysed).
     pub instrs: u64,
@@ -44,7 +43,7 @@ impl DiftStats {
 }
 
 /// The byte-precise software DIFT monitor.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DiftEngine {
     shadow: ShadowMemory,
     regs: RegTagFile,

@@ -12,12 +12,11 @@
 use crate::tag::TaintTag;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::Addr;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Classes of taint source the initialization rules recognize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// Bytes read from a file.
     File,
@@ -28,7 +27,7 @@ pub enum SourceKind {
 }
 
 /// Output channels guarded by sink rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SinkKind {
     /// Data written to a network socket.
     Socket,
@@ -37,7 +36,7 @@ pub enum SinkKind {
 }
 
 /// The kind of security rule that was violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
     /// A control transfer (indirect jump, call, or return) targeted an
     /// address computed from tainted data.
@@ -61,7 +60,7 @@ impl fmt::Display for ViolationKind {
 
 /// A security exception raised by DIFT validation (paper §1: "generates
 /// security exceptions in response to violations").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecurityViolation {
     /// The rule that fired.
     pub kind: ViolationKind,
@@ -121,7 +120,7 @@ impl SecurityViolation {
 }
 
 /// The configured DIFT policy: which sources taint, which rules check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaintPolicy {
     taint_files: bool,
     taint_sockets: bool,

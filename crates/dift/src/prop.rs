@@ -24,11 +24,10 @@ use crate::shadow::ShadowMemory;
 use crate::tag::TaintTag;
 use latch_core::trf::REG_BYTES;
 use latch_core::{Addr, PreciseView};
-use serde::{Deserialize, Serialize};
 
 /// One taint-relevant micro-operation, extracted from a retired
 /// instruction by the simulator front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PropRule {
     /// `dst = f(src1, src2)` for an ALU operation: result tags are the
     /// uniform union of both sources' tags.

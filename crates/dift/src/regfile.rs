@@ -7,7 +7,6 @@
 use crate::tag::TaintTag;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::trf::{RegTaint, NUM_REGS, REG_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Tags for the four bytes of one 32-bit register.
 pub type RegTags = [TaintTag; REG_BYTES as usize];
@@ -15,7 +14,7 @@ pub type RegTags = [TaintTag; REG_BYTES as usize];
 const CLEAN_REG: RegTags = [TaintTag::CLEAN; REG_BYTES as usize];
 
 /// The software register-tag file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegTagFile {
     regs: [RegTags; NUM_REGS],
 }

@@ -10,7 +10,6 @@
 use crate::tag::TaintTag;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::{Addr, PreciseView, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 const PAGE: usize = PAGE_SIZE as usize;
@@ -20,7 +19,7 @@ fn boxed_page() -> Box<[TaintTag]> {
 }
 
 /// Sparse byte-granular taint tag store.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShadowMemory {
     pages: HashMap<u32, Box<[TaintTag]>>,
     /// Pages that held at least one tainted byte at some point in the run

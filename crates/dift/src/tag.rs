@@ -6,12 +6,11 @@
 //! derived data accumulates the union of its inputs' tags. A zero tag
 //! means "untainted".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
 /// A one-byte taint tag: a bitmask of origin classes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaintTag(pub u8);
 
 impl TaintTag {

@@ -13,8 +13,6 @@
 //! the pipeline layers (latch-core scrubbing, the platch systems) own
 //! that, keeping this crate dependency-free and cycle-free.
 
-use serde::{Deserialize, Serialize};
-
 /// Stateless mixer: SplitMix64 finalizer over `(seed, stream, index)`.
 ///
 /// Each fault stream gets an independent, reproducible decision
@@ -65,7 +63,7 @@ pub enum Stream {
 }
 
 /// Which coarse structure a bit flip lands in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlipTarget {
     /// A cached line in the coarse taint cache.
     Ctc,
@@ -78,14 +76,14 @@ pub enum FlipTarget {
 /// `SpuriousSet` (0→1) only costs precision; `SpuriousClear` (1→0) is
 /// the dangerous direction — unrepaired, it would let tainted traffic
 /// pass unchecked, violating the no-false-negative contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlipDirection {
     SpuriousSet,
     SpuriousClear,
 }
 
 /// Configures coarse-state corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoarseFlipConfig {
     /// Probability per screened event, in parts per mille (0..=1000).
     pub per_mille: u32,
@@ -107,7 +105,7 @@ impl CoarseFlipConfig {
 /// Configures faults at the FIFO boundary, in parts per mille per
 /// enqueued event. Drop wins over duplicate, duplicate over reorder,
 /// when several fire on the same sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFaultConfig {
     pub drop_per_mille: u32,
     pub dup_per_mille: u32,
@@ -124,7 +122,7 @@ impl QueueFaultConfig {
 }
 
 /// Configures consumer-side faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConsumerFaultConfig {
     /// Probability per processed event of a stall, in parts per mille.
     pub lag_per_mille: u32,
@@ -149,7 +147,7 @@ impl ConsumerFaultConfig {
 /// thread dying partway through a dispatched batch. The service must
 /// replay the batch from the session's last checkpoint on a surviving
 /// worker with no event loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerFaultConfig {
     /// Probability per dispatched batch of killing the executing
     /// worker, in parts per mille (0..=1000).
@@ -172,7 +170,7 @@ impl WorkerFaultConfig {
 /// rates are per storage *operation*, in parts per mille, and each
 /// decision is pure in `(seed, stream, op_index)` — a crash image
 /// rebuilt from the same op log tears the same write at the same byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskFaultConfig {
     /// Probability that an un-synced append is torn at a crash, keeping
     /// only a strict prefix of the written bytes.
@@ -202,7 +200,7 @@ impl DiskFaultConfig {
 /// few polls, or dies outright). All rates are per round / per poll,
 /// in parts per mille, and every decision is pure in
 /// `(seed, stream, index)` — reruns shed and fail over identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadFaultConfig {
     /// Probability per submission round of a burst.
     pub burst_per_mille: u32,
@@ -235,7 +233,7 @@ impl OverloadFaultConfig {
 /// `latchd` nodes killed mid-stream, forcing the router to fail their
 /// sessions over. Decisions are per `(node, round)`, pure in the seed,
 /// and bounded by a kill budget so a sweep cannot kill every node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeFaultConfig {
     /// Probability per `(node, round)` that the node is killed.
     pub kill_per_mille: u32,
@@ -255,7 +253,7 @@ impl NodeFaultConfig {
 /// that drop a push (forcing the router's reseed path), and node kills
 /// that destroy the victim's storage with it — the diskless-failover
 /// case, where recovery must come from a surviving replica journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaFaultConfig {
     /// Probability per replication push that the backup drops it (the
     /// push is skipped, so the backup lags and must be reseeded).
@@ -274,7 +272,7 @@ impl ReplicaFaultConfig {
 }
 
 /// A complete, seeded description of the faults to inject into one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     pub seed: u64,
     pub coarse: CoarseFlipConfig,
@@ -492,7 +490,7 @@ pub enum QueueFault {
 }
 
 /// Running counters of what was actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     pub coarse_flips: u64,
     pub spurious_sets: u64,

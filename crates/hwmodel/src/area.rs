@@ -11,10 +11,9 @@
 
 use latch_core::config::LatchParams;
 use latch_core::CTT_WORD_BITS;
-use serde::{Deserialize, Serialize};
 
 /// Storage bit census of a LATCH configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBudget {
     /// CTC payload bits (cached CTT words).
     pub ctc_payload_bits: u64,
@@ -80,7 +79,7 @@ pub fn storage(
 }
 
 /// Logic-element estimate for the LATCH combinational logic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogicEstimate {
     /// CAM comparators for the fully-associative CTC (one per tag bit,
     /// plus the per-entry AND trees).

@@ -10,12 +10,10 @@
 //! SRAM read of equal capacity — normalized to the conventional
 //! cache's read energy = 1.0.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of accesses resolved at each screening level (the Fig. 16
 /// distribution; mirrors `latch_systems::hlatch::AccessDistribution`
 /// without the dependency).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCounts {
     /// Accesses resolved by the TLB taint bit.
     pub tlb: u64,
@@ -26,7 +24,7 @@ pub struct AccessCounts {
 }
 
 /// Relative per-access energies (conventional 4 KB taint-cache read ≡ 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Testing the page taint bit in an already-open TLB entry.
     pub tlb_bit: f64,
@@ -55,7 +53,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy accounting for a measured access distribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {
     /// Total checking energy under H-LATCH (normalized units).
     pub hlatch_energy: f64,

@@ -13,10 +13,9 @@
 use crate::area::{logic, storage, LogicEstimate, StorageBudget};
 use crate::power::{power_deltas, PowerDelta};
 use latch_core::config::LatchParams;
-use serde::{Deserialize, Serialize};
 
 /// Baseline resource usage of the AO486 core on the DE2-115.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ao486Baseline {
     /// Logic elements used by the bare core.
     pub logic_elements: u64,
@@ -39,7 +38,7 @@ impl Default for Ao486Baseline {
 }
 
 /// The full complexity comparison for one LATCH configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexityReport {
     /// Storage census of the LATCH module.
     pub storage: StorageBudget,

@@ -7,8 +7,6 @@
 //! +0.2 % static power for the LATCH module; this model derives those
 //! deltas from the area percentages with a calibrated activity factor.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative switching activity of the LATCH module vs. the core
 /// average: the CTC CAM compares on every memory operand, slightly
 /// hotter than average logic.
@@ -19,7 +17,7 @@ pub const ACTIVITY_FACTOR: f64 = 1.15;
 pub const STATIC_DESIGN_FRACTION: f64 = 0.05;
 
 /// Estimated power deltas for an added module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerDelta {
     /// Dynamic power increase in percent of the core's dynamic power.
     pub dynamic_pct: f64,

@@ -95,7 +95,9 @@ pub mod error_code {
     pub const PROTOCOL: u8 = 1;
     /// A `Report` arrived before the service drained.
     pub const NOT_DRAINED: u8 = 2;
-    /// The drain deadline expired with batches still in flight.
+    /// A router's drain met more node deaths than its failover retry
+    /// budget covers. Only a router sends this; the drain is
+    /// idempotent, so the client may retry it.
     pub const DRAIN_TIMEOUT: u8 = 3;
     /// The endpoint is a warm standby that has not taken over yet; the
     /// client should retry against the active router.

@@ -16,7 +16,8 @@
 //! sessions with durable state cannot move and only never-admitted
 //! sessions are re-pinned.
 //!
-//! The process exits 0 once a client drains the cluster through it.
+//! The process exits 0 once a client drains the cluster through it and
+//! the `Drained` reply has been written.
 //!
 //! With `--standby --peer tcp:HOST:PORT` the process starts as a warm
 //! standby instead: it refuses client commands (typed

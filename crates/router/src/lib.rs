@@ -1639,11 +1639,6 @@ impl Router {
         Ok(rec)
     }
 
-    /// Drives every live node until idle (the deterministic service's
-    /// pump rides the submit path, so this is a no-op between batches;
-    /// kept for API symmetry with `DurableService::pump`).
-    pub fn pump(&mut self) {}
-
     /// Drains every live node and merges the per-session reports,
     /// sorted by session id. Each session is resident on exactly one
     /// live node (failover removes dead owners first), so the merge

@@ -171,6 +171,10 @@ fn exports_for(st: &mut Inner, node: u32) -> Vec<SessionExport> {
 struct Shared {
     state: Mutex<Inner>,
     stop: AtomicBool,
+    /// Set once a handler has written a `Drained` reply, or failed to
+    /// write it. The drained cache itself is set earlier, under the
+    /// state lock, before the reply goes out.
+    drain_replied: AtomicBool,
     /// False while a standby waits for its takeover: client-facing
     /// commands answer [`error_code::STANDBY`] until it flips.
     active: AtomicBool,
@@ -256,6 +260,7 @@ impl RouterServer {
                 conn_seq: 0,
             }),
             stop: AtomicBool::new(false),
+            drain_replied: AtomicBool::new(false),
             active: AtomicBool::new(standby_peer.is_none()),
             cfg,
         });
@@ -322,15 +327,12 @@ impl RouterServer {
         f(&mut st.router)
     }
 
-    /// Whether a client has drained the cluster through this router.
+    /// Whether a client has drained the cluster through this router
+    /// and its `Drained` reply has been written (or has failed to
+    /// write), so a process that exits on it never drops the reply.
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("router state")
-            .drained
-            .is_some()
+        self.shared.drain_replied.load(Ordering::SeqCst)
     }
 
     /// Stops the accept loop and heartbeat thread and joins them.
@@ -546,6 +548,9 @@ fn handle_conn(mut conn: Conn, conn_id: u64, shared: &Shared) {
                 dead = true;
                 break;
             }
+        }
+        if replies.iter().any(|r| matches!(r, Msg::Drained { .. })) {
+            shared.drain_replied.store(true, Ordering::SeqCst);
         }
         if dead {
             break;

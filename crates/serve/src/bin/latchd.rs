@@ -8,8 +8,8 @@
 //! latchd --listen unix:/tmp/latchd.sock --dir ./state --workers 4
 //! ```
 //!
-//! The process exits 0 once a client issues `Drain` and the service
-//! completes it, or on SIGPIPE-free socket teardown after a drain.
+//! The process exits 0 once a client issues `Drain` and the `Drained`
+//! reply has been written.
 
 use latch_faults::FaultPlan;
 use latch_proto::Endpoint;
@@ -24,7 +24,6 @@ struct Args {
     workers: usize,
     window: u32,
     seed: u64,
-    drain_timeout_ms: u64,
     slo_cycles: Option<u64>,
 }
 
@@ -35,7 +34,6 @@ impl Args {
         let mut workers = 4usize;
         let mut window = 1u32 << 14;
         let mut seed = 0x1a7c_4d00u64;
-        let mut drain_timeout_ms = 30_000u64;
         let mut slo_cycles = None;
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -54,9 +52,6 @@ impl Args {
                 "--workers" => workers = value().parse().expect("--workers"),
                 "--window" => window = value().parse().expect("--window"),
                 "--seed" => seed = value().parse().expect("--seed"),
-                "--drain-timeout-ms" => {
-                    drain_timeout_ms = value().parse().expect("--drain-timeout-ms");
-                }
                 "--slo-cycles" => slo_cycles = Some(value().parse().expect("--slo-cycles")),
                 other => panic!("unknown flag {other}"),
             }
@@ -67,7 +62,6 @@ impl Args {
             workers,
             window,
             seed,
-            drain_timeout_ms,
             slo_cycles,
         }
     }
@@ -103,7 +97,6 @@ fn main() {
     );
     let wire = WireConfig {
         max_window_events: args.window,
-        drain_timeout: Duration::from_millis(args.drain_timeout_ms),
     };
     let server = WireServer::start(&args.listen, svc, wire).unwrap_or_else(|e| {
         panic!("bind {}: {e}", args.listen);

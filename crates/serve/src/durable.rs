@@ -33,7 +33,7 @@ use crate::journal::{self, RecoveryError};
 use crate::overload::Priority;
 use crate::storage::Storage;
 use crate::store;
-use crate::{DrainOutcome, Rejected, ServeConfig, Service, ServiceOutcome};
+use crate::{Rejected, ServeConfig, Service, ServiceOutcome};
 use latch_faults::FaultPlan;
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
@@ -403,22 +403,6 @@ impl<S: Storage> DurableService<S> {
         let expelled = std::mem::take(&mut self.expelled);
         let mut outcome = self.svc.finish();
         outcome.sessions.retain(|s, _| !expelled.contains(s));
-        (outcome, self.storage)
-    }
-
-    /// Graceful drain with a deadline: like [`finish`](Self::finish)
-    /// but routed through [`Service::finish_timeout`], so a wedged
-    /// threaded worker yields [`DrainOutcome::TimedOut`] instead of
-    /// blocking forever. Durability maintenance (snapshots, journal
-    /// rotation, group commit) runs before the drain either way.
-    pub fn finish_timeout(mut self, timeout: std::time::Duration) -> (DrainOutcome, S) {
-        self.pump();
-        self.group_commit();
-        let expelled = std::mem::take(&mut self.expelled);
-        let mut outcome = self.svc.finish_timeout(timeout);
-        if let DrainOutcome::Completed(out) = &mut outcome {
-            out.sessions.retain(|s, _| !expelled.contains(s));
-        }
         (outcome, self.storage)
     }
 

@@ -1,13 +1,12 @@
-//! The scheduler core shared by the deterministic and threaded modes.
+//! The scheduler core behind [`Service`](crate::Service).
 //!
 //! All scheduling state lives in one [`Sched`] value: session slots,
 //! per-worker ready queues, admission counters, the fault injector, and
-//! the cost accounting. The deterministic service owns it directly and
-//! drives virtual workers with a seeded round-robin cursor; the
-//! threaded service wraps it in a mutex and lets real worker threads
-//! pull [`WorkItem`]s out and push [`BatchResult`]s back in. Event
-//! application itself ([`process`]) never touches the shared state, so
-//! threaded workers run it outside the lock.
+//! the cost accounting. The service owns it directly and drives virtual
+//! workers with a seeded round-robin cursor: each turn pulls a
+//! [`WorkItem`] out with `next_work`, runs it through [`process`], and
+//! pushes the [`BatchResult`] back with `complete`. Event application
+//! itself ([`process`]) never touches scheduler state.
 //!
 //! Invariants:
 //!
@@ -91,8 +90,8 @@ impl Slot {
     }
 }
 
-/// One dispatched batch: everything a worker needs to run it outside
-/// the scheduler lock.
+/// One dispatched batch: everything a worker needs to run it without
+/// touching scheduler state.
 pub(crate) struct WorkItem {
     pub session: u64,
     pub pipeline: Box<SessionPipeline>,
@@ -105,10 +104,6 @@ pub(crate) struct WorkItem {
     /// Injected death: the worker dies after applying this many events
     /// of the batch.
     pub kill_at: Option<usize>,
-    /// Injected stall, in lag units. Deterministic mode ignores it
-    /// (no wall clock); threaded workers sleep ~this many µs before
-    /// processing — how the drain-timeout path is exercised.
-    pub stall_units: u32,
     /// Degraded dispatch: apply the batch through the coarse tier only.
     pub coarse_only: bool,
 }
@@ -136,7 +131,7 @@ pub(crate) enum BatchResult {
 }
 
 /// Applies a batch to its pipeline. Pure with respect to scheduler
-/// state — threaded workers call this without holding the lock.
+/// state.
 pub(crate) fn process(mut item: WorkItem) -> BatchResult {
     if let (Some(kill_at), Some(blob)) = (item.kill_at, item.checkpoint.as_ref()) {
         // The worker makes partial progress, then dies: its pipeline
@@ -256,16 +251,8 @@ impl Sched {
         self.cfg.workers
     }
 
-    pub fn draining(&self) -> bool {
-        self.draining
-    }
-
     pub fn start_drain(&mut self) {
         self.draining = true;
-    }
-
-    pub fn worker_alive(&self, w: usize) -> bool {
-        self.alive[w]
     }
 
     /// No queued events, nothing on any ready queue, nothing in flight.
@@ -444,7 +431,6 @@ impl Sched {
         } else {
             None
         };
-        let stall_units = self.inj.consumer_lag_at(batch_index);
         let start_cycles = pipeline.cycles();
         Some(WorkItem {
             session,
@@ -453,7 +439,6 @@ impl Sched {
             start_cycles,
             checkpoint,
             kill_at,
-            stall_units,
             coarse_only,
         })
     }
@@ -785,11 +770,6 @@ impl Sched {
                 (id, pipeline)
             })
             .collect()
-    }
-
-    /// Batches currently executing on workers.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Every session id the scheduler knows about, sorted.

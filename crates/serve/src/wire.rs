@@ -27,10 +27,12 @@
 //!   [`Msg::SloPush`] frames for every SLO cut, streamed after each
 //!   reply via a per-connection cursor.
 //! * **Drain** — `Drain` takes the service, runs
-//!   [`DurableService::finish_timeout`], stores every session's final
-//!   report, and replies `Drained`. The reply is idempotent; later
-//!   `Submit`s are rejected with `ShuttingDown`, and `Report` serves
-//!   individual session reports.
+//!   [`DurableService::finish`], stores every session's final report,
+//!   and replies `Drained`. The reply is idempotent; later `Submit`s
+//!   are rejected with `ShuttingDown`, and `Report` serves individual
+//!   session reports. [`WireServer::drained`] turns true only once the
+//!   first `Drained` reply has been written (or has failed to write),
+//!   so a daemon that exits on it never drops the reply unsent.
 //! * **Hostile bytes** — a connection that sends garbage gets a typed
 //!   `WireReject` trace event, a best-effort `Error` frame, and its
 //!   socket closed. The accept loop and every other connection are
@@ -40,7 +42,7 @@
 use crate::durable::DurableService;
 use crate::overload::Priority;
 use crate::storage::Storage;
-use crate::{DrainOutcome, Rejected, ServiceOutcome};
+use crate::{Rejected, ServiceOutcome};
 use latch_obs::TraceEvent;
 use latch_proto::{error_code, write_msg, Endpoint, Msg, ProtoError, WireRejected, WireSlo};
 use std::collections::BTreeMap;
@@ -58,16 +60,12 @@ pub struct WireConfig {
     /// Cap on the per-connection in-flight window, in events. A
     /// client's `Hello` request is clamped into `[1, max_window]`.
     pub max_window_events: u32,
-    /// Deadline passed to [`DurableService::finish_timeout`] when a
-    /// client drains the service.
-    pub drain_timeout: Duration,
 }
 
 impl Default for WireConfig {
     fn default() -> Self {
         Self {
             max_window_events: 1 << 14,
-            drain_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -155,12 +153,11 @@ impl Listener {
     }
 }
 
-/// What a drain left behind: per-session `(applied, report bytes)`,
-/// the final SLO report stream, and whether the deadline expired.
+/// What a drain left behind: per-session `(applied, report bytes)` and
+/// the final SLO report stream.
 struct Drained {
     reports: BTreeMap<u64, (u64, Vec<u8>)>,
     slo: Vec<WireSlo>,
-    timed_out: bool,
 }
 
 /// Shared server state: the service until drain, the drained reports
@@ -186,6 +183,10 @@ struct State<S: Storage> {
 struct Shared<S: Storage> {
     state: Mutex<State<S>>,
     stop: AtomicBool,
+    /// Set once a handler has written a `Drained` reply, or failed to
+    /// write it. The drained state itself is set earlier, under the
+    /// state lock, before the reply goes out.
+    drain_replied: AtomicBool,
     cfg: WireConfig,
 }
 
@@ -225,6 +226,7 @@ impl<S: Storage + Send + 'static> WireServer<S> {
                 max_epoch: 0,
             }),
             stop: AtomicBool::new(false),
+            drain_replied: AtomicBool::new(false),
             cfg,
         });
         let accept_shared = Arc::clone(&shared);
@@ -255,15 +257,15 @@ impl<S: Storage + Send + 'static> WireServer<S> {
         }
     }
 
-    /// Whether a client has drained the service.
+    /// Whether a client has drained the service and its `Drained`
+    /// reply has been written (or has failed to write).
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.shared.state.lock().expect("server state").drained.is_some()
+        self.shared.drain_replied.load(Ordering::SeqCst)
     }
 
     /// Stops the accept loop, joins it, and returns the storage backend
-    /// if a drain completed (`None` when never drained or timed out
-    /// before handing storage back).
+    /// if a drain completed (`None` when never drained).
     pub fn shutdown(mut self) -> Option<S> {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
@@ -446,7 +448,6 @@ fn drained_from(outcome: &ServiceOutcome) -> Drained {
             .map(|(&s, r)| (s, (r.events, r.encode())))
             .collect(),
         slo: outcome.slo_reports.iter().map(wire_slo).collect(),
-        timed_out: false,
     }
 }
 
@@ -506,6 +507,9 @@ fn handle_conn<S: Storage + Send + 'static>(mut conn: Conn, conn_id: u64, shared
                 dead = true;
                 break;
             }
+        }
+        if replies.iter().any(|r| matches!(r, Msg::Drained { .. })) {
+            shared.drain_replied.store(true, Ordering::SeqCst);
         }
         if dead {
             break;
@@ -675,21 +679,11 @@ fn process_msg<S: Storage>(
         }
         Msg::Drain => {
             if let Some(svc) = st.svc.take() {
-                let (outcome, storage) = svc.finish_timeout(shared.cfg.drain_timeout);
+                let (outcome, storage) = svc.finish();
                 st.storage = Some(storage);
-                st.drained = Some(match outcome {
-                    DrainOutcome::Completed(out) => drained_from(&out),
-                    DrainOutcome::TimedOut { .. } => Drained {
-                        reports: BTreeMap::new(),
-                        slo: Vec::new(),
-                        timed_out: true,
-                    },
-                });
+                st.drained = Some(drained_from(&outcome));
             }
             match st.drained.as_ref() {
-                Some(d) if d.timed_out => replies.push(Msg::Error {
-                    code: error_code::DRAIN_TIMEOUT,
-                }),
                 Some(d) => replies.push(Msg::Drained {
                     reports: d
                         .reports
@@ -849,7 +843,7 @@ fn process_msg<S: Storage>(
                 // drained cache — the victim's directory keeps the
                 // durable copy, this node only answers for the bytes.
                 None => match st.drained.as_mut() {
-                    Some(d) if !d.timed_out && !d.reports.contains_key(&session) => {
+                    Some(d) if !d.reports.contains_key(&session) => {
                         crate::durable::thaw_export(session, scrub_interval, &ltse_blob, &wal_suffix)
                         .ok()
                         .map(|pipe| {

@@ -17,10 +17,9 @@ use latch_core::isa_ext::LatchInstr;
 use latch_core::Addr;
 use latch_dift::policy::{SinkKind, SourceKind};
 use latch_dift::prop::PropRule;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a memory operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemAccessKind {
     /// The instruction reads memory.
     Read,
@@ -29,7 +28,7 @@ pub enum MemAccessKind {
 }
 
 /// An extracted memory operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Effective address.
     pub addr: Addr,
@@ -40,7 +39,7 @@ pub struct MemAccess {
 }
 
 /// A control-flow target requiring DIFT validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtrlCheck {
     /// Indirect jump through a register.
     Reg {
@@ -61,7 +60,7 @@ pub enum CtrlCheck {
 }
 
 /// A taint-source input performed by a syscall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceInput {
     /// The source class (file, socket, user input).
     pub kind: SourceKind,
@@ -76,7 +75,7 @@ pub struct SourceInput {
 }
 
 /// A data flow into an output sink requiring DIFT validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkAccess {
     /// The sink class.
     pub kind: SinkKind,
@@ -87,7 +86,7 @@ pub struct SinkAccess {
 }
 
 /// Registers extracted from the retired instruction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegsUsed {
     /// Up to two source registers.
     pub read: [Option<u8>; 2],
@@ -108,7 +107,7 @@ impl RegsUsed {
 }
 
 /// One retired instruction, as seen by the monitoring stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Program counter (instruction index) of the retired instruction.
     pub pc: Addr,

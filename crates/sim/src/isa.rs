@@ -15,7 +15,6 @@
 //! * `Jr` (indirect jump through a register) is the register-operand
 //!   analogue.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A register index, `0..NUM_REGS`.
@@ -28,7 +27,7 @@ pub const NUM_REGS: usize = latch_core::trf::NUM_REGS;
 pub const SP: Reg = 15;
 
 /// Memory access width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSize {
     /// 1 byte.
     B1,
@@ -61,7 +60,7 @@ impl fmt::Display for MemSize {
 }
 
 /// Two-source ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -115,7 +114,7 @@ impl fmt::Display for AluOp {
 }
 
 /// Branch comparison conditions (unsigned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchCond {
     /// Equal.
     Eq,
@@ -141,7 +140,7 @@ impl BranchCond {
 }
 
 /// Syscall numbers (arguments in `r1..r4`, result in `r0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Syscall {
     /// Terminate the program (`r1` = exit code).
     Exit,
@@ -169,7 +168,7 @@ pub enum Syscall {
 }
 
 /// One decoded instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `rd = imm`.
     Li {

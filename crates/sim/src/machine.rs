@@ -16,7 +16,6 @@ use crate::syscall::SyscallHost;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::{SecurityViolation, TaintPolicy};
 use latch_core::Addr;
-use serde::{Deserialize, Serialize};
 
 /// What the precise tier did with one event.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -81,7 +80,7 @@ pub fn apply_event_dift(dift: &mut DiftEngine, ev: &Event) -> DiftStep {
 }
 
 /// Summary of a [`Machine::run`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunSummary {
     /// Instructions retired.
     pub instrs: u64,

@@ -6,7 +6,6 @@
 //! distribution).
 
 use latch_core::{Addr, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 const PAGE: usize = PAGE_SIZE as usize;
@@ -16,7 +15,7 @@ fn zero_page() -> Box<[u8]> {
 }
 
 /// Sparse paged memory with an accessed-pages census.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Memory {
     pages: HashMap<u32, Box<[u8]>>,
     accessed_pages: HashSet<u32>,

@@ -8,11 +8,10 @@
 //! the P-LATCH evaluation needs (occupancy, rejections ≙ stalls).
 
 use latch_core::error::ConfigError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Occupancy and throughput counters for a [`BoundedFifo`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Successful enqueues.
     pub pushes: u64,

@@ -8,14 +8,13 @@
 //! trusted clients and are not tainted — can be reproduced.
 
 use latch_dift::policy::SourceKind;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// File descriptor reserved for console output.
 pub const FD_STDOUT: u32 = 1;
 
 /// A queued inbound connection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     /// Bytes the peer will send.
     pub data: Vec<u8>,
@@ -23,7 +22,7 @@ pub struct Connection {
     pub trusted: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum FdState {
     File { name: String, pos: usize },
     Listener,
@@ -42,7 +41,7 @@ pub struct HostRead {
 }
 
 /// The emulated operating environment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyscallHost {
     vfs: HashMap<String, Vec<u8>>,
     fds: HashMap<u32, FdState>,

@@ -11,7 +11,6 @@
 //!   4 KB FlexiTaint-style cache (\[54\], §5.3) as an ablation point.
 
 use latch_workloads::BenchmarkProfile;
-use serde::{Deserialize, Serialize};
 
 /// Mean slowdown of the simple 2-core LBA DIFT monitor over native
 /// (paper §6.2 cites a mean 3.38× overhead for baseline LBA; expressed
@@ -25,7 +24,7 @@ pub const LBA_OPTIMIZED_SLOWDOWN: f64 = 1.36;
 pub const CONVENTIONAL_TAINT_CACHE_BYTES: u32 = 4096;
 
 /// Always-on software DIFT (libdft) performance for a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LibdftBaseline {
     /// Slowdown over native execution.
     pub slowdown: f64,

@@ -7,10 +7,8 @@
 //! is modelled at 1 cycle per instruction; the instrumented image runs
 //! at the benchmark's libdft slowdown.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs charged by the S-LATCH model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Saving + restoring the native program context on one mode switch
     /// (`getcontext`/`setcontext`, §6.1). Charged on every transfer in

@@ -21,10 +21,9 @@ use latch_dift::engine::DiftEngine;
 use latch_dift::policy::TaintPolicy;
 use latch_sim::event::{Event, EventSource, MemAccessKind};
 use latch_sim::machine::apply_event_dift;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a set-associative taint-tag cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagCacheConfig {
     /// Total tag storage in bytes.
     pub capacity_bytes: u32,
@@ -73,7 +72,7 @@ impl TagCacheConfig {
 }
 
 /// Hit/miss counters for a [`TagCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagCacheStats {
     /// Block lookups that hit.
     pub hits: u64,
@@ -184,7 +183,7 @@ impl TagCache {
 }
 
 /// Which screening level handled each memory access (Fig. 16).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessDistribution {
     /// Accesses resolved by a clear page-level TLB taint bit.
     pub tlb: u64,
@@ -200,7 +199,7 @@ pub struct AccessDistribution {
 /// spanning several cache blocks counts once), as a fraction of all
 /// memory-operand accesses — the paper's "fraction of all memory
 /// accesses".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HLatchReport {
     /// Total memory-operand accesses (the denominator of every row).
     pub mem_accesses: u64,

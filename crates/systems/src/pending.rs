@@ -18,11 +18,10 @@
 //! lag, and its tests demonstrate both the race and the fix.
 
 use latch_core::Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One outstanding destination operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingRange {
     /// First byte of the destination operand.
     pub addr: Addr,
@@ -39,7 +38,7 @@ impl PendingRange {
 }
 
 /// Counters for the pending-update FIFO.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PendingStats {
     /// Destinations pushed (memory-writing events enqueued).
     pub pushed: u64,

@@ -26,14 +26,13 @@ use latch_dift::engine::DiftEngine;
 use latch_sim::event::{Event, EventSource, MemAccessKind};
 use latch_sim::machine::apply_event_dift;
 use latch_sim::queue::{BoundedFifo, QueueStats};
-use serde::{Deserialize, Serialize};
 
 /// Window size for activity localization (the paper measures P-LATCH
 /// overhead "at 1000 instruction granularity").
 pub const ACTIVITY_WINDOW: u64 = 1000;
 
 /// Activity measurement over an event stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActivityReport {
     /// Instructions observed.
     pub instrs: u64,
@@ -97,7 +96,7 @@ pub fn analytic_overhead_pct(activity: &ActivityReport, lba_slowdown: f64) -> f6
 
 /// Per-benchmark Fig. 15 row: baseline and P-LATCH overheads for both
 /// LBA integrations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PLatchReport {
     /// Activity measurement the model is based on.
     pub activity: ActivityReport,
@@ -124,7 +123,7 @@ pub fn analyze<S: EventSource>(src: S) -> PLatchReport {
 }
 
 /// Result of the bounded-FIFO queue simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueSimReport {
     /// Instructions retired by the monitored core.
     pub instrs: u64,
@@ -296,7 +295,7 @@ impl QueueSim {
 
 
 /// Results of the lagged-coarse-state queue simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaggedReport {
     /// Events retired by the monitored core.
     pub instrs: u64,

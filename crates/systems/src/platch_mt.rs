@@ -55,10 +55,9 @@ use latch_dift::policy::SecurityViolation;
 use latch_faults::{
     FaultInjector, FaultPlan, FaultStats, FlipDirection, FlipTarget, QueueFault,
 };
-use latch_sim::event::{Event, EventSource};
+use latch_sim::event::Event;
 use latch_sim::machine::apply_event_dift;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,7 +68,7 @@ use std::time::Duration;
 type Msg = (u64, Event);
 
 /// What to do when the consumer is lost mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Never respawn: fall back to inline precise DIFT immediately.
     Degrade,
@@ -82,7 +81,7 @@ pub enum RecoveryPolicy {
 }
 
 /// Tuning knobs for the resilient pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// The consumer publishes a DIFT-state checkpoint every time its
     /// applied-sequence count crosses a multiple of this. `0` disables
@@ -118,7 +117,7 @@ impl Default for ResilienceConfig {
 }
 
 /// Why the pipeline left normal streaming operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeCause {
     /// The consumer thread exited (injected death or closed channel).
     ConsumerDeath,
@@ -133,7 +132,7 @@ pub enum DegradeCause {
 }
 
 /// How the pipeline recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// A fresh consumer was spawned and resynced from the checkpoint.
     Restarted,
@@ -142,7 +141,7 @@ pub enum RecoveryAction {
 }
 
 /// One recovery episode, in the order it happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationEvent {
     pub cause: DegradeCause,
     pub action: RecoveryAction,
@@ -186,7 +185,7 @@ impl RecoveryAction {
 /// where the next recovery lands. Delivery-layer counters that are
 /// inherently cutover-sensitive (duplicate discards, retries) live in
 /// [`MtTimings`] instead.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MtReport {
     /// Events the producer retired.
     pub instrs: u64,
@@ -218,7 +217,7 @@ impl MtReport {
 
 /// Timing-dependent counters, kept out of [`MtReport`] so reports stay
 /// reproducible. Useful for eyeballing backpressure, not for oracles.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MtTimings {
     /// Sends that found the channel full on first attempt.
     pub full_on_send: u64,
@@ -236,7 +235,7 @@ pub struct MtTimings {
 }
 
 /// Everything a faulted run produces besides the final DIFT engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultOutcome {
     /// Deterministic observables.
     pub report: MtReport,
@@ -935,50 +934,10 @@ pub fn run_resilient(
     driver.finish()
 }
 
-/// Fault-free run with default resilience tuning: the original
-/// two-thread organization.
-#[deprecated(
-    since = "0.2.0",
-    note = "call `run_resilient` with `FaultPlan::benign()` and \
-            `ResilienceConfig::default()`, or use `latch-serve` for \
-            multi-session workloads"
-)]
-pub fn run_threaded(
-    events: Vec<Event>,
-    queue_capacity: usize,
-    filter: bool,
-) -> (MtReport, DiftEngine) {
-    let (outcome, dift) = run_resilient(
-        events,
-        queue_capacity,
-        filter,
-        FaultPlan::benign(),
-        ResilienceConfig::default(),
-    );
-    (outcome.report, dift)
-}
-
-/// Convenience wrapper: drains an [`EventSource`] into a vector first.
-#[deprecated(
-    since = "0.2.0",
-    note = "drain the source yourself and call `run_resilient`"
-)]
-#[allow(deprecated)]
-pub fn run_threaded_source<S: EventSource>(
-    mut src: S,
-    queue_capacity: usize,
-    filter: bool,
-) -> (MtReport, DiftEngine) {
-    let mut events = Vec::new();
-    while let Some(ev) = src.next_event() {
-        events.push(ev);
-    }
-    run_threaded(events, queue_capacity, filter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latch_sim::event::EventSource;
     use latch_workloads::BenchmarkProfile;
 
     #[test]
@@ -1045,8 +1004,7 @@ mod tests {
         out
     }
 
-    /// Benign-plan run through the resilient path (the deprecated
-    /// `run_threaded*` wrappers forward here).
+    /// Benign-plan run through the resilient path.
     fn run_clean(
         profile: &BenchmarkProfile,
         seed: u64,

@@ -20,10 +20,9 @@
 //! tainted after coarse merging, never the reverse.
 
 use latch_core::{Addr, PreciseView};
-use serde::{Deserialize, Serialize};
 
 /// One cached taint range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RangeEntry {
     start: Addr,
     end: Addr, // exclusive
@@ -32,7 +31,7 @@ struct RangeEntry {
 }
 
 /// Counters for the range screener.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RangeCacheStats {
     /// Lookups answered by a cached range.
     pub hits: u64,

@@ -2,8 +2,6 @@
 //! epoch histogram of Fig. 5, the false-positive granularity sweep of
 //! Fig. 6, and mean aggregators.
 
-use serde::{Deserialize, Serialize};
-
 /// The epoch-length buckets the paper reports (Fig. 5): epochs longer
 /// than 100, 1 K, 10 K, 100 K, and 1 M instructions. Note the paper's
 /// sets are cumulative ("some epochs belong to multiple sets").
@@ -12,7 +10,7 @@ pub const EPOCH_BUCKETS: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 /// Collects taint-free epoch lengths from a per-instruction
 /// touched-taint signal and reports the percentage of all instructions
 /// that fall in epochs of at least each bucket length.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochHistogram {
     epochs: Vec<u64>,
     current: u64,

@@ -27,10 +27,9 @@ use latch_dift::policy::TaintPolicy;
 use latch_sim::event::{Event, EventSource, MemAccessKind};
 use latch_sim::machine::apply_event_dift;
 use latch_workloads::BenchmarkProfile;
-use serde::{Deserialize, Serialize};
 
 /// Cycle attribution by overhead source (paper Fig. 14).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverheadBreakdown {
     /// Extra cycles from running instructions under DBI instrumentation
     /// (libdft propagation/validation code).
@@ -52,7 +51,7 @@ impl OverheadBreakdown {
 }
 
 /// Results of one S-LATCH run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SLatchReport {
     /// Instructions retired.
     pub instrs: u64,

@@ -23,10 +23,9 @@ use crate::layout::TaintLayout;
 use crate::synth::SyntheticSource;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which evaluation suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU 2006 desktop benchmarks (file-input tainting).
     Spec,
@@ -35,7 +34,7 @@ pub enum Suite {
 }
 
 /// A workload description calibrated to one paper benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
     /// Benchmark name as the paper spells it.
     pub name: &'static str,

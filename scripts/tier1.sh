@@ -21,16 +21,13 @@ echo "==> cargo test -q (obs on)"
 cargo test -q --workspace --features "$OBS_FEATURES"
 
 # The serving layer is exercised explicitly in both observability
-# configurations, plus the fixed-seed eight-worker stress test (real
-# threads, eviction pressure, worker kills) in release mode.
+# configurations, including the fixed-seed eight-worker test that
+# combines worker kills with eviction churn.
 echo "==> latch-serve (obs off)"
 cargo test -q -p latch-serve
 
 echo "==> latch-serve (obs on)"
 cargo test -q -p latch-serve --features obs
-
-echo "==> latch-serve (fixed-seed multi-worker stress, release)"
-cargo test -q --release -p latch-serve threaded_stress_eight_workers_fixed_seed
 
 # Crash-recovery stress: a fixed-seed kill loop over the real-directory
 # storage backend. Each iteration kills a durable service mid-stream,
