@@ -122,7 +122,9 @@ pub enum Rejected {
         /// The configured per-session cap.
         cap: usize,
     },
-    /// The service is draining; no new work is admitted.
+    /// This session takes no new work here:
+    /// `DurableService::expel_session` handed it to another node. A
+    /// drained wire server sends the wire form of this rejection.
     ShuttingDown,
     /// Deliberately shed under overload pressure: the service is over
     /// its SLO (or its queue pressure threshold) and this session's
@@ -191,8 +193,6 @@ pub struct ServeStats {
     pub rejected_queue_full: u64,
     /// Submissions rejected: per-session cap reached.
     pub rejected_session_busy: u64,
-    /// Submissions rejected: service draining.
-    pub rejected_shutting_down: u64,
     /// Batches dispatched to workers.
     pub dispatches: u64,
     /// Dispatches that stole a session from another worker's queue.
@@ -321,11 +321,11 @@ impl Service {
         }
     }
 
-    /// Graceful drain: stops admitting, applies everything queued, and
-    /// returns per-session results.
+    /// Graceful drain: applies everything queued and returns
+    /// per-session results. It consumes the service, so nothing can be
+    /// submitted after it.
     #[must_use]
     pub fn finish(mut self) -> ServiceOutcome {
-        self.sched.start_drain();
         self.pump();
         let wall_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut sched = self.sched;

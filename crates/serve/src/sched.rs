@@ -187,7 +187,6 @@ pub(crate) struct Sched {
     pending_total: usize,
     in_flight: usize,
     tick: u64,
-    draining: bool,
     inj: FaultInjector,
     alive: Vec<bool>,
     alive_count: usize,
@@ -227,7 +226,6 @@ impl Sched {
             pending_total: 0,
             in_flight: 0,
             tick: 0,
-            draining: false,
             inj: FaultInjector::new(plan),
             alive: vec![true; workers],
             alive_count: workers,
@@ -249,10 +247,6 @@ impl Sched {
 
     pub fn workers(&self) -> usize {
         self.cfg.workers
-    }
-
-    pub fn start_drain(&mut self) {
-        self.draining = true;
     }
 
     /// No queued events, nothing on any ready queue, nothing in flight.
@@ -294,10 +288,6 @@ impl Sched {
         events: &[Event],
         priority: Priority,
     ) -> Result<(), Rejected> {
-        if self.draining {
-            self.stats.rejected_shutting_down = self.stats.rejected_shutting_down.saturating_add(1);
-            return Err(Rejected::ShuttingDown);
-        }
         if events.is_empty() {
             return Ok(());
         }

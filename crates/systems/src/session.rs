@@ -438,6 +438,34 @@ mod tests {
         assert_eq!(straight.report().encode(), thawed.report().encode());
     }
 
+    /// The snapshot bytes of a fixed taint-heavy pipeline are pinned,
+    /// so a faster codec or checksum cannot change what is on disk or
+    /// on the wire. Each pin is the blob's length and the CRC-32 of
+    /// everything before its trailer, computed with a bytewise CRC-32
+    /// and a per-byte shadow page codec. The LTCH and LTDF blobs nested
+    /// in the LTSE blob get pins of their own: a blob that ends in its
+    /// own CRC leaves an enclosing CRC in a state that depends only on
+    /// its length, so the LTSE pin alone cannot see a change inside
+    /// them.
+    #[test]
+    fn astar_snapshot_bytes_are_pinned() {
+        use latch_core::snapshot::crc32;
+        fn pin(blob: &[u8]) -> (usize, u32) {
+            (blob.len(), crc32(&blob[..blob.len() - 4]))
+        }
+        let mut pipe = SessionPipeline::new(512);
+        for ev in &events("astar", 5, 20_000) {
+            pipe.apply(ev);
+        }
+        assert_eq!(pipe.engine().shadow().pages_currently_tainted(), 23);
+        assert_eq!(pin(&pipe.latch().to_snapshot()), (3_575, 0xB78D_FAAA));
+        assert_eq!(pin(&pipe.engine().to_snapshot()), (94_537, 0xA85F_81DB));
+        let blob = pipe.to_snapshot();
+        assert_eq!(pin(&blob), (98_196, 0x5DF3_BB6C));
+        let thawed = SessionPipeline::from_snapshot(&blob).unwrap();
+        assert_eq!(thawed.to_snapshot(), blob);
+    }
+
     #[test]
     fn snapshot_rejects_garbage() {
         let pipe = SessionPipeline::new(0);
