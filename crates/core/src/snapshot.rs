@@ -15,8 +15,12 @@
 //!    byte-identical reports.
 //!
 //! All integers are little-endian fixed width. Every top-level blob
-//! starts with a magic word and a format version; component encoders
-//! (in `ctt`, `ctc`, `tlb`, `trf`, `unit`) write raw fields only.
+//! starts with a magic word and a format version and ends in a CRC-32
+//! trailer; component encoders (in `ctt`, `ctc`, `tlb`, `trf`) write
+//! raw fields only. A layer that nests another layer's blob (a session
+//! holds its unit's and its engine's) writes it in place with
+//! [`SnapWriter::sealed`], so one pass over one buffer encodes and
+//! checksums the whole snapshot.
 
 use std::error::Error;
 use std::fmt;
@@ -93,7 +97,13 @@ static CRC32_TABLES: [[u32; 256]; 16] = {
 /// and by the serving layer's journal frames and snapshot store.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
+    crc32_update(0, bytes)
+}
+
+/// Continues a CRC-32 over more bytes:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
     let mut blocks = bytes.chunks_exact(16);
     for block in blocks.by_ref() {
         // The running CRC folds into the block's first four bytes; then
@@ -113,16 +123,92 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// The CRC-32 of every blob that ends in its own little-endian CRC-32
+/// (the CRC's residue): `crc32(b ++ crc32(b).to_le_bytes())` is this
+/// constant for any `b`.
+const CRC32_RESIDUE: u32 = 0x2144_DF1C;
+
+/// `a·b mod P` for two CRC-32 values read as polynomials over GF(2),
+/// in the reflected bit order of `crc32` (bit 31 holds x^0).
+const fn crc32_mul(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 {
+            0xEDB8_8320 ^ (b >> 1)
+        } else {
+            b >> 1
+        };
+        m >>= 1;
+    }
+    p
+}
+
+/// `x^(2^k) mod P` for `k` in `0..32`, built at compile time by
+/// repeated squaring from x^1. The order of x modulo P divides
+/// 2^32 − 1, so `k` wraps modulo 32.
+static CRC32_X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30;
+    let mut k = 1;
+    while k < 32 {
+        table[k] = crc32_mul(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// Multiplies `crc` by x^(8n) mod P: the CRC-32 is affine, so
+/// `crc32(a ++ b) == crc32_shift(crc32(a), b.len()) ^ crc32(b)` for any
+/// `a` and `b` (zlib's `crc32_combine`). One product per set bit of
+/// `n`, whatever the bytes.
+fn crc32_shift(mut crc: u32, mut n: usize) -> u32 {
+    let mut k = 3; // x^(8n) = product of x^(2^(i+3)) over the set bits i of n
+    while n != 0 {
+        if n & 1 != 0 {
+            crc = crc32_mul(CRC32_X2N[k % 32], crc);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    crc
+}
+
 /// Append-only encoder over a growable byte buffer.
+///
+/// A nested blob written with [`sealed`](Self::sealed) ends in its own
+/// CRC-32, and the writer records where it lies. An enclosing
+/// [`finish_crc`](Self::finish_crc) or `sealed` then folds it into its
+/// own CRC from its length alone, because after a blob that ends in its
+/// own CRC a CRC-32 depends only on the blob's length and what came
+/// before it. Only blobs this writer sealed itself are skipped: bytes
+/// appended with [`bytes`](Self::bytes) are checksummed in full, even
+/// when they hold a blob with a trailer, since nothing proves that
+/// trailer matches.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// `(start, len)` of each blob sealed at the current nesting level,
+    /// in buffer order.
+    sealed: Vec<(usize, usize)>,
 }
 
 impl SnapWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer whose buffer holds `bytes` before it
+    /// grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+            sealed: Vec::new(),
+        }
     }
 
     /// Writes the standard `magic` + `version` header.
@@ -172,11 +258,44 @@ impl SnapWriter {
         self.buf
     }
 
+    /// Writes a nested blob in place: a u64 length prefix, whatever
+    /// `encode` writes, and a CRC-32 trailer over that. The bytes are
+    /// those of `u64(len) ++ blob`, where `blob` is what `encode`
+    /// followed by [`finish_crc`](Self::finish_crc) produces in a
+    /// writer of its own, but no second buffer is built, and the
+    /// enclosing CRC skips the blob instead of reading it again.
+    pub fn sealed(&mut self, encode: impl FnOnce(&mut Self)) {
+        let prefix = self.buf.len();
+        self.u64(0); // patched once the length is known
+        let start = self.buf.len();
+        let outer = self.sealed.len();
+        encode(self);
+        let crc = self.crc_from(start, outer);
+        self.sealed.truncate(outer);
+        self.u32(crc);
+        let len = self.buf.len() - start;
+        self.buf[prefix..start].copy_from_slice(&(len as u64).to_le_bytes());
+        self.sealed.push((start, len));
+    }
+
+    /// CRC-32 of `buf[start..]`, folding in the sealed blobs from
+    /// `sealed[first..]` (all of which lie in that range) by length.
+    fn crc_from(&self, start: usize, first: usize) -> u32 {
+        let mut crc = 0;
+        let mut pos = start;
+        for &(at, len) in &self.sealed[first..] {
+            crc = crc32_update(crc, &self.buf[pos..at]);
+            crc = crc32_shift(crc, len) ^ CRC32_RESIDUE;
+            pos = at + len;
+        }
+        crc32_update(crc, &self.buf[pos..])
+    }
+
     /// Consumes the writer, appending a CRC-32 trailer over everything
     /// written so far (header included). Readers strip and verify it
     /// with [`SnapReader::trim_crc`].
     pub fn finish_crc(mut self) -> Vec<u8> {
-        let crc = crc32(&self.buf);
+        let crc = self.crc_from(0, 0);
         self.buf.extend_from_slice(&crc.to_le_bytes());
         self.buf
     }
@@ -435,6 +554,130 @@ mod tests {
         }
         let big = seeded_bytes(0xB16, 1 << 20);
         assert_eq!(crc32(&big), crc32_reference(&big));
+    }
+
+    /// `body` sealed the slow way: u64 length prefix, the body, and a
+    /// trailer from the bytewise reference.
+    fn reference_sealed(body: &[u8]) -> Vec<u8> {
+        let mut v = (body.len() as u64 + 4).to_le_bytes().to_vec();
+        v.extend_from_slice(body);
+        v.extend_from_slice(&crc32_reference(body).to_le_bytes());
+        v
+    }
+
+    /// `bytes` plus a trailer from the bytewise reference.
+    fn reference_finish(mut bytes: Vec<u8>) -> Vec<u8> {
+        let crc = crc32_reference(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// Writes `prefix ++ sealed(inner ++ sealed(body) ++ tail) ++
+    /// suffix` — or one level less when `inner` is `None` — and checks
+    /// the bytes against a bytewise full pass.
+    fn check_sealed(prefix: &[u8], inner: Option<&[u8]>, body: &[u8], tail: &[u8], suffix: &[u8]) {
+        let mut w = SnapWriter::new();
+        w.bytes(prefix);
+        let mut want = prefix.to_vec();
+        match inner {
+            Some(inner) => {
+                w.sealed(|w| {
+                    w.bytes(inner);
+                    w.sealed(|w| w.bytes(body));
+                    w.bytes(tail);
+                });
+                let mut outer = inner.to_vec();
+                outer.extend_from_slice(&reference_sealed(body));
+                outer.extend_from_slice(tail);
+                want.extend_from_slice(&reference_sealed(&outer));
+            }
+            None => {
+                w.sealed(|w| w.bytes(body));
+                want.extend_from_slice(&reference_sealed(body));
+            }
+        }
+        w.bytes(suffix);
+        want.extend_from_slice(suffix);
+        assert_eq!(w.finish_crc(), reference_finish(want));
+    }
+
+    #[test]
+    fn crc32_shift_and_residue_match_concatenation() {
+        let buf = seeded_bytes(0xC0DE, 257 + 1029);
+        for alen in 0..=257 {
+            let a = &buf[..alen];
+            for blen in [0, 1, 15, 16, 17, 1029 - alen] {
+                let b = &buf[alen..alen + blen];
+                let whole = &buf[..alen + blen];
+                assert_eq!(
+                    crc32_shift(crc32_reference(a), blen) ^ crc32_reference(b),
+                    crc32_reference(whole),
+                    "prefix {alen}, suffix {blen}"
+                );
+            }
+        }
+        for n in 0..=1025 {
+            let sealed = &reference_sealed(&buf[..n])[8..];
+            assert_eq!(
+                crc32_reference(sealed),
+                CRC32_RESIDUE,
+                "sealed length {}",
+                n + 4
+            );
+        }
+        // Shifts compose, including lengths whose top bits index the
+        // x^(2^k) table past its end and wrap.
+        let c = crc32_reference(&buf);
+        for (a, b) in [
+            (1, 2),
+            (1029, 1 << 20),
+            (1 << 29, 1 << 29),
+            (3 << 29, 1 << 30),
+        ] {
+            assert_eq!(
+                crc32_shift(crc32_shift(c, a), b),
+                crc32_shift(c, a + b),
+                "{a} + {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn sealed_blobs_fold_in_by_length_alone() {
+        let data = seeded_bytes(0x5EA1, 2048);
+        // Every prefix length 0..=257 and every sealed length 4..=1029
+        // (bodies 0..=1025), paired along a diagonal so the reference
+        // pass stays linear; every 41st pairing also nests one level
+        // deeper.
+        for i in 0..=1025 {
+            let p = i % 258;
+            let (prefix, body, suffix) = (&data[..p], &data[p..p + i], &data[..i % 19]);
+            check_sealed(prefix, None, body, &[], suffix);
+            if i % 41 == 0 {
+                check_sealed(prefix, Some(&data[..i % 23]), body, &data[..i % 7], suffix);
+            }
+        }
+        // A 1 MiB prefix, then a ~600 KiB blob holding a 300 KiB one.
+        let big = seeded_bytes(0xB16, (1 << 20) + (600 << 10));
+        let (prefix, rest) = big.split_at(1 << 20);
+        let (body, outer) = rest.split_at(300 << 10);
+        check_sealed(prefix, Some(&outer[..4096]), body, &outer[4096..], &[7; 5]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn nested_sealed_layouts_match_a_full_pass(
+            p in 0usize..300,
+            i in 0usize..64,
+            n in 0usize..1100,
+            t in 0usize..64,
+            s in 0usize..20,
+            nest: bool,
+        ) {
+            let data = seeded_bytes(0x7E57, 2048);
+            let inner = nest.then(|| &data[300..300 + i]);
+            check_sealed(&data[..p], inner, &data[400..400 + n], &data[1500..1500 + t], &data[..s]);
+        }
     }
 
     #[test]

@@ -431,6 +431,15 @@ impl LatchUnit {
     /// statistics counters.
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
+        self.snap_encode(&mut w);
+        w.finish_crc()
+    }
+
+    /// Writes the [`to_snapshot`](Self::to_snapshot) blob less its
+    /// CRC-32 trailer into `w`. Seal it with
+    /// [`SnapWriter::finish_crc`], or nest it inside an enclosing blob
+    /// with [`SnapWriter::sealed`].
+    pub fn snap_encode(&self, w: &mut SnapWriter) {
         w.header(SNAP_MAGIC, SNAP_VERSION);
         w.u32(self.params.geometry.domain_bytes());
         w.u64(self.params.ctc_entries as u64);
@@ -438,10 +447,10 @@ impl LatchUnit {
         w.u64(self.params.tlb_entries as u64);
         w.u64(self.params.tlb_miss_penalty);
         w.u32(self.params.sw_timeout);
-        self.ctt.snap_encode(&mut w);
-        self.ctc.snap_encode(&mut w);
-        self.tlb.snap_encode(&mut w);
-        self.pt.snap_encode(&mut w);
+        self.ctt.snap_encode(w);
+        self.ctc.snap_encode(w);
+        self.tlb.snap_encode(w);
+        self.pt.snap_encode(w);
         w.u64(self.trf.to_packed());
         w.u64(self.checks.checks);
         w.u64(self.checks.resolved_tlb);
@@ -459,7 +468,6 @@ impl LatchUnit {
             w.u32(ev.bits);
             w.u32(ev.clear_bits);
         }
-        w.finish_crc()
     }
 
     /// Thaws a unit frozen by [`to_snapshot`](Self::to_snapshot).

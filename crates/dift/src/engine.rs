@@ -227,17 +227,34 @@ impl DiftEngine {
     /// encoding is deterministic (pages sorted by index), so equal
     /// engine states produce equal bytes.
     pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::with_capacity(self.snapshot_len_hint());
+        self.snap_encode(&mut w);
+        w.finish_crc()
+    }
+
+    /// Writes the [`to_snapshot`](Self::to_snapshot) blob less its
+    /// CRC-32 trailer into `w`. Seal it with
+    /// [`SnapWriter::finish_crc`], or nest it inside an enclosing blob
+    /// with [`SnapWriter::sealed`].
+    pub fn snap_encode(&self, w: &mut SnapWriter) {
         w.header(SNAP_MAGIC, SNAP_VERSION);
-        self.shadow.snap_encode(&mut w);
-        self.regs.snap_encode(&mut w);
-        self.policy.snap_encode(&mut w);
+        self.shadow.snap_encode(w);
+        self.regs.snap_encode(w);
+        self.policy.snap_encode(w);
         w.u64(self.stats.instrs);
         w.u64(self.stats.instrs_touching_taint);
         w.u64(self.stats.mem_taint_writes);
         w.u64(self.stats.source_bytes);
         w.u64(self.stats.violations);
-        w.finish_crc()
+    }
+
+    /// An upper bound on the length of the
+    /// [`to_snapshot`](Self::to_snapshot) blob, for sizing the buffer
+    /// it is written into: the shadow's resident pages and census
+    /// exactly, plus room for the registers, policy and counters.
+    #[must_use]
+    pub fn snapshot_len_hint(&self) -> usize {
+        self.shadow.snap_len() + 1024
     }
 
     /// Thaws an engine frozen by [`to_snapshot`](Self::to_snapshot).

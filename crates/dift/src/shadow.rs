@@ -191,6 +191,11 @@ impl ShadowMemory {
         w.u64(self.tainted_bytes);
     }
 
+    /// Bytes [`snap_encode`](Self::snap_encode) writes.
+    pub(crate) fn snap_len(&self) -> usize {
+        8 + self.pages.len() * (4 + PAGE) + 8 + self.ever_tainted_pages.len() * 4 + 8
+    }
+
     /// Inverse of [`snap_encode`](Self::snap_encode).
     pub(crate) fn snap_decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut shadow = Self::new();

@@ -31,6 +31,7 @@
 
 use crate::journal::{self, RecoveryError};
 use crate::overload::Priority;
+use crate::sched::SnapSource;
 use crate::storage::Storage;
 use crate::store;
 use crate::{Rejected, ServeConfig, Service, ServiceOutcome};
@@ -354,20 +355,31 @@ impl<S: Storage> DurableService<S> {
             if !due {
                 continue;
             }
-            let Some((applied, epoch, blob)) = self.svc.snapshot_session(session) else {
+            let Some(source) = self.svc.snapshot_source(session) else {
                 continue;
             };
             let priority = self.svc.session_priority(session).unwrap_or_default();
+            // A live pipeline is encoded straight into its frame; a
+            // blob encoded earlier is copied in and checksummed whole.
+            let (applied, frame) = match source {
+                SnapSource::Live(pipe) => (
+                    pipe.applied(),
+                    store::encode_pipeline_frame(session, priority, pipe),
+                ),
+                SnapSource::Encoded {
+                    applied,
+                    epoch,
+                    blob,
+                } => (
+                    applied,
+                    store::encode_frame(session, epoch, applied, priority, blob),
+                ),
+            };
             let generation = state.next_generation;
-            if !store::write_frame(
-                &mut self.storage,
-                session,
-                generation,
-                epoch,
-                applied,
-                priority,
-                &blob,
-            ) {
+            if !self
+                .storage
+                .write_atomic(&store::snap_name(session, generation), &frame)
+            {
                 continue;
             }
             self.dirty_files += 1;

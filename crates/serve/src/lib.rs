@@ -46,7 +46,7 @@ pub use wire::{WireConfig, WireServer};
 use latch_faults::FaultPlan;
 use latch_sim::event::Event;
 use latch_systems::session::{SessionPipeline, SessionReport};
-use sched::{process, Sched};
+use sched::{process, Sched, SnapSource};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -359,20 +359,20 @@ impl Service {
         self.sched.session_ids()
     }
 
-    /// `(applied, epoch)` for a quiescent session — see
-    /// [`snapshot_session`](Self::snapshot_session) for when `None`.
+    /// `(applied, epoch)` for a quiescent session; `None` for sessions
+    /// that never ran or whose batch is mid-flight.
     #[must_use]
     pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
         self.sched.session_progress(session)
     }
 
-    /// Byte-stable snapshot `(applied, epoch, blob)` of a quiescent
-    /// session. `None` for sessions that never ran or whose batch is
-    /// mid-flight — the durability layer simply snapshots them at the
-    /// next quiescent point.
-    #[must_use]
-    pub fn snapshot_session(&self, session: u64) -> Option<(u64, u64, Vec<u8>)> {
-        self.sched.snapshot_session(session)
+    /// What a byte-stable snapshot of a quiescent session is taken
+    /// from: its live pipeline, or a blob encoded earlier with the
+    /// progress it covers. `None` for sessions that never ran or whose
+    /// batch is mid-flight — the durability layer simply snapshots them
+    /// at the next quiescent point.
+    pub(crate) fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
+        self.sched.snapshot_source(session)
     }
 
     /// Installs a recovered session as if it had been evicted at
@@ -792,6 +792,15 @@ mod tests {
         );
     }
 
+    /// `(applied, blob)` of a degraded session's durable snapshot
+    /// source: its demotion checkpoint, never the live pipeline.
+    fn demotion_checkpoint(svc: &Service, session: u64) -> (u64, Vec<u8>) {
+        match svc.snapshot_source(session).expect("quiescent") {
+            SnapSource::Encoded { applied, blob, .. } => (applied, blob.to_vec()),
+            SnapSource::Live(_) => panic!("a degraded session snapshots its demotion checkpoint"),
+        }
+    }
+
     #[test]
     fn degraded_session_snapshot_is_the_demotion_checkpoint() {
         let evs = events("gromacs", 44, 2_000);
@@ -811,7 +820,7 @@ mod tests {
         svc.submit(7, &evs[..1_000]).expect("queue empty");
         svc.pump();
         assert_eq!(svc.degraded_sessions(), vec![7], "sole normal session demotes");
-        let (applied, _, blob) = svc.snapshot_session(7).expect("quiescent");
+        let (applied, blob) = demotion_checkpoint(&svc, 7);
         let restored = SessionPipeline::from_snapshot(&blob).expect("checkpoint decodes");
         assert_eq!(restored.applied(), applied);
         assert!(
@@ -821,7 +830,7 @@ mod tests {
         // More traffic while degraded must not move the durable cursor.
         svc.submit(7, &evs[1_000..]).expect("pressure 1 admits normal");
         svc.pump();
-        let (applied2, _, _) = svc.snapshot_session(7).expect("quiescent");
+        let (applied2, _) = demotion_checkpoint(&svc, 7);
         assert_eq!(applied, applied2);
         // The drain still promotes and lands on the full stream.
         let out = svc.finish();
@@ -855,7 +864,7 @@ mod tests {
         svc.submit(7, &evs[..1_000]).expect("queue empty");
         svc.pump();
         assert_eq!(svc.degraded_sessions(), vec![7], "sole normal session demotes");
-        let (applied, _, blob) = svc.snapshot_session(7).expect("quiescent");
+        let (applied, blob) = demotion_checkpoint(&svc, 7);
         assert!(applied < 1_000, "cursor frozen at the demotion point");
         let restored = SessionPipeline::from_snapshot(&blob).expect("checkpoint decodes");
         assert_eq!(
@@ -866,7 +875,7 @@ mod tests {
         // More degraded traffic (and possibly another kill): still frozen.
         svc.submit(7, &evs[1_000..]).expect("pressure 1 admits normal");
         svc.pump();
-        let (applied2, _, blob2) = svc.snapshot_session(7).expect("quiescent");
+        let (applied2, blob2) = demotion_checkpoint(&svc, 7);
         assert_eq!(applied, applied2);
         let restored2 = SessionPipeline::from_snapshot(&blob2).expect("checkpoint decodes");
         assert_eq!(restored2.applied(), applied2);

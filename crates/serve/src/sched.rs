@@ -41,6 +41,19 @@ enum SlotState {
     Running,
 }
 
+/// A quiescent session's state, borrowed for a durable snapshot.
+pub(crate) enum SnapSource<'a> {
+    /// A resident pipeline, not yet encoded.
+    Live(&'a SessionPipeline),
+    /// An LTSE blob encoded earlier (a frozen slot, or a degraded
+    /// session's demotion checkpoint) and the progress it covers.
+    Encoded {
+        applied: u64,
+        epoch: u64,
+        blob: &'a [u8],
+    },
+}
+
 /// The coarse-only degradation state of one demoted session.
 ///
 /// The checkpoint freezes the last precise state; `deferred` collects
@@ -789,23 +802,28 @@ impl Sched {
         }
     }
 
-    /// A byte-stable snapshot of a quiescent session:
-    /// `(applied, epoch, blob)`. Frozen slots hand back their blob
-    /// without thawing; `Fresh` and `Running` slots return `None`.
-    pub fn snapshot_session(&self, session: u64) -> Option<(u64, u64, Vec<u8>)> {
+    /// What a durable snapshot of a quiescent session is taken from.
+    /// Frozen slots hand back their blob without thawing; `Fresh` and
+    /// `Running` slots return `None`.
+    pub fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
         let slot = self.slots.get(&session)?;
+        let encoded = |blob| SnapSource::Encoded {
+            applied: slot.applied,
+            epoch: slot.epoch,
+            blob,
+        };
         if let Some(d) = &slot.degraded {
             // The durable snapshot of a degraded session is its precise
             // demotion checkpoint — WAL replay from `applied` then
             // re-derives the deferred span precisely on recovery.
             return match &slot.state {
                 SlotState::Running => None,
-                _ => Some((slot.applied, slot.epoch, d.checkpoint.clone())),
+                _ => Some(encoded(&d.checkpoint)),
             };
         }
         match &slot.state {
-            SlotState::Live(p) => Some((p.applied(), p.epoch(), p.to_snapshot())),
-            SlotState::Frozen(blob) => Some((slot.applied, slot.epoch, blob.clone())),
+            SlotState::Live(p) => Some(SnapSource::Live(p)),
+            SlotState::Frozen(blob) => Some(encoded(blob)),
             SlotState::Fresh | SlotState::Running => None,
         }
     }

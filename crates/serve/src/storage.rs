@@ -5,8 +5,10 @@
 //! replace, group fsync, remove. Two backends implement it:
 //!
 //! * [`DirStorage`] — a real directory. Appends go straight to the
-//!   file; atomic replaces write a temp file and rename over the
-//!   target; fsync syncs every file touched since the last sync.
+//!   file; atomic replaces write and sync a temp file, then rename it
+//!   over the target; fsync syncs every file appended to since its
+//!   last sync, and the directory once if a rename, creation or
+//!   removal happened since the last successful barrier.
 //! * [`MemStorage`] — a deterministic in-memory model with an explicit
 //!   crash semantics driven by the seeded disk-fault streams of
 //!   [`latch_faults`]. It records every mutating operation in an op
@@ -34,11 +36,15 @@ pub trait Storage {
     /// backend could not perform the append.
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool;
     /// Atomically replaces a file's contents (temp file + rename on
-    /// real directories). Returns `false` on failure.
+    /// real directories). Returns `false` on failure. After a crash
+    /// the file holds either the old contents or the new ones, and the
+    /// new ones are durable once a later [`fsync`](Self::fsync)
+    /// succeeds.
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool;
-    /// Durably flushes everything written since the last sync. Returns
-    /// `false` when the backend reports the sync failed — callers must
-    /// assume nothing since the previous successful sync is durable.
+    /// Durably flushes everything written, replaced or removed since
+    /// the last successful sync. Returns `false` when the backend
+    /// reports the sync failed — callers must assume nothing since the
+    /// previous successful sync is durable, and a later call retries.
     fn fsync(&mut self) -> bool;
     /// Deletes a file if present.
     fn remove(&mut self, name: &str);
@@ -47,10 +53,22 @@ pub trait Storage {
 // ---- real directory ------------------------------------------------------
 
 /// [`Storage`] over a real directory.
+///
+/// A replace writes its temp file and syncs it through the same handle
+/// before the rename, so whichever inode the name points at after a
+/// crash holds whole contents. Making the rename itself durable is left
+/// to the next [`fsync`](Storage::fsync), which syncs the directory
+/// once however many names changed, rather than syncing each renamed
+/// file again.
 pub struct DirStorage {
     root: std::path::PathBuf,
-    /// Files appended/replaced since the last fsync.
+    /// Files appended to since their last successful sync. A name
+    /// leaves when it syncs, or when a replace or removal supersedes
+    /// what was appended.
     dirty: Vec<String>,
+    /// Whether a rename, creation or removal since the last successful
+    /// directory sync still needs one.
+    dir_dirty: bool,
 }
 
 impl DirStorage {
@@ -66,6 +84,7 @@ impl DirStorage {
         Ok(Self {
             root,
             dirty: Vec::new(),
+            dir_dirty: false,
         })
     }
 
@@ -103,12 +122,19 @@ impl Storage for DirStorage {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
         use std::io::Write;
-        let ok = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))
-            .and_then(|mut f| f.write_all(bytes))
-            .is_ok();
+        let path = self.path(name);
+        let mut opts = std::fs::OpenOptions::new();
+        opts.append(true);
+        // A file the append creates is a new directory entry, which
+        // only a directory sync makes durable.
+        let file = match opts.open(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                self.dir_dirty = true;
+                opts.create(true).open(&path)
+            }
+            opened => opened,
+        };
+        let ok = file.and_then(|mut f| f.write_all(bytes)).is_ok();
         if ok {
             self.mark_dirty(name);
         }
@@ -116,17 +142,17 @@ impl Storage for DirStorage {
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
+        use std::io::Write;
         let tmp = self.path(&format!("{name}.tmp"));
-        let ok = std::fs::write(&tmp, bytes)
-            .and_then(|()| {
-                // The temp file must hit the platter before the rename
-                // publishes it, or a crash could expose a torn target.
-                std::fs::File::open(&tmp).and_then(|f| f.sync_all())
-            })
+        // The temp file must hit the platter before the rename
+        // publishes it, or a crash could expose a torn target.
+        let ok = std::fs::File::create(&tmp)
+            .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
             .and_then(|()| std::fs::rename(&tmp, self.path(name)))
             .is_ok();
         if ok {
-            self.mark_dirty(name);
+            self.dirty.retain(|d| d != name);
+            self.dir_dirty = true;
         } else {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -134,19 +160,27 @@ impl Storage for DirStorage {
     }
 
     fn fsync(&mut self) -> bool {
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut all_ok = true;
-        for name in dirty {
-            let ok = std::fs::File::open(self.path(&name))
+        // Whatever fails to sync stays dirty, so the next barrier
+        // retries it instead of reporting it durable.
+        let root = &self.root;
+        self.dirty.retain(|name| {
+            std::fs::File::open(root.join(name))
                 .and_then(|f| f.sync_all())
-                .is_ok();
-            all_ok &= ok;
+                .is_err()
+        });
+        if self.dir_dirty {
+            self.dir_dirty = std::fs::File::open(root)
+                .and_then(|d| d.sync_all())
+                .is_err();
         }
-        all_ok
+        self.dirty.is_empty() && !self.dir_dirty
     }
 
     fn remove(&mut self, name: &str) {
-        let _ = std::fs::remove_file(self.path(name));
+        self.dirty.retain(|d| d != name);
+        if std::fs::remove_file(self.path(name)).is_ok() {
+            self.dir_dirty = true;
+        }
     }
 }
 
@@ -427,6 +461,36 @@ mod tests {
         );
         s.remove("wal-1");
         assert!(s.read("wal-1").is_none());
+        assert!(s.fsync(), "the removal's directory sync");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_storage_keeps_a_failed_sync_dirty() {
+        let dir = std::env::temp_dir().join(format!("latch-serve-syncfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DirStorage::open(&dir).unwrap();
+        assert!(s.append("wal-1", b"aa"));
+        // Deleted behind the store's back: the appended bytes can never
+        // be synced, so every barrier must keep reporting failure.
+        std::fs::remove_file(dir.join("wal-1")).unwrap();
+        assert!(!s.fsync());
+        assert!(
+            !s.fsync(),
+            "a failed sync must stay dirty for the next barrier"
+        );
+        // Removing the name through the store drops it from the dirty
+        // set (the file is already gone, so nothing else changes).
+        s.remove("wal-1");
+        assert!(s.fsync());
+        // A replace supersedes earlier appends to the same name, so the
+        // barrier syncs only the directory and never reopens the file:
+        // it succeeds even once the file has vanished behind the store.
+        assert!(s.append("snap-1", b"v0"));
+        assert!(s.write_atomic("snap-1", b"v1"));
+        assert_eq!(s.read("snap-1").unwrap(), b"v1");
+        std::fs::remove_file(dir.join("snap-1")).unwrap();
+        assert!(s.fsync());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,6 +17,12 @@
 //! recovery can rehydrate the admission class (v1 frames decode with
 //! [`Priority::Normal`]).
 //!
+//! A live pipeline's frame is encoded in one pass
+//! ([`encode_pipeline_frame`]): the LTSE blob is sealed in place and
+//! the frame's trailer folds it in by length. A blob encoded elsewhere
+//! ([`encode_frame`]) is copied in and checksummed in full. The bytes
+//! are the same either way.
+//!
 //! Decoding is fully defensive: any malformed frame yields a typed
 //! [`RecoveryError`], never a panic, and recovery simply falls back to
 //! the other generation (or a fresh session).
@@ -25,6 +31,7 @@ use crate::journal::RecoveryError;
 use crate::overload::Priority;
 use crate::storage::Storage;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
+use latch_systems::session::SessionPipeline;
 
 /// Snapshot frame magic: "LTSF" (LaTch Snapshot Frame).
 pub const SNAP_FRAME_MAGIC: u32 = 0x4C54_5346;
@@ -83,7 +90,32 @@ impl SnapFrame {
     }
 }
 
-/// Encodes a snapshot frame.
+/// Bytes of a frame around its blob: header, the four fields, the
+/// blob's length prefix and the trailer.
+const FRAME_OVERHEAD: usize = 8 + 3 * 8 + 1 + 8 + 4;
+
+/// A writer holding a frame's header and fields, with room for a blob
+/// of `blob_len` bytes and the trailer.
+fn frame_writer(
+    session: u64,
+    epoch: u64,
+    applied: u64,
+    priority: Priority,
+    blob_len: usize,
+) -> SnapWriter {
+    let mut w = SnapWriter::with_capacity(FRAME_OVERHEAD + blob_len);
+    w.header(SNAP_FRAME_MAGIC, SNAP_FRAME_VERSION);
+    w.u64(session);
+    w.u64(epoch);
+    w.u64(applied);
+    w.u8(priority.rank());
+    w
+}
+
+/// Encodes a snapshot frame around an LTSE blob encoded elsewhere (a
+/// frozen slot, a degraded session's checkpoint, a recovery or import
+/// blob). The blob is copied in and the trailer reads it in full: only
+/// a blob the frame's own writer sealed may be skipped.
 #[must_use]
 pub fn encode_frame(
     session: u64,
@@ -92,14 +124,22 @@ pub fn encode_frame(
     priority: Priority,
     blob: &[u8],
 ) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.header(SNAP_FRAME_MAGIC, SNAP_FRAME_VERSION);
-    w.u64(session);
-    w.u64(epoch);
-    w.u64(applied);
-    w.u8(priority.rank());
+    let mut w = frame_writer(session, epoch, applied, priority, blob.len());
     w.u64(blob.len() as u64);
     w.bytes(blob);
+    w.finish_crc()
+}
+
+/// Encodes a live pipeline's snapshot frame in one pass over one
+/// buffer, sized from the pipeline's resident shadow pages: the LTSE
+/// blob is written and sealed in place, and the frame's trailer skips
+/// it. Byte for byte the same as [`encode_frame`] of
+/// `pipe.to_snapshot()` with the pipeline's epoch and applied count.
+#[must_use]
+pub fn encode_pipeline_frame(session: u64, priority: Priority, pipe: &SessionPipeline) -> Vec<u8> {
+    let (epoch, applied) = (pipe.epoch(), pipe.applied());
+    let mut w = frame_writer(session, epoch, applied, priority, pipe.snapshot_len_hint());
+    w.sealed(|w| pipe.snap_encode(w));
     w.finish_crc()
 }
 
@@ -252,6 +292,71 @@ mod tests {
             decode_frame(2, &enc),
             Err(RecoveryError::SessionMismatch)
         );
+    }
+
+    fn pipeline(name: &str, seed: u64, events: u64) -> SessionPipeline {
+        use latch_sim::event::EventSource;
+        let mut src = latch_workloads::BenchmarkProfile::by_name(name)
+            .unwrap()
+            .stream(seed, events);
+        let mut pipe = SessionPipeline::new(512);
+        while let Some(ev) = src.next_event() {
+            pipe.apply(&ev);
+        }
+        pipe
+    }
+
+    /// The LTSF half of the snapshot pins: `latch-systems`' test of the
+    /// same name pins the LTCH, LTDF and LTSE blobs of this pipeline,
+    /// and this one the frame around them, as `(len, crc32 of all but
+    /// the trailer)` taken with the encoder that copied each nested
+    /// blob and checksummed every layer in full. The frame's trailer
+    /// depends on the nested blob only through its length, so the
+    /// nested pins are what see a change inside it.
+    #[test]
+    fn astar_snapshot_bytes_are_pinned() {
+        use latch_core::snapshot::crc32;
+        fn pin(blob: &[u8]) -> (usize, u32) {
+            (blob.len(), crc32(&blob[..blob.len() - 4]))
+        }
+        let pipe = pipeline("astar", 5, 20_000);
+        let blob = pipe.to_snapshot();
+        assert_eq!(pin(&blob), (98_196, 0x5DF3_BB6C));
+        let frame = encode_frame(0x5EED, 3, 20_000, Priority::Critical, &blob);
+        assert_eq!(pin(&frame), (98_241, 0x3EAD_CAEC));
+        assert_eq!(
+            encode_pipeline_frame(0x5EED, Priority::Critical, &pipe),
+            encode_frame(0x5EED, 0, 20_000, Priority::Critical, &blob)
+        );
+    }
+
+    #[test]
+    fn pipeline_frames_match_the_copying_encoder() {
+        use latch_core::snapshot::crc32;
+        for (name, seed, events) in [("bzip2", 51, 4_000), ("astar", 52, 12_000)] {
+            let pipe = pipeline(name, seed, events);
+            let thawed = SessionPipeline::from_snapshot(&pipe.to_snapshot()).unwrap();
+            for (p, prio) in [(&pipe, Priority::Bulk), (&thawed, Priority::Critical)] {
+                let blob = p.to_snapshot();
+                let frame = encode_pipeline_frame(9, prio, p);
+                assert_eq!(
+                    frame,
+                    encode_frame(9, p.epoch(), p.applied(), prio, &blob),
+                    "{name}"
+                );
+                let (body, trailer) = frame.split_at(frame.len() - 4);
+                assert_eq!(
+                    trailer,
+                    crc32(body).to_le_bytes(),
+                    "{name}: full-pass trailer"
+                );
+                assert!(
+                    frame.len() <= FRAME_OVERHEAD + p.snapshot_len_hint(),
+                    "{name}: hint"
+                );
+                assert_eq!(decode_frame(9, &frame).unwrap().blob, blob, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -265,14 +265,19 @@ impl SessionPipeline {
     /// self-describing blob.
     #[must_use]
     pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::with_capacity(self.snapshot_len_hint());
+        self.snap_encode(&mut w);
+        w.finish_crc()
+    }
+
+    /// Writes the [`to_snapshot`](Self::to_snapshot) blob less its
+    /// CRC-32 trailer into `w`, with the unit's and the engine's blobs
+    /// sealed in place. Seal it with [`SnapWriter::finish_crc`], or
+    /// nest it inside an enclosing blob with [`SnapWriter::sealed`].
+    pub fn snap_encode(&self, w: &mut SnapWriter) {
         w.header(SNAP_MAGIC, SNAP_VERSION);
-        let latch = self.latch.to_snapshot();
-        w.u64(latch.len() as u64);
-        w.bytes(&latch);
-        let engine = self.engine.to_snapshot();
-        w.u64(engine.len() as u64);
-        w.bytes(&engine);
+        w.sealed(|w| self.latch.snap_encode(w));
+        w.sealed(|w| self.engine.snap_encode(w));
         w.u64(self.window_left);
         w.u64(self.applied);
         w.u64(self.selected);
@@ -282,9 +287,19 @@ impl SessionPipeline {
         w.u64(self.violations.len() as u64);
         for (seq, v) in &self.violations {
             w.u64(*seq);
-            v.snap_encode(&mut w);
+            v.snap_encode(w);
         }
-        w.finish_crc()
+    }
+
+    /// A capacity that holds the [`to_snapshot`](Self::to_snapshot)
+    /// blob without regrowing, taken from the engine's resident page
+    /// count: the engine's part exactly, 16 KiB for the coarse unit
+    /// (3–8 KiB on the workload profiles), and 19 bytes, the most one
+    /// takes, per logged violation. A blob that outgrows it costs only
+    /// a regrowth of its buffer.
+    #[must_use]
+    pub fn snapshot_len_hint(&self) -> usize {
+        self.engine.snapshot_len_hint() + (16 << 10) + self.violations.len() * 19
     }
 
     /// Inverse of [`to_snapshot`](Self::to_snapshot).
@@ -446,7 +461,8 @@ mod tests {
     /// in the LTSE blob get pins of their own: a blob that ends in its
     /// own CRC leaves an enclosing CRC in a state that depends only on
     /// its length, so the LTSE pin alone cannot see a change inside
-    /// them.
+    /// them. `latch-serve`'s test of the same name pins the LTSF frame
+    /// around this blob.
     #[test]
     fn astar_snapshot_bytes_are_pinned() {
         use latch_core::snapshot::crc32;
@@ -464,6 +480,71 @@ mod tests {
         assert_eq!(pin(&blob), (98_196, 0x5DF3_BB6C));
         let thawed = SessionPipeline::from_snapshot(&blob).unwrap();
         assert_eq!(thawed.to_snapshot(), blob);
+    }
+
+    /// The encoding before in-place sealing, kept as a reference: each
+    /// nested layer is built as a `Vec` of its own with a full CRC
+    /// pass, copied in behind its length, and the whole blob is
+    /// checksummed again in full.
+    fn reference_snapshot(p: &SessionPipeline) -> Vec<u8> {
+        use latch_core::snapshot::crc32;
+        fn full_pass(encode: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            encode(&mut w);
+            let mut blob = w.finish();
+            let crc = crc32(&blob);
+            blob.extend_from_slice(&crc.to_le_bytes());
+            blob
+        }
+        full_pass(|w| {
+            w.header(SNAP_MAGIC, SNAP_VERSION);
+            let latch = full_pass(|w| p.latch.snap_encode(w));
+            let engine = full_pass(|w| p.engine.snap_encode(w));
+            for layer in [latch, engine] {
+                w.u64(layer.len() as u64);
+                w.bytes(&layer);
+            }
+            w.u64(p.window_left);
+            w.u64(p.applied);
+            w.u64(p.selected);
+            w.u64(p.cycles);
+            w.u64(p.scrub_interval);
+            w.u64(p.epoch);
+            w.u64(p.violations.len() as u64);
+            for (seq, v) in &p.violations {
+                w.u64(*seq);
+                v.snap_encode(w);
+            }
+        })
+    }
+
+    #[test]
+    fn in_place_encoder_matches_the_reference() {
+        // Taint-free, taint-heavy, and network-tainted streams.
+        for (name, seed, n) in [
+            ("bzip2", 41, 4_000),
+            ("astar", 42, 12_000),
+            ("apache", 43, 6_000),
+        ] {
+            let mut pipe = SessionPipeline::new(512);
+            for ev in &events(name, seed, n) {
+                pipe.apply(ev);
+            }
+            pipe.bump_epoch();
+            let blob = pipe.to_snapshot();
+            assert_eq!(blob, reference_snapshot(&pipe), "{name}");
+            assert!(
+                blob.len() <= pipe.snapshot_len_hint(),
+                "{name}: hint too small"
+            );
+            let thawed = SessionPipeline::from_snapshot(&blob).unwrap();
+            assert_eq!(
+                thawed.to_snapshot(),
+                reference_snapshot(&thawed),
+                "{name}, thawed"
+            );
+            assert_eq!(thawed.to_snapshot(), blob, "{name}, thawed");
+        }
     }
 
     #[test]

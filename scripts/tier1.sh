@@ -40,6 +40,15 @@ cargo run --release -q -p latch-serve --bin crash_stress -- \
     --seed 7 --iters 24 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
+# The same kill loop with 8 sessions, so one group commit covers
+# several renamed snapshot frames and journal rotations (one directory
+# sync makes them all durable) under the kills and the mangling.
+echo "==> latch-serve crash_stress (8 sessions per group commit)"
+CRASH_DIR="$(mktemp -d)"
+cargo run --release -q -p latch-serve --bin crash_stress -- \
+    --seed 7 --iters 24 --sessions 8 --dir "$CRASH_DIR"
+rm -rf "$CRASH_DIR"
+
 # Overload stress: fixed-seed drives through replicated ingress fronts
 # under burst/slow-client/feed-fault plans with an armed SLO. Asserts
 # deterministic shedding, zero false negatives through coarse-only
