@@ -19,8 +19,8 @@
 //! ```
 
 use latch_proto::{
-    error_code, migrate_chunk, read_msg, write_msg, Endpoint, Msg, ProtoError, WireRejected,
-    WireSlo, MAX_FRAME_PAYLOAD, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
+    error_code, migrate_chunk, migrate_chunks, read_msg, write_msg, Endpoint, Msg, ProtoError,
+    Staging, WireRejected, WireSlo, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
 };
 use latch_sim::event::Event;
 use std::io::{self, Read, Write};
@@ -81,6 +81,23 @@ impl From<ProtoError> for ClientError {
     fn from(e: ProtoError) -> Self {
         ClientError::Proto(e)
     }
+}
+
+/// One session's durable state as it moves between nodes: what
+/// [`Client::repl_fetch`] returns and what [`Client::migrate_session`]
+/// sends. The blob and WAL are the durability layer's snapshot blob and
+/// journal bytes, replayable by the recovery scan.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SessionState {
+    /// The session's sticky admission class rank.
+    pub rank: u8,
+    /// Events the state covers (a live import recounts them from the
+    /// bytes).
+    pub journaled: u64,
+    /// LTSE snapshot blob (empty when the WAL holds everything).
+    pub blob: Vec<u8>,
+    /// WAL bytes covering the suffix past the blob.
+    pub wal: Vec<u8>,
 }
 
 enum Conn {
@@ -342,164 +359,113 @@ impl Client {
         }
     }
 
-    /// Ships one session's durable state to this node
-    /// (`MigrateSession`) and returns the events the importer's
-    /// pipeline restored (`MigrateAck.applied`).
-    ///
-    /// A state too large for one frame (blob + WAL suffix past the
-    /// frame cap) is streamed ahead as `MigrateChunk` frames of
-    /// [`MIGRATE_CHUNK_BYTES`] each and committed by a final empty
-    /// `MigrateSession` — so no un-rotated WAL suffix is ever too big
-    /// to fail over.
+    /// Sends one session's state to this node, the one way state
+    /// moves: stages its blob and WAL as `MigrateChunk` frames of
+    /// [`MIGRATE_CHUNK_BYTES`], then commits them `into` the live
+    /// service ([`latch_proto::migrate_into::LIVE`]) or the backup store
+    /// ([`latch_proto::migrate_into::BACKUP`]). Returns the events the
+    /// state covers on the node (`MigrateAck.applied`): the exact
+    /// prefix a live import restored, or the backup journal's count.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] when the node refused the import
-    /// (already resident, bad blob, or draining); transport and
-    /// protocol failures otherwise.
+    /// [`ClientError::Server`] when the node refused the staging (past
+    /// its migration byte cap) or the import (already resident, bad
+    /// blob, or draining); transport and protocol failures otherwise.
     pub fn migrate_session(
         &mut self,
         session: u64,
-        rank: u8,
-        ltse_blob: Vec<u8>,
-        wal_suffix: Vec<u8>,
+        into: u8,
+        state: &SessionState,
     ) -> Result<u64, ClientError> {
-        // Leave headroom for the commit frame's fixed fields.
-        const SINGLE_FRAME_BUDGET: usize = MAX_FRAME_PAYLOAD - 64;
-        if ltse_blob.len() + wal_suffix.len() > SINGLE_FRAME_BUDGET {
-            return self.migrate_session_chunked(
-                session,
-                rank,
-                &ltse_blob,
-                &wal_suffix,
-                MIGRATE_CHUNK_BYTES,
-            );
-        }
-        write_msg(
-            &mut self.conn,
-            &Msg::MigrateSession {
-                session,
-                priority: rank,
-                ltse_blob,
-                wal_suffix,
-            },
-        )?;
-        self.migrate_commit_reply()
+        self.migrate_stage(session, &state.blob, &state.wal, MIGRATE_CHUNK_BYTES)?;
+        self.migrate_commit(session, state.rank, into, state.journaled)
     }
 
-    /// [`migrate_session`](Self::migrate_session) forced down the
-    /// chunked path with an explicit chunk size — every slice of the
-    /// blob and WAL is staged on the importer before an empty commit
-    /// frame lands the migration. Exposed so tests can exercise the
-    /// staging protocol without shipping frame-cap-sized state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`migrate_session`](Self::migrate_session); the importer
-    /// refuses staging past its migration byte cap.
-    pub fn migrate_session_chunked(
-        &mut self,
-        session: u64,
-        rank: u8,
-        ltse_blob: &[u8],
-        wal_suffix: &[u8],
-        chunk_bytes: usize,
-    ) -> Result<u64, ClientError> {
-        self.migrate_stage(session, ltse_blob, wal_suffix, chunk_bytes)?;
-        self.migrate_commit(session, rank)
-    }
-
-    /// Stages blob and WAL slices on the importer *without committing*
-    /// — the live-rebalance pre-copy. The staged buffers accumulate
+    /// Stages blob and WAL slices on the node *without committing* —
+    /// the live-rebalance pre-copy. The staged buffers accumulate
     /// per-connection until a [`migrate_commit`](Self::migrate_commit)
     /// lands them, so a later call can append just the WAL suffix that
     /// arrived while the old owner kept serving.
     ///
     /// # Errors
     ///
-    /// As for [`migrate_session`](Self::migrate_session); the importer
+    /// As for [`migrate_session`](Self::migrate_session); the node
     /// refuses staging past its migration byte cap.
     pub fn migrate_stage(
         &mut self,
         session: u64,
-        ltse_blob: &[u8],
-        wal_suffix: &[u8],
+        blob: &[u8],
+        wal: &[u8],
         chunk_bytes: usize,
     ) -> Result<(), ClientError> {
-        let chunk_bytes = chunk_bytes.clamp(1, MIGRATE_CHUNK_BYTES);
-        for (kind, buf) in [
-            (migrate_chunk::LTSE_BLOB, ltse_blob),
-            (migrate_chunk::WAL_SUFFIX, wal_suffix),
-        ] {
-            for chunk in buf.chunks(chunk_bytes) {
-                write_msg(
-                    &mut self.conn,
-                    &Msg::MigrateChunk {
-                        session,
-                        kind,
-                        bytes: chunk.to_vec(),
-                    },
-                )?;
-                match self.next_reply()? {
-                    Msg::MigrateChunkAck { .. } => {}
-                    Msg::Error { code } => return Err(ClientError::Server { code }),
-                    _ => return Err(ClientError::UnexpectedReply("migrate_chunk")),
-                }
+        for chunk in migrate_chunks(session, blob, wal, chunk_bytes) {
+            write_msg(&mut self.conn, &chunk)?;
+            match self.next_reply()? {
+                Msg::MigrateChunkAck { .. } => {}
+                Msg::Error { code } => return Err(ClientError::Server { code }),
+                _ => return Err(ClientError::UnexpectedReply("migrate_chunk")),
             }
         }
         Ok(())
     }
 
     /// Commits whatever [`migrate_stage`](Self::migrate_stage) staged
-    /// for `session` with an empty `MigrateSession` frame, returning
-    /// the events the importer's pipeline restored.
+    /// for `session` `into` the live service or the backup store (a
+    /// [`latch_proto::migrate_into`] constant), returning the events the
+    /// state covers on the node.
     ///
     /// # Errors
     ///
     /// As for [`migrate_session`](Self::migrate_session).
-    pub fn migrate_commit(&mut self, session: u64, rank: u8) -> Result<u64, ClientError> {
+    pub fn migrate_commit(
+        &mut self,
+        session: u64,
+        rank: u8,
+        into: u8,
+        journaled: u64,
+    ) -> Result<u64, ClientError> {
         write_msg(
             &mut self.conn,
             &Msg::MigrateSession {
                 session,
                 priority: rank,
-                ltse_blob: Vec::new(),
-                wal_suffix: Vec::new(),
+                into,
+                journaled,
             },
         )?;
-        self.migrate_commit_reply()
+        match self.next_reply()? {
+            Msg::MigrateAck { applied, .. } => Ok(applied),
+            Msg::Error { code } => Err(ClientError::Server { code }),
+            _ => Err(ClientError::UnexpectedReply("migrate_session")),
+        }
     }
 
-    /// Pushes one replication frame to a backup and returns the
-    /// backup's `(ok, journaled, wal_len)` cursors from its `ReplAck`.
-    /// `ok = false` means the backup is lagging (gap or never seeded)
-    /// and wants a `reset = true` reseed.
+    /// Appends WAL bytes at `wal_off` to a backup's replica journal and
+    /// returns the backup's `(ok, journaled, wal_len)` cursors from its
+    /// `ReplAck`. `ok = false` means the backup is lagging (gap or never
+    /// seeded) and wants a reseed.
     ///
     /// # Errors
     ///
     /// Transport and protocol failures; a lagging backup is *not* an
     /// error (it answers `ok = false`).
-    #[allow(clippy::too_many_arguments)]
     pub fn repl_frame(
         &mut self,
         session: u64,
         rank: u8,
-        reset: bool,
         wal_off: u64,
         journaled: u64,
-        blob: Vec<u8>,
-        wal: Vec<u8>,
+        wal: &[u8],
     ) -> Result<(bool, u64, u64), ClientError> {
         write_msg(
             &mut self.conn,
             &Msg::ReplFrame {
                 session,
                 rank,
-                reset,
                 wal_off,
                 journaled,
-                blob,
-                wal,
+                wal: wal.to_vec(),
             },
         )?;
         match self.next_reply()? {
@@ -515,42 +481,61 @@ impl Client {
     }
 
     /// Fetches one session's durable state — from the node's live
-    /// service if it owns the session, else from its replica journal.
-    /// Returns `None` when the node holds nothing for the session.
-    /// With `expel` the responder removes the session after exporting
-    /// (the rebalance cut-point on a live owner; journal drop on a
-    /// backup).
+    /// service if it owns the session, else from its replica journal —
+    /// reassembled from the `MigrateChunk` frames the node streams
+    /// ahead of its closing `ReplState`. Returns `None` when the node
+    /// holds nothing for the session. With `expel` the responder
+    /// removes the session after exporting (the rebalance cut-point on
+    /// a live owner; journal drop on a backup).
     ///
     /// # Errors
     ///
-    /// Transport and protocol failures, or [`ClientError::Server`]
-    /// when the state is too large for one `ReplState` frame.
-    #[allow(clippy::type_complexity)]
+    /// [`ClientError::Server`] when the node refuses a state above
+    /// [`latch_proto::MAX_MIGRATION_BYTES`] (it removes nothing then).
+    /// [`ClientError::UnexpectedReply`] when the answer breaks protocol:
+    /// chunks past that cap (refused before they are kept), a chunk for
+    /// another session, a `RESTART`, or chunks for a state not found.
+    /// Transport and protocol failures otherwise, EOF mid-answer
+    /// included.
     pub fn repl_fetch(
         &mut self,
         session: u64,
         expel: bool,
-    ) -> Result<Option<(u8, u64, Vec<u8>, Vec<u8>)>, ClientError> {
+    ) -> Result<Option<SessionState>, ClientError> {
         write_msg(&mut self.conn, &Msg::ReplFetch { session, expel })?;
-        match self.next_reply()? {
-            Msg::ReplState {
-                found,
-                rank,
-                journaled,
-                blob,
-                wal,
-                ..
-            } => Ok(found.then_some((rank, journaled, blob, wal))),
-            Msg::Error { code } => Err(ClientError::Server { code }),
-            _ => Err(ClientError::UnexpectedReply("repl_fetch")),
-        }
-    }
-
-    fn migrate_commit_reply(&mut self) -> Result<u64, ClientError> {
-        match self.next_reply()? {
-            Msg::MigrateAck { applied, .. } => Ok(applied),
-            Msg::Error { code } => Err(ClientError::Server { code }),
-            _ => Err(ClientError::UnexpectedReply("migrate_session")),
+        let mut staged = Staging::default();
+        loop {
+            match self.next_reply()? {
+                Msg::MigrateChunk {
+                    session: s,
+                    kind,
+                    bytes,
+                } if s == session && kind != migrate_chunk::RESTART => {
+                    if staged.extend(kind, &bytes).is_none() {
+                        return Err(ClientError::UnexpectedReply("fetched state past the cap"));
+                    }
+                }
+                Msg::ReplState {
+                    session: s,
+                    found,
+                    rank,
+                    journaled,
+                } if s == session => {
+                    let Staging { blob, wal } = staged;
+                    return match found {
+                        true => Ok(Some(SessionState {
+                            rank,
+                            journaled,
+                            blob,
+                            wal,
+                        })),
+                        false if blob.is_empty() && wal.is_empty() => Ok(None),
+                        false => Err(ClientError::UnexpectedReply("chunks for no state")),
+                    };
+                }
+                Msg::Error { code } => return Err(ClientError::Server { code }),
+                _ => return Err(ClientError::UnexpectedReply("repl_fetch")),
+            }
         }
     }
 

@@ -284,3 +284,112 @@ fn version_mismatch_is_refused_at_the_door() {
     drop(raw);
     server.shutdown();
 }
+
+/// A fake node that completes the handshake, reads one `ReplFetch`,
+/// and answers it by running `answer` on the raw socket.
+fn fake_fetch_node(
+    answer: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
+) -> (Endpoint, std::thread::JoinHandle<()>) {
+    use latch_proto::{read_msg, write_msg, Msg, PROTO_VERSION};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake node");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("bound").to_string());
+    let node = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let Ok(Some(Msg::Hello { window_events, .. })) = read_msg(&mut conn) else {
+            panic!("expected a Hello");
+        };
+        let ack = Msg::HelloAck {
+            version: PROTO_VERSION,
+            window_events,
+        };
+        write_msg(&mut conn, &ack).expect("handshake");
+        let Ok(Some(Msg::ReplFetch { .. })) = read_msg(&mut conn) else {
+            panic!("expected a ReplFetch");
+        };
+        answer(&mut conn);
+    });
+    (endpoint, node)
+}
+
+/// Hostile answers to `ReplFetch` — chunks past the migration cap, a
+/// chunk for another session, a `RESTART` chunk, chunks for a state
+/// not found, EOF or a torn frame mid-answer — are typed `ClientError`s,
+/// never a panic. The client refuses the chunk that would cross
+/// `MAX_MIGRATION_BYTES` before keeping any of its bytes.
+#[test]
+fn hostile_fetch_answers_are_typed_errors() {
+    use latch_proto::migrate_chunk::{LTSE_BLOB, RESTART, WAL_SUFFIX};
+    use latch_proto::{Msg, MAX_MIGRATION_BYTES, MIGRATE_CHUNK_BYTES};
+    const SESSION: u64 = 9;
+    fn frame(msg: &Msg) -> Vec<u8> {
+        msg.encode().expect("encode")
+    }
+    fn chunk(session: u64, kind: u8, len: usize) -> Vec<u8> {
+        frame(&Msg::MigrateChunk {
+            session,
+            kind,
+            bytes: vec![0xA5; len],
+        })
+    }
+    fn state(found: bool) -> Vec<u8> {
+        frame(&Msg::ReplState {
+            session: SESSION,
+            found,
+            rank: 1,
+            journaled: 4,
+        })
+    }
+    let torn = {
+        let whole = chunk(SESSION, LTSE_BLOB, 64);
+        whole[..whole.len() / 2].to_vec()
+    };
+    // Each answer is a list of (bytes, times written).
+    let cases = vec![
+        (
+            "chunks past the cap",
+            vec![
+                (
+                    chunk(SESSION, WAL_SUFFIX, MIGRATE_CHUNK_BYTES),
+                    MAX_MIGRATION_BYTES / MIGRATE_CHUNK_BYTES + 1,
+                ),
+                (state(true), 1),
+            ],
+        ),
+        (
+            "another session's chunk",
+            vec![(chunk(SESSION + 1, WAL_SUFFIX, 16), 1), (state(true), 1)],
+        ),
+        (
+            "a RESTART chunk",
+            vec![(chunk(SESSION, RESTART, 0), 1), (state(true), 1)],
+        ),
+        (
+            "chunks for a state not found",
+            vec![(chunk(SESSION, WAL_SUFFIX, 16), 1), (state(false), 1)],
+        ),
+        ("EOF mid-answer", vec![(chunk(SESSION, LTSE_BLOB, 16), 1)]),
+        ("a torn frame", vec![(torn, 1)]),
+    ];
+    for (what, answer) in cases {
+        let (endpoint, node) = fake_fetch_node(move |conn| {
+            // The client hangs up once it refuses; a failed write here
+            // is that hang-up, not a test failure.
+            for (bytes, times) in &answer {
+                for _ in 0..*times {
+                    if conn.write_all(bytes).is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        let mut client = Client::connect(&endpoint, 256, false).expect("connect fake node");
+        let got = client.repl_fetch(SESSION, false);
+        match (what, &got) {
+            ("a torn frame", Err(ClientError::Proto(_)))
+            | (_, Err(ClientError::UnexpectedReply(_))) => {}
+            _ => panic!("{what}: expected a typed refusal, got {got:?}"),
+        }
+        drop(client);
+        node.join().expect("fake node");
+    }
+}

@@ -815,8 +815,9 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
     // a round boundary mid-drive (or, on a cold seed, right before the
     // drain — the migration path must run either way). The victim's
     // sessions fail over: their durable state is exported from the
-    // dead node's surviving storage, shipped as `MigrateSession`
-    // frames, and imported by the survivor. The contracts: after the
+    // dead node's surviving storage, staged on the survivor as
+    // `MigrateChunk` frames, committed by one `MigrateSession`, and
+    // imported there. The contracts: after the
     // drain, every session's report is byte-identical to a solo
     // pipeline run of the full trace (failover lost nothing, doubled
     // nothing), and a rerun with the same seed reproduces both the

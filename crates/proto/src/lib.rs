@@ -35,7 +35,7 @@ use std::io::{Read, Write};
 pub const PROTO_MAGIC: u32 = 0x4C54_5750;
 
 /// Protocol version negotiated by Hello/HelloAck.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Cap on a single frame's payload. Matches the journal's
 /// `WAL_MAX_PAYLOAD` so the wire can never admit a batch the journal
@@ -50,15 +50,14 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Used to bound a hostile `Submit` count before decoding.
 pub const MIN_EVENT_LEN: usize = 8;
 
-/// Chunk granularity for oversized session migrations: a migration
-/// whose snapshot blob plus WAL suffix would not fit one frame is
-/// streamed ahead as [`Msg::MigrateChunk`] frames of at most this many
-/// body bytes each, then committed by the final [`Msg::MigrateSession`].
+/// Chunk granularity for session state: every send and every fetch
+/// answer carries the snapshot blob and WAL bytes as
+/// [`Msg::MigrateChunk`] frames of at most this many body bytes each.
 pub const MIGRATE_CHUNK_BYTES: usize = 1 << 20;
 
-/// Cap on the total bytes an importer stages for one migrating session
-/// across chunks (both buffers together), bounding memory against a
-/// hostile or runaway sender.
+/// Cap on the total bytes staged for one session across chunks (both
+/// buffers together), by an importer and a fetcher alike, bounding
+/// memory against a hostile or runaway sender.
 pub const MAX_MIGRATION_BYTES: usize = 1 << 28;
 
 /// Which staging buffer a [`Msg::MigrateChunk`] extends.
@@ -72,6 +71,73 @@ pub mod migrate_chunk {
     /// restart it without tearing the connection down. The chunk's
     /// `bytes` must be empty.
     pub const RESTART: u8 = 2;
+}
+
+/// Where a [`Msg::MigrateSession`] commit lands the staged state.
+/// Decode rejects anything else as [`ProtoError::BadTag`].
+pub mod migrate_into {
+    /// Import into the node's live service.
+    pub const LIVE: u8 = 0;
+    /// Install as the node's backup journal (replica seed or reseed).
+    pub const BACKUP: u8 = 1;
+}
+
+/// One session's state reassembled from [`Msg::MigrateChunk`] frames,
+/// by an importer and a fetcher alike.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Staging {
+    /// The LTSE snapshot blob bytes so far.
+    pub blob: Vec<u8>,
+    /// The WAL bytes so far.
+    pub wal: Vec<u8>,
+}
+
+impl Staging {
+    /// Appends one data chunk ([`migrate_chunk::LTSE_BLOB`] extends the
+    /// blob, anything else the WAL) and returns the bytes staged. The
+    /// cap is checked before anything grows: `None`, with nothing
+    /// appended, past [`MAX_MIGRATION_BYTES`]; nor does a buffer ever
+    /// reserve past the room the cap leaves it.
+    pub fn extend(&mut self, kind: u8, bytes: &[u8]) -> Option<u64> {
+        let total = self.blob.len() + self.wal.len() + bytes.len();
+        if total > MAX_MIGRATION_BYTES {
+            return None;
+        }
+        let (buf, other) = if kind == migrate_chunk::LTSE_BLOB {
+            (&mut self.blob, self.wal.len())
+        } else {
+            (&mut self.wal, self.blob.len())
+        };
+        let need = buf.len() + bytes.len();
+        if need > buf.capacity() {
+            let grown = need
+                .max(2 * buf.capacity())
+                .min(MAX_MIGRATION_BYTES - other);
+            buf.reserve_exact(grown - buf.len());
+        }
+        buf.extend_from_slice(bytes);
+        Some(total as u64)
+    }
+}
+
+/// The [`Msg::MigrateChunk`] frames that carry one session's state:
+/// the blob's slices, then the WAL's, each at most `chunk_bytes`
+/// (clamped to `1..=`[`MIGRATE_CHUNK_BYTES`]). Empty buffers send
+/// nothing.
+pub fn migrate_chunks<'a>(
+    session: u64,
+    blob: &'a [u8],
+    wal: &'a [u8],
+    chunk_bytes: usize,
+) -> impl Iterator<Item = Msg> + 'a {
+    let n = chunk_bytes.clamp(1, MIGRATE_CHUNK_BYTES);
+    let blob = blob.chunks(n).map(|c| (migrate_chunk::LTSE_BLOB, c));
+    let wal = wal.chunks(n).map(|c| (migrate_chunk::WAL_SUFFIX, c));
+    blob.chain(wal).map(move |(kind, c)| Msg::MigrateChunk {
+        session,
+        kind,
+        bytes: c.to_vec(),
+    })
 }
 
 /// Priority ranks carried on the wire (the serving layer's `Priority`
@@ -366,39 +432,39 @@ pub enum Msg {
         /// The token from the `Ping` (or `NodeHello`) being answered.
         token: u64,
     },
-    /// Session failover: ship one session's durable state to its new
-    /// owner. The blob and suffix are exactly the durability layer's
+    /// Commit one session's state, staged ahead on this connection as
+    /// [`Msg::MigrateChunk`] frames (nothing staged commits an empty
+    /// state). The blob and WAL are exactly the durability layer's
     /// on-disk artifacts (snapshot-store frame blob, `wal-*` file
-    /// bytes), so the importer replays them with the recovery codecs
-    /// unchanged. A state too large for one frame is streamed ahead as
-    /// [`Msg::MigrateChunk`] frames; this message then commits the
-    /// staged buffers, with its own (typically empty) fields appended
-    /// last.
+    /// bytes), so the node replays them with the recovery codecs
+    /// unchanged. Answered with [`Msg::MigrateAck`].
     MigrateSession {
         /// The session being moved.
         session: u64,
         /// The session's sticky admission class rank.
         priority: u8,
-        /// LTSE pipeline snapshot (empty when the session had no
-        /// durable snapshot yet).
-        ltse_blob: Vec<u8>,
-        /// Raw write-ahead journal bytes covering the suffix past the
-        /// snapshot (empty when fully covered).
-        wal_suffix: Vec<u8>,
+        /// Where the state lands: a [`migrate_into`] constant.
+        into: u8,
+        /// Events the staged state covers, as the sender knows it. A
+        /// backup journal records it; a live import recounts from the
+        /// bytes (the recovery scan's exact prefix) and ignores it.
+        journaled: u64,
     },
-    /// The importer accepted a migrated session.
+    /// The node committed a session's staged state.
     MigrateAck {
         /// The session that moved.
         session: u64,
-        /// Events the imported pipeline has applied — the exact prefix
-        /// length the new owner restored.
+        /// Events the state now covers on the node: the exact prefix a
+        /// live import restored, or a backup journal's count.
         applied: u64,
     },
-    /// One slice of a chunked session migration. The importer appends
-    /// the bytes to a per-connection staging buffer for the session;
-    /// the migration commits when the matching [`Msg::MigrateSession`]
-    /// arrives. Staged bytes beyond [`MAX_MIGRATION_BYTES`] are
-    /// refused and the session's staging discarded.
+    /// One slice of a session's state. On a send, the node appends the
+    /// bytes to a per-connection staging buffer for the session and
+    /// answers [`Msg::MigrateChunkAck`]; the matching
+    /// [`Msg::MigrateSession`] commits it. Staged bytes beyond
+    /// [`MAX_MIGRATION_BYTES`] are refused and the session's staging
+    /// discarded. A fetch answer streams the same frames, unacked,
+    /// ahead of its [`Msg::ReplState`].
     MigrateChunk {
         /// The session being staged.
         session: u64,
@@ -416,28 +482,23 @@ pub enum Msg {
         /// Total bytes staged for the session so far (both buffers).
         received: u64,
     },
-    /// Replication push: extend (or replace) a backup's replica journal
-    /// for one session. The journal's WAL buffer speaks byte offsets so
-    /// oversized records and reseeds can be split across frames; the
-    /// backup enforces contiguity and answers [`Msg::ReplAck`].
+    /// Replication push: append to a backup's replica journal for one
+    /// session. The journal's WAL buffer speaks byte offsets so an
+    /// oversized record can be split across frames; the backup enforces
+    /// contiguity and answers [`Msg::ReplAck`]. Seeds and reseeds are
+    /// staged chunks committed [`migrate_into::BACKUP`].
     ReplFrame {
         /// The session being replicated.
         session: u64,
         /// The session's sticky admission class rank.
         rank: u8,
-        /// When set, `blob`/`wal` replace the journal wholesale (seed
-        /// or reseed); otherwise `wal` appends at `wal_off`.
-        reset: bool,
         /// Byte offset into the backup's WAL buffer these bytes belong
-        /// at (must equal the buffer length on appends; 0 on reset).
+        /// at (must equal the buffer length).
         wal_off: u64,
         /// Events covered by the journal after this frame, up to the
         /// last complete record boundary.
         journaled: u64,
-        /// LTSE snapshot blob (reset frames only; empty on appends).
-        blob: Vec<u8>,
-        /// WAL bytes: the full buffer on reset, a contiguous slice of
-        /// new record bytes on append.
+        /// A contiguous slice of new record bytes.
         wal: Vec<u8>,
     },
     /// Backup's answer to a [`Msg::ReplFrame`].
@@ -445,7 +506,7 @@ pub enum Msg {
         /// The session replicated.
         session: u64,
         /// Whether the frame was applied. `false` means the backup is
-        /// lagging (gap / unseeded) and wants a reseeding `reset`.
+        /// lagging (gap / unseeded) and wants a reseed.
         ok: bool,
         /// The backup's journaled event counter after (or despite) the
         /// frame.
@@ -457,8 +518,10 @@ pub enum Msg {
     /// Fetch one session's durable state for failover or rebalancing.
     /// A node that serves the session live answers from its running
     /// service (pumping it quiescent first); a node that only backs it
-    /// up answers from its replica journal. Either way the reply is
-    /// [`Msg::ReplState`].
+    /// up answers from its replica journal. Either way the reply is the
+    /// state's [`Msg::MigrateChunk`] frames, then [`Msg::ReplState`].
+    /// A state above [`MAX_MIGRATION_BYTES`] is refused with
+    /// [`Msg::Error`] before anything is removed.
     ReplFetch {
         /// The session asked about.
         session: u64,
@@ -467,22 +530,19 @@ pub enum Msg {
         /// cut-point), a backup drops the replica journal.
         expel: bool,
     },
-    /// Answer to [`Msg::ReplFetch`]: the session's snapshot blob plus
-    /// WAL bytes, replayable by the §13 recovery scan.
+    /// Ends a [`Msg::ReplFetch`] answer. The state itself (snapshot
+    /// blob plus WAL bytes, replayable by the §13 recovery scan) came
+    /// ahead as chunks.
     ReplState {
         /// The session asked about.
         session: u64,
-        /// Whether the responder held any state for the session (the
-        /// remaining fields are zero/empty when not).
+        /// Whether the responder held any state for the session (no
+        /// chunks came, and the remaining fields are zero, when not).
         found: bool,
         /// The session's sticky admission class rank.
         rank: u8,
         /// Events the returned state covers.
         journaled: u64,
-        /// LTSE snapshot blob (empty when the WAL holds everything).
-        blob: Vec<u8>,
-        /// WAL bytes covering the suffix past the blob.
-        wal: Vec<u8>,
     },
     /// Router-epoch fencing: a router claims ownership of this node at
     /// `epoch`. The node remembers the highest epoch it has ever seen;
@@ -894,15 +954,14 @@ impl Msg {
             Msg::MigrateSession {
                 session,
                 priority,
-                ltse_blob,
-                wal_suffix,
+                into,
+                journaled,
             } => {
                 w.u8(TAG_MIGRATE_SESSION);
                 w.u64(*session);
                 w.u8(*priority);
-                w.u32(ltse_blob.len() as u32);
-                w.bytes(ltse_blob);
-                w.bytes(wal_suffix);
+                w.u8(*into);
+                w.u64(*journaled);
             }
             Msg::MigrateAck { session, applied } => {
                 w.u8(TAG_MIGRATE_ACK);
@@ -927,20 +986,15 @@ impl Msg {
             Msg::ReplFrame {
                 session,
                 rank,
-                reset,
                 wal_off,
                 journaled,
-                blob,
                 wal,
             } => {
                 w.u8(TAG_REPL_FRAME);
                 w.u64(*session);
                 w.u8(*rank);
-                w.u8(u8::from(*reset));
                 w.u64(*wal_off);
                 w.u64(*journaled);
-                w.u32(blob.len() as u32);
-                w.bytes(blob);
                 w.bytes(wal);
             }
             Msg::ReplAck {
@@ -965,17 +1019,12 @@ impl Msg {
                 found,
                 rank,
                 journaled,
-                blob,
-                wal,
             } => {
                 w.u8(TAG_REPL_STATE);
                 w.u64(*session);
                 w.u8(u8::from(*found));
                 w.u8(*rank);
                 w.u64(*journaled);
-                w.u32(blob.len() as u32);
-                w.bytes(blob);
-                w.bytes(wal);
             }
             Msg::Adopt { epoch, router } => {
                 w.u8(TAG_ADOPT);
@@ -1148,33 +1197,27 @@ impl Msg {
             },
             TAG_PING => Msg::Ping { token: r.u64()? },
             TAG_PONG => Msg::Pong { token: r.u64()? },
-            TAG_MIGRATE_SESSION => {
-                let session = r.u64()?;
-                let priority = r.rank()?;
-                let n = r.len_prefix()?;
-                let ltse_blob = r.bytes(n)?.to_vec();
-                // The journal bytes run to the end of the payload, so
-                // the cursor is exhausted by construction.
-                return Ok(Msg::MigrateSession {
-                    session,
-                    priority,
-                    ltse_blob,
-                    wal_suffix: r.rest().to_vec(),
-                });
-            }
+            TAG_MIGRATE_SESSION => Msg::MigrateSession {
+                session: r.u64()?,
+                priority: r.rank()?,
+                into: match r.u8()? {
+                    into @ (migrate_into::LIVE | migrate_into::BACKUP) => into,
+                    tag => return Err(ProtoError::BadTag { tag }),
+                },
+                journaled: r.u64()?,
+            },
             TAG_MIGRATE_ACK => Msg::MigrateAck {
                 session: r.u64()?,
                 applied: r.u64()?,
             },
             TAG_MIGRATE_CHUNK => {
                 let session = r.u64()?;
-                let kind = r.u8()?;
-                if kind != migrate_chunk::LTSE_BLOB
-                    && kind != migrate_chunk::WAL_SUFFIX
-                    && kind != migrate_chunk::RESTART
-                {
-                    return Err(ProtoError::BadTag { tag: kind });
-                }
+                let kind = match r.u8()? {
+                    kind @ (migrate_chunk::LTSE_BLOB
+                    | migrate_chunk::WAL_SUFFIX
+                    | migrate_chunk::RESTART) => kind,
+                    tag => return Err(ProtoError::BadTag { tag }),
+                };
                 // A restart carries no data; stray bytes are typed.
                 if kind == migrate_chunk::RESTART && r.remaining() != 0 {
                     return Err(ProtoError::TrailingBytes);
@@ -1194,20 +1237,15 @@ impl Msg {
             TAG_REPL_FRAME => {
                 let session = r.u64()?;
                 let rank = r.rank()?;
-                let reset = r.flag()?;
                 let wal_off = r.u64()?;
                 let journaled = r.u64()?;
-                let n = r.len_prefix()?;
-                let blob = r.bytes(n)?.to_vec();
                 // The WAL bytes run to the end of the payload, so the
                 // cursor is exhausted by construction.
                 return Ok(Msg::ReplFrame {
                     session,
                     rank,
-                    reset,
                     wal_off,
                     journaled,
-                    blob,
                     wal: r.rest().to_vec(),
                 });
             }
@@ -1221,24 +1259,12 @@ impl Msg {
                 session: r.u64()?,
                 expel: r.flag()?,
             },
-            TAG_REPL_STATE => {
-                let session = r.u64()?;
-                let found = r.flag()?;
-                let rank = r.rank()?;
-                let journaled = r.u64()?;
-                let n = r.len_prefix()?;
-                let blob = r.bytes(n)?.to_vec();
-                // The WAL bytes run to the end of the payload, so the
-                // cursor is exhausted by construction.
-                return Ok(Msg::ReplState {
-                    session,
-                    found,
-                    rank,
-                    journaled,
-                    blob,
-                    wal: r.rest().to_vec(),
-                });
-            }
+            TAG_REPL_STATE => Msg::ReplState {
+                session: r.u64()?,
+                found: r.flag()?,
+                rank: r.rank()?,
+                journaled: r.u64()?,
+            },
             TAG_ADOPT => Msg::Adopt {
                 epoch: r.u64()?,
                 router: r.u64()?,
@@ -1509,14 +1535,14 @@ mod tests {
             Msg::MigrateSession {
                 session: 6,
                 priority: priority::CRITICAL,
-                ltse_blob: vec![3u8; 96],
-                wal_suffix: vec![5u8; 48],
+                into: migrate_into::LIVE,
+                journaled: 0,
             },
             Msg::MigrateSession {
                 session: 7,
                 priority: priority::NORMAL,
-                ltse_blob: Vec::new(),
-                wal_suffix: Vec::new(),
+                into: migrate_into::BACKUP,
+                journaled: 96,
             },
             Msg::MigrateAck {
                 session: 6,
@@ -1538,20 +1564,9 @@ mod tests {
             },
             Msg::ReplFrame {
                 session: 12,
-                rank: priority::CRITICAL,
-                reset: true,
-                wal_off: 0,
-                journaled: 40,
-                blob: vec![7u8; 80],
-                wal: vec![8u8; 120],
-            },
-            Msg::ReplFrame {
-                session: 12,
                 rank: priority::NORMAL,
-                reset: false,
                 wal_off: 120,
                 journaled: 56,
-                blob: Vec::new(),
                 wal: vec![9u8; 36],
             },
             Msg::ReplAck {
@@ -1569,16 +1584,12 @@ mod tests {
                 found: true,
                 rank: priority::BULK,
                 journaled: 56,
-                blob: vec![4u8; 64],
-                wal: vec![5u8; 156],
             },
             Msg::ReplState {
                 session: 13,
                 found: false,
                 rank: 0,
                 journaled: 0,
-                blob: Vec::new(),
-                wal: Vec::new(),
             },
             Msg::MigrateChunk {
                 session: 6,
@@ -1629,14 +1640,15 @@ mod tests {
     }
 
     #[test]
-    fn repl_frame_bad_flag_and_rank_are_typed() {
-        // reset must be a strict bool and rank a known class: hostile
-        // values answer BadTag, never a half-applied journal frame.
-        let mut payload = vec![TAG_REPL_FRAME];
+    fn repl_bad_flag_and_rank_are_typed() {
+        // A ReplState's found must be a strict bool and a ReplFrame's
+        // rank a known class: hostile values answer BadTag, never a
+        // half-decoded answer or a half-applied journal frame.
+        let mut payload = vec![TAG_REPL_STATE];
         payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.push(3); // found: not a bool
         payload.push(1); // rank: valid
-        payload.push(3); // reset: not a bool
-        payload.extend_from_slice(&[0u8; 20]);
+        payload.extend_from_slice(&[0u8; 8]);
         let frame = encode_frame(&payload).unwrap();
         assert_eq!(Msg::decode(&frame), Err(ProtoError::BadTag { tag: 3 }));
 
@@ -1645,6 +1657,66 @@ mod tests {
         payload.push(9); // rank: out of range
         let frame = encode_frame(&payload).unwrap();
         assert_eq!(Msg::decode(&frame), Err(ProtoError::BadTag { tag: 9 }));
+    }
+
+    #[test]
+    fn migrate_commit_unknown_into_is_typed() {
+        // A commit naming neither LIVE nor BACKUP answers BadTag: the
+        // staged bytes are never landed in a guessed place.
+        let mut payload = Msg::MigrateSession {
+            session: 4,
+            priority: priority::NORMAL,
+            into: migrate_into::BACKUP,
+            journaled: 8,
+        }
+        .encode_payload()
+        .unwrap();
+        payload[10] = 2; // tag + session + priority, then `into`
+        assert_eq!(
+            Msg::decode_payload(&payload),
+            Err(ProtoError::BadTag { tag: 2 })
+        );
+    }
+
+    #[test]
+    fn staging_checks_the_cap_before_it_grows() {
+        // Zeroed pages are mapped lazily, so a near-cap blob is cheap.
+        let mut staged = Staging {
+            blob: vec![0u8; MAX_MIGRATION_BYTES - 8],
+            wal: Vec::new(),
+        };
+        assert_eq!(
+            staged.extend(migrate_chunk::WAL_SUFFIX, &[1u8; 8]),
+            Some(MAX_MIGRATION_BYTES as u64)
+        );
+        assert_eq!(staged.wal.capacity(), 8, "growth passed the room left");
+        assert_eq!(staged.extend(migrate_chunk::WAL_SUFFIX, &[2u8]), None);
+        assert_eq!(staged.extend(migrate_chunk::LTSE_BLOB, &[2u8]), None);
+        assert_eq!(staged.blob.len() + staged.wal.len(), MAX_MIGRATION_BYTES);
+        assert_eq!(staged.wal.capacity(), 8, "a refused chunk grew the buffer");
+    }
+
+    #[test]
+    fn migrate_chunks_restage_the_same_state() {
+        let blob: Vec<u8> = (0..250u32).map(|i| i as u8).collect();
+        let wal: Vec<u8> = (0..101u32).map(|i| (i * 7) as u8).collect();
+        let frames: Vec<Msg> = migrate_chunks(3, &blob, &wal, 64).collect();
+        assert_eq!(frames.len(), 4 + 2);
+        let mut staged = Staging::default();
+        for frame in &frames {
+            let Msg::MigrateChunk {
+                session: 3,
+                kind,
+                bytes,
+            } = frame
+            else {
+                panic!("not a chunk for session 3: {frame:?}");
+            };
+            assert!(bytes.len() <= 64);
+            staged.extend(*kind, bytes).unwrap();
+        }
+        assert_eq!((staged.blob, staged.wal), (blob, wal));
+        assert_eq!(migrate_chunks(3, &[], &[], 64).count(), 0);
     }
 
     #[test]
@@ -1830,8 +1902,19 @@ mod tests {
             Msg::MigrateSession {
                 session: 2,
                 priority: priority::BULK,
-                ltse_blob: vec![6u8; 32],
-                wal_suffix: vec![7u8; 20],
+                into: migrate_into::BACKUP,
+                journaled: 20,
+            },
+            Msg::MigrateChunk {
+                session: 2,
+                kind: migrate_chunk::WAL_SUFFIX,
+                bytes: vec![7u8; 20],
+            },
+            Msg::ReplState {
+                session: 2,
+                found: true,
+                rank: priority::CRITICAL,
+                journaled: 20,
             },
             Msg::AdoptAck {
                 epoch: 2,

@@ -6,17 +6,19 @@
 //! record bytes to each backup *before* acking the client. Each backup
 //! keeps a [`ReplicaJournal`]: the session's snapshot blob plus a WAL
 //! byte buffer that is, by construction, a byte-prefix of the primary's
-//! logical (rotation-free) WAL stream. On failover the freshest backup
-//! journal feeds the ordinary §13 recovery scan, so losing a machine
-//! *and its disk* loses nothing that was ever acked.
+//! logical (rotation-free) WAL stream. A journal is seeded whole (the
+//! router stages it as chunks and commits it into the backup store) and
+//! then grows by appends. On failover the freshest backup journal feeds
+//! the ordinary §13 recovery scan, so losing a machine *and its disk*
+//! loses nothing that was ever acked.
 //!
-//! The journal speaks byte offsets, not record indices: an append frame
-//! names the exact `wal_off` its bytes belong at, so oversized records
-//! or reseeds can be split at arbitrary byte boundaries and a torn tail
-//! (failover between chunks) degrades to exactly what the recovery scan
-//! already tolerates — a quarantined partial record and an exact-prefix
-//! restore. The `journaled` event counter carried alongside is the
-//! events covered by the buffer *up to the last record boundary*.
+//! Appends speak byte offsets, not record indices: an append names the
+//! exact `wal_off` its bytes belong at, so an oversized record can be
+//! split at arbitrary byte boundaries and a torn tail (failover between
+//! chunks) degrades to exactly what the recovery scan already tolerates
+//! — a quarantined partial record and an exact-prefix restore. The
+//! `journaled` event counter carried alongside is the events covered by
+//! the buffer *up to the last record boundary*.
 //!
 //! This crate is deliberately dependency-light (only `latch-obs`): the
 //! wire frames live in `latch-proto`, the WAL codec in `latch-serve`,
@@ -29,8 +31,7 @@ use std::collections::BTreeMap;
 use latch_obs::counter_inc;
 
 /// Typed replication failures. `Gap` and `Unseeded` are the lag errors
-/// the router reacts to by reseeding the backup with a fresh `reset`
-/// frame.
+/// the router reacts to by reseeding the backup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaError {
     /// An append frame's `wal_off` did not match the backup's buffer
@@ -40,8 +41,8 @@ pub enum ReplicaError {
     /// out-of-order or replayed push.
     Stale { session: u64, have: u64, got: u64 },
     /// An append frame arrived for a session this store has never been
-    /// seeded for: without the initial `reset` the buffer would lack
-    /// the WAL header and could never pass a recovery scan.
+    /// seeded for: without the seed the buffer would lack the WAL
+    /// header and could never pass a recovery scan.
     Unseeded { session: u64 },
 }
 
@@ -91,38 +92,24 @@ pub struct ReplicaJournal {
     /// LTSE snapshot blob the WAL bytes replay on top of (may be empty
     /// when the whole history lives in `wal`).
     pub blob: Vec<u8>,
-    /// WAL header + record bytes, append-only between resets.
+    /// WAL header + record bytes, append-only between seeds.
     pub wal: Vec<u8>,
 }
 
 impl ReplicaJournal {
-    /// Apply one replication frame.
-    ///
-    /// * `reset = true` replaces the journal wholesale: `blob`/`wal`
-    ///   are the full state so far and `journaled` the events covered.
-    /// * `reset = false` appends bytes at `wal_off`, which must equal
-    ///   the current buffer length (else [`ReplicaError::Gap`]); the
-    ///   new `journaled` must not regress (else [`ReplicaError::Stale`]).
+    /// Appends bytes at `wal_off`, which must equal the current buffer
+    /// length (else [`ReplicaError::Gap`]); the new `journaled` must
+    /// not regress (else [`ReplicaError::Stale`]).
     ///
     /// On error the journal is untouched, so a lagging backup keeps its
     /// last consistent prefix until the router reseeds it.
-    pub fn apply(
+    pub fn append(
         &mut self,
         rank: u8,
-        reset: bool,
         wal_off: u64,
         journaled: u64,
-        blob: &[u8],
         wal: &[u8],
     ) -> Result<u64, ReplicaError> {
-        if reset {
-            self.rank = rank;
-            self.journaled = journaled;
-            self.blob = blob.to_vec();
-            self.wal = wal.to_vec();
-            counter_inc("replica.resets");
-            return Ok(self.journaled);
-        }
         if wal_off != self.wal.len() as u64 {
             counter_inc("replica.gaps");
             return Err(ReplicaError::Gap {
@@ -159,34 +146,47 @@ impl ReplicaStore {
         Self::default()
     }
 
-    /// Apply a replication frame, creating the journal on the first
-    /// `reset`. Appends to a session this store has never been seeded
-    /// for answer [`ReplicaError::Unseeded`] so the router re-seeds.
-    // The parameter list mirrors the ReplFrame wire fields one-to-one;
-    // bundling them into a struct would only restate the frame type.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply(
+    /// Installs a whole journal (a seed or reseed: `blob`/`wal` are
+    /// the full state so far and `journaled` the events covered),
+    /// replacing any earlier one. Returns `journaled`.
+    pub fn seed(
         &mut self,
         session: u64,
         rank: u8,
-        reset: bool,
-        wal_off: u64,
         journaled: u64,
-        blob: &[u8],
-        wal: &[u8],
-    ) -> Result<u64, ReplicaError> {
-        if !reset && !self.sessions.contains_key(&session) {
-            counter_inc("replica.unseeded");
-            return Err(ReplicaError::Unseeded { session });
-        }
-        let journal = self.sessions.entry(session).or_insert_with(|| ReplicaJournal {
+        blob: Vec<u8>,
+        wal: Vec<u8>,
+    ) -> u64 {
+        counter_inc("replica.seeds");
+        let journal = ReplicaJournal {
             session,
             rank,
-            journaled: 0,
-            blob: Vec::new(),
-            wal: Vec::new(),
-        });
-        journal.apply(rank, reset, wal_off, journaled, blob, wal)
+            journaled,
+            blob,
+            wal,
+        };
+        self.sessions.insert(session, journal);
+        journaled
+    }
+
+    /// Appends to a seeded journal (see [`ReplicaJournal::append`]).
+    /// Appends to a session this store has never been seeded for answer
+    /// [`ReplicaError::Unseeded`] so the router reseeds.
+    pub fn append(
+        &mut self,
+        session: u64,
+        rank: u8,
+        wal_off: u64,
+        journaled: u64,
+        wal: &[u8],
+    ) -> Result<u64, ReplicaError> {
+        match self.sessions.get_mut(&session) {
+            Some(journal) => journal.append(rank, wal_off, journaled, wal),
+            None => {
+                counter_inc("replica.unseeded");
+                Err(ReplicaError::Unseeded { session })
+            }
+        }
     }
 
     pub fn get(&self, session: u64) -> Option<&ReplicaJournal> {
@@ -231,17 +231,17 @@ mod tests {
     #[test]
     fn fresh_store_rejects_append() {
         let mut store = ReplicaStore::new();
-        let err = store.apply(7, 0, false, 0, 4, &[], b"rec").unwrap_err();
+        let err = store.append(7, 0, 0, 4, b"rec").unwrap_err();
         assert_eq!(err, ReplicaError::Unseeded { session: 7 });
         assert!(store.is_empty(), "failed first contact must not leave a placeholder");
     }
 
     #[test]
-    fn reset_then_appends_build_prefix() {
+    fn seed_then_appends_build_prefix() {
         let mut store = ReplicaStore::new();
-        store.apply(9, 1, true, 0, 2, b"BLOB", b"HDR|r0|r1").unwrap();
-        store.apply(9, 1, false, 9, 3, &[], b"|r2").unwrap();
-        store.apply(9, 1, false, 12, 5, &[], b"|r3r4").unwrap();
+        store.seed(9, 1, 2, b"BLOB".to_vec(), b"HDR|r0|r1".to_vec());
+        store.append(9, 1, 9, 3, b"|r2").unwrap();
+        store.append(9, 1, 12, 5, b"|r3r4").unwrap();
         let j = store.get(9).unwrap();
         assert_eq!(j.journaled, 5);
         assert_eq!(j.blob, b"BLOB");
@@ -252,11 +252,11 @@ mod tests {
     #[test]
     fn mid_record_chunks_keep_journaled_at_boundary() {
         let mut store = ReplicaStore::new();
-        store.apply(2, 0, true, 0, 0, &[], b"HDR").unwrap();
+        store.seed(2, 0, 0, Vec::new(), b"HDR".to_vec());
         // One logical record split across two byte chunks: the first
         // half keeps the boundary count, the second half advances it.
-        store.apply(2, 0, false, 3, 0, &[], b"|half-a").unwrap();
-        store.apply(2, 0, false, 10, 6, &[], b"|half-b").unwrap();
+        store.append(2, 0, 3, 0, b"|half-a").unwrap();
+        store.append(2, 0, 10, 6, b"|half-b").unwrap();
         let j = store.get(2).unwrap();
         assert_eq!(j.journaled, 6);
         assert_eq!(j.wal, b"HDR|half-a|half-b");
@@ -265,24 +265,24 @@ mod tests {
     #[test]
     fn gap_and_stale_leave_journal_untouched() {
         let mut store = ReplicaStore::new();
-        store.apply(3, 0, true, 0, 4, b"B", b"WAL4").unwrap();
+        store.seed(3, 0, 4, b"B".to_vec(), b"WAL4".to_vec());
         let before = store.get(3).unwrap().clone();
         assert_eq!(
-            store.apply(3, 0, false, 9, 8, &[], b"x"),
+            store.append(3, 0, 9, 8, b"x"),
             Err(ReplicaError::Gap { session: 3, expected: 4, got: 9 })
         );
         assert_eq!(
-            store.apply(3, 0, false, 4, 2, &[], b"x"),
+            store.append(3, 0, 4, 2, b"x"),
             Err(ReplicaError::Stale { session: 3, have: 4, got: 2 })
         );
         assert_eq!(store.get(3).unwrap(), &before);
     }
 
     #[test]
-    fn reset_replaces_wholesale() {
+    fn seed_replaces_wholesale() {
         let mut store = ReplicaStore::new();
-        store.apply(5, 0, true, 0, 2, b"A", b"W1").unwrap();
-        store.apply(5, 2, true, 0, 9, b"B", b"W2").unwrap();
+        store.seed(5, 0, 2, b"A".to_vec(), b"W1".to_vec());
+        store.seed(5, 2, 9, b"B".to_vec(), b"W2".to_vec());
         let j = store.get(5).unwrap();
         assert_eq!((j.journaled, j.rank), (9, 2));
         assert_eq!((j.blob.as_slice(), j.wal.as_slice()), (&b"B"[..], &b"W2"[..]));

@@ -15,17 +15,20 @@
 //! budget, and exhausting the budget — or any failed forward —
 //! declares the node down. The sessions it owned move via
 //! [`Router::fail_over`]: their durable state is read from the dead
-//! node's surviving storage ([`latch_serve::export_sessions`]), shipped
-//! to the new ring owner as a `MigrateSession` frame (LTSE snapshot +
-//! raw WAL suffix, the PR 5 codecs unchanged), and imported there with
-//! the recovery scan. Because recovery restores an *exact prefix* of
-//! the admitted stream, a migrated session's drained report is
-//! byte-identical to a solo pipeline run — the oracle
-//! `tests/failover.rs` and conformance leg 10 enforce.
+//! node's surviving storage ([`latch_serve::export_sessions`]), staged
+//! on the new ring owner as `MigrateChunk` frames (LTSE snapshot + raw
+//! WAL suffix, the durability codecs unchanged), committed by one
+//! `MigrateSession`, and imported there with the recovery scan. The
+//! same staged chunks and one commit move every session state: backup
+//! seeds, fetch answers, rebalance cuts and takeover restores. Because
+//! recovery restores an *exact prefix* of the admitted stream, a
+//! migrated session's drained report is byte-identical to a solo
+//! pipeline run — the oracle `tests/failover.rs` and conformance leg 10
+//! enforce.
 
-use latch_client::{Client, ClientError};
+use latch_client::{Client, ClientError, SessionState};
 use latch_obs::TraceEvent;
-use latch_proto::{Endpoint, WireRejected, MAX_FRAME_PAYLOAD, MIGRATE_CHUNK_BYTES};
+use latch_proto::{migrate_into, Endpoint, WireRejected, MIGRATE_CHUNK_BYTES};
 use latch_serve::{journal, Priority, SessionExport};
 use latch_sim::event::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,11 +39,6 @@ use std::time::Duration;
 /// connect timeout, because node I/O runs under the router's state
 /// lock. Tunable via [`RouterConfig::connect_timeout`].
 const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Per-frame byte budget for replication pushes, leaving headroom for
-/// the frame's fixed fields — the same discipline as the migration
-/// chunking path.
-const REPL_FRAME_BUDGET: usize = MAX_FRAME_PAYLOAD - 64;
 
 mod ring;
 pub mod server;
@@ -237,10 +235,7 @@ struct BackupCursor {
 /// does, which is what makes every backup journal a byte-prefix of one
 /// well-defined stream.
 struct ReplSession {
-    rank: u8,
-    blob: Vec<u8>,
-    wal: Vec<u8>,
-    journaled: u64,
+    state: SessionState,
     /// `(wal byte offset, journaled events)` at each record boundary,
     /// ascending. Chunked pushes read the boundary count for their end
     /// offset here, so a torn push leaves the backup with a
@@ -250,32 +245,14 @@ struct ReplSession {
 }
 
 impl ReplSession {
-    /// Fresh stream for a session first admitted through this router:
-    /// an empty snapshot and a bare WAL header.
-    fn new(session: u64, rank: u8) -> Self {
-        let header = journal::wal_header(session, Priority::from_rank(rank).unwrap_or_default());
-        let len = header.len();
+    /// A stream rooted at `state` (a bare WAL header for a session
+    /// first admitted here, else an imported or fetched state): the
+    /// state is one opaque record span, and every backup seeds from
+    /// scratch.
+    fn from_state(state: SessionState) -> Self {
         Self {
-            rank,
-            blob: Vec::new(),
-            wal: header,
-            journaled: 0,
-            marks: vec![(len, 0)],
-            backups: BTreeMap::new(),
-        }
-    }
-
-    /// Stream re-rooted at an imported export (failover or rebalance):
-    /// the fetched state becomes the new base, treated as one opaque
-    /// record span, and every backup reseeds from scratch.
-    fn from_state(rank: u8, blob: Vec<u8>, wal: Vec<u8>, journaled: u64) -> Self {
-        let len = wal.len();
-        Self {
-            rank,
-            blob,
-            wal,
-            journaled,
-            marks: vec![(len, journaled)],
+            marks: vec![(state.wal.len(), state.journaled)],
+            state,
             backups: BTreeMap::new(),
         }
     }
@@ -431,7 +408,9 @@ impl Router {
     /// acked yet).
     #[must_use]
     pub fn repl_stats(&self, session: u64) -> Option<(u64, usize)> {
-        self.repl.get(&session).map(|rs| (rs.journaled, rs.wal.len()))
+        self.repl
+            .get(&session)
+            .map(|rs| (rs.state.journaled, rs.state.wal.len()))
     }
 
     /// Sessions poisoned by acked-event loss (a failover restored
@@ -615,14 +594,21 @@ impl Router {
     /// Pushes the batch the owner just admitted to every backup in the
     /// session's replica group (the next [`RouterConfig::replicas`]
     /// distinct ring owners after the route's owner). A backup that
-    /// cannot be brought current — transport death, or a reseed that
-    /// still reports lag — is dropped from the group with a `repl_lag`
-    /// event rather than failing the submit: availability wins, and the
-    /// next failover simply has one fewer source.
+    /// cannot be brought current — transport death, or a refused seed —
+    /// is dropped from the group with a `repl_lag` event rather than
+    /// failing the submit: availability wins, and the next failover
+    /// simply has one fewer source.
     fn replicate(&mut self, session: u64, rank: u8, base: u64, events: &[Event]) {
         let mut rs = match self.repl.remove(&session) {
             Some(rs) => rs,
-            None if base == 0 => ReplSession::new(session, rank),
+            None if base == 0 => {
+                let priority = Priority::from_rank(rank).unwrap_or_default();
+                ReplSession::from_state(SessionState {
+                    rank,
+                    wal: journal::wal_header(session, priority),
+                    ..SessionState::default()
+                })
+            }
             None => {
                 // Mid-stream with no journal to append to (a takeover
                 // whose cursor reseed was refused). Starting a journal
@@ -636,13 +622,13 @@ impl Router {
         // batch a node admitted also encodes; a refusal here would be a
         // codec bug, not an input condition.
         if let Ok(record) = journal::encode_record(base, events) {
-            rs.wal.extend_from_slice(&record);
-            rs.journaled = base + events.len() as u64;
-            rs.marks.push((rs.wal.len(), rs.journaled));
+            rs.state.wal.extend_from_slice(&record);
+            rs.state.journaled = base + events.len() as u64;
+            rs.marks.push((rs.state.wal.len(), rs.state.journaled));
         }
-        rs.rank = rank;
+        rs.state.rank = rank;
         let owner = self.routes.get(&session).map(|r| r.owner);
-        if rs.wal.len() > self.cfg.repl_wal_budget {
+        if rs.state.wal.len() > self.cfg.repl_wal_budget {
             self.compact_repl(session, &mut rs, owner);
         }
         let backups: Vec<u32> = self
@@ -662,7 +648,7 @@ impl Router {
                         session,
                         node: b,
                         have,
-                        want: rs.journaled,
+                        want: rs.state.journaled,
                     },
                 );
             }
@@ -672,133 +658,115 @@ impl Router {
 
     /// Folds a session's replica journal when its WAL outgrows
     /// [`RouterConfig::repl_wal_budget`]: fetch a fresh snapshot from
-    /// the (quiescent, just-acked) owner, make it the new blob, and
-    /// empty the WAL. Clearing the backup cursors forces the next push
-    /// to reseed every backup with the compact form — the byte-prefix
-    /// invariant holds trivially over an empty journal. A fetch that
-    /// fails or comes back behind our journaled count leaves the
-    /// journal untouched (compaction must never regress coverage).
+    /// the (quiescent, just-acked) owner and make it the new base.
+    /// Clearing the backup cursors forces the next push to reseed every
+    /// backup with the compact form — the byte-prefix invariant holds
+    /// trivially over a fresh journal. A fetch that fails or comes back
+    /// behind our journaled count leaves the journal untouched
+    /// (compaction must never regress coverage).
     fn compact_repl(&mut self, session: u64, rs: &mut ReplSession, owner: Option<u32>) {
         let Some(owner) = owner else { return };
         let fetched = self
             .node_conn(owner)
-            .and_then(|c| c.repl_fetch(session, false).map_err(|_| RouterError::NodeDown { node: owner }));
-        let Ok(Some((rank, journaled, blob, wal))) = fetched else {
+            .and_then(|c| c.repl_fetch(session, false).map_err(RouterError::Wire));
+        let Ok(Some(state)) = fetched else {
             return;
         };
-        if journaled < rs.journaled || blob.len() > REPL_FRAME_BUDGET {
+        if state.journaled < rs.state.journaled {
             return;
         }
-        let old_wal = rs.wal.len() as u64;
-        rs.rank = rank;
-        rs.blob = blob;
-        rs.wal = wal;
-        rs.journaled = journaled;
-        rs.marks = vec![(rs.wal.len(), journaled)];
-        rs.backups.clear();
+        let old_wal = rs.state.wal.len() as u64;
+        *rs = ReplSession::from_state(state);
         latch_obs::counter_inc("router.repl.compactions");
         latch_obs::emit(
             "router",
             TraceEvent::ReplCompact {
                 session,
                 wal_bytes: old_wal,
-                journaled,
+                journaled: rs.state.journaled,
             },
         );
     }
 
     /// Brings one backup current: appends from its acked byte cursor,
-    /// or reseeds from zero (first contact, or after the backup
-    /// reported a gap). Frames are chunked at the wire budget, each
-    /// carrying the record-boundary `journaled` count valid at its end
-    /// byte. Any error means the backup must be dropped from the group.
+    /// or — on first contact, or once the backup lags — seeds it whole
+    /// with the one transfer path, staged chunks committed into its
+    /// backup store. Any error means the backup must be dropped from
+    /// the group.
     fn push_backup(
         &mut self,
         session: u64,
         rs: &mut ReplSession,
         node: u32,
     ) -> Result<(), RouterError> {
-        for attempt in 0..2u8 {
-            let (start, reset) = match rs.backups.get(&node) {
-                Some(c) if attempt == 0 && (c.wal_len as usize) <= rs.wal.len() => {
-                    (c.wal_len as usize, false)
-                }
-                _ => (0, true),
-            };
-            if !reset && start == rs.wal.len() {
+        if let Some(cursor) = rs.backups.get(&node).map(|c| c.wal_len as usize) {
+            if cursor <= rs.state.wal.len() && self.append_backup(session, rs, node, cursor)? {
                 return Ok(());
             }
-            if reset {
-                latch_obs::counter_inc("router.repl.resets");
-                if rs.blob.len() > REPL_FRAME_BUDGET {
-                    // A snapshot blob too large for one reset frame can
-                    // never seed this backup; drop it rather than wedge
-                    // every future submit on the attempt.
-                    return Err(RouterError::NodeDown { node });
-                }
-            }
-            let mut off = start;
-            loop {
-                let first = off == start;
-                let blob = if reset && first {
-                    rs.blob.clone()
-                } else {
-                    Vec::new()
-                };
-                let budget = REPL_FRAME_BUDGET - blob.len();
-                let end = rs.wal.len().min(off + budget.max(1));
-                let journaled = rs.journaled_at(end);
-                let frame_reset = reset && first;
-                latch_obs::counter_inc("router.repl.frames");
-                let pushed = self.node_conn(node).and_then(|c| {
-                    c.repl_frame(
-                        session,
-                        rs.rank,
-                        frame_reset,
-                        off as u64,
-                        journaled,
-                        blob,
-                        rs.wal[off..end].to_vec(),
-                    )
-                    .map_err(|_| RouterError::NodeDown { node })
-                });
-                let (ok, j, wal_len) = match pushed {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.mark_down(node, 0);
-                        return Err(e);
-                    }
-                };
-                if !ok {
-                    break;
-                }
-                rs.backups.insert(
-                    node,
-                    BackupCursor {
-                        wal_len,
-                        journaled: j,
-                    },
-                );
-                off = end;
-                if off >= rs.wal.len() {
-                    if wal_len == rs.wal.len() as u64 {
-                        return Ok(());
-                    }
-                    // The backup acked but its cursor disagrees with
-                    // ours; resync with a reseed.
-                    break;
-                }
-            }
-            // Reaching here means the backup lagged (a NACK or a
-            // cursor mismatch): clear its cursor and reseed once, then
-            // give up.
-            if attempt == 0 {
-                rs.backups.remove(&node);
-                continue;
-            }
-            break;
+            // A NACK or a cursor mismatch: reseed.
+            rs.backups.remove(&node);
         }
-        Err(RouterError::NodeDown { node })
+        latch_obs::counter_inc("router.repl.seeds");
+        let seeded =
+            self.node_conn(node)?
+                .migrate_session(session, migrate_into::BACKUP, &rs.state);
+        match seeded {
+            Ok(journaled) => {
+                let wal_len = rs.state.wal.len() as u64;
+                rs.backups.insert(node, BackupCursor { wal_len, journaled });
+                Ok(())
+            }
+            Err(e) => Err(self.backup_failed(node, &e)),
+        }
+    }
+
+    /// Appends the stream past byte `start` to one backup, in frames of
+    /// at most [`MIGRATE_CHUNK_BYTES`], each carrying the
+    /// record-boundary `journaled` count valid at its end byte.
+    /// `Ok(false)` when the backup lagged: it refused a frame, or its
+    /// cursor disagrees with ours at the end.
+    fn append_backup(
+        &mut self,
+        session: u64,
+        rs: &mut ReplSession,
+        node: u32,
+        start: usize,
+    ) -> Result<bool, RouterError> {
+        let len = rs.state.wal.len();
+        let mut off = start;
+        while off < len {
+            let end = len.min(off + MIGRATE_CHUNK_BYTES);
+            let journaled = rs.journaled_at(end);
+            latch_obs::counter_inc("router.repl.frames");
+            let pushed = self.node_conn(node)?.repl_frame(
+                session,
+                rs.state.rank,
+                off as u64,
+                journaled,
+                &rs.state.wal[off..end],
+            );
+            match pushed {
+                Ok((true, journaled, wal_len)) => {
+                    rs.backups.insert(node, BackupCursor { wal_len, journaled });
+                }
+                Ok((false, ..)) => return Ok(false),
+                Err(e) => return Err(self.backup_failed(node, &e)),
+            }
+            off = end;
+        }
+        Ok(rs
+            .backups
+            .get(&node)
+            .is_some_and(|c| c.wal_len == len as u64))
+    }
+
+    /// A push to `node` failed. A typed refusal comes from a healthy
+    /// node, so only other failures mark it down.
+    fn backup_failed(&mut self, node: u32, e: &ClientError) -> RouterError {
+        if !matches!(e, ClientError::Server { .. }) {
+            self.mark_down(node, 0);
+        }
+        RouterError::NodeDown { node }
     }
 
     /// One heartbeat pass: pings every live node, counts misses
@@ -879,17 +847,30 @@ impl Router {
     pub fn fail_over(
         &mut self,
         node: u32,
-        mut exports: Vec<SessionExport>,
+        exports: Vec<SessionExport>,
     ) -> Result<Vec<MigrationRecord>, RouterError> {
+        let mut states: Vec<(u64, SessionState)> = exports
+            .into_iter()
+            .map(|e| {
+                let state = SessionState {
+                    rank: e.priority.rank(),
+                    journaled: 0,
+                    blob: e.blob,
+                    wal: e.wal,
+                };
+                (e.session, state)
+            })
+            .collect();
         if self.cfg.replicas > 0 {
             // Diskless sourcing: any pinned session the surviving
             // storage did not yield is recovered from the freshest
             // backup journal in its replica group. With the disk
             // destroyed outright, *every* session takes this path.
-            let covered: BTreeSet<u64> = exports.iter().map(|e| e.session).collect();
-            exports.extend(self.restore_from_backups(node, &covered));
+            let covered: BTreeSet<u64> = states.iter().map(|&(s, _)| s).collect();
+            let restored = self.restore_from_backups(node, &covered);
+            states.extend(restored);
         }
-        match self.fail_over_inner(node, exports) {
+        match self.fail_over_inner(node, states) {
             Ok(records) => {
                 self.pending_failover.remove(&node);
                 Ok(records)
@@ -912,7 +893,7 @@ impl Router {
     fn fail_over_inner(
         &mut self,
         node: u32,
-        mut exports: Vec<SessionExport>,
+        mut states: Vec<(u64, SessionState)>,
     ) -> Result<Vec<MigrationRecord>, RouterError> {
         self.mark_down(node, 0);
         self.ring.remove_node(node);
@@ -924,10 +905,9 @@ impl Router {
         if self.ring.is_empty() {
             return Err(RouterError::NoNodes);
         }
-        exports.sort_by_key(|e| e.session);
+        states.sort_by_key(|&(s, _)| s);
         let mut records = Vec::new();
-        for export in exports {
-            let session = export.session;
+        for (session, state) in states {
             // A session on the dead node's disk that this router
             // pinned elsewhere is stale state from before a previous
             // move; the live owner's copy wins.
@@ -939,25 +919,7 @@ impl Router {
                 continue;
             }
             let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-            let rank = export.priority.rank();
-            let applied = if self.cfg.replicas > 0 {
-                let applied = self
-                    .node_conn(to)?
-                    .migrate_session(session, rank, export.blob.clone(), export.wal.clone())
-                    .map_err(RouterError::Wire)?;
-                // The imported state is the session's new replication
-                // base; every backup reseeds against it lazily on the
-                // next admitted batch.
-                self.repl.insert(
-                    session,
-                    ReplSession::from_state(rank, export.blob, export.wal, applied),
-                );
-                applied
-            } else {
-                self.node_conn(to)?
-                    .migrate_session(session, rank, export.blob, export.wal)
-                    .map_err(RouterError::Wire)?
-            };
+            let applied = self.import(session, to, state)?;
             let route = self.routes.entry(session).or_insert(Route {
                 owner: to,
                 admitted: 0,
@@ -1026,6 +988,72 @@ impl Router {
         Ok(records)
     }
 
+    /// Imports `state` into node `to`'s live service. With replication
+    /// on, the imported state becomes the session's new replication
+    /// base; every backup reseeds against it lazily on the next
+    /// admitted batch.
+    fn import(&mut self, session: u64, to: u32, state: SessionState) -> Result<u64, RouterError> {
+        let applied = self
+            .node_conn(to)?
+            .migrate_session(session, migrate_into::LIVE, &state)
+            .map_err(RouterError::Wire)?;
+        self.rebase_repl(session, state, applied);
+        Ok(applied)
+    }
+
+    /// Re-roots a session's replication stream at the state a node just
+    /// imported (`applied` events), when replication is on.
+    fn rebase_repl(&mut self, session: u64, state: SessionState, applied: u64) {
+        if self.cfg.replicas > 0 {
+            let state = SessionState {
+                journaled: applied,
+                ..state
+            };
+            self.repl.insert(session, ReplSession::from_state(state));
+        }
+    }
+
+    /// The one freshest-state walk, shared by diskless failover and
+    /// takeover: probes each `(cursor, node)` candidate for `session`
+    /// with a non-expelling fetch — freshest cursor first, ties to the
+    /// higher node id, so reruns probe identically — and returns the
+    /// freshest fetched state with its source. The fetched `journaled`
+    /// count decides, not the cursor. Losing candidates keep their
+    /// copies. A typed refusal (a state over the migration cap) comes
+    /// from a healthy node: it skips the candidate without evicting it,
+    /// or every probe of a long-lived session would cascade its backups
+    /// into failover. Only other failures mark the candidate down.
+    fn freshest_state(
+        &mut self,
+        session: u64,
+        mut candidates: Vec<(u64, u32)>,
+    ) -> Option<(u32, SessionState)> {
+        candidates.sort_unstable();
+        let mut best: Option<(u32, SessionState)> = None;
+        for (_, b) in candidates.into_iter().rev() {
+            let fetched = match self.node_conn(b) {
+                Ok(conn) => conn.repl_fetch(session, false),
+                Err(_) => continue,
+            };
+            match fetched {
+                Ok(Some(state)) => {
+                    if best
+                        .as_ref()
+                        .is_none_or(|(_, s)| state.journaled > s.journaled)
+                    {
+                        best = Some((b, state));
+                    }
+                }
+                Ok(None) => {}
+                Err(ClientError::Server { .. }) => {
+                    latch_obs::counter_inc("router.repl.fetch_refusals");
+                }
+                Err(_) => self.mark_down(b, 0),
+            }
+        }
+        best
+    }
+
     /// Diskless failover source: for every session still pinned to the
     /// dead node without a surviving export, fetch the freshest backup
     /// journal from its replica group. Because replication is
@@ -1038,14 +1066,18 @@ impl Router {
     /// session's current ring replica group: a failover or rebalance
     /// import clears the cursor map and backups reseed only lazily on
     /// the next acked batch, yet live group members may still hold
-    /// journals (these probes are non-expelling, so a losing candidate
-    /// keeps its copy). And when no candidate yields a journal as
-    /// fresh as the router's own replication stream — every holder
-    /// died, or the new owner died before any post-import batch
-    /// reseeded its backups — the router's [`ReplSession`] blob/WAL is
-    /// the export source itself: it always covers the acked prefix, so
-    /// an acked session is never poisoned while this router survives.
-    fn restore_from_backups(&mut self, node: u32, covered: &BTreeSet<u64>) -> Vec<SessionExport> {
+    /// journals. Cursorless group members probe last, at cursor zero.
+    /// And when no candidate yields a journal as fresh as the router's
+    /// own replication stream — every holder died, or the new owner
+    /// died before any post-import batch reseeded its backups — the
+    /// router's [`ReplSession`] state is the export source itself: it
+    /// always covers the acked prefix, so an acked session is never
+    /// poisoned while this router survives.
+    fn restore_from_backups(
+        &mut self,
+        node: u32,
+        covered: &BTreeSet<u64>,
+    ) -> Vec<(u64, SessionState)> {
         let sessions: Vec<u64> = self
             .routes
             .iter()
@@ -1058,87 +1090,43 @@ impl Router {
             let Some(rs) = self.repl.get(&session) else {
                 continue;
             };
-            let local_journaled = rs.journaled;
-            // Walk candidates freshest-acked-cursor first (ties break
-            // on the higher node id) so reruns probe identically; the
-            // fetched `journaled` count, not the cursor, decides.
-            // Cursorless group members probe last, at cursor zero.
             let mut candidates: Vec<(u64, u32)> = rs
                 .backups
                 .iter()
                 .filter(|&(&b, _)| b != node && self.is_alive(b))
                 .map(|(&b, c)| (c.journaled, b))
                 .collect();
-            let with_cursor: BTreeSet<u32> = candidates.iter().map(|&(_, b)| b).collect();
-            let cursorless: Vec<u32> = self
-                .ring
-                .owners(session, group)
-                .into_iter()
-                .filter(|&b| b != node && self.is_alive(b) && !with_cursor.contains(&b))
-                .collect();
-            candidates.extend(cursorless.into_iter().map(|b| (0, b)));
-            candidates.sort_unstable();
-            candidates.reverse();
-            // (journaled, source node, rank, blob, wal) of the winner.
-            type Candidate = (u64, u32, u8, Vec<u8>, Vec<u8>);
-            let mut best: Option<Candidate> = None;
-            for (_, b) in candidates {
-                let fetched = match self.node_conn(b) {
-                    Ok(conn) => conn.repl_fetch(session, false),
-                    Err(_) => continue,
-                };
-                match fetched {
-                    Ok(Some((rank, journaled, blob, wal))) => {
-                        if best.as_ref().is_none_or(|(j, ..)| journaled > *j) {
-                            best = Some((journaled, b, rank, blob, wal));
-                        }
-                    }
-                    Ok(None) => {}
-                    // A typed refusal (say, a journal grown past the
-                    // single-frame budget) comes from a healthy node:
-                    // skip the candidate without evicting it, or every
-                    // restore probe of a long-lived session would
-                    // cascade its backups into failover.
-                    Err(ClientError::Server { .. }) => {
-                        latch_obs::counter_inc("router.repl.fetch_refusals");
-                    }
-                    Err(_) => self.mark_down(b, 0),
+            for b in self.ring.owners(session, group) {
+                if b != node && self.is_alive(b) && !rs.backups.contains_key(&b) {
+                    candidates.push((0, b));
                 }
             }
-            if best.as_ref().is_none_or(|(j, ..)| *j < local_journaled) {
-                let rs = self.repl.get(&session).expect("repl stream checked above");
-                latch_obs::counter_inc("router.repl.local_restores");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::ReplLocalRestore {
-                        session,
-                        journaled: rs.journaled,
-                    },
-                );
-                out.push(SessionExport {
-                    session,
-                    priority: Priority::from_rank(rs.rank).unwrap_or_default(),
-                    blob: rs.blob.clone(),
-                    wal: rs.wal.clone(),
-                });
-                continue;
-            }
-            if let Some((journaled, b, rank, blob, wal)) = best {
-                latch_obs::counter_inc("router.repl.restores");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::ReplRestore {
-                        session,
-                        node: b,
-                        journaled,
-                    },
-                );
-                out.push(SessionExport {
-                    session,
-                    priority: Priority::from_rank(rank).unwrap_or_default(),
-                    blob,
-                    wal,
-                });
+            let best = self.freshest_state(session, candidates);
+            let rs = self.repl.get(&session).expect("repl stream checked above");
+            match best {
+                Some((b, state)) if state.journaled >= rs.state.journaled => {
+                    latch_obs::counter_inc("router.repl.restores");
+                    latch_obs::emit(
+                        "router",
+                        TraceEvent::ReplRestore {
+                            session,
+                            node: b,
+                            journaled: state.journaled,
+                        },
+                    );
+                    out.push((session, state));
+                }
+                _ => {
+                    latch_obs::counter_inc("router.repl.local_restores");
+                    latch_obs::emit(
+                        "router",
+                        TraceEvent::ReplLocalRestore {
+                            session,
+                            journaled: rs.state.journaled,
+                        },
+                    );
+                    out.push((session, rs.state.clone()));
+                }
             }
         }
         out
@@ -1192,12 +1180,12 @@ impl Router {
     ///    the higher applied count wins.
     /// 3. **Cursor reseed.** With replication on, each routed session's
     ///    owner is fetched once for a fresh [`ReplSession`] base; the
-    ///    empty backup-cursor map makes the next admitted batch reseed
-    ///    every backup through the normal reset/NACK machinery.
+    ///    empty backup-cursor map makes the next admitted batch seed
+    ///    every backup through the normal seed/NACK machinery.
     /// 4. **Dead-owner failover.** Sessions that exist only in
     ///    surviving replica journals (owner died *with* the old router)
-    ///    are restored freshest-journal-first — the same ordering as
-    ///    [`restore_from_backups`](Self::restore_from_backups) — and
+    ///    are restored through the same freshest-state walk as
+    ///    [`restore_from_backups`](Self::restore_from_backups) and
     ///    migrated to their ring owner.
     ///
     /// The returned [`TakeoverRecord`] is rerun-identical for a given
@@ -1293,22 +1281,8 @@ impl Router {
             let routed: Vec<(u64, u32)> =
                 self.routes.iter().map(|(&s, r)| (s, r.owner)).collect();
             for (session, owner) in routed {
-                let fetched = match self.node_conn(owner) {
-                    Ok(conn) => conn.repl_fetch(session, false),
-                    Err(_) => continue,
-                };
-                match fetched {
-                    Ok(Some((rank, journaled, blob, wal))) => {
-                        self.repl.insert(
-                            session,
-                            ReplSession::from_state(rank, blob, wal, journaled),
-                        );
-                    }
-                    Ok(None) => {}
-                    Err(ClientError::Server { .. }) => {
-                        latch_obs::counter_inc("router.repl.fetch_refusals");
-                    }
-                    Err(_) => self.mark_down(owner, 0),
+                if let Some((_, state)) = self.freshest_state(session, vec![(0, owner)]) {
+                    self.repl.insert(session, ReplSession::from_state(state));
                 }
             }
             // Sessions alive only in surviving replica journals: their
@@ -1329,42 +1303,12 @@ impl Router {
                     }
                 }
             }
-            for (session, mut cands) in candidates {
-                // Freshest journaled cursor first, ties to the higher
-                // node id — the `restore_from_backups` probe order, so
-                // reruns pick identically. The fetched count decides.
-                cands.sort_unstable();
-                cands.reverse();
-                type Candidate = (u64, u32, u8, Vec<u8>, Vec<u8>);
-                let mut best: Option<Candidate> = None;
-                for (_, b) in cands {
-                    let fetched = match self.node_conn(b) {
-                        Ok(conn) => conn.repl_fetch(session, false),
-                        Err(_) => continue,
-                    };
-                    match fetched {
-                        Ok(Some((rank, journaled, blob, wal))) => {
-                            if best.as_ref().is_none_or(|(j, ..)| journaled > *j) {
-                                best = Some((journaled, b, rank, blob, wal));
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(ClientError::Server { .. }) => {
-                            latch_obs::counter_inc("router.repl.fetch_refusals");
-                        }
-                        Err(_) => self.mark_down(b, 0),
-                    }
-                }
-                let Some((_, src, rank, blob, wal)) = best else {
+            for (session, cands) in candidates {
+                let Some((src, state)) = self.freshest_state(session, cands) else {
                     continue;
                 };
                 let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-                let applied = self
-                    .node_conn(to)?
-                    .migrate_session(session, rank, blob.clone(), wal.clone())
-                    .map_err(RouterError::Wire)?;
-                self.repl
-                    .insert(session, ReplSession::from_state(rank, blob, wal, applied));
+                let applied = self.import(session, to, state)?;
                 self.routes.insert(
                     session,
                     Route {
@@ -1508,8 +1452,8 @@ impl Router {
     ///    new owner as `MigrateChunk` frames.
     /// 2. **Cut-point** — the old owner exports-and-expels the session
     ///    atomically (every later submit there is refused), only the
-    ///    WAL bytes grown since phase 1 are staged as a suffix, and an
-    ///    empty `MigrateSession` commits the import. The router's state
+    ///    WAL bytes grown since phase 1 are staged as a suffix, and a
+    ///    `MigrateSession` commits the import. The router's state
     ///    lock sequences the cut against every concurrent submit, so no
     ///    batch lands between the expel and the route flip: no
     ///    double-apply, no lost suffix, no client-visible gap.
@@ -1526,78 +1470,17 @@ impl Router {
             .map(|r| r.owner)
             .ok_or(RouterError::NoNodes)?;
         let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-        let wire = |e: ClientError| match e {
-            ClientError::Rejected(r) => RouterError::Rejected(r),
-            other => RouterError::Wire(other),
-        };
-        // Phase 1: pre-copy while the old owner keeps serving.
-        let (pre_blob, pre_wal) = match self
-            .node_conn(from)?
-            .repl_fetch(session, false)
-            .map_err(wire)?
-        {
-            Some((_, _, blob, wal)) => (blob, wal),
-            None => (Vec::new(), Vec::new()),
-        };
-        if !pre_blob.is_empty() || !pre_wal.is_empty() {
-            self.node_conn(to)?
-                .migrate_stage(session, &pre_blob, &pre_wal, MIGRATE_CHUNK_BYTES)
-                .map_err(wire)?;
-        }
-        // Phase 2: the cut.
-        let cut = self
-            .node_conn(from)?
-            .repl_fetch(session, true)
-            .map_err(wire)?;
-        let applied = match cut {
-            // Nothing durable and nothing resident: a route with zero
-            // admitted events just re-pins (phase 1 staged nothing).
-            None => 0,
-            Some((rank, _, blob, wal)) => {
-                let clean_suffix = blob == pre_blob
-                    && wal.len() >= pre_wal.len()
-                    && wal[..pre_wal.len()] == pre_wal[..];
-                let applied = if clean_suffix {
-                    let conn = self.node_conn(to)?;
-                    conn.migrate_stage(session, &[], &wal[pre_wal.len()..], MIGRATE_CHUNK_BYTES)
-                        .map_err(wire)?;
-                    conn.migrate_commit(session, rank).map_err(wire)?
-                } else {
-                    // Rotation between the phases: the staged bytes are
-                    // a stale prefix. A RESTART chunk discards them on
-                    // the same connection, so the full cut state can be
-                    // restaged without tearing the link down.
-                    latch_obs::counter_inc("router.rebalance.restage_inline");
-                    let inline = {
-                        let conn = self.node_conn(to)?;
-                        conn.migrate_abort(session).and_then(|()| {
-                            conn.migrate_stage(session, &blob, &wal, MIGRATE_CHUNK_BYTES)?;
-                            conn.migrate_commit(session, rank)
-                        })
-                    };
-                    match inline {
-                        Ok(applied) => applied,
-                        Err(ClientError::Rejected(r)) => return Err(RouterError::Rejected(r)),
-                        Err(_) => {
-                            // Transport death mid-restage: fall back to
-                            // the old full-restage-over-fresh-connection
-                            // path.
-                            latch_obs::counter_inc("router.rebalance.restages");
-                            if let Some(n) = self.nodes.get_mut(&to) {
-                                n.conn = None;
-                            }
-                            let conn = self.node_conn(to)?;
-                            conn.migrate_stage(session, &blob, &wal, MIGRATE_CHUNK_BYTES)
-                                .map_err(wire)?;
-                            conn.migrate_commit(session, rank).map_err(wire)?
-                        }
-                    }
-                };
-                if self.cfg.replicas > 0 {
-                    self.repl
-                        .insert(session, ReplSession::from_state(rank, blob, wal, applied));
+        let applied = match self.cut_over(session, from, to) {
+            Ok(applied) => applied,
+            Err(e) => {
+                // A failed move can leave its pre-copy staged on the
+                // importer's connection; dropping the connection
+                // discards it, so no later send for the session there
+                // commits stale bytes.
+                if let Some(n) = self.nodes.get_mut(&to) {
+                    n.conn = None;
                 }
-                applied
+                return Err(e);
             }
         };
         let route = self.routes.get_mut(&session).expect("moving route exists");
@@ -1637,6 +1520,78 @@ impl Router {
         );
         self.rebalances.push(rec);
         Ok(rec)
+    }
+
+    /// The two phases of `rebalance_one` for one session: pre-copy from
+    /// `from` while it serves, then the cut, importing into `to`.
+    /// Returns the events the import restored.
+    fn cut_over(&mut self, session: u64, from: u32, to: u32) -> Result<u64, RouterError> {
+        let wire = |e: ClientError| match e {
+            ClientError::Rejected(r) => RouterError::Rejected(r),
+            other => RouterError::Wire(other),
+        };
+        // Phase 1: pre-copy while the old owner keeps serving.
+        let pre = self
+            .node_conn(from)?
+            .repl_fetch(session, false)
+            .map_err(wire)?
+            .unwrap_or_default();
+        if !pre.blob.is_empty() || !pre.wal.is_empty() {
+            self.node_conn(to)?
+                .migrate_stage(session, &pre.blob, &pre.wal, MIGRATE_CHUNK_BYTES)
+                .map_err(wire)?;
+        }
+        // Phase 2: the cut.
+        let cut = self
+            .node_conn(from)?
+            .repl_fetch(session, true)
+            .map_err(wire)?;
+        let applied = match cut {
+            // Nothing durable and nothing resident: a route with zero
+            // admitted events just re-pins (phase 1 staged nothing).
+            None => 0,
+            Some(state) => {
+                let applied = if state.blob == pre.blob && state.wal.starts_with(&pre.wal) {
+                    let conn = self.node_conn(to)?;
+                    let suffix = &state.wal[pre.wal.len()..];
+                    conn.migrate_stage(session, &[], suffix, MIGRATE_CHUNK_BYTES)
+                        .map_err(wire)?;
+                    conn.migrate_commit(session, state.rank, migrate_into::LIVE, state.journaled)
+                        .map_err(wire)?
+                } else {
+                    // Rotation between the phases: the staged bytes are
+                    // a stale prefix. A RESTART chunk discards them on
+                    // the same connection, so the full cut state can be
+                    // restaged without tearing the link down.
+                    latch_obs::counter_inc("router.rebalance.restage_inline");
+                    let inline = {
+                        let conn = self.node_conn(to)?;
+                        conn.migrate_abort(session).and_then(|()| {
+                            conn.migrate_session(session, migrate_into::LIVE, &state)
+                        })
+                    };
+                    match inline {
+                        Ok(applied) => applied,
+                        Err(ClientError::Rejected(r)) => return Err(RouterError::Rejected(r)),
+                        Err(_) => {
+                            // Transport death mid-restage: fall back to
+                            // the old full-restage-over-fresh-connection
+                            // path.
+                            latch_obs::counter_inc("router.rebalance.restages");
+                            if let Some(n) = self.nodes.get_mut(&to) {
+                                n.conn = None;
+                            }
+                            self.node_conn(to)?
+                                .migrate_session(session, migrate_into::LIVE, &state)
+                                .map_err(wire)?
+                        }
+                    }
+                };
+                self.rebase_repl(session, state, applied);
+                applied
+            }
+        };
+        Ok(applied)
     }
 
     /// Drains every live node and merges the per-session reports,

@@ -8,9 +8,9 @@
 //! session's full admitted stream — no event lost in the failover,
 //! none applied twice — while sessions on surviving nodes never move.
 
-use latch_client::{Client, ClientError};
+use latch_client::{Client, ClientError, SessionState};
 use latch_faults::FaultPlan;
-use latch_proto::Endpoint;
+use latch_proto::{migrate_into, Endpoint};
 use latch_router::{Exporter, Router, RouterConfig, RouterError, RouterServer, RouterServerConfig};
 use latch_serve::{
     export_sessions, DurableConfig, DurableService, MemStorage, Priority, ServeConfig,
@@ -33,6 +33,16 @@ fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
         out.push(ev);
     }
     out
+}
+
+/// The state a surviving disk's export ships to an importer.
+fn state_of(export: SessionExport) -> SessionState {
+    SessionState {
+        rank: export.priority.rank(),
+        journaled: 0,
+        blob: export.blob,
+        wal: export.wal,
+    }
 }
 
 fn serve_config(seed: u64) -> ServeConfig {
@@ -336,12 +346,7 @@ fn drained_node_still_accepts_migrations() {
     // migrated session — byte-identical to a solo run.
     let export = exports.into_iter().next().expect("one export");
     let applied = ic
-        .migrate_session(
-            export.session,
-            export.priority.rank(),
-            export.blob,
-            export.wal,
-        )
+        .migrate_session(export.session, migrate_into::LIVE, &state_of(export))
         .expect("migrate into a drained node");
     assert_eq!(applied, events.len() as u64);
     let after = ic.drain().expect("second drain");
@@ -485,8 +490,8 @@ fn short_import_poisons_the_session_as_acked_lost() {
     node_b.shutdown();
 }
 
-/// The chunked migration path is byte-equivalent to the single-frame
-/// path: every staged slice lands, the commit applies the combined
+/// Staging at a tiny chunk size is byte-equivalent to staging whole
+/// chunks: every 100-byte slice lands, the commit applies the combined
 /// state, and the migrated session reports identically to a solo run.
 #[test]
 fn chunked_migration_is_byte_equivalent() {
@@ -501,15 +506,11 @@ fn chunked_migration_is_byte_equivalent() {
         .expect("one export");
     let importer = start_node(1);
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
+    ic.migrate_stage(export.session, &export.blob, &export.wal, 100)
+        .expect("stage 100-byte chunks");
     let applied = ic
-        .migrate_session_chunked(
-            export.session,
-            export.priority.rank(),
-            &export.blob,
-            &export.wal,
-            100,
-        )
-        .expect("chunked migrate");
+        .migrate_commit(export.session, export.priority.rank(), migrate_into::LIVE, 0)
+        .expect("commit the staged state");
     assert_eq!(applied, events.len() as u64);
     assert_eq!(ic.drain().expect("drain importer").len(), 1);
     let (got_applied, bytes) = ic.report(11).expect("report");
@@ -519,9 +520,8 @@ fn chunked_migration_is_byte_equivalent() {
 }
 
 /// A session whose WAL suffix exceeds the frame cap still migrates:
-/// `migrate_session` streams it as chunks instead of failing with
-/// `OversizedFrame` and stranding the failover. Regression for the
-/// single-frame migration cap.
+/// `migrate_session` streams every state as chunks, so none fails
+/// with `OversizedFrame` and strands the failover.
 #[test]
 fn oversized_wal_suffix_still_migrates() {
     let victim = start_node(0);
@@ -542,7 +542,7 @@ fn oversized_wal_suffix_still_migrates() {
     let importer = start_node(1);
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
     let applied = ic
-        .migrate_session(export.session, export.priority.rank(), export.blob, export.wal)
+        .migrate_session(export.session, migrate_into::LIVE, &state_of(export))
         .expect("oversized state must still migrate");
     assert_eq!(applied, events.len() as u64);
     assert_eq!(ic.drain().expect("drain importer").len(), 1);

@@ -18,7 +18,7 @@
 
 use latch_client::{Client, ClientError};
 use latch_faults::FaultPlan;
-use latch_proto::Endpoint;
+use latch_proto::{migrate_into, Endpoint, MAX_FRAME_PAYLOAD};
 use latch_router::{
     Exporter, RebalanceRecord, Router, RouterConfig, RouterServer, RouterServerConfig,
 };
@@ -62,12 +62,16 @@ fn start_node(id: u32) -> WireServer<MemStorage> {
     WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
 }
 
-/// A node that never snapshots (and so never rotates its journal): the
-/// cheapest way to grow a live session's durable state past the
-/// single-frame `ReplState` budget.
+/// A node that never snapshots (and so never rotates its journal), with
+/// a queue deep enough for 4096-event batches: the cheapest way to grow
+/// a session's durable state past one frame.
 fn start_packrat_node(id: u32) -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED.wrapping_add(u64::from(id))),
+        ServeConfig {
+            queue_events: 1 << 14,
+            session_inflight_cap: 1 << 12,
+            ..serve_config(SEED.wrapping_add(u64::from(id)))
+        },
         DurableConfig {
             snapshot_every: u64::MAX,
             ..DurableConfig::default()
@@ -77,6 +81,26 @@ fn start_packrat_node(id: u32) -> WireServer<MemStorage> {
     );
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
     WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
+}
+
+/// Empty events journal at 8 bytes each, so a never-rotated WAL of
+/// these alone passes the frame cap.
+fn over_frame_stream() -> Vec<Event> {
+    vec![Event::empty(0); MAX_FRAME_PAYLOAD / 8 + 4096]
+}
+
+/// Feeds `events` to one session through the router in 4096-event
+/// batches, retrying typed backpressure.
+fn feed(router: &mut Router, session: u64, events: &[Event]) {
+    for batch in events.chunks(4096) {
+        loop {
+            match router.submit(session, 0, batch) {
+                Ok(()) => break,
+                Err(latch_router::RouterError::Rejected(_)) => {}
+                Err(e) => panic!("session {session} submit failed: {e}"),
+            }
+        }
+    }
 }
 
 fn router_config(replicas: u32) -> RouterConfig {
@@ -665,108 +689,262 @@ fn back_to_back_diskless_failovers_never_poison() {
     }
 }
 
-/// A backup whose replica journal outgrew the single-frame budget
-/// answers the restore probe with a typed refusal — from a perfectly
-/// healthy node. The failover must skip the candidate without marking
-/// the node down (evicting it would cascade its own sessions into
-/// failover), and the router's own replication stream steps in as the
-/// export source, so the session still restores its full acked prefix.
+/// A backup journal larger than one frame is fetched whole: the
+/// backup streams it as chunks, the probe reassembles every acked
+/// event, and a diskless failover of the owner restores the full acked
+/// prefix from it without evicting the healthy backup.
 #[test]
-fn oversized_backup_refusal_skips_candidate_and_restores_locally() {
-    let node_a = start_node(0);
-    let node_b = start_node(1);
-    let mut router = Router::new(router_config(1));
+fn over_frame_backup_journal_is_fetched_whole_and_restores() {
+    let node_a = start_packrat_node(0);
+    let node_b = start_packrat_node(1);
+    // No compaction: the backup journal grows by appends alone.
+    let mut router = Router::new(RouterConfig {
+        repl_wal_budget: usize::MAX,
+        ..router_config(1)
+    });
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
     let session = (0..64)
         .find(|&s| router.owner_of(s) == Some(0))
         .expect("node 0 owns some session");
-    let events = stream(0, SEED ^ 0x0B5E, 200);
-    router.submit(session, 1, &events[..100]).expect("first half");
+    let events = over_frame_stream();
+    feed(&mut router, session, &events);
 
-    // Out-of-band, bloat node 1's replica journal for the session past
-    // the single-frame budget: its next fetch answers the typed
-    // repl_state_too_large refusal instead of a journal.
-    let chunk = vec![0xAAu8; 3 << 20];
     let mut raw = Client::connect(node_b.endpoint(), 256, false).expect("connect backup");
-    let (ok, ..) = raw
-        .repl_frame(session, 1, true, 0, 1_000_000, Vec::new(), chunk.clone())
-        .expect("reset push");
-    assert!(ok, "backup refused the reset");
-    let (ok, ..) = raw
-        .repl_frame(session, 1, false, chunk.len() as u64, 2_000_000, Vec::new(), chunk)
-        .expect("append push");
-    assert!(ok, "backup refused the append");
+    let journal = raw
+        .repl_fetch(session, false)
+        .expect("fetch the backup journal")
+        .expect("the backup holds a journal");
     assert!(
-        matches!(raw.repl_fetch(session, false), Err(ClientError::Server { .. })),
-        "the bloated journal must refuse fetches"
+        journal.blob.len() + journal.wal.len() > MAX_FRAME_PAYLOAD,
+        "the journal must not fit one frame"
     );
+    assert_eq!(journal.journaled, events.len() as u64, "the fetch lost acked events");
     drop(raw);
 
     kill_and_destroy(node_a);
     let records = router
         .fail_over(0, Vec::new())
-        .expect("failover past the refusing backup");
-    assert!(
-        router.is_alive(1),
-        "a typed refusal must not evict the healthy backup"
-    );
+        .expect("failover from the over-frame journal");
+    assert!(router.is_alive(1), "the healthy backup must not be evicted");
     assert!(
         router.lost_sessions().is_empty(),
-        "the router's own stream covers the acked prefix: {:?}",
+        "the backup journal covers the acked prefix: {:?}",
         router.lost_sessions()
     );
     let moved = records
         .iter()
         .find(|m| m.session == session)
         .expect("session migrated");
-    assert_eq!(moved.applied, 100, "local restore must cover the acked prefix");
-
-    router.submit(session, 1, &events[100..]).expect("rest");
+    assert_eq!(moved.applied, events.len() as u64, "restore lost acked events");
     let reports: BTreeMap<u64, Vec<u8>> = router.drain().expect("drain").into_iter().collect();
     assert_eq!(reports[&session], solo_report(&events));
     node_b.shutdown();
 }
 
-/// A live owner whose session state exceeds the single-frame budget
-/// answers *both* fetch flavors with the typed `repl_state_too_large`
-/// error: the non-expelling pre-copy probe must not die mid-encode and
-/// drop the connection, and the refused cut must not expel anything.
+/// A live owner whose state exceeds one frame answers *both* fetch
+/// flavours with the whole state as chunks: the pre-copy probe and the
+/// cut return the same full state, the cut expels the session (a later
+/// fetch finds nothing and the owner's drain omits it), and importing
+/// the cut state elsewhere matches the solo run.
 #[test]
-fn oversized_live_export_refuses_fetch_with_typed_error() {
+fn over_frame_live_export_is_fetched_whole_by_both_flavours() {
     let node = start_packrat_node(0);
     let mut client = Client::connect(node.endpoint(), 4096, false).expect("connect node");
-    let budget = latch_proto::MAX_FRAME_PAYLOAD - 64;
-    let batch = vec![Event::empty(0); 256];
-    // Empty events journal at 8 bytes each (plus record framing), so
-    // driving past the budget guarantees an over-budget WAL on a node
-    // that never rotates it.
-    let mut submitted = 0usize;
-    while submitted * 8 <= budget {
+    let events = over_frame_stream();
+    for batch in events.chunks(4096) {
         loop {
-            match client.submit(5, 0, &batch) {
+            match client.submit(5, 0, batch) {
                 Ok(()) => break,
                 Err(ClientError::Rejected(_)) => {}
                 Err(e) => panic!("submit failed: {e}"),
             }
         }
-        submitted += batch.len();
     }
-    for expel in [false, true] {
-        match client.repl_fetch(5, expel) {
-            Err(ClientError::Server { code }) => {
-                assert_eq!(code, latch_proto::error_code::PROTOCOL);
-            }
-            other => panic!("expected the typed too-large refusal, got {other:?}"),
-        }
-    }
-    // The connection survived both refusals…
-    assert_eq!(client.ping(42).expect("connection still up"), 42);
-    // …and the refused cut deleted nothing: the session still drains.
+    let peek = client
+        .repl_fetch(5, false)
+        .expect("pre-copy fetch")
+        .expect("session resident");
+    assert!(
+        peek.blob.len() + peek.wal.len() > MAX_FRAME_PAYLOAD,
+        "the state must not fit one frame"
+    );
+    assert_eq!(peek.journaled, events.len() as u64);
+    let cut = client
+        .repl_fetch(5, true)
+        .expect("cut fetch")
+        .expect("session resident");
+    assert_eq!(cut, peek, "nothing was admitted between the two fetches");
+    assert_eq!(
+        client.repl_fetch(5, false).expect("fetch after the cut"),
+        None,
+        "the expel must remove the session"
+    );
     let reports = client.drain().expect("drain node");
     assert!(
-        reports.iter().any(|(s, _)| *s == 5),
-        "a refused expel fetch must not expel the session"
+        reports.iter().all(|(s, _)| *s != 5),
+        "an expelled session must not report on its old owner"
     );
     node.shutdown();
+
+    let importer = start_packrat_node(1);
+    let mut ic = Client::connect(importer.endpoint(), 256, false).expect("connect importer");
+    let applied = ic
+        .migrate_session(5, migrate_into::LIVE, &cut)
+        .expect("import the cut state");
+    assert_eq!(applied, events.len() as u64);
+    ic.drain().expect("drain importer");
+    let (got_applied, bytes) = ic.report(5).expect("report");
+    assert_eq!(got_applied, events.len() as u64);
+    assert_eq!(bytes, solo_report(&events));
+    importer.shutdown();
+}
+
+/// An owner whose export exceeds one frame leaves through a planned
+/// `rebalance_leave`: the pre-copy and the cut fetch the state as
+/// staged chunks, so the session moves whole and drains equal to its
+/// solo run instead of failing the leave and staying on the leaver.
+#[test]
+fn rebalance_leave_moves_an_over_frame_session() {
+    let node_a = start_packrat_node(0);
+    let node_b = start_packrat_node(1);
+    let mut router = Router::new(router_config(0));
+    router.add_node(0, node_a.endpoint().clone());
+    router.add_node(1, node_b.endpoint().clone());
+    let session = (0..64)
+        .find(|&s| router.owner_of(s) == Some(0))
+        .expect("node 0 owns some session");
+    let events = over_frame_stream();
+    feed(&mut router, session, &events);
+    let records = router
+        .rebalance_leave(0)
+        .expect("an over-frame session must not block the leave");
+    assert_eq!(records.len(), 1, "the leaver owned one session");
+    assert_eq!((records[0].session, records[0].to_node), (session, 1));
+    assert_eq!(records[0].applied, events.len() as u64);
+    assert_eq!(router.owner_of(session), Some(1));
+    let reports: BTreeMap<u64, Vec<u8>> = router.drain().expect("drain").into_iter().collect();
+    assert_eq!(reports.len(), 1, "the leaver must not report the moved session");
+    assert_eq!(reports[&session], solo_report(&events));
+    node_a.shutdown();
+    node_b.shutdown();
+}
+
+/// A stand-in owner that acks submits without applying them, answers
+/// the pre-copy fetch with `state`, and hangs up on the cut fetch: a
+/// rebalance that fails after its pre-copy was staged on the importer.
+fn start_cut_dying_node(state: latch_client::SessionState) -> Endpoint {
+    use latch_proto::{migrate_chunks, read_msg, write_msg, Msg, MIGRATE_CHUNK_BYTES};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake owner");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("bound").to_string());
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            let state = state.clone();
+            std::thread::spawn(move || {
+                let mut admitted = 0u64;
+                while let Ok(Some(msg)) = read_msg(&mut conn) {
+                    let replies = match msg {
+                        Msg::Hello { window_events, .. } => vec![Msg::HelloAck {
+                            version: latch_proto::PROTO_VERSION,
+                            window_events,
+                        }],
+                        Msg::NodeHello { token, .. } | Msg::Ping { token } => {
+                            vec![Msg::Pong { token }]
+                        }
+                        Msg::Adopt { epoch, .. } => vec![Msg::AdoptAck {
+                            epoch,
+                            sessions: Vec::new(),
+                        }],
+                        Msg::Submit {
+                            session, events, ..
+                        } => {
+                            admitted += events.len() as u64;
+                            vec![Msg::SubmitOk { session, admitted }]
+                        }
+                        Msg::ReplFetch {
+                            session,
+                            expel: false,
+                        } => migrate_chunks(session, &state.blob, &state.wal, MIGRATE_CHUNK_BYTES)
+                            .chain([Msg::ReplState {
+                                session,
+                                found: true,
+                                rank: state.rank,
+                                journaled: state.journaled,
+                            }])
+                            .collect(),
+                        _ => return,
+                    };
+                    for reply in &replies {
+                        if write_msg(&mut conn, reply).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+    endpoint
+}
+
+/// A rebalance that dies after staging its pre-copy on the importer
+/// must not leave those bytes behind: the owner's failover then imports
+/// the session on that same importer, and the import is exactly the
+/// shipped state, not the stale pre-copy with the export appended.
+#[test]
+fn failed_rebalance_leaves_no_staging_behind() {
+    let events = stream(0, SEED ^ 0x5A6E, 300);
+    let mut ring = latch_router::Ring::new(SEED, router_config(0).vnodes);
+    ring.add_node(0);
+    ring.add_node(1);
+    let session = (0..64)
+        .find(|&s| ring.owner(s) == Some(0))
+        .expect("node 0 owns some session");
+    // The real state a snapshotting owner would hold for the stream,
+    // so the pre-copy and the export both carry a snapshot blob.
+    let (svc, _recovery) = DurableService::recover(
+        serve_config(SEED),
+        DurableConfig {
+            snapshot_every: 64,
+            ..DurableConfig::default()
+        },
+        FaultPlan::benign(),
+        MemStorage::new(FaultPlan::benign()),
+    );
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let source = WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind source");
+    let mut client = Client::connect(source.endpoint(), 4096, false).expect("connect source");
+    client.submit(session, 1, &events).expect("submit");
+    let state = client
+        .repl_fetch(session, false)
+        .expect("fetch")
+        .expect("session resident");
+    assert!(!state.blob.is_empty(), "the state must carry a snapshot blob");
+    drop(client);
+    source.shutdown();
+
+    let importer = start_node(1);
+    let mut router = Router::new(router_config(0));
+    router.add_node(0, start_cut_dying_node(state.clone()));
+    router.add_node(1, importer.endpoint().clone());
+    router.submit(session, 1, &events).expect("submit through the router");
+    assert!(
+        router.rebalance_leave(0).is_err(),
+        "the owner hangs up on the cut fetch"
+    );
+
+    let export = latch_serve::SessionExport {
+        session,
+        priority: latch_serve::Priority::from_rank(state.rank).expect("rank"),
+        blob: state.blob,
+        wal: state.wal,
+    };
+    let records = router
+        .fail_over(0, vec![export])
+        .expect("failover onto the importer the rebalance staged on");
+    assert_eq!(records.len(), 1);
+    assert_eq!((records[0].to_node, records[0].applied), (1, events.len() as u64));
+    let reports: BTreeMap<u64, Vec<u8>> = router.drain().expect("drain").into_iter().collect();
+    assert_eq!(reports[&session], solo_report(&events));
+    importer.shutdown();
 }

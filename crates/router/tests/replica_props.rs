@@ -111,9 +111,7 @@ proptest! {
         let mut schedule = chunks.iter().copied().cycle();
         let mut pos = 0usize;
         // Seed the backup with the bare header so appends have a base.
-        store
-            .apply(SESSION, RANK, true, 0, 0, &[], &primary.wal)
-            .expect("seeding reset");
+        store.seed(SESSION, RANK, 0, Vec::new(), primary.wal.clone());
         assert_prefix(&store, &primary);
 
         for &batch in &batches {
@@ -135,7 +133,7 @@ proptest! {
                 } else if dropped {
                     let before = store.get(SESSION).map(|j| j.wal.len());
                     let err = store
-                        .apply(SESSION, RANK, false, off as u64, journaled, &[], &primary.wal[off..end])
+                        .append(SESSION, RANK, off as u64, journaled, &primary.wal[off..end])
                         .expect_err("a post-drop frame must be refused");
                     assert!(matches!(err, ReplicaError::Gap { .. }), "got {err:?}");
                     assert_eq!(
@@ -145,7 +143,7 @@ proptest! {
                     );
                 } else {
                     store
-                        .apply(SESSION, RANK, false, off as u64, journaled, &[], &primary.wal[off..end])
+                        .append(SESSION, RANK, off as u64, journaled, &primary.wal[off..end])
                         .expect("in-order frame");
                 }
                 assert_prefix(&store, &primary);
@@ -154,9 +152,7 @@ proptest! {
             if dropped {
                 // The router's recovery: reseed from zero. Afterwards
                 // the backup is exactly current again.
-                store
-                    .apply(SESSION, RANK, true, 0, primary.journaled, &[], &primary.wal)
-                    .expect("reseed");
+                store.seed(SESSION, RANK, primary.journaled, Vec::new(), primary.wal.clone());
             }
             assert_prefix(&store, &primary);
             let j = store.get(SESSION).expect("seeded journal");
@@ -178,9 +174,7 @@ proptest! {
         let events = pool(seed, batch as u64);
         let mut primary = Primary::new();
         let mut store = ReplicaStore::new();
-        store
-            .apply(SESSION, RANK, true, 0, 0, &[], &primary.wal)
-            .expect("seeding reset");
+        store.seed(SESSION, RANK, 0, Vec::new(), primary.wal.clone());
         primary.append(&events);
         // Push only a prefix of the new record, then stop (the torn
         // push): the chunk's journaled count is the boundary at its
@@ -190,7 +184,7 @@ proptest! {
         let end = primary.wal.len().min(start + cut);
         let journaled = primary.journaled_at(end);
         store
-            .apply(SESSION, RANK, false, start as u64, journaled, &[], &primary.wal[start..end])
+            .append(SESSION, RANK, start as u64, journaled, &primary.wal[start..end])
             .expect("torn chunk");
         assert_prefix(&store, &primary);
         let j = store.get(SESSION).expect("journal");

@@ -64,6 +64,27 @@ fn start_node(id: u32) -> WireServer<MemStorage> {
     WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
 }
 
+/// A node that never snapshots (and so never rotates its journal), with
+/// a queue deep enough for 4096-event batches: the cheapest way to grow
+/// a session's durable state past one frame.
+fn start_packrat_node(id: u32) -> WireServer<MemStorage> {
+    let (svc, _recovery) = DurableService::recover(
+        ServeConfig {
+            queue_events: 1 << 14,
+            session_inflight_cap: 1 << 12,
+            ..serve_config(SEED.wrapping_add(u64::from(id)))
+        },
+        DurableConfig {
+            snapshot_every: u64::MAX,
+            ..DurableConfig::default()
+        },
+        FaultPlan::benign(),
+        MemStorage::new(FaultPlan::benign()),
+    );
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
+}
+
 fn router_config(replicas: u32, router_id: u64) -> RouterConfig {
     RouterConfig {
         seed: SEED,
@@ -392,7 +413,7 @@ fn restart_chunk_discards_staging_on_the_live_connection() {
             Err(e) => panic!("feed failed: {e}"),
         }
     }
-    let (rank, _journaled, blob, wal) = feeder
+    let state = feeder
         .repl_fetch(session, true)
         .expect("cut fetch")
         .expect("session resident");
@@ -402,14 +423,16 @@ fn restart_chunk_discards_staging_on_the_live_connection() {
     // Stage a poisoned prefix: a committed import of this would either
     // refuse or restore garbage.
     importer
-        .migrate_stage(session, &blob[..blob.len() / 2], &[0xEE; 64], 64)
+        .migrate_stage(session, &state.blob[..state.blob.len() / 2], &[0xEE; 64], 64)
         .expect("stage garbage");
     // One control frame discards it — same connection, no teardown.
     importer.migrate_abort(session).expect("restart chunk");
     importer
-        .migrate_stage(session, &blob, &wal, 1 << 12)
+        .migrate_stage(session, &state.blob, &state.wal, 1 << 12)
         .expect("restage the real state");
-    let applied = importer.migrate_commit(session, rank).expect("commit");
+    let applied = importer
+        .migrate_commit(session, state.rank, latch_proto::migrate_into::LIVE, 0)
+        .expect("commit");
     assert_eq!(applied, events.len() as u64, "import restored a short prefix");
     let reports = importer.drain().expect("drain importer");
     let report = reports
@@ -609,6 +632,62 @@ fn rotation_prone_rebalances_never_count_restages() {
     );
     front.shutdown();
     for srv in servers.into_iter().flatten() {
+        srv.shutdown();
+    }
+}
+
+/// A session whose durable state exceeds one frame keeps its
+/// replication cover across a standby takeover: the rebuild fetches
+/// the owner's state as staged chunks, so the new router holds a
+/// replication stream for it, and a diskless kill of the owner
+/// afterwards restores every acked event instead of poisoning them.
+#[test]
+fn takeover_keeps_replication_for_an_over_frame_session() {
+    let mut servers: BTreeMap<u32, Option<WireServer<MemStorage>>> =
+        (0..2).map(|id| (id, Some(start_packrat_node(id)))).collect();
+    let budget = RouterConfig {
+        repl_wal_budget: latch_proto::MAX_FRAME_PAYLOAD,
+        ..router_config(1, 7)
+    };
+    let mut old = Router::new(budget);
+    let mut new = Router::new(RouterConfig { router_id: 8, ..budget });
+    for (&id, srv) in &servers {
+        let endpoint = srv.as_ref().expect("fresh").endpoint().clone();
+        old.add_node(id, endpoint.clone());
+        new.add_node(id, endpoint);
+    }
+    let session = (0..64)
+        .find(|&s| old.owner_of(s) == Some(0))
+        .expect("node 0 owns some session");
+    // Empty events journal at 8 bytes each, so the never-rotated WAL
+    // alone passes the frame cap.
+    let events = vec![Event::empty(0); latch_proto::MAX_FRAME_PAYLOAD / 8 + 4096];
+    for batch in events.chunks(4096) {
+        loop {
+            match old.submit(session, 0, batch) {
+                Ok(()) => break,
+                Err(RouterError::Rejected(_)) => {}
+                Err(e) => panic!("submit failed: {e}"),
+            }
+        }
+    }
+    drop(old);
+
+    new.takeover().expect("standby takeover");
+    assert!(
+        new.repl_stats(session).is_some(),
+        "the over-frame session lost its replication stream in the takeover"
+    );
+    kill_and_destroy(servers.get_mut(&0).unwrap().take().expect("owner"));
+    new.fail_over(0, Vec::new()).expect("diskless failover");
+    assert!(
+        new.lost_sessions().is_empty(),
+        "acked events were poisoned: {:?}",
+        new.lost_sessions()
+    );
+    let reports: BTreeMap<u64, Vec<u8>> = new.drain().expect("drain").into_iter().collect();
+    assert_eq!(reports[&session], solo_report(&events));
+    for srv in servers.into_values().flatten() {
         srv.shutdown();
     }
 }

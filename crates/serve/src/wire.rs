@@ -44,7 +44,10 @@ use crate::overload::Priority;
 use crate::storage::Storage;
 use crate::{Rejected, ServiceOutcome};
 use latch_obs::TraceEvent;
-use latch_proto::{error_code, write_msg, Endpoint, Msg, ProtoError, WireRejected, WireSlo};
+use latch_proto::{
+    error_code, migrate_chunk, migrate_chunks, migrate_into, write_msg, Endpoint, Msg, ProtoError,
+    Staging, WireRejected, WireSlo, MAX_MIGRATION_BYTES, MIGRATE_CHUNK_BYTES,
+};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -171,7 +174,8 @@ struct State<S: Storage> {
     scrub_interval: u64,
     conn_seq: u64,
     /// Backup journals for sessions this node replicates but does not
-    /// own, fed by `ReplFrame` and served back by `ReplFetch`.
+    /// own, seeded by `MigrateSession` commits into `BACKUP`, grown by
+    /// `ReplFrame` appends and served back by `ReplFetch`.
     replicas: latch_replica::ReplicaStore,
     /// Highest router epoch ever adopted on this node. Commands from a
     /// connection whose adopted epoch has since been superseded are
@@ -460,9 +464,9 @@ struct ConnState {
     admitted: u64,
     slo_cursor: usize,
     frames: u64,
-    /// Session → (LTSE blob, WAL suffix) staged by `MigrateChunk`
-    /// frames, consumed by the committing `MigrateSession`.
-    migrations: std::collections::BTreeMap<u64, (Vec<u8>, Vec<u8>)>,
+    /// Session → state staged by `MigrateChunk` frames, consumed by the
+    /// committing `MigrateSession`.
+    migrations: BTreeMap<u64, Staging>,
     /// The router epoch this connection last claimed via `Adopt`.
     /// `None` for direct client connections, which stay unfenced.
     epoch: Option<u64>,
@@ -501,14 +505,24 @@ fn handle_conn<S: Storage + Send + 'static>(mut conn: Conn, conn_id: u64, shared
         };
         cs.frames += 1;
         let replies = process_msg(msg, conn_id, &mut cs, shared);
+        let drained = replies.iter().any(|r| matches!(r, Msg::Drained { .. }));
+        // One write per batch of replies: a fetch answer is several
+        // frames, and as separate small writes each one after the first
+        // would wait on Nagle for the peer's delayed ACK.
+        let mut out = Vec::new();
         let mut dead = false;
-        for reply in &replies {
-            if write_msg(&mut conn, reply).is_err() {
-                dead = true;
-                break;
+        for reply in replies {
+            match reply.encode() {
+                Ok(frame) if out.is_empty() => out = frame,
+                Ok(frame) => out.extend_from_slice(&frame),
+                Err(_) => {
+                    dead = true;
+                    break;
+                }
             }
         }
-        if replies.iter().any(|r| matches!(r, Msg::Drained { .. })) {
+        dead |= conn.write_all(&out).and_then(|()| conn.flush()).is_err();
+        if drained {
             shared.drain_replied.store(true, Ordering::SeqCst);
         }
         if dead {
@@ -548,7 +562,7 @@ fn handshake<S: Storage>(conn: &mut Conn, conn_id: u64, shared: &Shared<S>) -> O
                 admitted: 0,
                 slo_cursor: 0,
                 frames: 1,
-                migrations: std::collections::BTreeMap::new(),
+                migrations: BTreeMap::new(),
                 epoch: None,
             })
         }
@@ -580,6 +594,22 @@ fn fail_closed(conn: &mut Conn, conn_id: u64, reason: &'static str) {
             code: error_code::MALFORMED,
         },
     );
+}
+
+/// Answers a well-formed frame the node will not act on with a typed
+/// `PROTOCOL` error, keeping the connection.
+fn refuse(conn_id: u64, reason: &'static str, replies: &mut Vec<Msg>) {
+    latch_obs::counter_inc("serve.wire.rejects");
+    latch_obs::emit(
+        "serve",
+        TraceEvent::WireReject {
+            conn: conn_id,
+            reason,
+        },
+    );
+    replies.push(Msg::Error {
+        code: error_code::PROTOCOL,
+    });
 }
 
 fn process_msg<S: Storage>(
@@ -773,7 +803,7 @@ fn process_msg<S: Storage>(
             session,
             kind,
             bytes: _,
-        } if kind == latch_proto::migrate_chunk::RESTART => {
+        } if kind == migrate_chunk::RESTART => {
             // Abort: discard everything staged for the session so the
             // sender can restart the stage on this same connection.
             cs.migrations.remove(&session);
@@ -788,217 +818,143 @@ fn process_msg<S: Storage>(
             bytes,
         } => {
             let staged = cs.migrations.entry(session).or_default();
-            if kind == latch_proto::migrate_chunk::LTSE_BLOB {
-                staged.0.extend_from_slice(&bytes);
-            } else {
-                staged.1.extend_from_slice(&bytes);
-            }
-            let received = (staged.0.len() + staged.1.len()) as u64;
-            if received > latch_proto::MAX_MIGRATION_BYTES as u64 {
-                // Past the staging cap: drop the session's buffers so a
-                // runaway sender cannot hold the memory open.
-                cs.migrations.remove(&session);
-                latch_obs::counter_inc("serve.wire.rejects");
-                latch_obs::emit(
-                    "serve",
-                    TraceEvent::WireReject {
-                        conn: conn_id,
-                        reason: "migration_too_large",
-                    },
-                );
-                replies.push(Msg::Error {
-                    code: error_code::PROTOCOL,
-                });
-            } else {
-                replies.push(Msg::MigrateChunkAck { session, received });
+            match staged.extend(kind, &bytes) {
+                Some(received) => replies.push(Msg::MigrateChunkAck { session, received }),
+                None => {
+                    // Past the staging cap: drop the session's buffers so
+                    // a runaway sender cannot hold the memory open.
+                    cs.migrations.remove(&session);
+                    refuse(conn_id, "migration_too_large", &mut replies);
+                }
             }
         }
         Msg::MigrateSession {
             session,
             priority,
-            ltse_blob,
-            wal_suffix,
+            into,
+            journaled,
         } => {
-            // Commit any chunk-staged buffers, with this frame's own
-            // bytes (empty on the chunked path) appended last.
-            let (ltse_blob, wal_suffix) = match cs.migrations.remove(&session) {
-                Some((mut blob, mut wal)) => {
-                    blob.extend_from_slice(&ltse_blob);
-                    wal.extend_from_slice(&wal_suffix);
-                    (blob, wal)
-                }
-                None => (ltse_blob, wal_suffix),
-            };
-            let priority = Priority::from_rank(priority).unwrap_or_default();
+            // Commit the chunk-staged state (nothing staged commits an
+            // empty one).
+            let Staging { blob, wal } = cs.migrations.remove(&session).unwrap_or_default();
             let scrub_interval = st.scrub_interval;
-            let imported = match st.svc.as_mut() {
-                Some(svc) => svc
-                    .import_session(session, priority, &ltse_blob, &wal_suffix)
-                    .ok(),
-                // The service is already consumed. If it left a clean
-                // drained state, the node still accepts the migration:
-                // a failover discovered mid-cluster-drain lands here,
-                // after this node's own drain was taken. Thaw the
-                // export and fold the session's report into the
-                // drained cache — the victim's directory keeps the
-                // durable copy, this node only answers for the bytes.
-                None => match st.drained.as_mut() {
-                    Some(d) if !d.reports.contains_key(&session) => {
-                        crate::durable::thaw_export(session, scrub_interval, &ltse_blob, &wal_suffix)
-                        .ok()
-                        .map(|pipe| {
-                            let applied = pipe.applied();
-                            d.reports.insert(session, (applied, pipe.report().encode()));
-                            latch_obs::counter_inc("serve.migrate.imports");
-                            applied
-                        })
-                    }
-                    _ => None,
-                },
+            let imported = if into == migrate_into::BACKUP {
+                Some(st.replicas.seed(session, priority, journaled, blob, wal))
+            } else {
+                let priority = Priority::from_rank(priority).unwrap_or_default();
+                match st.svc.as_mut() {
+                    Some(svc) => svc.import_session(session, priority, &blob, &wal).ok(),
+                    // The service is already consumed. If it left a clean
+                    // drained state, the node still accepts the migration:
+                    // a failover discovered mid-cluster-drain lands here,
+                    // after this node's own drain was taken. Thaw the
+                    // export and fold the session's report into the
+                    // drained cache — the victim's directory keeps the
+                    // durable copy, this node only answers for the bytes.
+                    None => match st.drained.as_mut() {
+                        Some(d) if !d.reports.contains_key(&session) => {
+                            crate::durable::thaw_export(session, scrub_interval, &blob, &wal)
+                                .ok()
+                                .map(|pipe| {
+                                    let applied = pipe.applied();
+                                    d.reports.insert(session, (applied, pipe.report().encode()));
+                                    latch_obs::counter_inc("serve.migrate.imports");
+                                    applied
+                                })
+                        }
+                        _ => None,
+                    },
+                }
             };
             match imported {
                 Some(applied) => replies.push(Msg::MigrateAck { session, applied }),
-                None => {
-                    latch_obs::counter_inc("serve.wire.rejects");
-                    latch_obs::emit(
-                        "serve",
-                        TraceEvent::WireReject {
-                            conn: conn_id,
-                            reason: "migrate_refused",
-                        },
-                    );
-                    replies.push(Msg::Error {
-                        code: error_code::PROTOCOL,
-                    });
-                }
+                None => refuse(conn_id, "migrate_refused", &mut replies),
             }
         }
         Msg::ReplFrame {
             session,
             rank,
-            reset,
             wal_off,
             journaled,
-            blob,
             wal,
         } => {
             latch_obs::counter_inc("serve.repl.frames");
-            let reply = match st.replicas.apply(session, rank, reset, wal_off, journaled, &blob, &wal)
-            {
-                Ok(journaled) => {
-                    let wal_len = st
-                        .replicas
-                        .get(session)
-                        .map_or(0, |j| j.wal.len() as u64);
-                    Msg::ReplAck {
-                        session,
-                        ok: true,
-                        journaled,
-                        wal_len,
-                    }
-                }
-                Err(_) => {
-                    // Lagging (gap / unseeded / stale): the journal kept
-                    // its last consistent prefix; report the cursors so
-                    // the router reseeds from scratch.
-                    latch_obs::counter_inc("serve.repl.lag");
-                    let (journaled, wal_len) = st
-                        .replicas
-                        .get(session)
-                        .map_or((0, 0), |j| (j.journaled, j.wal.len() as u64));
-                    Msg::ReplAck {
-                        session,
-                        ok: false,
-                        journaled,
-                        wal_len,
-                    }
-                }
-            };
-            replies.push(reply);
+            let ok = st
+                .replicas
+                .append(session, rank, wal_off, journaled, &wal)
+                .is_ok();
+            if !ok {
+                // Lagging (gap / unseeded / stale): the journal kept its
+                // last consistent prefix; report the cursors so the
+                // router reseeds from scratch.
+                latch_obs::counter_inc("serve.repl.lag");
+            }
+            let (journaled, wal_len) = st
+                .replicas
+                .get(session)
+                .map_or((0, 0), |j| (j.journaled, j.wal.len() as u64));
+            replies.push(Msg::ReplAck {
+                session,
+                ok,
+                journaled,
+                wal_len,
+            });
         }
         Msg::ReplFetch { session, expel } => {
             latch_obs::counter_inc("serve.repl.fetches");
-            // Leave headroom for the ReplState frame's fixed fields.
-            let budget = latch_proto::MAX_FRAME_PAYLOAD - 64;
-            // A live owner answers (and on expel, gives up) the
-            // session; a pure backup answers from its journal.
-            let live = st
-                .svc
-                .as_mut()
-                .map(|svc| {
-                    // Preview before answering (and before any expel):
-                    // an over-budget state must refuse with the typed
-                    // error — never delete anything on the cut path,
-                    // and never build a ReplState whose encode kills
-                    // the connection on the pre-copy path.
-                    match svc.export_session(session) {
-                        Some(e) if e.blob.len() + e.wal.len() > budget => Err(()),
-                        export => Ok(if expel {
+            // A live owner answers (and on expel, gives up) the session;
+            // a pure backup answers from its journal. Either way the
+            // state is sized before anything is removed: one the
+            // importer could not stage is refused, so a cut never
+            // strands a session.
+            let fits = |blob: &[u8], wal: &[u8]| blob.len() + wal.len() <= MAX_MIGRATION_BYTES;
+            let live = match st.svc.as_mut() {
+                Some(svc) => match svc.export_session(session) {
+                    Some(e) if !fits(&e.blob, &e.wal) => Err(()),
+                    export => {
+                        let export = if expel {
                             svc.expel_session(session)
                         } else {
                             export
-                        }),
+                        };
+                        let journaled = svc
+                            .service()
+                            .session_progress(session)
+                            .map_or(0, |(applied, _)| applied);
+                        Ok(export.map(|e| (e.priority.rank(), journaled, e.blob, e.wal)))
                     }
-                })
-                .unwrap_or(Ok(None));
-            let reply = match live {
-                Err(()) => None,
-                Ok(Some(export)) => {
-                    let journaled = st
-                        .svc
-                        .as_ref()
-                        .and_then(|svc| svc.service().session_progress(session))
-                        .map_or(0, |(applied, _)| applied);
-                    Some(Msg::ReplState {
+                },
+                None => Ok(None),
+            };
+            let state = match live {
+                Ok(None) => match st.replicas.get(session) {
+                    Some(j) if !fits(&j.blob, &j.wal) => Err(()),
+                    Some(_) if expel => Ok(st
+                        .replicas
+                        .remove(session)
+                        .map(|j| (j.rank, j.journaled, j.blob, j.wal))),
+                    Some(j) => Ok(Some((j.rank, j.journaled, j.blob.clone(), j.wal.clone()))),
+                    None => Ok(None),
+                },
+                answered => answered,
+            };
+            match state {
+                Ok(Some((rank, journaled, blob, wal))) => {
+                    replies.extend(migrate_chunks(session, &blob, &wal, MIGRATE_CHUNK_BYTES));
+                    replies.push(Msg::ReplState {
                         session,
                         found: true,
-                        rank: export.priority.rank(),
+                        rank,
                         journaled,
-                        blob: export.blob,
-                        wal: export.wal,
-                    })
-                }
-                Ok(None) => match st.replicas.get(session) {
-                    Some(j) if j.blob.len() + j.wal.len() > budget => None,
-                    Some(j) => {
-                        let msg = Msg::ReplState {
-                            session,
-                            found: true,
-                            rank: j.rank,
-                            journaled: j.journaled,
-                            blob: j.blob.clone(),
-                            wal: j.wal.clone(),
-                        };
-                        if expel {
-                            st.replicas.remove(session);
-                        }
-                        Some(msg)
-                    }
-                    None => Some(Msg::ReplState {
-                        session,
-                        found: false,
-                        rank: 0,
-                        journaled: 0,
-                        blob: Vec::new(),
-                        wal: Vec::new(),
-                    }),
-                },
-            };
-            match reply {
-                Some(msg) => replies.push(msg),
-                None => {
-                    latch_obs::counter_inc("serve.wire.rejects");
-                    latch_obs::emit(
-                        "serve",
-                        TraceEvent::WireReject {
-                            conn: conn_id,
-                            reason: "repl_state_too_large",
-                        },
-                    );
-                    replies.push(Msg::Error {
-                        code: error_code::PROTOCOL,
                     });
                 }
+                Ok(None) => replies.push(Msg::ReplState {
+                    session,
+                    found: false,
+                    rank: 0,
+                    journaled: 0,
+                }),
+                Err(()) => refuse(conn_id, "migration_too_large", &mut replies),
             }
         }
         // Client-only or duplicate-handshake messages: a protocol
@@ -1021,19 +977,7 @@ fn process_msg<S: Storage>(
         | Msg::StaleRouter { .. }
         | Msg::SessionCursor { .. }
         | Msg::CursorAck { .. }
-        | Msg::Error { .. } => {
-            latch_obs::counter_inc("serve.wire.rejects");
-            latch_obs::emit(
-                "serve",
-                TraceEvent::WireReject {
-                    conn: conn_id,
-                    reason: "unexpected_message",
-                },
-            );
-            replies.push(Msg::Error {
-                code: error_code::PROTOCOL,
-            });
-        }
+        | Msg::Error { .. } => refuse(conn_id, "unexpected_message", &mut replies),
     }
     // Stream any SLO cuts this connection has not seen yet: from the
     // live service, or from the final drained stream.
