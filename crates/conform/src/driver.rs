@@ -1,4 +1,4 @@
-//! The differential driver: one program, six monitors, one verdict.
+//! The differential driver: one program, twelve legs, one verdict.
 //!
 //! A program's architectural trace is materialised **once** on a plain
 //! CPU; the generator's register discipline (see [`crate::generate`])
@@ -9,26 +9,42 @@
 //! what the program did:
 //!
 //! 1. **Baseline DIFT** (`apply_event_dift` over a fresh engine).
-//! 2. **S-LATCH** via `run_cpu`, re-executing the program with the real
-//!    ISA-extension wiring, checkpointed for coarse-superset checks.
-//! 3. **Mirror unit**: a bare `LatchUnit` kept in sync from precise
+//! 2. **Mirror unit**: a bare `LatchUnit` kept in sync from precise
 //!    DIFT steps — the layer the injected coarse-clear bug targets.
+//! 3. **S-LATCH** via `run_cpu`, re-executing the program with the real
+//!    ISA-extension wiring, checkpointed for coarse-superset checks.
 //! 4. **H-LATCH** over the desugared trace, checkpointed.
 //! 5. **P-LATCH** `run_resilient` under a benign and a drop-bearing
 //!    fault plan (Degrade recovery keeps reports deterministic).
-//! 6. **latch-serve**: three sessions fed the same desugared trace,
+//! 6. **serve**: three sessions fed the same desugared trace,
 //!    interleaved chunk-by-chunk through the deterministic scheduler
-//!    under eviction pressure — every session must independently
-//!    reproduce the oracle's precise map and violation set.
+//!    under eviction pressure.
+//! 7. **durable-serve**: the same over a durable service with disk
+//!    faults, killed at a seeded storage operation and recovered.
+//! 8. **overload-serve**: three priorities under burst and slow-client
+//!    plans with an armed SLO — deterministic sheds, solo-identical
+//!    admitted streams, no false negatives through degraded spans.
+//! 9. **wire-serve**: one `latchd` over a loopback socket.
+//! 10. **cluster-serve**: the router over two nodes, a seeded node
+//!     kill, and failover from the dead node's disk.
+//! 11. **replica-serve**: 2-of-3 replication and a kill that destroys
+//!     the disk, so failover runs on backup journals.
+//! 12. **ha-serve**: a standby router's takeover after the primary
+//!     dies (with a node, on odd seeds).
 //!
-//! Each leg's final precise map, register tags, and violation set must
-//! equal the oracle's; the coarse state must cover the precise state on
-//! every touched page at every checkpoint. Metamorphic runs then insert
-//! untainted no-ops and swap adjacent taint-inert events and demand the
-//! verdict does not move.
+//! Legs 1–7 must each reproduce the oracle's precise map, register
+//! tags, and violation set, and the coarse state must cover the
+//! precise state on every touched page at every checkpoint. Legs 8–12
+//! must drain every session byte-identical to a solo pipeline run of
+//! its admitted stream and repeat exactly on a rerun; their cluster
+//! set-up is [`crate::fixture`]. Metamorphic runs then insert untainted
+//! no-ops and swap adjacent taint-inert events and demand the verdict
+//! does not move.
 
+use crate::fixture::{self, solo_report, Failover, Nodes};
 use crate::generate::TestProgram;
 use crate::oracle::{self, OracleResult};
+use latch_client::{Client, ClientError};
 use latch_core::config::LatchConfig;
 use latch_core::isa_ext::LatchInstr;
 use latch_core::unit::LatchUnit;
@@ -38,19 +54,10 @@ use latch_dift::policy::{SecurityViolation, SourceKind, TaintPolicy};
 use latch_dift::prop::PropRule;
 use latch_dift::tag::TaintTag;
 use latch_faults::FaultPlan;
-use latch_faults::FaultInjector;
-use latch_client::{Client, ClientError};
-use latch_proto::Endpoint;
-use latch_router::{Router, RouterConfig, RouterError};
-use latch_serve::{
-    export_sessions, DurableConfig, DurableService, FailoverRecord, MemStorage, MultiIngress,
-    Priority, Rejected, ServeConfig, Service, ServiceOutcome, Slo, SloReport, WireConfig,
-    WireServer,
-};
+use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, Service, Slo};
 use latch_sim::event::{Event, MemAccess, MemAccessKind, SourceInput, VecSource};
 use latch_sim::machine::apply_event_dift;
 use latch_systems::hlatch::HLatch;
-use latch_systems::session::SessionPipeline;
 use latch_systems::platch_mt::{run_resilient, RecoveryPolicy, ResilienceConfig};
 use latch_systems::slatch::SLatch;
 use latch_workloads::BenchmarkProfile;
@@ -155,11 +162,13 @@ pub enum Divergence {
         /// Which transform + leg disagreed.
         leg: &'static str,
     },
-    /// The overload leg broke a contract: a deterministic artifact
-    /// (shed set, SLO report stream, failover history) changed between
-    /// identical reruns, a session's report diverged from a solo run of
-    /// its admitted stream, or the drive failed to make progress.
-    Overload {
+    /// A serving leg (8–12) broke a contract: a deterministic artifact
+    /// (shed set, SLO report stream, migration history, takeover
+    /// record) changed between identical reruns, a session's report
+    /// diverged from a solo run of its admitted stream, a session was
+    /// acked-lost, or the drive failed to make progress or lost its
+    /// transport.
+    Contract {
         /// Which leg disagreed.
         leg: &'static str,
         /// What broke.
@@ -194,7 +203,7 @@ impl fmt::Display for Divergence {
             Divergence::Metamorphic { leg } => {
                 write!(f, "{leg}: metamorphic transform changed the verdict")
             }
-            Divergence::Overload { leg, what } => write!(f, "{leg}: {what}"),
+            Divergence::Contract { leg, what } => write!(f, "{leg}: {what}"),
             Divergence::TraceMismatch { expected, got } => {
                 write!(f, "s-latch: native re-execution retired {got} instrs, trace has {expected}")
             }
@@ -591,23 +600,17 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         }
     }
 
-    // ---- leg 8: overload-serve — shed, degrade, fail over ------------
-    // Three sessions at three priorities feed the same trace through
-    // replicated ingress fronts while the fault plan injects bursts,
-    // slow clients, feed stalls, and feed deaths, and the armed SLO
+    // ---- leg 8: overload-serve — shed and degrade --------------------
+    // Three sessions at three priorities feed the same trace while the
+    // fault plan injects bursts and slow clients, and the armed SLO
     // sheds and demotes under the resulting pressure. The contracts:
-    // every deterministic artifact (shed set, SLO report stream,
-    // failover history) is byte-identical across reruns; every session
-    // ends byte-identical to a solo run of its *admitted* (non-shed)
-    // stream; and the coarse state still covers precise taint — zero
-    // false negatives even through coarse-only degraded spans.
+    // the shed set and the SLO report stream are byte-identical across
+    // reruns; every session ends byte-identical to a solo run of its
+    // *admitted* (non-shed) stream; and the coarse state still covers
+    // precise taint — zero false negatives even through coarse-only
+    // degraded spans.
     if !desugared.is_empty() {
-        const CHUNK: usize = 32;
-        const PRIOS: [(u64, Priority); 3] = [
-            (0, Priority::Critical),
-            (1, Priority::Normal),
-            (2, Priority::Bulk),
-        ];
+        let leg = contract("overload-serve");
         let cfg = ServeConfig {
             workers: 1,
             queue_events: 512,
@@ -625,93 +628,29 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
             },
             ..ServeConfig::default()
         };
-        let plan = FaultPlan::new(opts.fault_seed ^ 0x0B5E)
-            .with_overload(180, 4, 150)
-            .with_feed_faults(150, 4, 120);
-        struct OverloadRun {
-            admitted: Vec<Vec<Event>>,
-            sheds: Vec<(u64, u8, u8)>,
-            slo_bytes: Vec<u8>,
-            failovers: Vec<Vec<FailoverRecord>>,
-            out: ServiceOutcome,
-        }
-        let overload = |leg: &'static str, what: &'static str| {
-            Box::new(Divergence::Overload { leg, what })
-        };
-        let run = || -> Result<OverloadRun, Box<Divergence>> {
-            let mut svc = Service::deterministic(cfg, plan);
-            let mut inj = FaultInjector::new(plan);
-            let mut feeds: Vec<MultiIngress> = PRIOS
-                .iter()
-                .map(|&(s, _)| MultiIngress::new(s, desugared.clone(), 1))
-                .collect();
-            let mut admitted = vec![Vec::new(); PRIOS.len()];
-            let mut sheds = Vec::new();
-            let mut round = 0u64;
-            while feeds.iter().any(|f| !f.drained()) {
-                if round > 1_000_000 {
-                    return Err(overload("overload-serve", "drive failed to make progress"));
-                }
-                let factor = inj.burst_factor_at(round).unwrap_or(1) as usize;
-                let slow = inj.slow_client_at(round);
-                for (i, &(s, prio)) in PRIOS.iter().enumerate() {
-                    if slow && prio != Priority::Critical {
-                        continue; // slow clients sit a round out; critical traffic keeps flowing
-                    }
-                    let batch = feeds[i].poll(&mut inj, CHUNK * factor).to_vec();
-                    if batch.is_empty() {
-                        continue; // stalled, failing over, or drained
-                    }
-                    match svc.submit_with_priority(s, &batch, prio) {
-                        Ok(()) => {
-                            admitted[i].extend_from_slice(&batch);
-                            feeds[i].ack(batch.len());
-                        }
-                        Err(Rejected::Shed { priority, pressure, .. }) => {
-                            sheds.push((s, priority.rank(), pressure));
-                            feeds[i].ack(batch.len()); // shed events are dropped on purpose
-                        }
-                        Err(Rejected::QueueFull { .. } | Rejected::SessionBusy { .. }) => {
-                            svc.pump(); // unacked: the same peek returns next round
-                        }
-                        Err(Rejected::ShuttingDown) => unreachable!("not draining"),
-                        Err(Rejected::BatchTooLarge { .. }) => {
-                            unreachable!("chunks are far below the journal cap")
-                        }
-                    }
-                }
-                svc.pump();
-                round += 1;
-            }
-            let out = svc.finish();
-            let slo_bytes = out.slo_reports.iter().flat_map(SloReport::encode).collect();
-            let failovers = feeds.into_iter().map(|f| f.into_report().failovers).collect();
-            Ok(OverloadRun { admitted, sheds, slo_bytes, failovers, out })
-        };
-
-        let a = run()?;
-        let b = run()?;
+        let plan = FaultPlan::new(opts.fault_seed ^ 0x0B5E).with_overload(180, 4, 150);
+        let streams = vec![desugared.clone(); 3];
+        let run = || fixture::overload_drive(cfg, plan, &streams, 32);
+        let a = run().map_err(&leg)?;
+        let b = run().map_err(&leg)?;
         if a.sheds != b.sheds {
-            return Err(overload("overload-serve", "shed set changed between reruns"));
+            return Err(leg("shed set changed between reruns"));
         }
-        if a.slo_bytes != b.slo_bytes {
-            return Err(overload("overload-serve", "SLO report stream changed between reruns"));
+        if a.slo != b.slo {
+            return Err(leg("SLO report stream changed between reruns"));
         }
-        if a.failovers != b.failovers {
-            return Err(overload("overload-serve", "failover history changed between reruns"));
-        }
-        for (i, &(s, prio)) in PRIOS.iter().enumerate() {
-            if prio == Priority::Critical && a.admitted[i].len() != desugared.len() {
-                return Err(overload("overload-serve", "critical traffic was shed"));
+        for (s, admitted) in a.admitted.iter().enumerate() {
+            if s == 0 && admitted.len() != desugared.len() {
+                return Err(leg("critical traffic was shed"));
             }
-            let Some(pipe) = a.out.pipelines.get(&s) else {
+            let Some(pipe) = a.out.pipelines.get(&(s as u64)) else {
                 // Every submission was shed before the first admission,
                 // so the session never got a slot. Nothing to compare —
                 // but then nothing may have been admitted either.
-                if a.admitted[i].is_empty() {
+                if admitted.is_empty() {
                     continue;
                 }
-                return Err(overload("overload-serve", "admitted events but no pipeline"));
+                return Err(leg("admitted events but no pipeline"));
             };
             // Zero false negatives, even through coarse-only spans.
             check_superset(
@@ -721,525 +660,22 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
                 &golden.touched_pages,
                 desugared.len(),
             )?;
-            // The admitted (non-shed) stream must reproduce exactly.
-            let mut solo = SessionPipeline::new(cfg.scrub_interval);
-            for ev in &a.admitted[i] {
-                solo.apply(ev);
-            }
-            if a.out.sessions[&s].encode() != solo.report().encode() {
-                return Err(overload(
-                    "overload-serve",
+            if a.out.sessions[&(s as u64)].encode() != solo_report(admitted, cfg.scrub_interval) {
+                return Err(leg(
                     "session report diverged from a solo run of its admitted stream",
                 ));
             }
         }
     }
 
-    // ---- leg 9: wire-serve — the network front door ------------------
-    // The same desugared trace crosses a real TCP loopback socket:
-    // latch-client speaks the framed protocol into a [`WireServer`]
-    // over a durable (in-memory) service. A single connection drives
-    // three sessions round-robin — one reader thread, deterministic
-    // admission order — and after a wire drain every session's report
-    // bytes must equal a solo pipeline run of the trace. Any transport
-    // or framing fault is a divergence, not a panic.
+    // ---- legs 9–12: the wire front door and the cluster ---------------
     if !desugared.is_empty() {
-        const CHUNK: usize = 48;
-        const WIRE_SESSIONS: usize = 3;
-        let wire = |what: &'static str| {
-            Box::new(Divergence::Overload {
-                leg: "wire-serve",
-                what,
-            })
-        };
-        let cfg = ServeConfig {
-            workers: 2,
-            max_resident: 2,
-            seed: opts.fault_seed,
-            ..ServeConfig::default()
-        };
-        let scrub = cfg.scrub_interval;
-        let (svc, _recovery) = DurableService::recover(
-            cfg,
-            DurableConfig::default(),
-            FaultPlan::benign(),
-            MemStorage::new(FaultPlan::benign()),
-        );
-        let endpoint = Endpoint::parse("tcp:127.0.0.1:0").expect("literal endpoint");
-        let server = WireServer::start(&endpoint, svc, WireConfig::default())
-            .map_err(|_| wire("bind failed"))?;
-        let mut client = Client::connect(server.endpoint(), 256, false)
-            .map_err(|_| wire("connect failed"))?;
-        let mut pos = [0usize; WIRE_SESSIONS];
-        let mut rounds = 0u64;
-        while pos.iter().any(|&p| p < desugared.len()) {
-            if rounds > 1_000_000 {
-                return Err(wire("drive failed to make progress"));
-            }
-            for (s, p) in pos.iter_mut().enumerate() {
-                if *p >= desugared.len() {
-                    continue;
-                }
-                let take = CHUNK.min(desugared.len() - *p);
-                let batch = &desugared[*p..*p + take];
-                match client.submit(s as u64, (s % 3) as u8, batch) {
-                    Ok(()) => *p += take,
-                    // Benign plan, SLO off: only backpressure can
-                    // reject; the same chunk retries next round.
-                    Err(ClientError::Rejected(_)) => {}
-                    Err(_) => return Err(wire("transport failed mid-drive")),
-                }
-            }
-            rounds += 1;
-        }
-        let reports = client.drain().map_err(|_| wire("drain failed"))?;
-        server.shutdown();
-        if reports.len() != WIRE_SESSIONS {
-            return Err(wire("session count diverged across the wire"));
-        }
-        let mut solo = SessionPipeline::new(scrub);
-        for ev in &desugared {
-            solo.apply(ev);
-        }
-        let want = solo.report().encode();
-        for (_session, bytes) in &reports {
-            if *bytes != want {
-                return Err(wire("session report diverged across the wire"));
-            }
-        }
-    }
-
-    // ---- leg 10: cluster-serve — router failover over two nodes ------
-    // The same desugared trace crosses the consistent-hash router into
-    // two real wire servers, and a seeded fault plan kills one node at
-    // a round boundary mid-drive (or, on a cold seed, right before the
-    // drain — the migration path must run either way). The victim's
-    // sessions fail over: their durable state is exported from the
-    // dead node's surviving storage, staged on the survivor as
-    // `MigrateChunk` frames, committed by one `MigrateSession`, and
-    // imported there. The contracts: after the
-    // drain, every session's report is byte-identical to a solo
-    // pipeline run of the full trace (failover lost nothing, doubled
-    // nothing), and a rerun with the same seed reproduces both the
-    // reports and the migration history exactly.
-    if !desugared.is_empty() {
-        const CHUNK: usize = 48;
-        const CLUSTER_SESSIONS: usize = 4;
-        let cluster = |what: &'static str| {
-            Box::new(Divergence::Overload {
-                leg: "cluster-serve",
-                what,
-            })
-        };
-        let node_cfg = ServeConfig {
-            workers: 1,
-            max_resident: 2,
-            seed: opts.fault_seed,
-            ..ServeConfig::default()
-        };
-        let scrub = node_cfg.scrub_interval;
-        type ClusterRun = (
-            Vec<(u64, Vec<u8>)>,
-            Vec<latch_router::MigrationRecord>,
-        );
-        let run = || -> Result<ClusterRun, Box<Divergence>> {
-            let mut servers: Vec<Option<WireServer<MemStorage>>> = (0..2)
-                .map(|id| {
-                    let (svc, _recovery) = DurableService::recover(
-                        ServeConfig {
-                            seed: opts.fault_seed.wrapping_add(id),
-                            ..node_cfg
-                        },
-                        DurableConfig::default(),
-                        FaultPlan::benign(),
-                        MemStorage::new(FaultPlan::benign()),
-                    );
-                    let endpoint = Endpoint::parse("tcp:127.0.0.1:0").expect("literal endpoint");
-                    WireServer::start(&endpoint, svc, WireConfig::default()).map(Some)
-                })
-                .collect::<Result<_, _>>()
-                .map_err(|_| cluster("bind failed"))?;
-            let mut router = Router::new(RouterConfig {
-                seed: opts.fault_seed,
-                vnodes: 32,
-                miss_budget: 2,
-                window_events: 256,
-                router_id: opts.fault_seed,
-                ..RouterConfig::default()
-            });
-            for (id, srv) in servers.iter().enumerate() {
-                router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
-            }
-            let victim = router.owner_of(0).ok_or_else(|| cluster("empty ring"))?;
-            let mut inj = FaultInjector::new(
-                FaultPlan::new(opts.fault_seed ^ 0x00C1).with_node_kills(25, 1),
-            );
-            let kill = |servers: &mut Vec<Option<WireServer<MemStorage>>>,
-                            router: &mut Router|
-             -> Result<(), Box<Divergence>> {
-                let svc = servers[victim as usize]
-                    .take()
-                    .expect("victim still up")
-                    .kill()
-                    .ok_or_else(|| cluster("victim was already drained"))?;
-                let mut storage = svc.crash();
-                let exports = export_sessions(&mut storage);
-                router
-                    .fail_over(victim, exports)
-                    .map_err(|_| cluster("failover failed"))?;
-                Ok(())
-            };
-            let mut pos = [0usize; CLUSTER_SESSIONS];
-            let mut rounds = 0u64;
-            while pos.iter().any(|&p| p < desugared.len()) {
-                if rounds > 1_000_000 {
-                    return Err(cluster("drive failed to make progress"));
-                }
-                if servers[victim as usize].is_some() && inj.node_killed_at(victim, rounds) {
-                    kill(&mut servers, &mut router)?;
-                }
-                for (s, p) in pos.iter_mut().enumerate() {
-                    if *p >= desugared.len() {
-                        continue;
-                    }
-                    let take = CHUNK.min(desugared.len() - *p);
-                    match router.submit(s as u64, (s % 3) as u8, &desugared[*p..*p + take]) {
-                        Ok(()) => *p += take,
-                        // Benign plan, SLO off: only backpressure can
-                        // reject; the same chunk retries next round.
-                        Err(RouterError::Rejected(_)) => {}
-                        Err(_) => return Err(cluster("transport failed mid-drive")),
-                    }
-                }
-                rounds += 1;
-            }
-            // A cold seed must still exercise the failover machinery.
-            if servers[victim as usize].is_some() {
-                kill(&mut servers, &mut router)?;
-            }
-            let reports = router.drain().map_err(|_| cluster("drain failed"))?;
-            let history = router.migration_history().to_vec();
-            for srv in servers.into_iter().flatten() {
-                srv.shutdown();
-            }
-            Ok((reports, history))
-        };
-        let (reports_a, history_a) = run()?;
-        let (reports_b, history_b) = run()?;
-        if history_a != history_b {
-            return Err(cluster("migration history changed between reruns"));
-        }
-        if reports_a != reports_b {
-            return Err(cluster("session reports changed between reruns"));
-        }
-        if reports_a.len() != CLUSTER_SESSIONS {
-            return Err(cluster("session count diverged across the cluster"));
-        }
-        let mut solo = SessionPipeline::new(scrub);
-        for ev in &desugared {
-            solo.apply(ev);
-        }
-        let want = solo.report().encode();
-        for (_session, bytes) in &reports_a {
-            if *bytes != want {
-                return Err(cluster("session report diverged after failover"));
-            }
-        }
-    }
-
-    // ---- leg 11: replica-serve — diskless failover over three nodes --
-    // The same trace crosses the router into three wire servers with
-    // 2-of-3 synchronous replication, and the seeded kill destroys the
-    // victim's storage *outright* — the exporter has nothing, so every
-    // migrated session must be sourced from a backup journal. The
-    // contracts: the drain is byte-identical to the solo pipeline (and
-    // therefore to the storage-surviving leg 10), no session is
-    // poisoned as acked-lost, and a rerun reproduces the reports and
-    // the migration history exactly.
-    if !desugared.is_empty() {
-        const CHUNK: usize = 48;
-        const REPLICA_SESSIONS: usize = 4;
-        let replica = |what: &'static str| {
-            Box::new(Divergence::Overload {
-                leg: "replica-serve",
-                what,
-            })
-        };
-        let node_cfg = ServeConfig {
-            workers: 1,
-            max_resident: 2,
-            seed: opts.fault_seed,
-            ..ServeConfig::default()
-        };
-        let scrub = node_cfg.scrub_interval;
-        type ReplicaRun = (
-            Vec<(u64, Vec<u8>)>,
-            Vec<latch_router::MigrationRecord>,
-        );
-        let run = || -> Result<ReplicaRun, Box<Divergence>> {
-            let mut servers: Vec<Option<WireServer<MemStorage>>> = (0..3)
-                .map(|id| {
-                    let (svc, _recovery) = DurableService::recover(
-                        ServeConfig {
-                            seed: opts.fault_seed.wrapping_add(id),
-                            ..node_cfg
-                        },
-                        DurableConfig::default(),
-                        FaultPlan::benign(),
-                        MemStorage::new(FaultPlan::benign()),
-                    );
-                    let endpoint = Endpoint::parse("tcp:127.0.0.1:0").expect("literal endpoint");
-                    WireServer::start(&endpoint, svc, WireConfig::default()).map(Some)
-                })
-                .collect::<Result<_, _>>()
-                .map_err(|_| replica("bind failed"))?;
-            let mut router = Router::new(RouterConfig {
-                seed: opts.fault_seed,
-                vnodes: 32,
-                miss_budget: 2,
-                window_events: 256,
-                router_id: opts.fault_seed,
-                replicas: 2,
-                ..RouterConfig::default()
-            });
-            for (id, srv) in servers.iter().enumerate() {
-                router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
-            }
-            let victim = router.owner_of(0).ok_or_else(|| replica("empty ring"))?;
-            let mut inj = FaultInjector::new(
-                FaultPlan::new(opts.fault_seed ^ 0x00C2).with_node_kills(25, 1),
-            );
-            let kill = |servers: &mut Vec<Option<WireServer<MemStorage>>>,
-                            router: &mut Router|
-             -> Result<(), Box<Divergence>> {
-                let svc = servers[victim as usize]
-                    .take()
-                    .expect("victim still up")
-                    .kill()
-                    .ok_or_else(|| replica("victim was already drained"))?;
-                // Total machine loss: the storage dies with the node,
-                // so the failover runs with an empty export and must
-                // restore every session from its backup journals.
-                drop(svc.crash());
-                router
-                    .fail_over(victim, Vec::new())
-                    .map_err(|_| replica("diskless failover failed"))?;
-                Ok(())
-            };
-            let mut pos = [0usize; REPLICA_SESSIONS];
-            let mut rounds = 0u64;
-            while pos.iter().any(|&p| p < desugared.len()) {
-                if rounds > 1_000_000 {
-                    return Err(replica("drive failed to make progress"));
-                }
-                if servers[victim as usize].is_some() && inj.node_killed_at(victim, rounds) {
-                    kill(&mut servers, &mut router)?;
-                }
-                for (s, p) in pos.iter_mut().enumerate() {
-                    if *p >= desugared.len() {
-                        continue;
-                    }
-                    let take = CHUNK.min(desugared.len() - *p);
-                    match router.submit(s as u64, (s % 3) as u8, &desugared[*p..*p + take]) {
-                        Ok(()) => *p += take,
-                        Err(RouterError::Rejected(_)) => {}
-                        Err(_) => return Err(replica("transport failed mid-drive")),
-                    }
-                }
-                rounds += 1;
-            }
-            // A cold seed must still exercise the diskless path.
-            if servers[victim as usize].is_some() {
-                kill(&mut servers, &mut router)?;
-            }
-            if !router.lost_sessions().is_empty() {
-                return Err(replica("a replicated session was acked-lost"));
-            }
-            let reports = router.drain().map_err(|_| replica("drain failed"))?;
-            let history = router.migration_history().to_vec();
-            for srv in servers.into_iter().flatten() {
-                srv.shutdown();
-            }
-            Ok((reports, history))
-        };
-        let (reports_a, history_a) = run()?;
-        let (reports_b, history_b) = run()?;
-        if history_a != history_b {
-            return Err(replica("migration history changed between reruns"));
-        }
-        if reports_a != reports_b {
-            return Err(replica("session reports changed between reruns"));
-        }
-        if reports_a.len() != REPLICA_SESSIONS {
-            return Err(replica("session count diverged across the cluster"));
-        }
-        let mut solo = SessionPipeline::new(scrub);
-        for ev in &desugared {
-            solo.apply(ev);
-        }
-        let want = solo.report().encode();
-        for (_session, bytes) in &reports_a {
-            if *bytes != want {
-                return Err(replica("session report diverged after diskless failover"));
-            }
-        }
-    }
-
-    // ---- leg 12: ha-serve — standby router takeover ------------------
-    // Two routers over three replicated nodes. The primary drives every
-    // session to a fixed cut and is killed; odd fault seeds destroy one
-    // node's machine in the same blast, so the standby's epoch-fenced
-    // takeover must also restore that node's sessions from surviving
-    // replica journals. The contracts: the takeover rebuilds routes and
-    // cursors from node surveys, every session finishes through the
-    // standby byte-identical to the solo pipeline, no session is
-    // acked-lost, and a rerun reproduces the reports, the takeover
-    // record, and the migration history exactly.
-    if !desugared.is_empty() {
-        const CHUNK: usize = 48;
-        const HA_SESSIONS: usize = 4;
-        let ha = |what: &'static str| {
-            Box::new(Divergence::Overload {
-                leg: "ha-serve",
-                what,
-            })
-        };
-        let node_cfg = ServeConfig {
-            workers: 1,
-            max_resident: 2,
-            seed: opts.fault_seed,
-            ..ServeConfig::default()
-        };
-        let scrub = node_cfg.scrub_interval;
-        let coincident_node_kill = opts.fault_seed % 2 == 1;
-        type HaRun = (
-            Vec<(u64, Vec<u8>)>,
-            latch_router::TakeoverRecord,
-            Vec<latch_router::MigrationRecord>,
-        );
-        let run = || -> Result<HaRun, Box<Divergence>> {
-            let mut servers: Vec<Option<WireServer<MemStorage>>> = (0..3)
-                .map(|id| {
-                    let (svc, _recovery) = DurableService::recover(
-                        ServeConfig {
-                            seed: opts.fault_seed.wrapping_add(id),
-                            ..node_cfg
-                        },
-                        DurableConfig::default(),
-                        FaultPlan::benign(),
-                        MemStorage::new(FaultPlan::benign()),
-                    );
-                    let endpoint = Endpoint::parse("tcp:127.0.0.1:0").expect("literal endpoint");
-                    WireServer::start(&endpoint, svc, WireConfig::default()).map(Some)
-                })
-                .collect::<Result<_, _>>()
-                .map_err(|_| ha("bind failed"))?;
-            let router_cfg = |router_id: u64| RouterConfig {
-                seed: opts.fault_seed,
-                vnodes: 32,
-                miss_budget: 2,
-                window_events: 256,
-                router_id,
-                replicas: 2,
-                ..RouterConfig::default()
-            };
-            let mut old = Router::new(router_cfg(opts.fault_seed));
-            let mut new = Router::new(router_cfg(opts.fault_seed ^ 1));
-            for (id, srv) in servers.iter().enumerate() {
-                let ep = srv.as_ref().expect("fresh").endpoint().clone();
-                old.add_node(id as u32, ep.clone());
-                new.add_node(id as u32, ep);
-            }
-            // The primary drives every session exactly halfway, so the
-            // cut point — and with it the surveys the standby rebuilds
-            // from — is a pure function of the seed.
-            let half = desugared.len() / 2;
-            let mut pos = [0usize; HA_SESSIONS];
-            let mut rounds = 0u64;
-            while pos.iter().any(|&p| p < half) {
-                if rounds > 1_000_000 {
-                    return Err(ha("primary drive failed to make progress"));
-                }
-                for (s, p) in pos.iter_mut().enumerate() {
-                    if *p >= half {
-                        continue;
-                    }
-                    let take = CHUNK.min(half - *p);
-                    match old.submit(s as u64, (s % 3) as u8, &desugared[*p..*p + take]) {
-                        Ok(()) => *p += take,
-                        Err(RouterError::Rejected(_)) => {}
-                        Err(_) => return Err(ha("transport failed mid-drive")),
-                    }
-                }
-                rounds += 1;
-            }
-            // The blast: the primary router dies; odd seeds take one
-            // node's machine (storage destroyed outright) with it.
-            if coincident_node_kill {
-                let victim = old.owner_of(0).ok_or_else(|| ha("empty ring"))?;
-                let svc = servers[victim as usize]
-                    .take()
-                    .expect("victim still up")
-                    .kill()
-                    .ok_or_else(|| ha("victim was already drained"))?;
-                drop(svc.crash());
-            }
-            drop(old);
-            let rec = new.takeover().map_err(|_| ha("standby takeover failed"))?;
-            if !new.lost_sessions().is_empty() {
-                return Err(ha("takeover lost acked state"));
-            }
-            while pos.iter().any(|&p| p < desugared.len()) {
-                if rounds > 1_000_000 {
-                    return Err(ha("standby drive failed to make progress"));
-                }
-                for (s, p) in pos.iter_mut().enumerate() {
-                    if *p >= desugared.len() {
-                        continue;
-                    }
-                    let take = CHUNK.min(desugared.len() - *p);
-                    match new.submit(s as u64, (s % 3) as u8, &desugared[*p..*p + take]) {
-                        Ok(()) => *p += take,
-                        Err(RouterError::Rejected(_)) => {}
-                        Err(_) => return Err(ha("transport failed after takeover")),
-                    }
-                }
-                rounds += 1;
-            }
-            let reports = new.drain().map_err(|_| ha("drain via standby failed"))?;
-            let history = new.migration_history().to_vec();
-            for srv in servers.into_iter().flatten() {
-                srv.shutdown();
-            }
-            Ok((reports, rec, history))
-        };
-        let (reports_a, rec_a, history_a) = run()?;
-        let (reports_b, rec_b, history_b) = run()?;
-        if rec_a != rec_b {
-            return Err(ha("takeover record changed between reruns"));
-        }
-        if history_a != history_b {
-            return Err(ha("migration history changed between reruns"));
-        }
-        if reports_a != reports_b {
-            return Err(ha("session reports changed between reruns"));
-        }
-        if reports_a.len() != HA_SESSIONS {
-            return Err(ha("session count diverged across the takeover"));
-        }
-        if coincident_node_kill && rec_a.dead.is_empty() {
-            return Err(ha("coincident node death went undetected"));
-        }
-        let mut solo = SessionPipeline::new(scrub);
-        for ev in &desugared {
-            solo.apply(ev);
-        }
-        let want = solo.report().encode();
-        for (_session, bytes) in &reports_a {
-            if *bytes != want {
-                return Err(ha("session report diverged across the takeover"));
-            }
-        }
+        wire_leg(&desugared, opts.fault_seed).map_err(contract("wire-serve"))?;
+        failover_leg(&desugared, opts.fault_seed, &fixture::CLUSTER)
+            .map_err(contract("cluster-serve"))?;
+        failover_leg(&desugared, opts.fault_seed, &fixture::REPLICA)
+            .map_err(contract("replica-serve"))?;
+        ha_leg(&desugared, opts.fault_seed).map_err(contract("ha-serve"))?;
     }
 
     // ---- metamorphic legs --------------------------------------------
@@ -1309,4 +745,121 @@ fn run_metamorphic(
         return Err(Box::new(Divergence::Metamorphic { leg: transform }));
     }
     Ok(())
+}
+
+/// Wraps a broken contract of `leg` as a [`Divergence::Contract`].
+fn contract(leg: &'static str) -> impl Fn(&'static str) -> Box<Divergence> {
+    move |what| Box::new(Divergence::Contract { leg, what })
+}
+
+/// Every one of `sessions` drained reports equals a solo run of `trace`.
+fn all_solo(
+    reports: &[(u64, Vec<u8>)],
+    sessions: usize,
+    trace: &[Event],
+    scrub: u64,
+) -> Result<(), &'static str> {
+    if reports.len() != sessions {
+        return Err("session count diverged");
+    }
+    let want = solo_report(trace, scrub);
+    if reports.iter().any(|(_, bytes)| *bytes != want) {
+        return Err("session report diverged from a solo run");
+    }
+    Ok(())
+}
+
+/// The node configuration of the cluster legs: fewer residents than
+/// sessions, so nodes evict and restore.
+fn cluster_node(seed: u64) -> ServeConfig {
+    ServeConfig {
+        workers: 1,
+        max_resident: 2,
+        seed,
+        ..ServeConfig::default()
+    }
+}
+
+/// Leg 9 (wire-serve): the trace crosses a real TCP loopback socket —
+/// latch-client speaks the framed protocol into one `latchd` node over
+/// a durable in-memory service. A single connection drives three
+/// sessions round-robin (one reader thread, a deterministic admission
+/// order), and after a wire drain every session's report must equal a
+/// solo pipeline run. Any transport or framing fault is a divergence,
+/// not a panic.
+fn wire_leg(trace: &[Event], seed: u64) -> Result<(), &'static str> {
+    const SESSIONS: usize = 3;
+    let cfg = ServeConfig {
+        workers: 2,
+        max_resident: 2,
+        seed,
+        ..ServeConfig::default()
+    };
+    let node = Nodes::start(1, cfg).map_err(|_| "bind failed")?;
+    let mut client =
+        Client::connect(&node.endpoint(0), 256, false).map_err(|_| "connect failed")?;
+    let mut pos = [0usize; SESSIONS];
+    let mut rounds = 0u64;
+    while pos.iter().any(|&p| p < trace.len()) {
+        if rounds > 1_000_000 {
+            return Err("drive failed to make progress");
+        }
+        for (s, p) in pos.iter_mut().enumerate() {
+            let hi = trace.len().min(*p + 48);
+            if *p >= hi {
+                continue;
+            }
+            match client.submit(s as u64, (s % 3) as u8, &trace[*p..hi]) {
+                Ok(()) => *p = hi,
+                // Benign plan, SLO off: only backpressure can reject;
+                // the same chunk retries next round.
+                Err(ClientError::Rejected(_)) => {}
+                Err(_) => return Err("transport failed mid-drive"),
+            }
+        }
+        rounds += 1;
+    }
+    let reports = client.drain().map_err(|_| "drain failed")?;
+    node.shutdown();
+    all_solo(&reports, SESSIONS, trace, cfg.scrub_interval)
+}
+
+/// Legs 10 (cluster-serve, [`fixture::CLUSTER`]: failover from the
+/// dead node's disk) and 11 (replica-serve, [`fixture::REPLICA`]:
+/// failover from backup journals alone): the trace crosses the
+/// consistent-hash router into real wire servers, and a seeded fault
+/// plan kills session 0's owner at a round boundary mid-drive (or, on
+/// a cold seed, right before the drain — the failover must run either
+/// way). The contracts: no session is acked-lost, every session drains
+/// byte-identical to a solo pipeline run (failover lost nothing,
+/// doubled nothing), and a rerun reproduces the reports and the
+/// migration history exactly.
+fn failover_leg(trace: &[Event], seed: u64, leg: &Failover) -> Result<(), &'static str> {
+    const SESSIONS: usize = 4;
+    let streams = vec![trace.to_vec(); SESSIONS];
+    let what = "session reports or migration history changed between reruns";
+    let run = fixture::rerun(what, || {
+        leg.run(&streams, cluster_node(seed), seed, None, |_, _, _| Ok(()))
+    })?;
+    all_solo(&run.reports, SESSIONS, trace, cluster_node(seed).scrub_interval)
+}
+
+/// Leg 12 (ha-serve): two routers over three replicated nodes. The
+/// primary drives every session to a fixed cut and is killed; odd
+/// fault seeds destroy session 0's owner in the same blast, so the
+/// standby's epoch-fenced takeover must also restore that node's
+/// sessions from surviving replica journals. The contracts: the
+/// takeover rebuilds routes and cursors from node surveys, finds
+/// exactly the killed node dead, every session finishes through the
+/// standby byte-identical to the solo pipeline, no session is
+/// acked-lost, and a rerun reproduces the reports, the takeover record,
+/// and the migration history exactly.
+fn ha_leg(trace: &[Event], seed: u64) -> Result<(), &'static str> {
+    const SESSIONS: usize = 4;
+    let streams = vec![trace.to_vec(); SESSIONS];
+    let what = "session reports, takeover record or migration history changed between reruns";
+    let (run, _rec) = fixture::rerun(what, || {
+        fixture::takeover(&streams, cluster_node(seed), seed, [seed, seed ^ 1], seed % 2 == 1)
+    })?;
+    all_solo(&run.reports, SESSIONS, trace, cluster_node(seed).scrub_interval)
 }

@@ -1,11 +1,10 @@
 //! `latch-conform` — the differential conformance fuzzer CLI.
 //!
 //! Runs a deterministic seed range through the full differential check
-//! (oracle vs. baseline DIFT, S-LATCH, H-LATCH, P-LATCH under benign
-//! and drop-bearing fault plans, plus metamorphic transforms) and
-//! prints a summary that is byte-identical across reruns of the same
-//! arguments. Any failing seed is delta-debug minimized and the
-//! reproducer written to the regression corpus.
+//! (the oracle against all twelve driver legs, plus metamorphic
+//! transforms) and prints a summary that is byte-identical across
+//! reruns of the same arguments. Any failing seed is delta-debug
+//! minimized and the reproducer written to the regression corpus.
 //!
 //! ```text
 //! latch-conform --seeds 64                 # CI tier-1 budget

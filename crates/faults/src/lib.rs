@@ -54,9 +54,6 @@ pub enum Stream {
     BurstArrival = 19,
     BurstFactor = 20,
     SlowClient = 21,
-    FeedStall = 22,
-    FeedStallLen = 23,
-    FeedDeath = 24,
     NodeDeath = 25,
     ReplicaLag = 26,
     DiskLoss = 27,
@@ -194,12 +191,10 @@ impl DiskFaultConfig {
 }
 
 /// Configures overload faults (the `latch-serve` layer): bursty
-/// arrival (a submission round offers a multiple of its normal load),
-/// slow clients (a round trickles events in instead of its full
-/// chunk), and ingress-feed faults (a feed path silently stalls for a
-/// few polls, or dies outright). All rates are per round / per poll,
-/// in parts per mille, and every decision is pure in
-/// `(seed, stream, index)` — reruns shed and fail over identically.
+/// arrival (a submission round offers a multiple of its normal load)
+/// and slow clients (a round trickles events in instead of its full
+/// chunk). Rates are per round, in parts per mille, and every decision
+/// is pure in `(seed, stream, index)` — reruns shed identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadFaultConfig {
     /// Probability per submission round of a burst.
@@ -209,12 +204,6 @@ pub struct OverloadFaultConfig {
     /// Probability per submission round that a client goes slow and
     /// trickles instead of submitting its full chunk.
     pub slow_per_mille: u32,
-    /// Probability per ingress poll that the polled feed path stalls.
-    pub feed_stall_per_mille: u32,
-    /// Longest stall, in missed polls, when one fires (≥ 1).
-    pub feed_stall_polls: u32,
-    /// Probability per ingress poll that the polled feed path dies.
-    pub feed_death_per_mille: u32,
 }
 
 impl OverloadFaultConfig {
@@ -223,9 +212,6 @@ impl OverloadFaultConfig {
         burst_per_mille: 0,
         burst_factor: 0,
         slow_per_mille: 0,
-        feed_stall_per_mille: 0,
-        feed_stall_polls: 0,
-        feed_death_per_mille: 0,
     };
 }
 
@@ -409,20 +395,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms ingress-feed faults: per-poll stalls of up to
-    /// `stall_polls` missed polls, and permanent feed death.
-    #[must_use]
-    pub fn with_feed_faults(mut self, stall_per_mille: u32, stall_polls: u32, death_per_mille: u32) -> Self {
-        assert!(
-            stall_per_mille <= 1000 && death_per_mille <= 1000,
-            "per_mille out of range"
-        );
-        self.overload.feed_stall_per_mille = stall_per_mille;
-        self.overload.feed_stall_polls = stall_polls.max(1);
-        self.overload.feed_death_per_mille = death_per_mille;
-        self
-    }
-
     /// Arms cluster-node kills: each `(node, round)` pair may kill the
     /// node, up to `max_kills` kills per injector.
     #[must_use]
@@ -507,8 +479,6 @@ pub struct FaultStats {
     pub fsync_failures: u64,
     pub bursts: u64,
     pub slow_rounds: u64,
-    pub feed_stalls: u64,
-    pub feed_deaths: u64,
     pub node_kills: u64,
     pub replica_lags: u64,
     pub disk_losses: u64,
@@ -533,8 +503,6 @@ impl FaultStats {
         self.fsync_failures += other.fsync_failures;
         self.bursts += other.bursts;
         self.slow_rounds += other.slow_rounds;
-        self.feed_stalls += other.feed_stalls;
-        self.feed_deaths += other.feed_deaths;
         self.node_kills += other.node_kills;
         self.replica_lags += other.replica_lags;
         self.disk_losses += other.disk_losses;
@@ -761,36 +729,10 @@ impl FaultInjector {
         }
     }
 
-    /// Folds an ingress path index into a poll index so each path gets
-    /// an independent decision sequence from one stream.
-    fn feed_index(path: u32, poll: u64) -> u64 {
-        poll.wrapping_mul(8).wrapping_add(u64::from(path & 7))
-    }
-
-    /// Whether ingress path `path` stalls at poll `poll`, and if so for
-    /// how many polls (`1..=feed_stall_polls`) it yields nothing.
-    pub fn feed_stall_at(&mut self, path: u32, poll: u64) -> Option<u32> {
-        let o = self.plan.overload;
-        let idx = Self::feed_index(path, poll);
-        if !fires(self.plan.seed, Stream::FeedStall, idx, o.feed_stall_per_mille) {
-            return None;
-        }
-        self.stats.feed_stalls += 1;
-        let len = 1 + mix(self.plan.seed, Stream::FeedStallLen as u64, idx)
-            % u64::from(o.feed_stall_polls.max(1));
-        Some(len as u32)
-    }
-
-    /// Whether ingress path `path` dies permanently at poll `poll`.
-    pub fn feed_dies_at(&mut self, path: u32, poll: u64) -> bool {
-        let o = self.plan.overload;
-        let idx = Self::feed_index(path, poll);
-        if fires(self.plan.seed, Stream::FeedDeath, idx, o.feed_death_per_mille) {
-            self.stats.feed_deaths += 1;
-            true
-        } else {
-            false
-        }
+    /// Folds a node id into a round index so each node gets an
+    /// independent decision sequence from one stream.
+    fn node_index(node: u32, round: u64) -> u64 {
+        round.wrapping_mul(8).wrapping_add(u64::from(node & 7))
     }
 
     /// Whether cluster node `node` is killed at submission round
@@ -801,7 +743,7 @@ impl FaultInjector {
         if self.stats.node_kills >= u64::from(n.max_kills) {
             return false;
         }
-        let idx = Self::feed_index(node, round);
+        let idx = Self::node_index(node, round);
         if fires(self.plan.seed, Stream::NodeDeath, idx, n.kill_per_mille) {
             self.stats.node_kills += 1;
             true
@@ -813,7 +755,7 @@ impl FaultInjector {
     /// Whether backup `node` drops replication push number `push`
     /// (the router sees the lag on its next frame and reseeds).
     pub fn replica_lag_at(&mut self, node: u32, push: u64) -> bool {
-        let idx = Self::feed_index(node, push);
+        let idx = Self::node_index(node, push);
         if fires(
             self.plan.seed,
             Stream::ReplicaLag,
@@ -831,7 +773,7 @@ impl FaultInjector {
     /// victim's storage — the full-machine-loss case, where failover
     /// must recover from a surviving replica journal.
     pub fn disk_lost_at(&mut self, node: u32, kill: u64) -> bool {
-        let idx = Self::feed_index(node, kill);
+        let idx = Self::node_index(node, kill);
         if fires(
             self.plan.seed,
             Stream::DiskLoss,
@@ -1017,7 +959,7 @@ mod tests {
 
     #[test]
     fn overload_faults_are_deterministic_and_in_range() {
-        let plan = FaultPlan::new(55).with_overload(150, 6, 100).with_feed_faults(80, 5, 20);
+        let plan = FaultPlan::new(55).with_overload(150, 6, 100);
         assert!(!plan.is_benign());
         let mut a = FaultInjector::new(plan);
         let mut b = FaultInjector::new(plan);
@@ -1028,35 +970,24 @@ mod tests {
                 assert!((2..=6).contains(&f), "burst factor in range, got {f}");
             }
             assert_eq!(a.slow_client_at(round), b.slow_client_at(round));
-            for path in 0..3 {
-                let stall = a.feed_stall_at(path, round);
-                assert_eq!(stall, b.feed_stall_at(path, round));
-                if let Some(polls) = stall {
-                    assert!((1..=5).contains(&polls), "stall length in range");
-                }
-                assert_eq!(a.feed_dies_at(path, round), b.feed_dies_at(path, round));
-            }
         }
         let stats = a.stats();
         assert!(stats.bursts > 0);
         assert!(stats.slow_rounds > 0);
-        assert!(stats.feed_stalls > 0);
-        assert!(stats.feed_deaths > 0);
         assert_eq!(stats, b.stats());
     }
 
     #[test]
-    fn overload_faults_are_path_independent() {
-        // The same poll index must give independent decisions per path,
-        // so one poll's stall on the primary says nothing about the
-        // secondary's health.
-        let plan = FaultPlan::new(77).with_feed_faults(500, 4, 0);
+    fn per_node_decisions_are_independent() {
+        // The same round must give independent decisions per node, so
+        // one node's dropped push says nothing about another's.
+        let plan = FaultPlan::new(77).with_replica_faults(500, 0);
         let mut inj = FaultInjector::new(plan);
-        let per_path: Vec<Vec<bool>> = (0..3)
-            .map(|p| (0..2_000).map(|i| inj.feed_stall_at(p, i).is_some()).collect())
+        let per_node: Vec<Vec<bool>> = (0..3)
+            .map(|n| (0..2_000).map(|i| inj.replica_lag_at(n, i)).collect())
             .collect();
-        assert_ne!(per_path[0], per_path[1]);
-        assert_ne!(per_path[1], per_path[2]);
+        assert_ne!(per_node[0], per_node[1]);
+        assert_ne!(per_node[1], per_node[2]);
     }
 
     #[test]
@@ -1065,10 +996,6 @@ mod tests {
         for i in 0..2_000 {
             assert_eq!(inj.burst_factor_at(i), None);
             assert!(!inj.slow_client_at(i));
-            for path in 0..3 {
-                assert_eq!(inj.feed_stall_at(path, i), None);
-                assert!(!inj.feed_dies_at(path, i));
-            }
         }
         assert_eq!(inj.stats(), FaultStats::default());
     }

@@ -192,15 +192,6 @@ pub enum TraceEvent {
         /// Coarse-only events replayed through the precise tier.
         replayed: u64,
     },
-    /// The ingress front failed a session over to another feed path.
-    IngressFailover {
-        /// The session whose feed moved.
-        session: u64,
-        /// Path index being left.
-        from_path: u32,
-        /// Path index taken over.
-        to_path: u32,
-    },
     /// Recovery quarantined a corrupt or torn frame.
     FrameQuarantined {
         /// The session whose file held the frame.
@@ -385,7 +376,6 @@ impl TraceEvent {
             TraceEvent::SubmissionShed { .. } => "submission_shed",
             TraceEvent::SessionDemote { .. } => "session_demote",
             TraceEvent::SessionPromote { .. } => "session_promote",
-            TraceEvent::IngressFailover { .. } => "ingress_failover",
             TraceEvent::FrameQuarantined { .. } => "frame_quarantined",
             TraceEvent::ConnOpen { .. } => "conn_open",
             TraceEvent::ConnClose { .. } => "conn_close",
@@ -550,16 +540,6 @@ impl TraceEvent {
             }
             TraceEvent::SessionPromote { session, replayed } => {
                 let _ = write!(out, ",\"session\":{session},\"replayed\":{replayed}");
-            }
-            TraceEvent::IngressFailover {
-                session,
-                from_path,
-                to_path,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"from_path\":{from_path},\"to_path\":{to_path}"
-                );
             }
             TraceEvent::ConnOpen { conn } => {
                 let _ = write!(out, ",\"conn\":{conn}");

@@ -9,11 +9,10 @@
 //! observed node deaths, so a rerun against the same kill schedule
 //! produces a byte-identical migration history.
 //!
-//! **Failover.** Nodes are health-checked with a miss-budget heartbeat
-//! (the `MultiIngress` discipline lifted to processes): every
-//! [`Router::tick`] pings each live node, a miss increments its
-//! budget, and exhausting the budget — or any failed forward —
-//! declares the node down. The sessions it owned move via
+//! **Failover.** Nodes are health-checked with a miss-budget
+//! heartbeat: every [`Router::tick`] pings each live node, a miss
+//! increments its budget, and exhausting the budget — or any failed
+//! forward — declares the node down. The sessions it owned move via
 //! [`Router::fail_over`]: their durable state is read from the dead
 //! node's surviving storage ([`latch_serve::export_sessions`]), staged
 //! on the new ring owner as `MigrateChunk` frames (LTSE snapshot + raw

@@ -20,7 +20,7 @@ use latch_proto::{error_code, write_msg, Endpoint, Msg, ProtoError};
 use latch_serve::SessionExport;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,6 +98,22 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(Some(d)),
             Conn::Unix(s) => s.set_read_timeout(Some(d)),
         }
+    }
+
+    fn try_clone(&self) -> io::Result<Conn> {
+        match self {
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
+    /// Closes both directions: a handler blocked on the socket returns
+    /// at once, and the peer reads end-of-stream.
+    fn close(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(Shutdown::Both),
+        };
     }
 }
 
@@ -178,6 +194,10 @@ struct Shared {
     /// False while a standby waits for its takeover: client-facing
     /// commands answer [`error_code::STANDBY`] until it flips.
     active: AtomicBool,
+    /// Each live client connection with its handler thread. A handler
+    /// blocked in a read would still serve a frame that arrives before
+    /// its poll ends, so a stop closes the socket under it and joins it.
+    handlers: Mutex<Vec<(Conn, JoinHandle<()>)>>,
     cfg: RouterServerConfig,
 }
 
@@ -194,7 +214,9 @@ fn promote_shared(shared: &Shared) -> Result<TakeoverRecord, RouterError> {
 
 /// A running cluster front door. Dropping the server (or calling
 /// [`shutdown`](Self::shutdown)) stops the accept loop and the
-/// heartbeat thread.
+/// heartbeat thread, closes every client connection and joins its
+/// handler, so a stopped router forwards nothing and fails no node
+/// over.
 pub struct RouterServer {
     shared: Arc<Shared>,
     endpoint: Endpoint,
@@ -262,6 +284,7 @@ impl RouterServer {
             stop: AtomicBool::new(false),
             drain_replied: AtomicBool::new(false),
             active: AtomicBool::new(standby_peer.is_none()),
+            handlers: Mutex::new(Vec::new()),
             cfg,
         });
         let accept_shared = Arc::clone(&shared);
@@ -335,7 +358,8 @@ impl RouterServer {
         self.shared.drain_replied.load(Ordering::SeqCst)
     }
 
-    /// Stops the accept loop and heartbeat thread and joins them.
+    /// Stops the accept loop and the heartbeat thread, closes every
+    /// client connection, and joins all of their threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -343,6 +367,14 @@ impl RouterServer {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        // No handler starts once the accept loop has returned.
+        let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handlers"));
+        for (conn, _) in &handlers {
+            conn.close();
+        }
+        for (_, h) in handlers {
             let _ = h.join();
         }
         if let Some(h) = self.heartbeat.take() {
@@ -364,6 +396,11 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(conn) => {
+                // A connection the server could not close at shutdown
+                // is never served.
+                let Ok(closer) = conn.try_clone() else {
+                    continue;
+                };
                 let conn_id = {
                     let mut st = shared.state.lock().expect("router state");
                     st.conn_seq += 1;
@@ -371,8 +408,12 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
                 };
                 latch_obs::counter_inc("router.wire.conns");
                 latch_obs::emit("router", TraceEvent::ConnOpen { conn: conn_id });
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_conn(conn, conn_id, &shared));
+                let handler_shared = Arc::clone(shared);
+                let handler =
+                    std::thread::spawn(move || handle_conn(conn, conn_id, &handler_shared));
+                let mut handlers = shared.handlers.lock().expect("handlers");
+                handlers.retain(|(_, h)| !h.is_finished());
+                handlers.push((closer, handler));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);

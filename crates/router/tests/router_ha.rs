@@ -330,6 +330,45 @@ fn revived_stale_router_is_fenced_and_applies_nothing() {
     }
 }
 
+/// A stopped router serves nothing: its shutdown closes every client
+/// connection and joins the handler, so a batch sent right after the
+/// shutdown returns fails on the client and never reaches a node —
+/// a stopped primary cannot forward, or fail a node over, behind its
+/// standby's back.
+#[test]
+fn stopped_router_forwards_nothing() {
+    let node = start_node(0);
+    let mut router = Router::new(router_config(0, 7));
+    router.add_node(0, node.endpoint().clone());
+    let cfg = RouterServerConfig {
+        heartbeat: Duration::ZERO,
+        ..RouterServerConfig::default()
+    };
+    let front = RouterServer::start(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        router,
+        Box::new(|_| Vec::new()) as Exporter,
+        cfg,
+    )
+    .expect("bind router");
+    let events = stream(0, SEED, 64);
+    let mut client = Client::connect(front.endpoint(), 256, false).expect("connect router");
+    client.submit(0, 0, &events[..32]).expect("live router admits");
+    front.shutdown();
+    assert!(
+        client.submit(0, 0, &events[32..]).is_err(),
+        "a stopped router answered a submit"
+    );
+    let mut direct = Client::connect(node.endpoint(), 256, false).expect("connect node");
+    let reports: BTreeMap<u64, Vec<u8>> = direct.drain().expect("drain node").into_iter().collect();
+    assert_eq!(
+        reports[&0],
+        solo_report(&events[..32]),
+        "a batch sent after the shutdown reached the node"
+    );
+    node.shutdown();
+}
+
 /// Takeover is deterministic: the same (seed, schedule, kill point) —
 /// including a node that died *with* the old router, forcing the
 /// standby to fail its sessions over from surviving replica journals —

@@ -26,7 +26,6 @@
 mod sched;
 
 pub mod durable;
-pub mod ingress;
 pub mod journal;
 pub mod overload;
 pub mod storage;
@@ -37,7 +36,6 @@ pub use durable::{
     export_session_from, export_sessions, thaw_export, DurableConfig, DurableService,
     ImportError, RecoveryReport, SessionExport, SessionRecovery,
 };
-pub use ingress::{FailoverRecord, IngressReport, MultiIngress, INGRESS_PATHS};
 pub use journal::RecoveryError;
 pub use overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
 pub use storage::{DirStorage, MemStorage, Storage};

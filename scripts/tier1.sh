@@ -34,32 +34,31 @@ cargo test -q -p latch-serve --features obs
 # mangles the surviving files (torn WAL tail, snapshot bit rot),
 # recovers, and requires byte-identical reports vs. an uninterrupted
 # run — with every corrupt frame quarantined, never a panic.
-echo "==> latch-serve crash_stress (fixed-seed kill loop, real dir backend)"
+echo "==> latch-stress crash (fixed-seed kill loop, real dir backend)"
 CRASH_DIR="$(mktemp -d)"
-cargo run --release -q -p latch-serve --bin crash_stress -- \
+cargo run --release -q -p latch-conform --bin latch-stress -- crash \
     --seed 7 --iters 24 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
 # The same kill loop with 8 sessions, so one group commit covers
 # several renamed snapshot frames and journal rotations (one directory
 # sync makes them all durable) under the kills and the mangling.
-echo "==> latch-serve crash_stress (8 sessions per group commit)"
+echo "==> latch-stress crash (8 sessions per group commit)"
 CRASH_DIR="$(mktemp -d)"
-cargo run --release -q -p latch-serve --bin crash_stress -- \
+cargo run --release -q -p latch-conform --bin latch-stress -- crash \
     --seed 7 --iters 24 --sessions 8 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
-# Overload stress: fixed-seed drives through replicated ingress fronts
-# under burst/slow-client/feed-fault plans with an armed SLO. Asserts
-# deterministic shedding, zero false negatives through coarse-only
-# degraded spans, and solo-identical reports after promotion — in both
-# observability configurations.
-echo "==> latch-serve overload_stress (obs off)"
-cargo run --release -q -p latch-serve --bin overload_stress -- \
+# Overload stress: fixed-seed drives under burst/slow-client plans with
+# an armed SLO. Asserts deterministic shedding, zero false negatives
+# through coarse-only degraded spans, and solo-identical reports after
+# promotion — in both observability configurations.
+echo "==> latch-stress overload (obs off)"
+cargo run --release -q -p latch-conform --bin latch-stress -- overload \
     --seed 7 --iters 8 --events 1500
 
-echo "==> latch-serve overload_stress (obs on)"
-cargo run --release -q -p latch-serve --bin overload_stress --features obs -- \
+echo "==> latch-stress overload (obs on)"
+cargo run --release -q -p latch-conform --bin latch-stress --features latch-router/obs -- overload \
     --seed 11 --iters 8 --events 1500
 
 # Wire stress: the framed latchd front door driven over real loopback
@@ -67,26 +66,26 @@ cargo run --release -q -p latch-serve --bin overload_stress --features obs -- \
 # overload plan and requires every admitted stream to reproduce solo
 # (no loss, no duplication); phase 2 reruns a single-connection drive
 # and requires byte-identical shed sets, reports, and SLO pushes.
-echo "==> latch-serve latchd_stress (obs off)"
-cargo run --release -q -p latch-serve --bin latchd_stress -- \
+echo "==> latch-stress latchd (obs off)"
+cargo run --release -q -p latch-conform --bin latch-stress -- latchd \
     --seed 7 --sessions 4 --events 1200
 
-echo "==> latch-serve latchd_stress (obs on)"
-cargo run --release -q -p latch-serve --bin latchd_stress --features obs -- \
+echo "==> latch-stress latchd (obs on)"
+cargo run --release -q -p latch-conform --bin latch-stress --features latch-router/obs -- latchd \
     --seed 11 --sessions 4 --events 1200
 
 # Cluster stress: a consistent-hash router over real latchd nodes with
 # a seeded mid-stream node kill. Phase 1 runs client threads through
-# the router's wire front while a harness kills the victim's listener
-# and the exporter ships its surviving storage to the new owners;
-# phase 2 reruns a deterministic single-threaded drive and requires
+# the router's wire front; the client whose ack crosses a seeded point
+# kills session 0's owner, and the exporter ships its surviving storage
+# to the new owners; phase 2 reruns a deterministic single-threaded drive and requires
 # byte-identical reports *and* migration history across reruns.
-echo "==> latch-router cluster_stress (obs off)"
-cargo run --release -q -p latch-router --bin cluster_stress -- \
+echo "==> latch-stress cluster (obs off)"
+cargo run --release -q -p latch-conform --bin latch-stress -- cluster \
     --seed 7 --sessions 6 --events 1200
 
-echo "==> latch-router cluster_stress (obs on)"
-cargo run --release -q -p latch-router --bin cluster_stress --features obs -- \
+echo "==> latch-stress cluster (obs on)"
+cargo run --release -q -p latch-conform --bin latch-stress --features latch-router/obs -- cluster \
     --seed 11 --sessions 6 --events 1200
 
 # Replica stress: 2-of-3 synchronous replication with a seeded node
@@ -96,26 +95,26 @@ cargo run --release -q -p latch-router --bin cluster_stress --features obs -- \
 # deterministic drive with a planned join + leave mid-stream and
 # requires byte-identical reports, migration history, and rebalance
 # history across reruns.
-echo "==> latch-router replica_stress (obs off)"
-cargo run --release -q -p latch-router --bin replica_stress -- \
+echo "==> latch-stress replica (obs off)"
+cargo run --release -q -p latch-conform --bin latch-stress -- replica \
     --seed 7 --sessions 6 --events 1200
 
-echo "==> latch-router replica_stress (obs on)"
-cargo run --release -q -p latch-router --bin replica_stress --features obs -- \
+echo "==> latch-stress replica (obs on)"
+cargo run --release -q -p latch-conform --bin latch-stress --features latch-router/obs -- replica \
     --seed 11 --sessions 6 --events 1200
 
 # Router-HA stress: a warm standby behind the primary router. Phase 1
 # kills the primary mid-stream under HaClient threads (odd seeds also
-# destroy one node's machine in the same blast) and the standby's
+# destroy session 0's owner in the same blast) and the standby's
 # epoch-fenced takeover must drain every stream byte-identical; phase 2
 # reruns a deterministic router+node blast and requires byte-identical
 # reports, takeover record, and migration history across reruns.
-echo "==> latch-router router_ha_stress (obs off)"
-cargo run --release -q -p latch-router --bin router_ha_stress -- \
+echo "==> latch-stress router-ha (obs off)"
+cargo run --release -q -p latch-conform --bin latch-stress -- router-ha \
     --seed 7 --sessions 6 --events 1000
 
-echo "==> latch-router router_ha_stress (obs on)"
-cargo run --release -q -p latch-router --bin router_ha_stress --features obs -- \
+echo "==> latch-stress router-ha (obs on)"
+cargo run --release -q -p latch-conform --bin latch-stress --features latch-router/obs -- router-ha \
     --seed 11 --sessions 6 --events 1000
 
 echo "==> cargo clippy --workspace (deny warnings)"
