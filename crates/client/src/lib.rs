@@ -19,13 +19,11 @@
 //! ```
 
 use latch_proto::{
-    error_code, migrate_chunk, migrate_chunks, read_msg, write_msg, Endpoint, Msg, ProtoError,
-    Staging, WireRejected, WireSlo, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
+    error_code, migrate_chunk, migrate_chunks, read_msg, write_msg, Conn, Endpoint, Msg,
+    ProtoError, Staging, WireRejected, WireSlo, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
 };
 use latch_sim::event::Event;
-use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
+use std::io;
 use std::time::Duration;
 
 /// Everything that can go wrong on the client side of the wire.
@@ -100,36 +98,6 @@ pub struct SessionState {
     pub wal: Vec<u8>,
 }
 
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking connection to a `latchd` front door.
 pub struct Client {
     conn: Conn,
@@ -161,11 +129,7 @@ impl Client {
         window_events: u32,
         want_slo: bool,
     ) -> Result<Self, ClientError> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr.as_str())?),
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
-        Self::handshake(conn, window_events, want_slo)
+        Self::handshake(Conn::dial(endpoint, None)?, window_events, want_slo)
     }
 
     /// [`connect`](Self::connect) with a bound on how long the TCP
@@ -183,30 +147,7 @@ impl Client {
         want_slo: bool,
         connect_timeout: Duration,
     ) -> Result<Self, ClientError> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let mut last: Option<io::Error> = None;
-                let mut stream = None;
-                for sockaddr in addr.as_str().to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&sockaddr, connect_timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                match stream {
-                    Some(s) => Conn::Tcp(s),
-                    None => {
-                        return Err(ClientError::Io(last.unwrap_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-                        })))
-                    }
-                }
-            }
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
+        let conn = Conn::dial(endpoint, Some(connect_timeout))?;
         Self::handshake(conn, window_events, want_slo)
     }
 
@@ -217,15 +158,12 @@ impl Client {
             admitted: 0,
             slo: Vec::new(),
         };
-        write_msg(
-            &mut client.conn,
-            &Msg::Hello {
-                version: PROTO_VERSION,
-                window_events,
-                want_slo,
-            },
-        )?;
-        match client.next_reply()? {
+        let hello = Msg::Hello {
+            version: PROTO_VERSION,
+            window_events,
+            want_slo,
+        };
+        match client.call(&hello)? {
             Msg::HelloAck {
                 version,
                 window_events,
@@ -235,7 +173,6 @@ impl Client {
                 }
                 client.window_events = window_events;
             }
-            Msg::Error { code } => return Err(ClientError::Server { code }),
             _ => return Err(ClientError::UnexpectedReply("handshake")),
         }
         Ok(client)
@@ -268,21 +205,16 @@ impl Client {
         rank: u8,
         events: &[Event],
     ) -> Result<(), ClientError> {
-        write_msg(
-            &mut self.conn,
-            &Msg::Submit {
-                session,
-                priority: rank,
-                events: events.to_vec(),
-            },
-        )?;
-        match self.next_reply()? {
+        match self.call(&Msg::Submit {
+            session,
+            priority: rank,
+            events: events.to_vec(),
+        })? {
             Msg::SubmitOk { admitted, .. } => {
                 self.admitted = admitted;
                 Ok(())
             }
             Msg::SubmitRejected { rejected, .. } => Err(ClientError::Rejected(rejected)),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("submit")),
         }
     }
@@ -297,10 +229,8 @@ impl Client {
     /// the server is a router that ran out of drain failover retries;
     /// transport and protocol failures otherwise.
     pub fn drain(&mut self) -> Result<Vec<(u64, Vec<u8>)>, ClientError> {
-        write_msg(&mut self.conn, &Msg::Drain)?;
-        match self.next_reply()? {
+        match self.call(&Msg::Drain)? {
             Msg::Drained { reports } => Ok(reports),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("drain")),
         }
     }
@@ -312,12 +242,10 @@ impl Client {
     /// [`ClientError::Server`] with [`error_code::NOT_DRAINED`] before
     /// a drain, or [`error_code::PROTOCOL`] for an unknown session.
     pub fn report(&mut self, session: u64) -> Result<(u64, Vec<u8>), ClientError> {
-        write_msg(&mut self.conn, &Msg::Report { session })?;
-        match self.next_reply()? {
+        match self.call(&Msg::Report { session })? {
             Msg::ReportData {
                 applied, report, ..
             } => Ok((applied, report)),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("report")),
         }
     }
@@ -336,10 +264,8 @@ impl Client {
     /// [`ClientError::UnexpectedReply`] when the peer answers out of
     /// protocol — either way the router counts a heartbeat miss.
     pub fn ping(&mut self, token: u64) -> Result<u64, ClientError> {
-        write_msg(&mut self.conn, &Msg::Ping { token })?;
-        match self.next_reply()? {
+        match self.call(&Msg::Ping { token })? {
             Msg::Pong { token } => Ok(token),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("ping")),
         }
     }
@@ -351,10 +277,8 @@ impl Client {
     ///
     /// Transport and protocol failures, as for [`ping`](Self::ping).
     pub fn node_hello(&mut self, node: u64, token: u64) -> Result<u64, ClientError> {
-        write_msg(&mut self.conn, &Msg::NodeHello { node, token })?;
-        match self.next_reply()? {
+        match self.call(&Msg::NodeHello { node, token })? {
             Msg::Pong { token } => Ok(token),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("node_hello")),
         }
     }
@@ -400,10 +324,8 @@ impl Client {
         chunk_bytes: usize,
     ) -> Result<(), ClientError> {
         for chunk in migrate_chunks(session, blob, wal, chunk_bytes) {
-            write_msg(&mut self.conn, &chunk)?;
-            match self.next_reply()? {
+            match self.call(&chunk)? {
                 Msg::MigrateChunkAck { .. } => {}
-                Msg::Error { code } => return Err(ClientError::Server { code }),
                 _ => return Err(ClientError::UnexpectedReply("migrate_chunk")),
             }
         }
@@ -425,18 +347,13 @@ impl Client {
         into: u8,
         journaled: u64,
     ) -> Result<u64, ClientError> {
-        write_msg(
-            &mut self.conn,
-            &Msg::MigrateSession {
-                session,
-                priority: rank,
-                into,
-                journaled,
-            },
-        )?;
-        match self.next_reply()? {
+        match self.call(&Msg::MigrateSession {
+            session,
+            priority: rank,
+            into,
+            journaled,
+        })? {
             Msg::MigrateAck { applied, .. } => Ok(applied),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("migrate_session")),
         }
     }
@@ -458,24 +375,19 @@ impl Client {
         journaled: u64,
         wal: &[u8],
     ) -> Result<(bool, u64, u64), ClientError> {
-        write_msg(
-            &mut self.conn,
-            &Msg::ReplFrame {
-                session,
-                rank,
-                wal_off,
-                journaled,
-                wal: wal.to_vec(),
-            },
-        )?;
-        match self.next_reply()? {
+        match self.call(&Msg::ReplFrame {
+            session,
+            rank,
+            wal_off,
+            journaled,
+            wal: wal.to_vec(),
+        })? {
             Msg::ReplAck {
                 ok,
                 journaled,
                 wal_len,
                 ..
             } => Ok((ok, journaled, wal_len)),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("repl_frame")),
         }
     }
@@ -533,19 +445,26 @@ impl Client {
                         false => Err(ClientError::UnexpectedReply("chunks for no state")),
                     };
                 }
-                Msg::Error { code } => return Err(ClientError::Server { code }),
                 _ => return Err(ClientError::UnexpectedReply("repl_fetch")),
             }
         }
     }
 
+    /// Sends one request and reads its reply.
+    fn call(&mut self, msg: &Msg) -> Result<Msg, ClientError> {
+        write_msg(&mut self.conn, msg)?;
+        self.next_reply()
+    }
+
     /// Reads the next non-push reply, stashing SLO pushes on the way.
-    /// A `StaleRouter` fencing refusal is surfaced as its typed error
-    /// no matter which command drew it.
+    /// A server `Error` frame and a `StaleRouter` fencing refusal are
+    /// surfaced as their typed errors no matter which command drew
+    /// them.
     fn next_reply(&mut self) -> Result<Msg, ClientError> {
         loop {
             match read_msg(&mut self.conn)? {
                 Some(Msg::SloPush(report)) => self.slo.push(report),
+                Some(Msg::Error { code }) => return Err(ClientError::Server { code }),
                 Some(Msg::StaleRouter { epoch }) => {
                     return Err(ClientError::StaleRouter { epoch })
                 }
@@ -572,10 +491,8 @@ impl Client {
         epoch: u64,
         router: u64,
     ) -> Result<Vec<(u64, u64, u64, u8)>, ClientError> {
-        write_msg(&mut self.conn, &Msg::Adopt { epoch, router })?;
-        match self.next_reply()? {
+        match self.call(&Msg::Adopt { epoch, router })? {
             Msg::AdoptAck { sessions, .. } => Ok(sessions),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("adopt")),
         }
     }
@@ -590,10 +507,8 @@ impl Client {
     /// Transport and protocol failures.
     #[allow(clippy::type_complexity)]
     pub fn survey_replicas(&mut self) -> Result<Vec<(u64, u8, u64, u64)>, ClientError> {
-        write_msg(&mut self.conn, &Msg::SurveyReplicas)?;
-        match self.next_reply()? {
+        match self.call(&Msg::SurveyReplicas)? {
             Msg::ReplicaSurvey { entries } => Ok(entries),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("survey_replicas")),
         }
     }
@@ -609,10 +524,8 @@ impl Client {
     /// (a standby that has not yet taken over refuses with
     /// [`error_code::STANDBY`]).
     pub fn session_cursor(&mut self, session: u64) -> Result<u64, ClientError> {
-        write_msg(&mut self.conn, &Msg::SessionCursor { session })?;
-        match self.next_reply()? {
+        match self.call(&Msg::SessionCursor { session })? {
             Msg::CursorAck { admitted, .. } => Ok(admitted),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("session_cursor")),
         }
     }
@@ -626,17 +539,12 @@ impl Client {
     ///
     /// Transport and protocol failures.
     pub fn migrate_abort(&mut self, session: u64) -> Result<(), ClientError> {
-        write_msg(
-            &mut self.conn,
-            &Msg::MigrateChunk {
-                session,
-                kind: migrate_chunk::RESTART,
-                bytes: Vec::new(),
-            },
-        )?;
-        match self.next_reply()? {
+        match self.call(&Msg::MigrateChunk {
+            session,
+            kind: migrate_chunk::RESTART,
+            bytes: Vec::new(),
+        })? {
             Msg::MigrateChunkAck { .. } => Ok(()),
-            Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("migrate_abort")),
         }
     }

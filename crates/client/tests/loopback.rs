@@ -248,6 +248,29 @@ fn garbage_fed_connection_fails_closed_without_wedging_the_server() {
     early.flush().unwrap();
     drop(proto_violation);
 
+    // A torn frame: a header and half its payload, then EOF. The door
+    // refuses it (a short frame) with one typed error frame and closes.
+    use latch_proto::{read_msg, Msg, FRAME_HEADER_LEN, PROTO_VERSION};
+    let mut torn = std::net::TcpStream::connect(addr).expect("connect");
+    torn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let hello = Msg::Hello {
+        version: PROTO_VERSION,
+        window_events: 8,
+        want_slo: false,
+    };
+    let whole = hello.encode().expect("encode");
+    let half = FRAME_HEADER_LEN + (whole.len() - FRAME_HEADER_LEN) / 2;
+    torn.write_all(&whole[..half]).expect("bytes accepted");
+    torn.shutdown(std::net::Shutdown::Write).expect("half-close");
+    assert_eq!(
+        read_msg(&mut torn).expect("the refusal frame"),
+        Some(Msg::Error {
+            code: latch_proto::error_code::MALFORMED
+        })
+    );
+    assert_eq!(read_msg(&mut torn).expect("closed"), None);
+
     // The server still serves real clients end to end.
     let events = stream(1, 99, 150);
     let mut client = Client::connect(server.endpoint(), 256, false).expect("connect after garbage");
@@ -259,6 +282,47 @@ fn garbage_fed_connection_fails_closed_without_wedging_the_server() {
     drop(garbage);
     drop(early);
     server.shutdown();
+}
+
+/// A stopped node answers nothing: `kill()`, an undrained `shutdown()`
+/// and a drop each close every client connection and join its handler
+/// before they return. A batch sent on an open connection right after
+/// the stop fails on the transport — never `SubmitOk`, and never a
+/// typed refusal that a router would pass on instead of failing over —
+/// and the service a kill hands back has admitted only the batch sent
+/// before it.
+#[test]
+fn stopped_node_answers_nothing() {
+    let cfg = quiet_config(23);
+    let events = stream(0, 0x5709, 64);
+    for mode in ["kill", "shutdown", "drop"] {
+        let server = start(cfg, &Endpoint::parse("tcp:127.0.0.1:0").unwrap());
+        let mut client = Client::connect(server.endpoint(), 256, false).expect("connect");
+        client.submit(0, 0, &events[..32]).expect("live node admits");
+        let killed = match mode {
+            "kill" => Some(server.kill().expect("never drained")),
+            "shutdown" => {
+                assert!(server.shutdown().is_none(), "never drained");
+                None
+            }
+            _ => {
+                drop(server);
+                None
+            }
+        };
+        match client.submit(0, 0, &events[32..]) {
+            Err(ClientError::Io(_) | ClientError::Proto(_) | ClientError::UnexpectedReply(_)) => {}
+            other => panic!("{mode}: a stopped node answered a submit: {other:?}"),
+        }
+        if let Some(svc) = killed {
+            let (out, _storage) = svc.finish();
+            assert_eq!(
+                out.sessions[&0].encode(),
+                solo_report(&events[..32], cfg.scrub_interval),
+                "a batch sent after the kill reached the service"
+            );
+        }
+    }
 }
 
 #[test]

@@ -529,8 +529,8 @@ type Submit<'c> = dyn FnMut(u64, u8, &[Event]) -> Result<(), ClientError> + 'c;
 /// batches, scaled by the plan's burst draws; non-critical sessions sit
 /// out the plan's slow rounds. A shed drops its batch on purpose, and
 /// backpressure offers the same batch again. With a kill, any refusal
-/// but an oversized batch is offered again after a pause (a dying node
-/// answers ShuttingDown until its sockets close); without one, any
+/// but an oversized batch is offered again after a pause (backpressure
+/// while the router fails the victim's sessions over); without one, any
 /// other refusal fails the run. A transport error always does. Returns
 /// the admitted events and the sheds `(session, priority, pressure)`.
 #[allow(clippy::type_complexity)]

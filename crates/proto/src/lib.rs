@@ -22,12 +22,23 @@
 //! checked, and every malformed byte sequence yields a typed
 //! [`ProtoError`] — never a panic (see the exhaustive bit-flip and
 //! truncation tests at the bottom of this file).
+//!
+//! The transport lives here too, once for every peer: [`Conn`] and
+//! [`Conn::dial`] for both socket kinds, the non-blocking [`Listener`]
+//! a server accepts on, and one stream reader ([`read_msg`], or
+//! [`read_msg_or_stop`] for a server's idle polling), so a stream that
+//! ends mid-frame is [`ProtoError::ShortFrame`] on every side.
 
 use latch_core::snapshot::{crc32, SnapWriter};
 use latch_sim::event::{Event, EventSource};
 use latch_sim::trace::{TraceReader, TraceWriter};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Protocol magic, carried in every [`Msg::Hello`]: "LTWP" (LaTch Wire
 /// Protocol). A peer that is not speaking this protocol at all is
@@ -1331,24 +1342,34 @@ impl Msg {
 
 // ---- blocking stream IO --------------------------------------------------
 
+/// Fills `buf`. At a frame boundary (`at_boundary` and nothing read
+/// yet) a clean EOF returns `Ok(false)`; anywhere else EOF is a torn
+/// frame, [`ProtoError::ShortFrame`]. With a `stop` flag, read
+/// timeouts are a server's idle poll: at a frame boundary a raised
+/// flag returns `Ok(false)`, and mid-frame they keep waiting, so a
+/// slow-but-live peer never loses its partial frame. Without one, a
+/// timeout is a transport error.
 fn read_full<R: Read>(
     r: &mut R,
     buf: &mut [u8],
-    clean_eof_ok: bool,
+    at_boundary: bool,
+    stop: Option<&AtomicBool>,
 ) -> Result<bool, ProtoError> {
     let mut n = 0;
     while n < buf.len() {
         match r.read(&mut buf[n..]) {
-            Ok(0) => {
-                return if n == 0 && clean_eof_ok {
-                    Ok(false)
-                } else {
-                    Err(ProtoError::ShortFrame)
-                };
-            }
+            Ok(0) if n == 0 && at_boundary => return Ok(false),
+            Ok(0) => return Err(ProtoError::ShortFrame),
             Ok(k) => n += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e.kind())),
+            Err(e) => match (e.kind(), stop) {
+                (io::ErrorKind::Interrupted, _) => {}
+                (io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut, Some(stop)) => {
+                    if n == 0 && at_boundary && stop.load(Ordering::SeqCst) {
+                        return Ok(false);
+                    }
+                }
+                (kind, _) => return Err(ProtoError::Io(kind)),
+            },
         }
     }
     Ok(true)
@@ -1376,8 +1397,23 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<(), ProtoError> {
 ///
 /// A typed [`ProtoError`] for torn, hostile, or malformed frames.
 pub fn read_msg<R: Read>(r: &mut R) -> Result<Option<Msg>, ProtoError> {
+    read_msg_or_stop(r, None)
+}
+
+/// [`read_msg`] for a server polling `stop`: on a stream with a read
+/// timeout, it also returns `Ok(None)` when the flag is raised while
+/// the stream idles at a frame boundary. A frame already begun is read
+/// to its end.
+///
+/// # Errors
+///
+/// As for [`read_msg`].
+pub fn read_msg_or_stop<R: Read>(
+    r: &mut R,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Msg>, ProtoError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
-    if !read_full(r, &mut header, true)? {
+    if !read_full(r, &mut header, true, stop)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
@@ -1386,7 +1422,7 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Option<Msg>, ProtoError> {
     }
     let want_crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
     let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
+    read_full(r, &mut payload, false, stop)?;
     if crc32(&payload) != want_crc {
         return Err(ProtoError::BadCrc);
     }
@@ -1426,6 +1462,164 @@ impl fmt::Display for Endpoint {
         match self {
             Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
+        }
+    }
+}
+
+/// One connected socket, either transport: what a client dials and
+/// what a [`Listener`] accepts.
+#[derive(Debug)]
+pub enum Conn {
+    /// A TCP stream.
+    Tcp(TcpStream),
+    /// A Unix domain socket stream.
+    Unix(UnixStream),
+}
+
+impl Conn {
+    /// Connects to `endpoint`. A `timeout` bounds each TCP connect
+    /// attempt, so one blackholed (non-refusing) address cannot stall
+    /// the caller for the OS connect timeout; Unix-socket connects are
+    /// local and not bounded.
+    ///
+    /// # Errors
+    ///
+    /// The connect failure; a TCP address that resolves to nothing is
+    /// `InvalidInput`.
+    pub fn dial(endpoint: &Endpoint, timeout: Option<Duration>) -> io::Result<Self> {
+        match (endpoint, timeout) {
+            (Endpoint::Unix(path), _) => UnixStream::connect(path).map(Conn::Unix),
+            (Endpoint::Tcp(addr), None) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+            (Endpoint::Tcp(addr), Some(t)) => {
+                let mut last =
+                    io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing");
+                for sockaddr in addr.as_str().to_socket_addrs()? {
+                    match TcpStream::connect_timeout(&sockaddr, t) {
+                        Ok(s) => return Ok(Conn::Tcp(s)),
+                        Err(e) => last = e,
+                    }
+                }
+                Err(last)
+            }
+        }
+    }
+
+    /// Sets the read timeout on which a polling reader wakes.
+    pub fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
+            Conn::Unix(s) => s.set_read_timeout(Some(d)),
+        }
+    }
+
+    /// A second handle on the same socket, to close it from another
+    /// thread.
+    pub fn try_clone(&self) -> io::Result<Self> {
+        match self {
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
+    /// Closes both directions: a thread blocked on the socket returns
+    /// at once, and the peer reads end-of-stream.
+    pub fn close(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.read(buf),
+            Conn::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write(buf),
+            Conn::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.flush(),
+            Conn::Unix(s) => s.flush(),
+        }
+    }
+}
+
+/// A bound, non-blocking listening socket, either transport. A Unix
+/// listener removes its socket file when dropped.
+#[derive(Debug)]
+pub enum Listener {
+    /// A TCP listener.
+    Tcp(TcpListener),
+    /// A Unix domain socket listener and the path it is bound at.
+    Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// Binds `endpoint` in non-blocking mode, so an accept loop can
+    /// poll a stop flag between accepts.
+    ///
+    /// # Errors
+    ///
+    /// The bind failure: address in use, missing socket directory, and
+    /// so on.
+    pub fn bind(endpoint: &Endpoint) -> io::Result<Self> {
+        match endpoint {
+            Endpoint::Tcp(addr) => {
+                let l = TcpListener::bind(addr.as_str())?;
+                l.set_nonblocking(true)?;
+                Ok(Listener::Tcp(l))
+            }
+            Endpoint::Unix(path) => {
+                // A stale socket file from a dead process blocks bind;
+                // remove it first (connect() to a live one would
+                // succeed, but the server owns its socket path).
+                let _ = std::fs::remove_file(path);
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                Ok(Listener::Unix(l, path.clone()))
+            }
+        }
+    }
+
+    /// The endpoint actually bound: for `tcp:HOST:0` this carries the
+    /// kernel-assigned port.
+    #[must_use]
+    pub fn local_endpoint(&self) -> Endpoint {
+        match self {
+            Listener::Tcp(l) => Endpoint::Tcp(
+                l.local_addr()
+                    .map_or_else(|_| "0.0.0.0:0".to_string(), |a| a.to_string()),
+            ),
+            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
+        }
+    }
+
+    /// Accepts one pending connection; the error is `WouldBlock` when
+    /// none waits.
+    pub fn accept(&self) -> io::Result<Conn> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -1947,7 +2141,7 @@ mod tests {
                 match read_msg(&mut cursor) {
                     Ok(None) => assert_eq!(cut, 0, "clean EOF only at a frame boundary"),
                     Ok(Some(_)) => panic!("{msg:?}: cut at {cut} decoded"),
-                    Err(_) => {}
+                    Err(e) => assert_eq!(e, ProtoError::ShortFrame, "{msg:?}: cut at {cut}"),
                 }
             }
         }
@@ -2017,6 +2211,63 @@ mod tests {
             assert_eq!(read_msg(&mut cursor).unwrap().as_ref(), Some(msg));
         }
         assert_eq!(read_msg(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// A stream that times out before every byte it yields, as a
+    /// socket with a read timeout does under a slow peer.
+    struct Stutter {
+        bytes: std::collections::VecDeque<u8>,
+        timed_out: bool,
+    }
+
+    impl Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            match (self.bytes.pop_front(), buf.first_mut()) {
+                (Some(b), Some(slot)) => {
+                    *slot = b;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn polling_reader_stops_only_between_frames() {
+        let msg = Msg::Ping { token: 9 };
+        let stutter = |bytes: &[u8]| Stutter {
+            bytes: bytes.iter().copied().collect(),
+            timed_out: false,
+        };
+        let raised = AtomicBool::new(true);
+        // A raised flag ends an idle wait at a frame boundary...
+        let mut idle = stutter(&msg.encode().unwrap());
+        assert_eq!(read_msg_or_stop(&mut idle, Some(&raised)), Ok(None));
+        // ...but never a frame already begun, however often it stalls.
+        let mut begun = stutter(&msg.encode().unwrap());
+        begun.timed_out = true;
+        assert_eq!(
+            read_msg_or_stop(&mut begun, Some(&raised)),
+            Ok(Some(msg.clone()))
+        );
+        // A lowered flag waits the idle stall out; EOF mid-frame is
+        // still a short frame.
+        let lowered = AtomicBool::new(false);
+        let mut torn = stutter(&msg.encode().unwrap()[..5]);
+        assert_eq!(
+            read_msg_or_stop(&mut torn, Some(&lowered)),
+            Err(ProtoError::ShortFrame)
+        );
+        // Without a flag, a timeout is a transport error.
+        let mut plain = stutter(&msg.encode().unwrap());
+        assert_eq!(
+            read_msg(&mut plain),
+            Err(ProtoError::Io(io::ErrorKind::WouldBlock))
+        );
     }
 
     #[test]

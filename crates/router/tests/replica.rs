@@ -330,19 +330,12 @@ fn in_doubt_batch_resolves_after_diskless_failover() {
     let events = stream(0, SEED ^ 0x1D0B, 200);
     router.submit(session, 1, &events[..100]).expect("first half");
     kill_and_destroy(node_a);
-    // The forward fails mid-flight: the batch's fate is in doubt. In
-    // the instant between losing its service and its sockets closing
-    // the dying node answers a retryable ShuttingDown; keep retrying
-    // until the transport itself dies.
-    let err = loop {
-        match router.submit(session, 1, &events[100..150]) {
-            Ok(()) => panic!("dead owner admitted a batch"),
-            Err(latch_router::RouterError::Rejected(_)) => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => break e,
-        }
-    };
+    // The forward fails mid-flight: the batch's fate is in doubt. The
+    // kill closed the node's sockets before it returned, so the very
+    // next forward meets a dead transport, not a typed refusal.
+    let err = router
+        .submit(session, 1, &events[100..150])
+        .expect_err("dead owner admitted a batch");
     assert!(matches!(err, latch_router::RouterError::NodeDown { node: 0 }));
     router.fail_over(0, Vec::new()).expect("diskless failover");
     assert!(router.lost_sessions().is_empty());

@@ -369,6 +369,79 @@ fn stopped_router_forwards_nothing() {
     node.shutdown();
 }
 
+/// The router's door fails hostile bytes closed, as the node's does:
+/// pure garbage, a well-formed first frame that is not a `Hello`, a
+/// `Hello` with a bad version, and a torn frame (a header, half its
+/// payload, then EOF) each draw one `MALFORMED` error frame and a
+/// closed socket, and a real client still submits and drains after
+/// them.
+#[test]
+fn hostile_bytes_fail_closed_at_the_router_door() {
+    use latch_proto::{error_code, read_msg, Msg, FRAME_HEADER_LEN, PROTO_VERSION};
+    use std::io::Write;
+    let node = start_node(0);
+    let mut router = Router::new(router_config(0, 7));
+    router.add_node(0, node.endpoint().clone());
+    let cfg = RouterServerConfig {
+        heartbeat: Duration::ZERO,
+        ..RouterServerConfig::default()
+    };
+    let front = RouterServer::start(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        router,
+        Box::new(|_| Vec::new()) as Exporter,
+        cfg,
+    )
+    .expect("bind router");
+    let addr = front.local_addr().expect("TCP listener has an address");
+    let bad_hello = Msg::Hello {
+        version: PROTO_VERSION + 1,
+        window_events: 8,
+        want_slo: false,
+    };
+    let hello = Msg::Hello {
+        version: PROTO_VERSION,
+        window_events: 8,
+        want_slo: false,
+    };
+    let whole = hello.encode().expect("encode");
+    let cases = [
+        ("garbage", vec![0xFF; 64]),
+        ("a first frame that is not a Hello", Msg::Drain.encode().expect("encode")),
+        ("a bad version", bad_hello.encode().expect("encode")),
+        (
+            "a torn frame",
+            whole[..FRAME_HEADER_LEN + (whole.len() - FRAME_HEADER_LEN) / 2].to_vec(),
+        ),
+    ];
+    for (what, bytes) in cases {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        raw.write_all(&bytes).expect("bytes accepted by the kernel");
+        raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        assert_eq!(
+            read_msg(&mut raw).expect("the refusal frame"),
+            Some(Msg::Error {
+                code: error_code::MALFORMED
+            }),
+            "{what}: not refused"
+        );
+        assert_eq!(
+            read_msg(&mut raw).expect("end of stream"),
+            None,
+            "{what}: socket left open"
+        );
+    }
+    let events = stream(1, SEED ^ 0xBAD, 150);
+    let mut client = Client::connect(front.endpoint(), 256, false).expect("connect after garbage");
+    client.submit(3, 1, &events).expect("submit");
+    let reports = client.drain().expect("drain");
+    assert_eq!(reports, vec![(3, solo_report(&events))]);
+    front.shutdown();
+    node.shutdown();
+}
+
 /// Takeover is deterministic: the same (seed, schedule, kill point) —
 /// including a node that died *with* the old router, forcing the
 /// standby to fail its sessions over from surviving replica journals —

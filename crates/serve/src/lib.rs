@@ -389,13 +389,13 @@ impl Service {
             .preload_session(session, blob, applied, epoch, priority);
     }
 
-    /// SLO report cuts taken so far, in cut order. The vector only
+    /// SLO report cuts taken so far, in cut order. The list only
     /// grows while the service runs, so a caller can stream new cuts
     /// by keeping a cursor into it — the wire server pushes the suffix
     /// to subscribed connections after each reply.
     #[must_use]
-    pub fn slo_reports(&self) -> Vec<SloReport> {
-        self.sched.slo_reports.clone()
+    pub fn slo_reports(&self) -> &[SloReport] {
+        &self.sched.slo_reports
     }
 
     /// The sticky admission class of a known session, or `None` for a

@@ -14,6 +14,12 @@ cargo build --release
 echo "==> cargo build --release (obs on)"
 cargo build --release --workspace --features "$OBS_FEATURES"
 
+# perfbench is a Cargo workspace of its own, so no build above compiles
+# it; check it here, or an API change that breaks it would show only as
+# every benchmark run failing.
+echo "==> cargo check perfbench"
+cargo check -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (obs off)"
 cargo test -q
 
