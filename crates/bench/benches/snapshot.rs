@@ -2,13 +2,14 @@
 //! snapshot trailer, WAL record and wire frame, a full
 //! `SessionPipeline` snapshot round trip on a taint-heavy stream, and
 //! what durable maintenance does for each due session — encode the
-//! LTSF frame, then write it and rotate the journal on a real
-//! directory under one group commit.
+//! LTSF frame, then put it in place on a real directory, sync it, and
+//! cut the journal.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use latch_core::snapshot::crc32;
+use latch_serve::journal::{wal_header, wal_name};
 use latch_serve::store::{encode_pipeline_frame, snap_name};
-use latch_serve::{journal, DirStorage, Priority, Storage};
+use latch_serve::{DirStorage, Priority, Storage};
 use latch_sim::event::EventSource;
 use latch_systems::session::SessionPipeline;
 use latch_workloads::BenchmarkProfile;
@@ -62,17 +63,20 @@ fn maintenance(c: &mut Criterion) {
     g.bench_function("encode_frame_astar", |b| {
         b.iter(|| encode_pipeline_frame(1, Priority::Normal, black_box(&pipe)))
     });
-    // One due session on a real directory: the frame to the alternate
-    // generation, the journal rotated to its header, one group commit.
+    // One due session on a real directory, as a maintenance pass runs
+    // it: the frame put in place over the older generation, the pass's
+    // one barrier, then the journal cut to its header (which the next
+    // group commit makes durable).
     let dir = std::env::temp_dir().join(format!("latch-bench-maintenance-{}", std::process::id()));
     let mut storage = DirStorage::open(&dir).expect("temp dir");
+    let header = wal_header(1, Priority::Normal);
     let mut generation = 0;
     g.bench_function("dir_storage_pass_astar", |b| {
         b.iter(|| {
             generation ^= 1;
-            assert!(storage.write_atomic(&snap_name(1, generation), black_box(&frame)));
-            assert!(journal::rotate(&mut storage, 1, Priority::Normal));
+            assert!(storage.put(&snap_name(1, generation), black_box(&frame)));
             assert!(storage.fsync());
+            assert!(storage.put(&wal_name(1), &header));
         })
     });
     g.finish();

@@ -6,7 +6,7 @@
 //! record bytes to each backup *before* acking the client. Each backup
 //! keeps a [`ReplicaJournal`]: the session's snapshot blob plus a WAL
 //! byte buffer that is, by construction, a byte-prefix of the primary's
-//! logical (rotation-free) WAL stream. A journal is seeded whole (the
+//! logical (never-cut) WAL stream. A journal is seeded whole (the
 //! router stages it as chunks and commits it into the backup store) and
 //! then grows by appends. On failover the freshest backup journal feeds
 //! the ordinary §13 recovery scan, so losing a machine *and its disk*
@@ -79,7 +79,7 @@ impl std::error::Error for ReplicaError {}
 
 /// One session's backup state: a snapshot blob plus the WAL bytes that
 /// follow it. `wal` always starts with the primary's WAL header and is
-/// a byte-prefix of the primary's logical (rotation-free) WAL stream.
+/// a byte-prefix of the primary's logical (never-cut) WAL stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaJournal {
     pub session: u64,

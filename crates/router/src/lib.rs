@@ -228,10 +228,10 @@ struct BackupCursor {
 }
 
 /// Router-side source of one session's replication stream: the logical
-/// (rotation-free) snapshot + WAL byte state its backups mirror, the
+/// (never-cut) snapshot + WAL byte state its backups mirror, the
 /// record boundaries within it, and each backup's acked cursor. The
-/// owner's on-disk WAL rotates under maintenance; this buffer never
-/// does, which is what makes every backup journal a byte-prefix of one
+/// owner's on-disk WAL is cut under maintenance; this buffer never
+/// is, which is what makes every backup journal a byte-prefix of one
 /// well-defined stream.
 struct ReplSession {
     state: SessionState,
@@ -1457,7 +1457,7 @@ impl Router {
     ///    batch lands between the expel and the route flip: no
     ///    double-apply, no lost suffix, no client-visible gap.
     ///
-    /// The owner's maintenance may rotate its journal between the
+    /// The owner's maintenance may cut its journal between the
     /// phases (every pump runs it), invalidating the staged prefix;
     /// a RESTART chunk discards the staging on the same connection and
     /// the full cut state is restaged inline (a fresh connection is
@@ -1558,7 +1558,7 @@ impl Router {
                     conn.migrate_commit(session, state.rank, migrate_into::LIVE, state.journaled)
                         .map_err(wire)?
                 } else {
-                    // Rotation between the phases: the staged bytes are
+                    // A journal cut between the phases: the staged bytes are
                     // a stale prefix. A RESTART chunk discards them on
                     // the same connection, so the full cut state can be
                     // restaged without tearing the link down.

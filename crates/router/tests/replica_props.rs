@@ -33,7 +33,7 @@ fn pool(seed: u64, n: u64) -> Vec<Event> {
     out
 }
 
-/// The primary's logical (rotation-free) stream: WAL bytes plus the
+/// The primary's logical (never-cut) stream: WAL bytes plus the
 /// `(offset, journaled)` record boundaries — the same bookkeeping the
 /// router keeps per session.
 struct Primary {

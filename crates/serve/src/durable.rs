@@ -8,17 +8,24 @@
 //!   session's `wal-*` file *after* admission succeeds, as a
 //!   CRC-framed record (see [`crate::journal`]). Fsyncs are batched:
 //!   one group commit per `group_commit_events` journaled events.
-//! * **Snapshot store** — once a session has applied
-//!   `snapshot_every` events past its last durable snapshot, the
-//!   maintenance pass writes a checksummed frame (see
-//!   [`crate::store`]) to the session's alternate generation and, on
-//!   a successful sync, truncates the journal it supersedes.
+//! * **Checkpoints** — once a session has applied `snapshot_every`
+//!   events past its last durable snapshot, the maintenance pass puts
+//!   its checksummed frame (see [`crate::store`]) in place over the
+//!   generation that does *not* hold the session's newest durable
+//!   frame. One barrier covers every frame of the pass. Only after it
+//!   succeeds does the session flip its generation, advance its
+//!   snapshot mark and cut its journal, by putting the 17-byte header
+//!   over it; the next group commit makes the cut durable, and until
+//!   then recovery skips the records the frame covers. A failed
+//!   barrier lands nothing, so the same generation is overwritten
+//!   next time. Recovery and import seal a session by the same steps.
 //! * **Recovery** — [`DurableService::recover`] scans the store,
 //!   quarantines every corrupt or torn frame with a typed
 //!   [`RecoveryError`] (never a panic), restores the newest valid
 //!   snapshot per session, replays the journal suffix through the
-//!   real pipeline, and bumps the session epoch. Recovered state is
-//!   an *exact prefix* of the submitted stream: re-submitting the
+//!   real pipeline, bumps the session epoch, and seals the result into
+//!   the generation its source frame is not in. Recovered state is an
+//!   *exact prefix* of the submitted stream: re-submitting the
 //!   un-recovered suffix yields reports byte-identical to a run that
 //!   never crashed.
 //!
@@ -27,7 +34,8 @@
 //! vanish with the page cache. What recovery guarantees is
 //! *consistency* — the recovered pipeline equals the uninterrupted
 //! pipeline after some prefix of its input, never a corrupted or
-//! diverged state.
+//! diverged state — and a *durable floor*: that prefix holds every
+//! event a successful fsync covered, whatever the crash tore.
 
 use crate::journal::{self, RecoveryError};
 use crate::overload::Priority;
@@ -74,11 +82,15 @@ struct DurState {
     journaled: u64,
     /// `applied` covered by the newest durable snapshot.
     snapshotted: u64,
-    /// Generation the *next* snapshot frame goes to (alternates).
+    /// Generation the next checkpoint overwrites: the one that does
+    /// not hold the newest durable frame. Flips only once a barrier
+    /// has made the frame put there durable.
     next_generation: u8,
-    /// Set when a journal append failed: the WAL has a gap, so no
-    /// further appends make sense until a snapshot covers everything
-    /// admitted and the journal is rotated clean.
+    /// Set when the journal cannot take appends: an append failed and
+    /// left a gap, or a recovery or import seal still waits for its
+    /// journal cut. No further appends make sense until a
+    /// durable snapshot covers everything admitted and the journal is
+    /// cut clean.
     needs_resync: bool,
     /// Whether the `wal-*` file exists (header written).
     has_wal: bool,
@@ -96,6 +108,16 @@ impl DurState {
     }
 }
 
+/// A frame put during a pass, waiting on the pass's barrier.
+struct Checkpoint {
+    session: u64,
+    /// Events the frame covers.
+    applied: u64,
+    /// Whether the journal is cut once the frame is durable.
+    cut: bool,
+    priority: Priority,
+}
+
 /// One session's durable state, packaged for migration to another
 /// node. The fields are exactly the on-disk artifacts the recovery
 /// scan consumes — the newest valid snapshot-store blob and the raw
@@ -111,7 +133,8 @@ pub struct SessionExport {
     /// The newest valid LTSE pipeline snapshot, or empty when the
     /// session has no durable snapshot yet.
     pub blob: Vec<u8>,
-    /// The raw write-ahead journal file, or empty when rotated away.
+    /// The raw write-ahead journal file, or empty when the session has
+    /// none.
     pub wal: Vec<u8>,
 }
 
@@ -288,7 +311,7 @@ impl<S: Storage> DurableService<S> {
                 None => {
                     // The WAL now has a gap; stop journaling until the
                     // next durable snapshot covers it (maintenance
-                    // clears the flag after rotating the file).
+                    // clears the flag once it has cut the journal).
                     state.needs_resync = true;
                     latch_obs::counter_inc("serve.journal.append_failures");
                 }
@@ -305,10 +328,12 @@ impl<S: Storage> DurableService<S> {
         Ok(())
     }
 
-    fn group_commit(&mut self) {
+    /// Syncs everything written since the last successful sync, and
+    /// reports whether all of it is now durable.
+    fn group_commit(&mut self) -> bool {
         if self.dirty_files == 0 {
             self.unsynced_events = 0;
-            return;
+            return true;
         }
         let failed = !self.storage.fsync();
         if failed {
@@ -328,18 +353,55 @@ impl<S: Storage> DurableService<S> {
         if !failed {
             self.dirty_files = 0;
         }
+        !failed
+    }
+
+    /// Steps 2 and 3 of every checkpoint. One barrier covers every
+    /// frame of `pass`, and every journal append before it. Only once
+    /// it succeeds does each session flip its generation, advance its
+    /// snapshot mark and, where the frame covers everything journaled,
+    /// cut its journal by putting the header over it. The cut needs no
+    /// barrier of its own: until the next group commit makes it
+    /// durable, a crash may keep old records, and the durable frame
+    /// covers them. A failed barrier lands nothing.
+    fn land(&mut self, pass: Vec<Checkpoint>) {
+        if !self.group_commit() {
+            return;
+        }
+        for ck in pass {
+            let Some(state) = self.sessions.get_mut(&ck.session) else {
+                continue;
+            };
+            state.snapshotted = ck.applied;
+            state.next_generation ^= 1;
+            if !ck.cut {
+                continue;
+            }
+            let header = journal::wal_header(ck.session, ck.priority);
+            if self.storage.put(&journal::wal_name(ck.session), &header) {
+                state.needs_resync = false;
+                state.has_wal = true;
+                self.dirty_files += 1;
+            } else {
+                // The stale journal still stands; keep refusing
+                // appends until a later cut lands.
+                state.needs_resync = true;
+            }
+        }
     }
 
     /// Drives the scheduler until idle, then runs durability
-    /// maintenance: snapshots for every session that moved
-    /// `snapshot_every` events past its last durable frame, journal
-    /// truncation for snapshots that cover them, and a group commit.
+    /// maintenance: a checkpoint for every session that moved
+    /// `snapshot_every` events past its last durable frame, one
+    /// barrier for all of them (the group commit), and then the
+    /// journal cuts those frames allow.
     pub fn pump(&mut self) {
         self.svc.pump();
         self.maintenance();
     }
 
     fn maintenance(&mut self) {
+        let mut pass = Vec::new();
         for session in self.svc.session_ids() {
             // An expelled session's files are deleted; a snapshot here
             // would resurrect them (and stale state) on this node.
@@ -375,34 +437,20 @@ impl<S: Storage> DurableService<S> {
                     store::encode_frame(session, epoch, applied, priority, blob),
                 ),
             };
-            let generation = state.next_generation;
-            if !self
-                .storage
-                .write_atomic(&store::snap_name(session, generation), &frame)
-            {
+            let name = store::snap_name(session, state.next_generation);
+            if !self.storage.put(&name, &frame) {
                 continue;
             }
             self.dirty_files += 1;
             latch_obs::counter_inc("serve.snapshot.writes");
-            // The snapshot must be durable before the journal it
-            // supersedes is truncated — rotation rides the same
-            // atomic-replace + fsync path, and recovery tolerates
-            // every interleaving (old WAL + new snapshot just skips
-            // the covered records).
-            if applied >= state.journaled {
-                if journal::rotate(&mut self.storage, session, priority) {
-                    state.needs_resync = false;
-                    state.has_wal = true;
-                } else {
-                    // The stale journal still stands; keep refusing
-                    // appends until a later rotation lands.
-                    state.needs_resync = true;
-                }
-            }
-            state.snapshotted = applied;
-            state.next_generation = 1 - generation;
+            pass.push(Checkpoint {
+                session,
+                applied,
+                cut: applied >= state.journaled,
+                priority,
+            });
         }
-        self.group_commit();
+        self.land(pass);
     }
 
     /// Graceful drain: final maintenance pass, group commit, then the
@@ -468,6 +516,7 @@ impl<S: Storage> DurableService<S> {
 
         let mut svc = Service::deterministic(cfg, plan);
         let mut sessions: BTreeMap<u64, DurState> = BTreeMap::new();
+        let mut seal = Vec::new();
         for session in session_ids {
             let mut quarantine = |file: String, offset: u64, error: RecoveryError| {
                 latch_obs::emit(
@@ -488,7 +537,7 @@ impl<S: Storage> DurableService<S> {
             // Newest valid snapshot across both generations; a frame
             // that decodes but whose embedded blob does not is
             // quarantined exactly like a bad frame.
-            let mut best: Option<(store::SnapFrame, SessionPipeline)> = None;
+            let mut best: Option<(u8, store::SnapFrame, SessionPipeline)> = None;
             for generation in [0u8, 1u8] {
                 let name = store::snap_name(session, generation);
                 let Some(bytes) = storage.read(&name) else {
@@ -497,8 +546,8 @@ impl<S: Storage> DurableService<S> {
                 match store::decode_frame(session, &bytes) {
                     Ok(frame) => match SessionPipeline::from_snapshot(&frame.blob) {
                         Ok(pipe) => {
-                            if best.as_ref().is_none_or(|(b, _)| frame.newer_than(b)) {
-                                best = Some((frame, pipe));
+                            if best.as_ref().is_none_or(|(_, b, _)| frame.newer_than(b)) {
+                                best = Some((generation, frame, pipe));
                             }
                         }
                         Err(_) => quarantine(name, 0, RecoveryError::BadSnapshot),
@@ -506,23 +555,30 @@ impl<S: Storage> DurableService<S> {
                     Err(err) => quarantine(name, 0, err),
                 }
             }
-            let (snapshot_applied, frame_priority, mut pipe) = match best {
-                Some((frame, pipe)) => (frame.applied, Some(frame.priority), pipe),
-                None => (0, None, SessionPipeline::new(cfg.scrub_interval)),
+            let (source, snapshot_applied, frame_priority, mut pipe) = match best {
+                Some((generation, frame, pipe)) => {
+                    (Some(generation), frame.applied, Some(frame.priority), pipe)
+                }
+                None => (None, 0, None, SessionPipeline::new(cfg.scrub_interval)),
             };
             debug_assert_eq!(pipe.applied(), snapshot_applied);
 
             // Replay the journal suffix on top of the snapshot. The
             // scan stops at the first corruption; records the snapshot
             // already covers are skipped (straddlers partially).
+            // `clean` stays set while the journal reads to its end with
+            // no quarantine and no gap.
             let mut replayed = 0u64;
             let mut wal_priority = None;
+            let (mut has_wal, mut clean) = (false, true);
             let wal = journal::wal_name(session);
             if let Some(bytes) = storage.read(&wal) {
+                has_wal = true;
                 let scan = journal::scan_wal(session, &bytes);
                 wal_priority = scan.priority;
                 if let Some((offset, err)) = scan.quarantined {
                     quarantine(wal.clone(), offset, err);
+                    clean = false;
                 }
                 for rec in scan.records {
                     let end = rec.base_seq + rec.events.len() as u64;
@@ -532,6 +588,7 @@ impl<S: Storage> DurableService<S> {
                     if rec.base_seq > pipe.applied() {
                         // A gap (lost record): nothing after it can be
                         // applied without breaking event order.
+                        clean = false;
                         break;
                     }
                     let skip = (pipe.applied() - rec.base_seq) as usize;
@@ -542,30 +599,45 @@ impl<S: Storage> DurableService<S> {
                 }
             }
 
-            // Seal the recovery: new epoch, fresh durable snapshot of
-            // the recovered state, clean journal. The sticky admission
-            // class comes from the newest valid snapshot frame, falling
-            // back to the journal header (written at first admission)
-            // and only then to the default — a Critical session must
-            // not silently become sheddable across a crash.
+            // Seal the recovery: new epoch, and a fresh frame of the
+            // recovered state put into the generation the source frame
+            // is not in, so a torn seal costs only the seal. The sticky
+            // admission class comes from the newest valid snapshot
+            // frame, falling back to the journal header (written at
+            // first admission) and only then to the default — a
+            // Critical session must not silently become sheddable
+            // across a crash.
             let priority = frame_priority.or(wal_priority).unwrap_or_default();
             pipe.bump_epoch();
             let epoch = pipe.epoch();
             let recovered = pipe.applied();
             let blob = pipe.to_snapshot();
-            let mut state = DurState::new();
-            state.journaled = recovered;
-            state.snapshotted = recovered;
-            // The recovery frame goes to generation 0; its successor
-            // alternates as usual. Epoch dominance makes it supersede
-            // both pre-crash generations regardless of `applied`.
-            if store::write_frame(&mut storage, session, 0, epoch, recovered, priority, &blob) {
-                state.next_generation = 1;
+            // A clean journal with this class in its header keeps
+            // taking appends from `recovered` on; any other is cut once
+            // the seal is durable, and takes none until then —
+            // appending after a torn tail or a gap would strand the
+            // new records behind it.
+            let cut = has_wal && !(clean && wal_priority == Some(priority));
+            let generation = source.map_or(0, |g| 1 - g);
+            let frame = store::encode_frame(session, epoch, recovered, priority, &blob);
+            if storage.put(&store::snap_name(session, generation), &frame) {
+                seal.push(Checkpoint {
+                    session,
+                    applied: recovered,
+                    cut,
+                    priority,
+                });
             }
-            state.has_wal = journal::rotate(&mut storage, session, priority);
-            // A failed rotation leaves the stale pre-crash journal in
-            // place; appending after it would interleave streams.
-            state.needs_resync = !state.has_wal;
+            sessions.insert(
+                session,
+                DurState {
+                    journaled: recovered,
+                    snapshotted: snapshot_applied,
+                    next_generation: generation,
+                    needs_resync: cut,
+                    has_wal,
+                },
+            );
             svc.preload_session(session, blob, recovered, epoch, priority);
             report.sessions.insert(
                 session,
@@ -576,19 +648,18 @@ impl<S: Storage> DurableService<S> {
                     epoch,
                 },
             );
-            sessions.insert(session, state);
         }
-        storage.fsync();
-        let durable = Self {
+        let mut durable = Self {
             svc,
             storage,
             dcfg: dcfg.sanitized(),
             sessions,
             unsynced_events: 0,
-            dirty_files: 0,
+            dirty_files: seal.len() as u64,
             scrub_interval: cfg.scrub_interval,
             expelled: std::collections::BTreeSet::new(),
         };
+        durable.land(seal);
         (durable, report)
     }
 
@@ -687,32 +758,36 @@ impl<S: Storage> DurableService<S> {
             return Err(ImportError::Resident { session });
         }
         let mut pipe = thaw_export(session, self.scrub_interval, blob, wal)?;
-        // Seal locally exactly like recovery: new epoch (so this
-        // node's frames dominate any stale copy), fresh generation-0
-        // snapshot, clean journal.
+        // Seal locally like recovery: new epoch (so this node's frames
+        // dominate any stale copy), a fresh frame, and once it is
+        // durable a clean journal. The source frame lives on another
+        // node, so neither local generation holds it: the seal takes
+        // generation 0, and appends wait for the cut.
         pipe.bump_epoch();
         let epoch = pipe.epoch();
         let applied = pipe.applied();
         let sealed = pipe.to_snapshot();
-        let mut state = DurState::new();
-        state.journaled = applied;
-        state.snapshotted = applied;
-        if store::write_frame(
-            &mut self.storage,
-            session,
-            0,
-            epoch,
-            applied,
-            priority,
-            &sealed,
-        ) {
-            state.next_generation = 1;
+        let frame = store::encode_frame(session, epoch, applied, priority, &sealed);
+        let mut pass = Vec::new();
+        if self.storage.put(&store::snap_name(session, 0), &frame) {
+            self.dirty_files += 1;
+            pass.push(Checkpoint {
+                session,
+                applied,
+                cut: true,
+                priority,
+            });
         }
-        state.has_wal = journal::rotate(&mut self.storage, session, priority);
-        state.needs_resync = !state.has_wal;
-        self.storage.fsync();
+        self.sessions.insert(
+            session,
+            DurState {
+                journaled: applied,
+                needs_resync: true,
+                ..DurState::new()
+            },
+        );
+        self.land(pass);
         self.svc.preload_session(session, sealed, applied, epoch, priority);
-        self.sessions.insert(session, state);
         latch_obs::counter_inc("serve.migrate.imports");
         Ok(applied)
     }

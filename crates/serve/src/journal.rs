@@ -349,13 +349,6 @@ pub fn append_record<S: Storage>(
     Ok(append_frame(storage, session, has_file, priority, &frame))
 }
 
-/// Resets `session`'s journal to an empty (header-only) file, keeping
-/// the sticky `priority` in the fresh header. Called after a durable
-/// snapshot covers everything journaled, and at the end of recovery.
-pub fn rotate<S: Storage>(storage: &mut S, session: u64, priority: Priority) -> bool {
-    storage.write_atomic(&wal_name(session), &wal_header(session, priority))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,16 +519,16 @@ mod tests {
     }
 
     #[test]
-    fn rotation_empties_the_journal() {
+    fn a_header_put_over_the_journal_cuts_it() {
         let evs = events(20);
         let mut s = MemStorage::new(FaultPlan::benign());
         append_record(&mut s, 3, false, 0, Priority::Bulk, &evs).unwrap().unwrap();
-        assert!(rotate(&mut s, 3, Priority::Bulk));
+        assert!(s.put(&wal_name(3), &wal_header(3, Priority::Bulk)));
         let scan = scan_wal(3, &s.read(&wal_name(3)).unwrap());
         assert!(scan.records.is_empty());
-        assert_eq!(scan.priority, Some(Priority::Bulk), "rotation keeps the class");
+        assert_eq!(scan.priority, Some(Priority::Bulk), "the cut keeps the class");
         assert!(scan.quarantined.is_none());
-        // Appends continue cleanly after rotation.
+        // Appends continue cleanly after the cut.
         append_record(&mut s, 3, true, 20, Priority::Bulk, &evs).unwrap().unwrap();
         let scan = scan_wal(3, &s.read(&wal_name(3)).unwrap());
         assert_eq!(scan.records.len(), 1);

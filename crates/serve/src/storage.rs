@@ -1,14 +1,15 @@
 //! The storage abstraction under the durability layer.
 //!
 //! Everything the journal and snapshot store do to disk goes through
-//! the [`Storage`] trait: list, whole-file read, append, atomic
-//! replace, group fsync, remove. Two backends implement it:
+//! the [`Storage`] trait: list, whole-file read, append, in-place put,
+//! atomic replace, group fsync, remove. Two backends implement it:
 //!
 //! * [`DirStorage`] — a real directory. Appends go straight to the
-//!   file; atomic replaces write and sync a temp file, then rename it
-//!   over the target; fsync syncs every file appended to since its
-//!   last sync, and the directory once if a rename, creation or
-//!   removal happened since the last successful barrier.
+//!   file; a put overwrites the file in place; atomic replaces write
+//!   and sync a temp file, then rename it over the target; fsync syncs
+//!   every file appended to or put since its last sync, and the
+//!   directory once if a rename, creation or removal happened since the
+//!   last successful barrier.
 //! * [`MemStorage`] — a deterministic in-memory model with an explicit
 //!   crash semantics driven by the seeded disk-fault streams of
 //!   [`latch_faults`]. It records every mutating operation in an op
@@ -41,6 +42,15 @@ pub trait Storage {
     /// new ones are durable once a later [`fsync`](Self::fsync)
     /// succeeds.
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool;
+    /// Overwrites a file in place (creating it): no temp file, no
+    /// rename. Returns `false` on failure. Until a later successful
+    /// [`fsync`](Self::fsync) the file may hold its old bytes, the new
+    /// ones, or a torn mix of the two, so callers put only bytes that
+    /// carry their own check (a CRC-trailed frame, a journal header).
+    /// The default replaces atomically, which meets the same contract.
+    fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.write_atomic(name, bytes)
+    }
     /// Durably flushes everything written, replaced or removed since
     /// the last successful sync. Returns `false` when the backend
     /// reports the sync failed — callers must assume nothing since the
@@ -54,17 +64,17 @@ pub trait Storage {
 
 /// [`Storage`] over a real directory.
 ///
-/// A replace writes its temp file and syncs it through the same handle
-/// before the rename, so whichever inode the name points at after a
-/// crash holds whole contents. Making the rename itself durable is left
-/// to the next [`fsync`](Storage::fsync), which syncs the directory
-/// once however many names changed, rather than syncing each renamed
-/// file again.
+/// A put overwrites the file through one handle and leaves its sync to
+/// the next [`fsync`](Storage::fsync). A replace writes its temp file
+/// and syncs it through the same handle before the rename, so whichever
+/// inode the name points at after a crash holds whole contents. Making
+/// a rename or creation durable is left to the next barrier, which
+/// syncs the directory once however many names changed.
 pub struct DirStorage {
     root: std::path::PathBuf,
-    /// Files appended to since their last successful sync. A name
-    /// leaves when it syncs, or when a replace or removal supersedes
-    /// what was appended.
+    /// Files appended to or put since their last successful sync. A
+    /// name leaves when it syncs, or when a replace or removal
+    /// supersedes what was written.
     dirty: Vec<String>,
     /// Whether a rename, creation or removal since the last successful
     /// directory sync still needs one.
@@ -97,6 +107,24 @@ impl DirStorage {
             self.dirty.push(name.to_string());
         }
     }
+
+    /// Opens `name` with `opts`, creating it when missing. A created
+    /// file is a new directory entry, which only a directory sync makes
+    /// durable.
+    fn open_with(
+        &mut self,
+        name: &str,
+        mut opts: std::fs::OpenOptions,
+    ) -> std::io::Result<std::fs::File> {
+        let path = self.path(name);
+        match opts.open(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                self.dir_dirty = true;
+                opts.create(true).open(&path)
+            }
+            opened => opened,
+        }
+    }
 }
 
 impl Storage for DirStorage {
@@ -122,19 +150,31 @@ impl Storage for DirStorage {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
         use std::io::Write;
-        let path = self.path(name);
         let mut opts = std::fs::OpenOptions::new();
         opts.append(true);
-        // A file the append creates is a new directory entry, which
-        // only a directory sync makes durable.
-        let file = match opts.open(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.dir_dirty = true;
-                opts.create(true).open(&path)
-            }
-            opened => opened,
-        };
-        let ok = file.and_then(|mut f| f.write_all(bytes)).is_ok();
+        let ok = self
+            .open_with(name, opts)
+            .and_then(|mut f| f.write_all(bytes))
+            .is_ok();
+        if ok {
+            self.mark_dirty(name);
+        }
+        ok
+    }
+
+    fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
+        use std::io::Write;
+        let mut opts = std::fs::OpenOptions::new();
+        opts.write(true);
+        // Written from offset 0, then cut to length: a longer old file
+        // keeps no stale tail once the put lands.
+        let ok = self
+            .open_with(name, opts)
+            .and_then(|mut f| {
+                f.write_all(bytes)?;
+                f.set_len(bytes.len() as u64)
+            })
+            .is_ok();
         if ok {
             self.mark_dirty(name);
         }
@@ -190,6 +230,7 @@ impl Storage for DirStorage {
 #[derive(Debug, Clone)]
 enum Op {
     Append { name: String, bytes: Vec<u8> },
+    Put { name: String, bytes: Vec<u8> },
     Replace { name: String, bytes: Vec<u8> },
     Remove { name: String },
     Fsync { reported_ok: bool },
@@ -200,9 +241,12 @@ enum Op {
 pub struct MemStorage {
     plan: FaultPlan,
     inj: FaultInjector,
+    /// Durable contents the store started from: empty for a new store,
+    /// the surviving disk for one a crash left behind.
+    base: BTreeMap<String, Vec<u8>>,
     /// Logical (post-op) contents, what `read` sees before faults.
     files: BTreeMap<String, Vec<u8>>,
-    /// Every mutating op since birth, in execution order.
+    /// Every mutating op since `base`, in execution order.
     ops: Vec<Op>,
     /// Monotone counter keying fault decisions; also counts reads so
     /// repeated recovery reads draw distinct decisions.
@@ -216,6 +260,7 @@ impl MemStorage {
         Self {
             plan,
             inj: FaultInjector::new(plan),
+            base: BTreeMap::new(),
             files: BTreeMap::new(),
             ops: Vec::new(),
             op_counter: 0,
@@ -230,25 +275,28 @@ impl MemStorage {
     }
 
     /// The disk as it would look if the process died right before op
-    /// `crash_op` executed: ops `0..crash_op` happened, later ops never
-    /// did. Appends and replaces not yet covered by a successful fsync
-    /// survive fully, torn (appends keep a seeded strict prefix;
-    /// replaces fall back to the old contents), or as decided by the
-    /// plan's torn-write stream. The result is a fresh store sharing
-    /// the same fault plan, with the op counter advanced past this
-    /// store's history so post-crash decisions stay independent.
+    /// `crash_op` executed: ops `0..crash_op` happened on top of the
+    /// disk this store started from, later ops never did. Appends, puts
+    /// and replaces not yet covered by a successful fsync survive fully
+    /// or tear, as the plan's torn-write stream decides: a torn append
+    /// keeps a seeded strict prefix of its bytes, a torn put lays a
+    /// seeded strict prefix of its new bytes over the old contents, and
+    /// a torn replace falls back to the old contents. The result is a
+    /// fresh store sharing the same fault plan, starting from that
+    /// disk (so it can crash again), with the op counter advanced past
+    /// this store's history so post-crash decisions stay independent.
     #[must_use]
     pub fn crash_image(&self, crash_op: usize) -> MemStorage {
         let crash_op = crash_op.min(self.ops.len());
         let mut inj = FaultInjector::new(self.plan);
-        let mut durable: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut durable = self.base.clone();
         // Ops awaiting an fsync: (op_index, what).
         let mut pending: Vec<(u64, &Op)> = Vec::new();
         let apply = |durable: &mut BTreeMap<String, Vec<u8>>, op: &Op| match op {
             Op::Append { name, bytes } => {
                 durable.entry(name.clone()).or_default().extend_from_slice(bytes);
             }
-            Op::Replace { name, bytes } => {
+            Op::Put { name, bytes } | Op::Replace { name, bytes } => {
                 durable.insert(name.clone(), bytes.clone());
             }
             Op::Remove { name } => {
@@ -280,6 +328,17 @@ impl MemStorage {
                         .extend_from_slice(&bytes[..keep]),
                     None => apply(&mut durable, op),
                 },
+                Op::Put { name, bytes } => match inj.disk_torn_at(idx, bytes.len()) {
+                    // In place: the first `keep` new bytes landed over
+                    // the old file, the rest of it (if longer) stands.
+                    Some(keep) => {
+                        let file = durable.entry(name.clone()).or_default();
+                        let len = file.len().max(keep);
+                        file.resize(len, 0);
+                        file[..keep].copy_from_slice(&bytes[..keep]);
+                    }
+                    None => apply(&mut durable, op),
+                },
                 Op::Replace { name: _, bytes } => {
                     // Rename is all-or-nothing: a torn decision means
                     // the rename never reached the directory entry.
@@ -293,6 +352,7 @@ impl MemStorage {
         MemStorage {
             plan: self.plan,
             inj: FaultInjector::new(self.plan),
+            base: durable.clone(),
             files: durable,
             ops: Vec::new(),
             // Keep drawing fresh fault decisions after the crash.
@@ -338,6 +398,16 @@ impl Storage for MemStorage {
             .or_default()
             .extend_from_slice(bytes);
         self.ops.push(Op::Append {
+            name: name.to_string(),
+            bytes: bytes.to_vec(),
+        });
+        true
+    }
+
+    fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.next_op();
+        self.files.insert(name.to_string(), bytes.to_vec());
+        self.ops.push(Op::Put {
             name: name.to_string(),
             bytes: bytes.to_vec(),
         });
@@ -409,15 +479,81 @@ mod tests {
         let mut s = MemStorage::new(plan);
         for i in 0..20u8 {
             s.append("wal", &[i; 32]);
+            if i % 4 == 1 {
+                s.put("snap", &vec![i; 16 + usize::from(i)]);
+            }
             if i % 3 == 0 {
                 s.fsync();
             }
         }
         for crash_op in 0..=s.ops_len() {
-            let a = s.crash_image(crash_op).read("wal");
-            let b = s.crash_image(crash_op).read("wal");
-            assert_eq!(a, b, "crash image at op {crash_op} must be reproducible");
+            for name in ["wal", "snap"] {
+                let a = s.crash_image(crash_op).read(name);
+                let b = s.crash_image(crash_op).read(name);
+                assert_eq!(
+                    a, b,
+                    "crash image of {name} at op {crash_op} must be reproducible"
+                );
+            }
         }
+    }
+
+    /// An un-synced put lands whole, or as a prefix of its new bytes
+    /// laid over the old file — across seeds, both happen, and the
+    /// old file's tail shows through a short tear.
+    #[test]
+    fn an_unsynced_put_survives_whole_or_as_a_torn_prefix() {
+        let old = b"old-old-old-old-old-old!".to_vec();
+        let new = b"NEW-bytes".to_vec();
+        let (mut whole, mut torn) = (0, 0);
+        for seed in 0..64 {
+            let plan = FaultPlan::new(seed).with_disk_faults(500, 0, 0, 0);
+            let mut s = MemStorage::new(plan);
+            s.put("f", &old);
+            assert!(s.fsync());
+            s.put("f", &new);
+            assert_eq!(
+                s.read("f").unwrap(),
+                new,
+                "the live file holds the new bytes"
+            );
+            let got = s.crash_image(s.ops_len()).read("f").unwrap();
+            if got == new {
+                whole += 1;
+                continue;
+            }
+            torn += 1;
+            let keep = (0..new.len())
+                .rev()
+                .find(|&k| got[..k] == new[..k])
+                .expect("a tear keeps a prefix of the new bytes");
+            assert_eq!(
+                got.len(),
+                old.len(),
+                "seed {seed}: the longer old file keeps its length"
+            );
+            assert_eq!(got[keep..], old[keep..], "seed {seed}: the old tail stands");
+        }
+        assert!(whole > 0 && torn > 0, "whole {whole}, torn {torn}");
+    }
+
+    #[test]
+    fn a_synced_put_survives_and_a_failed_fsync_leaves_it_volatile() {
+        // Full-rate tearing: only a successful sync can save the put.
+        let plan = FaultPlan::new(5).with_disk_faults(1000, 0, 0, 0);
+        let mut s = MemStorage::new(plan);
+        s.put("f", b"0123456789");
+        assert!(s.fsync());
+        assert_eq!(s.crash_image(s.ops_len()).read("f").unwrap(), b"0123456789");
+        // Every sync fails: the put stays volatile and tears at the
+        // crash, to a strict prefix of its bytes (no old file here).
+        let plan = FaultPlan::new(5).with_disk_faults(1000, 0, 0, 1000);
+        let mut s = MemStorage::new(plan);
+        s.put("f", b"0123456789");
+        assert!(!s.fsync(), "full-rate fsync failure must report");
+        let got = s.crash_image(s.ops_len()).read("f").unwrap();
+        assert!(got.len() < 10, "an unsynced put must tear, got {got:?}");
+        assert_eq!(&b"0123456789"[..got.len()], &got[..]);
     }
 
     #[test]
@@ -462,6 +598,50 @@ mod tests {
         s.remove("wal-1");
         assert!(s.read("wal-1").is_none());
         assert!(s.fsync(), "the removal's directory sync");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_storage_put_creates_and_shrinks_in_place() {
+        let dir = std::env::temp_dir().join(format!("latch-serve-put-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DirStorage::open(&dir).unwrap();
+        assert!(s.put("snap-1", b"a longer first frame"));
+        assert!(s.fsync(), "the creation's directory sync");
+        assert!(s.put("snap-1", b"short"));
+        assert_eq!(s.read("snap-1").unwrap(), b"short", "no stale tail");
+        assert!(s.put("snap-1", b"grown again"));
+        assert!(s.fsync());
+        assert_eq!(s.read("snap-1").unwrap(), b"grown again");
+        // Appends after a put continue from its end.
+        assert!(s.put("wal-1", b"hdr"));
+        assert!(s.append("wal-1", b"+rec"));
+        assert_eq!(s.read("wal-1").unwrap(), b"hdr+rec");
+        // No temp file, listed or not.
+        let raw: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(raw.iter().all(|n| !n.ends_with(".tmp")), "{raw:?}");
+        assert_eq!(s.list(), vec!["snap-1".to_string(), "wal-1".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_storage_keeps_a_failed_put_sync_dirty() {
+        let dir = std::env::temp_dir().join(format!("latch-serve-putfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DirStorage::open(&dir).unwrap();
+        assert!(s.put("snap-1", b"v0"));
+        assert!(s.fsync());
+        assert!(s.put("snap-1", b"v1"));
+        // Deleted behind the store's back: the put can never be
+        // synced, so every barrier must keep reporting failure.
+        std::fs::remove_file(dir.join("snap-1")).unwrap();
+        assert!(!s.fsync());
+        assert!(!s.fsync(), "a failed put sync must stay dirty");
+        s.remove("snap-1");
+        assert!(s.fsync());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,11 @@
 //! The checksummed snapshot store.
 //!
 //! Each session keeps up to two snapshot files, `snap-{session:016x}.0`
-//! and `.1`, written alternately so the previous durable snapshot
-//! survives until the next one is safely on disk (a crash mid-write
-//! can cost at most the newest generation). One file holds one frame:
+//! and `.1`. A checkpoint overwrites, in place, the generation that
+//! does not hold the session's newest durable frame, so that frame
+//! survives until its successor is durable: a crash mid-write can tear
+//! only the generation being written, and the trailer turns the tear
+//! into a typed error. One file holds one frame:
 //!
 //! ```text
 //! SnapWriter header: magic "LTSF" (u32) | version (u32)
@@ -29,7 +31,6 @@
 
 use crate::journal::RecoveryError;
 use crate::overload::Priority;
-use crate::storage::Storage;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_systems::session::SessionPipeline;
 
@@ -185,28 +186,9 @@ pub fn decode_frame(session: u64, bytes: &[u8]) -> Result<SnapFrame, RecoveryErr
     Ok(frame)
 }
 
-/// Writes a snapshot frame to generation `generation` of `session`'s
-/// store slot (atomically replacing any previous frame there).
-pub fn write_frame<S: Storage>(
-    storage: &mut S,
-    session: u64,
-    generation: u8,
-    epoch: u64,
-    applied: u64,
-    priority: Priority,
-    blob: &[u8],
-) -> bool {
-    storage.write_atomic(
-        &snap_name(session, generation),
-        &encode_frame(session, epoch, applied, priority, blob),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
-    use latch_faults::FaultPlan;
 
     #[test]
     fn snap_names_roundtrip() {
@@ -359,13 +341,22 @@ mod tests {
         }
     }
 
+    /// A checkpoint overwrites the older generation in place, so a
+    /// crash can leave any prefix of the new frame over the old one.
+    /// Every such tear reads back as the old frame (nothing that
+    /// differs landed) or a typed error — never as the new frame.
     #[test]
-    fn write_frame_replaces_in_place() {
-        let mut s = MemStorage::new(FaultPlan::benign());
-        assert!(write_frame(&mut s, 5, 0, 0, 10, Priority::Normal, b"aaa"));
-        assert!(write_frame(&mut s, 5, 0, 0, 20, Priority::Normal, b"bbb"));
-        let frame = decode_frame(5, &s.read(&snap_name(5, 0)).unwrap()).unwrap();
-        assert_eq!(frame.applied, 20);
-        assert_eq!(frame.blob, b"bbb");
+    fn a_torn_put_over_an_older_frame_is_the_old_frame_or_typed() {
+        let old = encode_frame(5, 0, 10, Priority::Normal, &[1u8; 300]);
+        let new = encode_frame(5, 0, 20, Priority::Normal, &[2u8; 200]);
+        let want_old = decode_frame(5, &old).unwrap();
+        for keep in 0..new.len() {
+            let mut torn = old.clone();
+            torn[..keep].copy_from_slice(&new[..keep]);
+            if let Ok(frame) = decode_frame(5, &torn) {
+                assert_eq!(frame, want_old, "tear at {keep}");
+            }
+        }
+        assert_eq!(decode_frame(5, &new).unwrap().applied, 20);
     }
 }

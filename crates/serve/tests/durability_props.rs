@@ -10,12 +10,14 @@
 
 use latch_faults::FaultPlan;
 use latch_serve::{
-    DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig, Slo,
+    journal, store, DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig,
+    Slo, Storage,
 };
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
 use latch_workloads::{all_profiles, BenchmarkProfile};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn stream(profile: &BenchmarkProfile, seed: u64, n: u64) -> Vec<Event> {
     let mut src = profile.stream(seed, n);
@@ -68,6 +70,110 @@ fn drive(
         }
         svc.pump();
     }
+}
+
+/// A [`MemStorage`] that notes, at every successful fsync, how far
+/// each session's journal reached: the events that sync made durable.
+struct FloorProbe {
+    inner: MemStorage,
+    /// The end (`base_seq + count`) of each session's last appended
+    /// journal record.
+    appended: BTreeMap<u64, u64>,
+    /// `(op index, appended)` at every successful fsync.
+    syncs: Vec<(usize, BTreeMap<u64, u64>)>,
+}
+
+impl FloorProbe {
+    fn new(inner: MemStorage) -> Self {
+        Self {
+            inner,
+            appended: BTreeMap::new(),
+            syncs: Vec::new(),
+        }
+    }
+
+    /// The journal ends the last successful fsync before op
+    /// `crash_op` covered, or `None` when no fsync before it succeeded.
+    fn floor(&self, crash_op: usize) -> Option<&BTreeMap<u64, u64>> {
+        self.syncs
+            .iter()
+            .rev()
+            .find(|(op, _)| *op < crash_op)
+            .map(|(_, ends)| ends)
+    }
+}
+
+impl Storage for FloorProbe {
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+
+    fn read(&mut self, name: &str) -> Option<Vec<u8>> {
+        self.inner.read(name)
+    }
+
+    fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
+        if let Some(session) = journal::parse_wal_name(name) {
+            // A session's first append carries the header before its
+            // record; a record's length prefix can never equal the
+            // magic, which is far above the payload cap.
+            let rec = match bytes.strip_prefix(&journal::WAL_MAGIC.to_le_bytes()[..]) {
+                Some(_) => &bytes[journal::WAL_HEADER_LEN..],
+                None => bytes,
+            };
+            let base = u64::from_le_bytes(rec[8..16].try_into().unwrap());
+            let count = u32::from_le_bytes(rec[16..20].try_into().unwrap());
+            self.appended.insert(session, base + u64::from(count));
+        }
+        self.inner.append(name, bytes)
+    }
+
+    fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.inner.put(name, bytes)
+    }
+
+    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.inner.write_atomic(name, bytes)
+    }
+
+    fn fsync(&mut self) -> bool {
+        let op = self.inner.ops_len();
+        let ok = self.inner.fsync();
+        if ok {
+            self.syncs.push((op, self.appended.clone()));
+        }
+        ok
+    }
+
+    fn remove(&mut self, name: &str) {
+        self.inner.remove(name);
+    }
+}
+
+/// Recovers `image` and checks that every session kept at least its
+/// `floor` of events. Returns what each session recovered.
+fn recover_above(
+    cfg: ServeConfig,
+    dcfg: DurableConfig,
+    plan: FaultPlan,
+    image: FloorProbe,
+    floor: &BTreeMap<u64, u64>,
+    what: &str,
+) -> (FloorProbe, BTreeMap<u64, u64>) {
+    let (svc, report) = DurableService::recover(cfg, dcfg, plan, image);
+    let recovered: BTreeMap<u64, u64> = report
+        .sessions
+        .iter()
+        .map(|(&s, rec)| (s, rec.recovered))
+        .collect();
+    for (&s, &synced) in floor {
+        let got = recovered.get(&s).copied().unwrap_or(0);
+        assert!(
+            got >= synced,
+            "{what}: session {s} recovered {got} events after {synced} were synced"
+        );
+    }
+    (svc.crash(), recovered)
 }
 
 proptest! {
@@ -174,6 +280,121 @@ proptest! {
         prop_assert_eq!(report_a.sessions, report_b.sessions);
         prop_assert_eq!(report_a.quarantined, report_b.quarantined);
     }
+
+    /// The durable floor. Killed at *every* op of a run, and again at
+    /// every op of the first recovery's own seal, recovery keeps every
+    /// event a successful fsync covered — and once the seal's barrier
+    /// succeeded, everything the first recovery restored. Torn writes
+    /// and failed fsyncs only: read faults may lose synced bytes.
+    #[test]
+    fn fsynced_events_survive_every_crash(
+        seed in 0u64..100_000,
+        sessions in 1usize..3,
+        chunk in 16usize..64,
+        torn in prop_oneof![Just(300u32), Just(500u32), Just(1000u32)],
+        fsync_fail in prop_oneof![Just(0u32), Just(200u32)],
+        group_commit in 1u64..64,
+        snapshot_every in 32u64..256,
+    ) {
+        let profiles = all_profiles();
+        let streams: Vec<Vec<Event>> = (0..sessions)
+            .map(|s| stream(&profiles[(seed as usize + s) % profiles.len()], seed + s as u64, 600))
+            .collect();
+        let cfg = ServeConfig { workers: 2, seed, ..ServeConfig::default() };
+        let dcfg = DurableConfig { group_commit_events: group_commit, snapshot_every };
+        let plan = FaultPlan::new(seed ^ 0xF100).with_disk_faults(torn, 0, 0, fsync_fail);
+        let mut svc = DurableService::new(cfg, dcfg, plan, FloorProbe::new(MemStorage::new(plan)));
+        for r in 0..600usize.div_ceil(chunk) {
+            for (s, evs) in streams.iter().enumerate() {
+                let lo = (r * chunk).min(evs.len());
+                let hi = (lo + chunk).min(evs.len());
+                svc.submit(s as u64, &evs[lo..hi]).expect("queues hold one chunk per session");
+                svc.pump();
+            }
+        }
+        let run = svc.crash();
+        let none = BTreeMap::new();
+        for crash_op in 0..=run.inner.ops_len() {
+            let floor = run.floor(crash_op).unwrap_or(&none);
+            let image = FloorProbe::new(run.inner.crash_image(crash_op));
+            let what = format!("crash at op {crash_op}");
+            let (sealed, recovered) = recover_above(cfg, dcfg, plan, image, floor, &what);
+            for seal_op in 0..=sealed.inner.ops_len() {
+                let mut floor = floor.clone();
+                if sealed.floor(seal_op).is_some() {
+                    for (&s, &n) in &recovered {
+                        let f = floor.entry(s).or_default();
+                        *f = (*f).max(n);
+                    }
+                }
+                let image = FloorProbe::new(sealed.inner.crash_image(seal_op));
+                let what = format!("crash at op {crash_op}, then at seal op {seal_op}");
+                recover_above(cfg, dcfg, plan, image, &floor, &what);
+            }
+        }
+    }
+}
+
+/// A torn in-place put over the older generation — a checkpoint cut
+/// short mid-write — costs only that generation: recovery quarantines
+/// it with a typed error and restores from the newer one, then resumes
+/// solo-identical.
+#[test]
+fn a_torn_older_generation_is_quarantined_and_the_newer_restores() {
+    let profiles = all_profiles();
+    let evs = stream(&profiles[2], 23, 1_000);
+    let cfg = ServeConfig {
+        workers: 2,
+        seed: 23,
+        ..ServeConfig::default()
+    };
+    let dcfg = DurableConfig {
+        group_commit_events: 1,
+        snapshot_every: 100,
+    };
+    let plan = FaultPlan::benign();
+    let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
+    for chunk in evs[..700].chunks(50) {
+        svc.submit(0, chunk).unwrap();
+        svc.pump();
+    }
+    let mut storage = svc.crash();
+    let frames: Vec<(String, Vec<u8>, store::SnapFrame)> = [0u8, 1]
+        .iter()
+        .map(|&g| {
+            let name = store::snap_name(0, g);
+            let bytes = storage.read(&name).expect("both generations hold a frame");
+            let frame = store::decode_frame(0, &bytes).unwrap();
+            (name, bytes, frame)
+        })
+        .collect();
+    let (newer, older) = if frames[0].2.newer_than(&frames[1].2) {
+        (&frames[0], &frames[1])
+    } else {
+        (&frames[1], &frames[0])
+    };
+    // The next checkpoint's put, cut short: the first half of a newer
+    // frame laid over the older generation's bytes.
+    let mut torn = older.1.clone();
+    let keep = newer.1.len().min(torn.len()) / 2;
+    torn[..keep].copy_from_slice(&newer.1[..keep]);
+    assert!(storage.put(&older.0, &torn));
+    assert!(storage.fsync());
+
+    let (mut svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+    let q = &report.quarantined[0];
+    assert_eq!((q.file.as_str(), q.offset), (older.0.as_str(), 0));
+    assert_eq!(q.error, latch_serve::RecoveryError::BadFrameCrc);
+    let rec = report.sessions[&0];
+    assert_eq!(rec.snapshot_applied, newer.2.applied);
+    assert_eq!(rec.recovered, 700, "the journal holds the rest");
+    for chunk in evs[700..].chunks(50) {
+        svc.submit(0, chunk).unwrap();
+        svc.pump();
+    }
+    let (out, _) = svc.finish();
+    assert_eq!(out.sessions[&0].encode(), solo(&evs, cfg.scrub_interval));
 }
 
 /// Worker kills under an armed SLO, with durable snapshots cut while

@@ -20,6 +20,12 @@ cargo build --release --workspace --features "$OBS_FEATURES"
 echo "==> cargo check perfbench"
 cargo check -q --manifest-path perfbench/Cargo.toml
 
+# The committed perf trajectory: BENCH_perf.json must parse, and every
+# row must name only workloads and end-to-end metrics that
+# BENCHMARK.json declares.
+echo "==> BENCH_perf.json (parses, names only BENCHMARK.json terms)"
+python3 scripts/check_bench_perf.py
+
 echo "==> cargo test -q (obs off)"
 cargo test -q
 
@@ -46,9 +52,9 @@ cargo run --release -q -p latch-conform --bin latch-stress -- crash \
     --seed 7 --iters 24 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
-# The same kill loop with 8 sessions, so one group commit covers
-# several renamed snapshot frames and journal rotations (one directory
-# sync makes them all durable) under the kills and the mangling.
+# The same kill loop with 8 sessions, so one barrier covers several
+# snapshot frames put in place, and the journal cuts that follow it,
+# under the kills and the mangling.
 echo "==> latch-stress crash (8 sessions per group commit)"
 CRASH_DIR="$(mktemp -d)"
 cargo run --release -q -p latch-conform --bin latch-stress -- crash \
