@@ -26,21 +26,11 @@ fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
     out
 }
 
-fn quiet_config(seed: u64) -> ServeConfig {
+fn overloaded_config() -> ServeConfig {
     ServeConfig {
-        workers: 2,
-        seed,
-        ..ServeConfig::default()
-    }
-}
-
-fn overloaded_config(seed: u64) -> ServeConfig {
-    ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
         max_resident: 2,
-        seed,
         slo: Slo {
             slo_cycles: 2,
             window: 32,
@@ -141,28 +131,28 @@ fn assert_wire_matches_solo(endpoint: &Endpoint, cfg: ServeConfig) {
 #[test]
 fn tcp_loopback_reports_match_solo_runs() {
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    assert_wire_matches_solo(&endpoint, quiet_config(11));
+    assert_wire_matches_solo(&endpoint, ServeConfig::default());
 }
 
 #[test]
 fn unix_loopback_reports_match_solo_runs() {
     let endpoint = unix_endpoint("quiet");
-    assert_wire_matches_solo(&endpoint, quiet_config(12));
+    assert_wire_matches_solo(&endpoint, ServeConfig::default());
 }
 
 #[test]
 fn overloaded_server_sheds_and_still_matches_solo_runs() {
-    // An armed SLO on a single worker: sheds fire for non-critical
-    // sessions, and every session's report must still equal a solo run
-    // of exactly the admitted (non-shed) stream.
+    // An armed SLO: sheds fire for non-critical sessions, and every
+    // session's report must still equal a solo run of exactly the
+    // admitted (non-shed) stream.
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    assert_wire_matches_solo(&endpoint, overloaded_config(13));
+    assert_wire_matches_solo(&endpoint, overloaded_config());
 }
 
 #[test]
 fn report_is_typed_before_drain_and_served_after() {
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    let cfg = quiet_config(14);
+    let cfg = ServeConfig::default();
     let scrub = cfg.scrub_interval;
     let server = start(cfg, &endpoint);
     let events = stream(0, 77, 200);
@@ -206,7 +196,7 @@ fn report_is_typed_before_drain_and_served_after() {
 #[test]
 fn slo_pushes_stream_to_subscribed_connections() {
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    let server = start(overloaded_config(15), &endpoint);
+    let server = start(overloaded_config(), &endpoint);
     let streams: Vec<Vec<Event>> = (0..2).map(|s| stream(s, 0x510 + s as u64, 600)).collect();
     let mut client = Client::connect(server.endpoint(), 128, true).expect("connect");
     let _ = drive_and_drain(&mut client, &streams);
@@ -225,7 +215,7 @@ fn slo_pushes_stream_to_subscribed_connections() {
 #[test]
 fn garbage_fed_connection_fails_closed_without_wedging_the_server() {
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    let cfg = quiet_config(16);
+    let cfg = ServeConfig::default();
     let scrub = cfg.scrub_interval;
     let server = start(cfg, &endpoint);
     // Port discipline: bind port 0, read the kernel's choice back.
@@ -293,7 +283,7 @@ fn garbage_fed_connection_fails_closed_without_wedging_the_server() {
 /// before it.
 #[test]
 fn stopped_node_answers_nothing() {
-    let cfg = quiet_config(23);
+    let cfg = ServeConfig::default();
     let events = stream(0, 0x5709, 64);
     for mode in ["kill", "shutdown", "drop"] {
         let server = start(cfg, &Endpoint::parse("tcp:127.0.0.1:0").unwrap());
@@ -330,7 +320,7 @@ fn version_mismatch_is_refused_at_the_door() {
     // A Hello carrying the wrong magic/version dies with a typed error
     // on the client side; encode a bad-version Hello by hand.
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
-    let server = start(quiet_config(17), &endpoint);
+    let server = start(ServeConfig::default(), &endpoint);
     // Port discipline: bind port 0, read the kernel's choice back.
     let addr = server.local_addr().expect("TCP listener has an address");
     let mut raw = std::net::TcpStream::connect(addr).expect("connect");

@@ -508,12 +508,10 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         const SESSIONS: u64 = 3;
         const CHUNK: usize = 48;
         let cfg = ServeConfig {
-            workers: 2,
             max_resident: 2, // fewer residents than sessions: force evict/restore
-            seed: opts.fault_seed,
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         let mut lo = 0usize;
         while lo < desugared.len() {
             let hi = (lo + CHUNK).min(desugared.len());
@@ -539,9 +537,7 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         const SESSIONS: u64 = 2;
         const CHUNK: usize = 48;
         let cfg = ServeConfig {
-            workers: 2,
             max_resident: 2,
-            seed: opts.fault_seed,
             ..ServeConfig::default()
         };
         let dcfg = DurableConfig {
@@ -612,11 +608,9 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
     if !desugared.is_empty() {
         let leg = contract("overload-serve");
         let cfg = ServeConfig {
-            workers: 1,
             queue_events: 512,
             batch_max: 32,
             max_resident: 2,
-            seed: opts.fault_seed,
             slo: Slo {
                 slo_cycles: 2,
                 window: 32,
@@ -670,7 +664,7 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
 
     // ---- legs 9–12: the wire front door and the cluster ---------------
     if !desugared.is_empty() {
-        wire_leg(&desugared, opts.fault_seed).map_err(contract("wire-serve"))?;
+        wire_leg(&desugared).map_err(contract("wire-serve"))?;
         failover_leg(&desugared, opts.fault_seed, &fixture::CLUSTER)
             .map_err(contract("cluster-serve"))?;
         failover_leg(&desugared, opts.fault_seed, &fixture::REPLICA)
@@ -771,11 +765,9 @@ fn all_solo(
 
 /// The node configuration of the cluster legs: fewer residents than
 /// sessions, so nodes evict and restore.
-fn cluster_node(seed: u64) -> ServeConfig {
+fn cluster_node() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         max_resident: 2,
-        seed,
         ..ServeConfig::default()
     }
 }
@@ -787,12 +779,10 @@ fn cluster_node(seed: u64) -> ServeConfig {
 /// order), and after a wire drain every session's report must equal a
 /// solo pipeline run. Any transport or framing fault is a divergence,
 /// not a panic.
-fn wire_leg(trace: &[Event], seed: u64) -> Result<(), &'static str> {
+fn wire_leg(trace: &[Event]) -> Result<(), &'static str> {
     const SESSIONS: usize = 3;
     let cfg = ServeConfig {
-        workers: 2,
         max_resident: 2,
-        seed,
         ..ServeConfig::default()
     };
     let node = Nodes::start(1, cfg).map_err(|_| "bind failed")?;
@@ -839,9 +829,9 @@ fn failover_leg(trace: &[Event], seed: u64, leg: &Failover) -> Result<(), &'stat
     let streams = vec![trace.to_vec(); SESSIONS];
     let what = "session reports or migration history changed between reruns";
     let run = fixture::rerun(what, || {
-        leg.run(&streams, cluster_node(seed), seed, None, |_, _, _| Ok(()))
+        leg.run(&streams, cluster_node(), seed, None, |_, _, _| Ok(()))
     })?;
-    all_solo(&run.reports, SESSIONS, trace, cluster_node(seed).scrub_interval)
+    all_solo(&run.reports, SESSIONS, trace, cluster_node().scrub_interval)
 }
 
 /// Leg 12 (ha-serve): two routers over three replicated nodes. The
@@ -859,7 +849,7 @@ fn ha_leg(trace: &[Event], seed: u64) -> Result<(), &'static str> {
     let streams = vec![trace.to_vec(); SESSIONS];
     let what = "session reports, takeover record or migration history changed between reruns";
     let (run, _rec) = fixture::rerun(what, || {
-        fixture::takeover(&streams, cluster_node(seed), seed, [seed, seed ^ 1], seed % 2 == 1)
+        fixture::takeover(&streams, cluster_node(), seed, [seed, seed ^ 1], seed % 2 == 1)
     })?;
-    all_solo(&run.reports, SESSIONS, trace, cluster_node(seed).scrub_interval)
+    all_solo(&run.reports, SESSIONS, trace, cluster_node().scrub_interval)
 }

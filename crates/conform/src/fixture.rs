@@ -88,7 +88,7 @@ pub fn overload_drive(
     chunk: usize,
 ) -> Result<OverloadRun, &'static str> {
     const PRIORITIES: [Priority; 3] = [Priority::Critical, Priority::Normal, Priority::Bulk];
-    let mut svc = Service::deterministic(cfg, plan);
+    let mut svc = Service::deterministic(cfg);
     let mut inj = FaultInjector::new(plan);
     let mut pos = vec![0usize; streams.len()];
     let mut admitted = vec![Vec::new(); streams.len()];
@@ -242,8 +242,8 @@ pub const REPLICA: Failover = Failover {
 };
 
 /// In-process `latchd` nodes on `127.0.0.1:0`, indexed by node id.
-/// Node `id` runs the base [`ServeConfig`] with its seed offset by
-/// `id`, over a benign in-memory durable store.
+/// Every node runs the base [`ServeConfig`] over a benign in-memory
+/// durable store.
 pub struct Nodes {
     base: ServeConfig,
     up: Vec<Option<WireServer<MemStorage>>>,
@@ -273,12 +273,8 @@ impl Nodes {
     /// A loopback bind failure.
     pub fn join(&mut self) -> io::Result<(u32, Endpoint)> {
         let id = self.up.len() as u32;
-        let cfg = ServeConfig {
-            seed: self.base.seed.wrapping_add(u64::from(id)),
-            ..self.base
-        };
         let (svc, _recovery) = DurableService::recover(
-            cfg,
+            self.base,
             DurableConfig::default(),
             FaultPlan::benign(),
             MemStorage::new(FaultPlan::benign()),

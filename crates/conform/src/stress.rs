@@ -259,10 +259,8 @@ fn mangle(dir: &Path, r: u64) -> Option<String> {
 
 fn crash(args: &Args) {
     let cfg = ServeConfig {
-        workers: 2,
         max_resident: 2,
         scrub_interval: 256,
-        seed: args.seed,
         ..ServeConfig::default()
     };
     let chunk = 96usize;
@@ -420,11 +418,9 @@ fn overload(args: &Args) {
     for iter in 0..args.iters {
         let r = mix(args.seed ^ (iter << 13));
         let cfg = ServeConfig {
-            workers: 1 + (r as usize % 3),
             queue_events: 512,
             batch_max: 32,
             max_resident: 2,
-            seed: args.seed ^ iter,
             slo: Slo {
                 slo_cycles: 1 + mix(r) % 64,
                 window: 32,
@@ -643,11 +639,9 @@ fn threaded(
 
 fn latchd(args: &Args) {
     let cfg = ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
         max_resident: 2,
-        seed: args.seed,
         slo: Slo {
             slo_cycles: 2,
             window: 32,
@@ -708,12 +702,10 @@ fn latchd(args: &Args) {
 
 // ---- cluster and replica ----------------------------------------------------
 
-fn node_config(seed: u64) -> ServeConfig {
+fn node_config() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
-        seed,
         ..ServeConfig::default()
     }
 }
@@ -738,10 +730,10 @@ fn replica(args: &Args) {
 
 fn failover(args: &Args, f: &Failover) {
     let streams = streams(args);
-    let scrub = node_config(args.seed).scrub_interval;
+    let scrub = node_config().scrub_interval;
 
     // Threaded: client threads through a router front over three nodes.
-    let mut nodes = Nodes::start(3, node_config(args.seed)).expect("bind loopback nodes");
+    let mut nodes = Nodes::start(3, node_config()).expect("bind loopback nodes");
     let mut router = Router::new(router_config(args.seed, args.seed, f.replicas));
     nodes.add_to(&mut router);
     let victim = router.owner_of(0).expect("session 0 placed");
@@ -819,7 +811,7 @@ fn failover(args: &Args, f: &Failover) {
     let what = "session reports, migration history or rebalance history changed between reruns";
     let run = rerun(what, || {
         let (mut joined, mut left) = (!churn, !churn);
-        let node = node_config(args.seed ^ 0xDE7);
+        let node = node_config();
         let run = f.run(
             &streams,
             node,
@@ -867,11 +859,11 @@ fn failover(args: &Args, f: &Failover) {
 
 fn router_ha(args: &Args) {
     let streams = streams(args);
-    let scrub = node_config(args.seed).scrub_interval;
+    let scrub = node_config().scrub_interval;
     let coincident = args.seed % 2 == 1;
 
     // Threaded: HaClient threads against a primary and a warm standby.
-    let mut nodes = Nodes::start(3, node_config(args.seed)).expect("bind loopback nodes");
+    let mut nodes = Nodes::start(3, node_config()).expect("bind loopback nodes");
     let mut primary = Router::new(router_config(args.seed, 7, 2));
     let mut standby = Router::new(router_config(args.seed, 8, 2));
     nodes.add_to(&mut primary);
@@ -931,7 +923,7 @@ fn router_ha(args: &Args) {
     // standby takes over and finishes through the survivors.
     let what = "session reports, takeover record or migration history changed between reruns";
     let (run, rec) = rerun(what, || {
-        let node = node_config(args.seed ^ 0xDE7);
+        let node = node_config();
         let (run, rec) = fixture::takeover(&streams, node, args.seed, [7, 8], true)?;
         check_reports(&run.reports, &streams, scrub, "deterministic");
         Ok((run, rec))

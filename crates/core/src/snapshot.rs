@@ -3,7 +3,7 @@
 //! The serving layer (`latch-serve`) evicts idle sessions by freezing
 //! their full microarchitectural state — coarse structures, precise
 //! engine, statistics — into an opaque byte blob and thawing it later,
-//! possibly on a different worker thread. Two properties matter more
+//! possibly on another node. Two properties matter more
 //! than compactness:
 //!
 //! 1. **Determinism**: encoding the same logical state must yield the

@@ -42,8 +42,6 @@ pub enum Stream {
     QueueDup = 7,
     QueueReorder = 8,
     ConsumerLag = 9,
-    WorkerDeath = 10,
-    WorkerKillOffset = 11,
     DiskTorn = 12,
     DiskTornByte = 13,
     DiskBitRot = 14,
@@ -137,28 +135,6 @@ impl ConsumerFaultConfig {
         lag_per_mille: 0,
         lag_units: 0,
         die_after_events: None,
-    };
-}
-
-/// Configures worker-pool faults (the `latch-serve` layer): a worker
-/// thread dying partway through a dispatched batch. The service must
-/// replay the batch from the session's last checkpoint on a surviving
-/// worker with no event loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFaultConfig {
-    /// Probability per dispatched batch of killing the executing
-    /// worker, in parts per mille (0..=1000).
-    pub kill_per_mille: u32,
-    /// Total kill budget for the run; once spent, no further workers
-    /// die (a pool must keep at least one survivor to finish).
-    pub max_kills: u32,
-}
-
-impl WorkerFaultConfig {
-    /// A healthy worker pool.
-    pub const OFF: Self = Self {
-        kill_per_mille: 0,
-        max_kills: 0,
     };
 }
 
@@ -264,7 +240,6 @@ pub struct FaultPlan {
     pub coarse: CoarseFlipConfig,
     pub queue: QueueFaultConfig,
     pub consumer: ConsumerFaultConfig,
-    pub worker: WorkerFaultConfig,
     pub disk: DiskFaultConfig,
     pub overload: OverloadFaultConfig,
     pub node: NodeFaultConfig,
@@ -280,7 +255,6 @@ impl FaultPlan {
             coarse: CoarseFlipConfig::OFF,
             queue: QueueFaultConfig::OFF,
             consumer: ConsumerFaultConfig::OFF,
-            worker: WorkerFaultConfig::OFF,
             disk: DiskFaultConfig::OFF,
             overload: OverloadFaultConfig::OFF,
             node: NodeFaultConfig::OFF,
@@ -342,18 +316,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_consumer_death(mut self, events: u64) -> Self {
         self.consumer.die_after_events = Some(events);
-        self
-    }
-
-    /// Arms worker-pool deaths: each dispatched batch kills its worker
-    /// with probability `per_mille`, up to `max_kills` times per run.
-    #[must_use]
-    pub fn with_worker_kills(mut self, per_mille: u32, max_kills: u32) -> Self {
-        assert!(per_mille <= 1000, "per_mille out of range");
-        self.worker = WorkerFaultConfig {
-            kill_per_mille: per_mille,
-            max_kills,
-        };
         self
     }
 
@@ -429,7 +391,6 @@ impl FaultPlan {
         self.coarse == CoarseFlipConfig::OFF
             && self.queue == QueueFaultConfig::OFF
             && self.consumer == ConsumerFaultConfig::OFF
-            && self.worker == WorkerFaultConfig::OFF
             && self.disk == DiskFaultConfig::OFF
             && self.overload == OverloadFaultConfig::OFF
             && self.node == NodeFaultConfig::OFF
@@ -472,7 +433,6 @@ pub struct FaultStats {
     pub reorders: u64,
     pub lags: u64,
     pub deaths: u64,
-    pub worker_kills: u64,
     pub torn_writes: u64,
     pub bitrots: u64,
     pub truncated_reads: u64,
@@ -496,7 +456,6 @@ impl FaultStats {
         self.reorders += other.reorders;
         self.lags += other.lags;
         self.deaths += other.deaths;
-        self.worker_kills += other.worker_kills;
         self.torn_writes += other.torn_writes;
         self.bitrots += other.bitrots;
         self.truncated_reads += other.truncated_reads;
@@ -606,29 +565,6 @@ impl FaultInjector {
         } else {
             0
         }
-    }
-
-    /// Whether the worker executing dispatch number `batch_index` dies
-    /// mid-batch, and if so at which event offset within the batch
-    /// (state changes from events `< offset` are lost with the worker
-    /// and must be replayed from the session's last checkpoint).
-    pub fn worker_kill_at(&mut self, batch_index: u64, batch_len: usize) -> Option<usize> {
-        let w = self.plan.worker;
-        if batch_len == 0 || self.stats.worker_kills >= u64::from(w.max_kills) {
-            return None;
-        }
-        if !fires(
-            self.plan.seed,
-            Stream::WorkerDeath,
-            batch_index,
-            w.kill_per_mille,
-        ) {
-            return None;
-        }
-        self.stats.worker_kills += 1;
-        let off = mix(self.plan.seed, Stream::WorkerKillOffset as u64, batch_index)
-            % batch_len as u64;
-        Some(off as usize)
     }
 
     /// Whether an un-synced append is torn at a crash, and if so how
@@ -883,29 +819,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(inj.queue_fault_at(i), QueueFault::Drop);
         }
-    }
-
-    #[test]
-    fn worker_kills_are_deterministic_bounded_and_in_range() {
-        let plan = FaultPlan::new(21).with_worker_kills(300, 3);
-        assert!(!plan.is_benign());
-        let mut a = FaultInjector::new(plan);
-        let mut b = FaultInjector::new(plan);
-        let kills_a: Vec<_> = (0..200).map(|i| a.worker_kill_at(i, 16)).collect();
-        let kills_b: Vec<_> = (0..200).map(|i| b.worker_kill_at(i, 16)).collect();
-        assert_eq!(kills_a, kills_b);
-        let fired: Vec<_> = kills_a.iter().flatten().collect();
-        assert_eq!(fired.len(), 3, "budget caps total kills");
-        assert!(fired.iter().all(|&&off| off < 16), "offset inside batch");
-        assert_eq!(a.stats().worker_kills, 3);
-    }
-
-    #[test]
-    fn worker_kills_never_fire_when_off_or_empty() {
-        let mut inj = FaultInjector::new(FaultPlan::benign());
-        assert_eq!(inj.worker_kill_at(0, 16), None);
-        let mut armed = FaultInjector::new(FaultPlan::new(5).with_worker_kills(1000, 10));
-        assert_eq!(armed.worker_kill_at(0, 0), None, "empty batch");
     }
 
     #[test]

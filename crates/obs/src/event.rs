@@ -132,13 +132,6 @@ pub enum TraceEvent {
         /// The restored session's id.
         session: u64,
     },
-    /// A worker thread died mid-batch; its batch is replayed elsewhere.
-    WorkerDeath {
-        /// Index of the dead worker.
-        worker: u32,
-        /// Events in the batch being replayed.
-        replayed: u64,
-    },
     /// A record batch was appended to a session's write-ahead journal.
     JournalAppend {
         /// The session whose journal grew.
@@ -368,7 +361,6 @@ impl TraceEvent {
             TraceEvent::Violation { .. } => "violation",
             TraceEvent::SessionEvict { .. } => "session_evict",
             TraceEvent::SessionRestore { .. } => "session_restore",
-            TraceEvent::WorkerDeath { .. } => "worker_death",
             TraceEvent::JournalAppend { .. } => "journal_append",
             TraceEvent::Fsync { .. } => "fsync",
             TraceEvent::RecoveryStart { .. } => "recovery_start",
@@ -488,9 +480,6 @@ impl TraceEvent {
             }
             TraceEvent::SessionRestore { session } => {
                 let _ = write!(out, ",\"session\":{session}");
-            }
-            TraceEvent::WorkerDeath { worker, replayed } => {
-                let _ = write!(out, ",\"worker\":{worker},\"replayed\":{replayed}");
             }
             TraceEvent::JournalAppend { session, bytes } => {
                 let _ = write!(out, ",\"session\":{session},\"bytes\":{bytes}");

@@ -45,19 +45,17 @@ fn state_of(export: SessionExport) -> SessionState {
     }
 }
 
-fn serve_config(seed: u64) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
-        seed,
         ..ServeConfig::default()
     }
 }
 
-fn start_node(id: u32) -> WireServer<MemStorage> {
+fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED.wrapping_add(u64::from(id))),
+        serve_config(),
         DurableConfig::default(),
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
@@ -86,7 +84,7 @@ fn kill_and_export(server: WireServer<MemStorage>) -> Vec<SessionExport> {
 }
 
 fn solo_report(events: &[Event]) -> Vec<u8> {
-    let mut pipe = SessionPipeline::new(serve_config(SEED).scrub_interval);
+    let mut pipe = SessionPipeline::new(serve_config().scrub_interval);
     for ev in events {
         pipe.apply(ev);
     }
@@ -101,7 +99,7 @@ fn killed_node_drains_byte_identical_through_wire() {
     const SESSIONS: usize = 6;
     const EVENTS: u64 = 800;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+        (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config());
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -236,7 +234,7 @@ fn migration_covers_exactly_the_victims_sessions() {
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+        (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config());
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -325,7 +323,7 @@ fn migration_covers_exactly_the_victims_sessions() {
 #[test]
 fn drained_node_still_accepts_migrations() {
     // Victim node: drive a session, kill it, export its storage.
-    let victim = start_node(0);
+    let victim = start_node();
     let events = stream(0, SEED ^ 0xD0A1, 300);
     let mut vc = Client::connect(victim.endpoint(), 1024, false).expect("connect victim");
     vc.submit(42, 1, &events).expect("submit victim session");
@@ -335,7 +333,7 @@ fn drained_node_still_accepts_migrations() {
 
     // Importer node: serve and drain a different session first, so its
     // service is consumed before the migration arrives.
-    let importer = start_node(1);
+    let importer = start_node();
     let other = stream(1, SEED ^ 0xD0A2, 200);
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
     ic.submit(7, 0, &other).expect("submit importer session");
@@ -365,7 +363,7 @@ fn drained_node_still_accepts_migrations() {
 /// `continue` without reporting the node.
 #[test]
 fn tick_surfaces_reconnect_failure_as_dead() {
-    let node = start_node(0);
+    let node = start_node();
     let mut router = Router::new(router_config());
     router.add_node(0, node.endpoint().clone());
     let events = stream(0, SEED ^ 0x7C1, 64);
@@ -388,8 +386,8 @@ fn tick_surfaces_reconnect_failure_as_dead() {
 /// collect from alive nodes only.
 #[test]
 fn drain_refuses_while_routes_pin_a_dead_owner() {
-    let node_a = start_node(0);
-    let node_b = start_node(1);
+    let node_a = start_node();
+    let node_b = start_node();
     let mut router = Router::new(router_config());
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
@@ -421,7 +419,7 @@ fn drain_refuses_while_routes_pin_a_dead_owner() {
 /// session still drains byte-identical to its solo run.
 #[test]
 fn stalled_failover_retries_until_a_node_returns() {
-    let node_a = start_node(0);
+    let node_a = start_node();
     let mut router = Router::new(router_config());
     router.add_node(0, node_a.endpoint().clone());
     let events = stream(0, SEED ^ 0x57A1, 200);
@@ -434,7 +432,7 @@ fn stalled_failover_retries_until_a_node_returns() {
         matches!(router.drain(), Err(RouterError::NodeDown { node: 0 })),
         "drain must refuse while the failover is stalled"
     );
-    let node_b = start_node(1);
+    let node_b = start_node();
     router.add_node(1, node_b.endpoint().clone());
     let records = router.fail_over(0, exports).expect("retry completes");
     assert_eq!(records.len(), 1);
@@ -452,8 +450,8 @@ fn stalled_failover_retries_until_a_node_returns() {
 /// continued on a shorter prefix.
 #[test]
 fn short_import_poisons_the_session_as_acked_lost() {
-    let node_a = start_node(0);
-    let node_b = start_node(1);
+    let node_a = start_node();
+    let node_b = start_node();
     let mut router = Router::new(router_config());
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
@@ -495,7 +493,7 @@ fn short_import_poisons_the_session_as_acked_lost() {
 /// state, and the migrated session reports identically to a solo run.
 #[test]
 fn chunked_migration_is_byte_equivalent() {
-    let victim = start_node(0);
+    let victim = start_node();
     let events = stream(0, SEED ^ 0xC4C4, 300);
     let mut vc = Client::connect(victim.endpoint(), 1024, false).expect("connect victim");
     vc.submit(11, 1, &events).expect("submit victim session");
@@ -504,7 +502,7 @@ fn chunked_migration_is_byte_equivalent() {
         .into_iter()
         .next()
         .expect("one export");
-    let importer = start_node(1);
+    let importer = start_node();
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
     ic.migrate_stage(export.session, &export.blob, &export.wal, 100)
         .expect("stage 100-byte chunks");
@@ -524,7 +522,7 @@ fn chunked_migration_is_byte_equivalent() {
 /// with `OversizedFrame` and strands the failover.
 #[test]
 fn oversized_wal_suffix_still_migrates() {
-    let victim = start_node(0);
+    let victim = start_node();
     let events = stream(0, SEED ^ 0xB16B, 300);
     let mut vc = Client::connect(victim.endpoint(), 1024, false).expect("connect victim");
     vc.submit(21, 1, &events).expect("submit victim session");
@@ -539,7 +537,7 @@ fn oversized_wal_suffix_still_migrates() {
     export
         .wal
         .extend(std::iter::repeat_n(0xFF, latch_proto::MAX_FRAME_PAYLOAD + (1 << 20)));
-    let importer = start_node(1);
+    let importer = start_node();
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
     let applied = ic
         .migrate_session(export.session, migrate_into::LIVE, &state_of(export))

@@ -41,19 +41,17 @@ fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
     out
 }
 
-fn serve_config(seed: u64) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
-        seed,
         ..ServeConfig::default()
     }
 }
 
-fn start_node(id: u32) -> WireServer<MemStorage> {
+fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED.wrapping_add(u64::from(id))),
+        serve_config(),
         DurableConfig::default(),
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
@@ -65,12 +63,12 @@ fn start_node(id: u32) -> WireServer<MemStorage> {
 /// A node that never snapshots (and so never rotates its journal), with
 /// a queue deep enough for 4096-event batches: the cheapest way to grow
 /// a session's durable state past one frame.
-fn start_packrat_node(id: u32) -> WireServer<MemStorage> {
+fn start_packrat_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
         ServeConfig {
             queue_events: 1 << 14,
             session_inflight_cap: 1 << 12,
-            ..serve_config(SEED.wrapping_add(u64::from(id)))
+            ..serve_config()
         },
         DurableConfig {
             snapshot_every: u64::MAX,
@@ -123,7 +121,7 @@ fn kill_and_destroy(server: WireServer<MemStorage>) {
 }
 
 fn solo_report(events: &[Event]) -> Vec<u8> {
-    let mut pipe = SessionPipeline::new(serve_config(SEED).scrub_interval);
+    let mut pipe = SessionPipeline::new(serve_config().scrub_interval);
     for ev in events {
         pipe.apply(ev);
     }
@@ -170,7 +168,7 @@ fn diskless_failover_drains_byte_identical() {
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+        (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(2));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -224,7 +222,7 @@ fn diskless_failover_through_wire_with_live_clients() {
     const SESSIONS: usize = 6;
     const EVENTS: u64 = 600;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+        (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(2));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -319,8 +317,8 @@ fn diskless_failover_through_wire_with_live_clients() {
 /// exactly once.
 #[test]
 fn in_doubt_batch_resolves_after_diskless_failover() {
-    let node_a = start_node(0);
-    let node_b = start_node(1);
+    let node_a = start_node();
+    let node_b = start_node();
     let mut router = Router::new(router_config(1));
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
@@ -356,7 +354,7 @@ fn rebalance_join_migrates_the_minimal_remap_set() {
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..2).map(|id| Some(start_node(id))).collect();
+        (0..2).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(1));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -372,7 +370,7 @@ fn rebalance_join_migrates_the_minimal_remap_set() {
         .map(|s| (s, router.owner_of(s).expect("placed")))
         .collect();
 
-    let joiner = start_node(2);
+    let joiner = start_node();
     let records = router
         .rebalance_join(2, joiner.endpoint().clone())
         .expect("join");
@@ -419,8 +417,7 @@ fn rebalance_leave_moves_every_owned_session() {
     const SESSIONS: usize = 8;
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
-    let servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+    let servers: Vec<Option<WireServer<MemStorage>>> = (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(1));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -470,7 +467,7 @@ fn rebalance_under_live_clients_never_interrupts_a_stream() {
     const SESSIONS: usize = 6;
     const EVENTS: u64 = 800;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..2).map(|id| Some(start_node(id))).collect();
+        (0..2).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(1));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -535,7 +532,7 @@ fn rebalance_under_live_clients_never_interrupts_a_stream() {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    let joiner = start_node(2);
+    let joiner = start_node();
     let joiner_ep = joiner.endpoint().clone();
     servers.push(Some(joiner));
     let join_records = front
@@ -578,7 +575,7 @@ fn rebalance_history_is_rerun_identical() {
         .collect();
     let run = || -> (Vec<RebalanceRecord>, BTreeMap<u64, Vec<u8>>) {
         let mut servers: Vec<Option<WireServer<MemStorage>>> =
-            (0..2).map(|id| Some(start_node(id))).collect();
+            (0..2).map(|_| Some(start_node())).collect();
         let mut router = Router::new(router_config(1));
         for (id, srv) in servers.iter().enumerate() {
             router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -587,7 +584,7 @@ fn rebalance_history_is_rerun_identical() {
         for _ in 0..(EVENTS as usize / CHUNK / 2) {
             drive_round(&mut router, &streams, &mut pos, CHUNK);
         }
-        let joiner = start_node(2);
+        let joiner = start_node();
         router
             .rebalance_join(2, joiner.endpoint().clone())
             .expect("join");
@@ -627,7 +624,7 @@ fn back_to_back_diskless_failovers_never_poison() {
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..3).map(|id| Some(start_node(id))).collect();
+        (0..3).map(|_| Some(start_node())).collect();
     let mut router = Router::new(router_config(2));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
@@ -688,8 +685,8 @@ fn back_to_back_diskless_failovers_never_poison() {
 /// prefix from it without evicting the healthy backup.
 #[test]
 fn over_frame_backup_journal_is_fetched_whole_and_restores() {
-    let node_a = start_packrat_node(0);
-    let node_b = start_packrat_node(1);
+    let node_a = start_packrat_node();
+    let node_b = start_packrat_node();
     // No compaction: the backup journal grows by appends alone.
     let mut router = Router::new(RouterConfig {
         repl_wal_budget: usize::MAX,
@@ -742,7 +739,7 @@ fn over_frame_backup_journal_is_fetched_whole_and_restores() {
 /// the cut state elsewhere matches the solo run.
 #[test]
 fn over_frame_live_export_is_fetched_whole_by_both_flavours() {
-    let node = start_packrat_node(0);
+    let node = start_packrat_node();
     let mut client = Client::connect(node.endpoint(), 4096, false).expect("connect node");
     let events = over_frame_stream();
     for batch in events.chunks(4096) {
@@ -780,7 +777,7 @@ fn over_frame_live_export_is_fetched_whole_by_both_flavours() {
     );
     node.shutdown();
 
-    let importer = start_packrat_node(1);
+    let importer = start_packrat_node();
     let mut ic = Client::connect(importer.endpoint(), 256, false).expect("connect importer");
     let applied = ic
         .migrate_session(5, migrate_into::LIVE, &cut)
@@ -799,8 +796,8 @@ fn over_frame_live_export_is_fetched_whole_by_both_flavours() {
 /// solo run instead of failing the leave and staying on the leaver.
 #[test]
 fn rebalance_leave_moves_an_over_frame_session() {
-    let node_a = start_packrat_node(0);
-    let node_b = start_packrat_node(1);
+    let node_a = start_packrat_node();
+    let node_b = start_packrat_node();
     let mut router = Router::new(router_config(0));
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
@@ -896,7 +893,7 @@ fn failed_rebalance_leaves_no_staging_behind() {
     // The real state a snapshotting owner would hold for the stream,
     // so the pre-copy and the export both carry a snapshot blob.
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED),
+        serve_config(),
         DurableConfig {
             snapshot_every: 64,
             ..DurableConfig::default()
@@ -916,7 +913,7 @@ fn failed_rebalance_leaves_no_staging_behind() {
     drop(client);
     source.shutdown();
 
-    let importer = start_node(1);
+    let importer = start_node();
     let mut router = Router::new(router_config(0));
     router.add_node(0, start_cut_dying_node(state.clone()));
     router.add_node(1, importer.endpoint().clone());

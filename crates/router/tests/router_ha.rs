@@ -43,19 +43,17 @@ fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
     out
 }
 
-fn serve_config(seed: u64) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
-        seed,
         ..ServeConfig::default()
     }
 }
 
-fn start_node(id: u32) -> WireServer<MemStorage> {
+fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED.wrapping_add(u64::from(id))),
+        serve_config(),
         DurableConfig::default(),
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
@@ -67,12 +65,12 @@ fn start_node(id: u32) -> WireServer<MemStorage> {
 /// A node that never snapshots (and so never rotates its journal), with
 /// a queue deep enough for 4096-event batches: the cheapest way to grow
 /// a session's durable state past one frame.
-fn start_packrat_node(id: u32) -> WireServer<MemStorage> {
+fn start_packrat_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
         ServeConfig {
             queue_events: 1 << 14,
             session_inflight_cap: 1 << 12,
-            ..serve_config(SEED.wrapping_add(u64::from(id)))
+            ..serve_config()
         },
         DurableConfig {
             snapshot_every: u64::MAX,
@@ -105,7 +103,7 @@ fn kill_and_destroy(server: WireServer<MemStorage>) {
 }
 
 fn solo_report(events: &[Event]) -> Vec<u8> {
-    let mut pipe = SessionPipeline::new(serve_config(SEED).scrub_interval);
+    let mut pipe = SessionPipeline::new(serve_config().scrub_interval);
     for ev in events {
         pipe.apply(ev);
     }
@@ -151,7 +149,7 @@ fn check_reports(reports: &BTreeMap<u64, Vec<u8>>, streams: &[Vec<Event>], what:
 fn standby_takeover_drains_byte_identical_under_live_clients() {
     const SESSIONS: usize = 6;
     const EVENTS: u64 = 600;
-    let servers: Vec<WireServer<MemStorage>> = (0..3).map(start_node).collect();
+    let servers: Vec<WireServer<MemStorage>> = (0..3).map(|_| start_node()).collect();
     let mut primary_router = Router::new(router_config(2, 7));
     let mut standby_router = Router::new(router_config(2, 8));
     for (id, srv) in servers.iter().enumerate() {
@@ -278,7 +276,7 @@ fn standby_takeover_drains_byte_identical_under_live_clients() {
 fn revived_stale_router_is_fenced_and_applies_nothing() {
     const SESSIONS: usize = 4;
     const EVENTS: u64 = 300;
-    let servers: Vec<WireServer<MemStorage>> = (0..2).map(start_node).collect();
+    let servers: Vec<WireServer<MemStorage>> = (0..2).map(|_| start_node()).collect();
     let mut old = Router::new(router_config(1, 7));
     let mut new = Router::new(router_config(1, 8));
     for (id, srv) in servers.iter().enumerate() {
@@ -337,7 +335,7 @@ fn revived_stale_router_is_fenced_and_applies_nothing() {
 /// standby's back.
 #[test]
 fn stopped_router_forwards_nothing() {
-    let node = start_node(0);
+    let node = start_node();
     let mut router = Router::new(router_config(0, 7));
     router.add_node(0, node.endpoint().clone());
     let cfg = RouterServerConfig {
@@ -379,7 +377,7 @@ fn stopped_router_forwards_nothing() {
 fn hostile_bytes_fail_closed_at_the_router_door() {
     use latch_proto::{error_code, read_msg, Msg, FRAME_HEADER_LEN, PROTO_VERSION};
     use std::io::Write;
-    let node = start_node(0);
+    let node = start_node();
     let mut router = Router::new(router_config(0, 7));
     router.add_node(0, node.endpoint().clone());
     let cfg = RouterServerConfig {
@@ -457,7 +455,7 @@ fn takeover_record_is_rerun_identical_with_coincident_node_death() {
         .collect();
     let run = || -> (TakeoverRecord, BTreeMap<u64, Vec<u8>>) {
         let mut servers: Vec<Option<WireServer<MemStorage>>> =
-            (0..3).map(|id| Some(start_node(id))).collect();
+            (0..3).map(|_| Some(start_node())).collect();
         let mut old = Router::new(router_config(2, 7));
         let mut new = Router::new(router_config(2, 8));
         for (id, srv) in servers.iter().enumerate() {
@@ -513,8 +511,8 @@ fn takeover_record_is_rerun_identical_with_coincident_node_death() {
 /// imports — no reconnect needed.
 #[test]
 fn restart_chunk_discards_staging_on_the_live_connection() {
-    let node_a = start_node(0);
-    let node_b = start_node(1);
+    let node_a = start_node();
+    let node_b = start_node();
     let session = 11u64;
     let events = stream(0, SEED ^ 0xAB0, 200);
     let mut feeder = Client::connect(node_a.endpoint(), 256, false).expect("connect source");
@@ -565,8 +563,8 @@ fn restart_chunk_discards_staging_on_the_live_connection() {
 fn compaction_under_tiny_budget_survives_diskless_failover() {
     const EVENTS: u64 = 300;
     const CHUNK: usize = 32;
-    let node_a = start_node(0);
-    let node_b = start_node(1);
+    let node_a = start_node();
+    let node_b = start_node();
     let mut router = Router::new(RouterConfig {
         repl_wal_budget: 256,
         ..router_config(1, 7)
@@ -637,9 +635,9 @@ fn rotation_prone_rebalances_never_count_restages() {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     }
-    fn start_snappy_node(id: u32) -> WireServer<MemStorage> {
+    fn start_snappy_node() -> WireServer<MemStorage> {
         let (svc, _recovery) = DurableService::recover(
-            serve_config(SEED.wrapping_add(u64::from(id))),
+            serve_config(),
             DurableConfig {
                 snapshot_every: 1,
                 ..DurableConfig::default()
@@ -658,7 +656,7 @@ fn rotation_prone_rebalances_never_count_restages() {
     let compactions_before = counter("router.repl.compactions");
 
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
-        (0..2).map(|id| Some(start_snappy_node(id))).collect();
+        (0..2).map(|_| Some(start_snappy_node())).collect();
     let mut router = Router::new(RouterConfig {
         repl_wal_budget: 256,
         ..router_config(1, 7)
@@ -719,7 +717,7 @@ fn rotation_prone_rebalances_never_count_restages() {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    let joiner = start_snappy_node(2);
+    let joiner = start_snappy_node();
     let joiner_ep = joiner.endpoint().clone();
     servers.push(Some(joiner));
     front.with_router(|r| r.rebalance_join(2, joiner_ep)).expect("live join");
@@ -756,7 +754,7 @@ fn rotation_prone_rebalances_never_count_restages() {
 #[test]
 fn takeover_keeps_replication_for_an_over_frame_session() {
     let mut servers: BTreeMap<u32, Option<WireServer<MemStorage>>> =
-        (0..2).map(|id| (id, Some(start_packrat_node(id)))).collect();
+        (0..2).map(|id| (id, Some(start_packrat_node()))).collect();
     let budget = RouterConfig {
         repl_wal_budget: latch_proto::MAX_FRAME_PAYLOAD,
         ..router_config(1, 7)

@@ -35,19 +35,17 @@ fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
     out
 }
 
-fn serve_config(seed: u64) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        workers: 1,
         queue_events: 512,
         batch_max: 32,
-        seed,
         ..ServeConfig::default()
     }
 }
 
-fn start_node(id: u32) -> WireServer<MemStorage> {
+fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        serve_config(SEED.wrapping_add(u64::from(id))),
+        serve_config(),
         DurableConfig::default(),
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
@@ -69,7 +67,7 @@ fn router_config(replicas: u32, router_id: u64) -> RouterConfig {
 }
 
 fn solo_report(events: &[Event]) -> Vec<u8> {
-    let mut pipe = SessionPipeline::new(serve_config(SEED).scrub_interval);
+    let mut pipe = SessionPipeline::new(serve_config().scrub_interval);
     for ev in events {
         pipe.apply(ev);
     }
@@ -99,7 +97,7 @@ proptest! {
         chunks in proptest::collection::vec(8usize..64, 4),
         case_seed in 0u64..1024,
     ) {
-        let servers: Vec<WireServer<MemStorage>> = (0..3).map(start_node).collect();
+        let servers: Vec<WireServer<MemStorage>> = (0..3).map(|_| start_node()).collect();
         let mut primary = Router::new(router_config(2, 7));
         let mut standby = Router::new(router_config(2, 8));
         for (id, srv) in servers.iter().enumerate() {
@@ -160,8 +158,8 @@ proptest! {
         batches in proptest::collection::vec(1usize..48, 4..12),
         case_seed in 0u64..1024,
     ) {
-        let node_a = start_node(0);
-        let node_b = start_node(1);
+        let node_a = start_node();
+        let node_b = start_node();
         let mut router = Router::new(RouterConfig {
             repl_wal_budget: budget,
             ..router_config(1, 7)

@@ -37,12 +37,9 @@ fn stream(session: u64) -> Vec<Event> {
     out
 }
 
-fn start_node(id: u64) -> WireServer<MemStorage> {
+fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
-        ServeConfig {
-            seed: id,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         DurableConfig::default(),
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
@@ -120,7 +117,7 @@ fn routerd_replies_to_the_drain_before_it_exits() {
         })
         .collect();
     for i in 0..ITERATIONS {
-        let nodes: Vec<WireServer<MemStorage>> = (0..3).map(start_node).collect();
+        let nodes: Vec<WireServer<MemStorage>> = (0..3).map(|_| start_node()).collect();
         let (mut daemon, endpoint, reader) = spawn_routerd(&nodes);
         let mut client = Client::connect(&endpoint, 1 << 14, false).expect("connect router");
         for (session, events) in streams.iter().enumerate() {

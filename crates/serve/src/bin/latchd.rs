@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! latchd --listen tcp:127.0.0.1:7410 --dir /var/lib/latchd
-//! latchd --listen unix:/tmp/latchd.sock --dir ./state --workers 4
+//! latchd --listen unix:/tmp/latchd.sock --dir ./state --window 4096
 //! ```
 //!
 //! The process exits 0 once a client issues `Drain` and the `Drained`
@@ -21,9 +21,7 @@ use std::time::Duration;
 struct Args {
     listen: Endpoint,
     dir: std::path::PathBuf,
-    workers: usize,
     window: u32,
-    seed: u64,
     slo_cycles: Option<u64>,
 }
 
@@ -31,9 +29,7 @@ impl Args {
     fn parse() -> Args {
         let mut listen = None;
         let mut dir = None;
-        let mut workers = 4usize;
         let mut window = 1u32 << 14;
-        let mut seed = 0x1a7c_4d00u64;
         let mut slo_cycles = None;
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -49,9 +45,7 @@ impl Args {
                     }));
                 }
                 "--dir" => dir = Some(std::path::PathBuf::from(value())),
-                "--workers" => workers = value().parse().expect("--workers"),
                 "--window" => window = value().parse().expect("--window"),
-                "--seed" => seed = value().parse().expect("--seed"),
                 "--slo-cycles" => slo_cycles = Some(value().parse().expect("--slo-cycles")),
                 other => panic!("unknown flag {other}"),
             }
@@ -59,9 +53,7 @@ impl Args {
         Args {
             listen: listen.expect("--listen tcp:ADDR|unix:PATH is required"),
             dir: dir.expect("--dir PATH is required"),
-            workers,
             window,
-            seed,
             slo_cycles,
         }
     }
@@ -72,11 +64,7 @@ fn main() {
     let storage = DirStorage::open(&args.dir).unwrap_or_else(|e| {
         panic!("open --dir {}: {e}", args.dir.display());
     });
-    let mut cfg = ServeConfig {
-        workers: args.workers,
-        seed: args.seed,
-        ..ServeConfig::default()
-    };
+    let mut cfg = ServeConfig::default();
     if let Some(cycles) = args.slo_cycles {
         cfg.slo = Slo {
             slo_cycles: cycles,

@@ -223,9 +223,13 @@ pub struct DurableService<S: Storage> {
 impl<S: Storage> DurableService<S> {
     /// A fresh durable service over an empty (or to-be-overwritten)
     /// store, in deterministic scheduling mode.
-    pub fn new(cfg: ServeConfig, dcfg: DurableConfig, plan: FaultPlan, storage: S) -> Self {
+    ///
+    /// `_plan` is ignored: the service injects no faults of its own
+    /// (storage faults come from the `storage` backend's plan). It stays
+    /// so existing callers compile.
+    pub fn new(cfg: ServeConfig, dcfg: DurableConfig, _plan: FaultPlan, storage: S) -> Self {
         Self {
-            svc: Service::deterministic(cfg, plan),
+            svc: Service::deterministic(cfg),
             storage,
             dcfg: dcfg.sanitized(),
             sessions: BTreeMap::new(),
@@ -487,11 +491,11 @@ impl<S: Storage> DurableService<S> {
     /// typed [`RecoveryError`] in the report (and a `FrameQuarantined`
     /// trace event), and recovery proceeds with the next-best state —
     /// the other snapshot generation, a shorter journal prefix, or a
-    /// fresh session.
+    /// fresh session. `_plan` is ignored, as in [`new`](Self::new).
     pub fn recover(
         cfg: ServeConfig,
         dcfg: DurableConfig,
-        plan: FaultPlan,
+        _plan: FaultPlan,
         mut storage: S,
     ) -> (Self, RecoveryReport) {
         let files = storage.list();
@@ -514,7 +518,7 @@ impl<S: Storage> DurableService<S> {
         session_ids.sort_unstable();
         session_ids.dedup();
 
-        let mut svc = Service::deterministic(cfg, plan);
+        let mut svc = Service::deterministic(cfg);
         let mut sessions: BTreeMap<u64, DurState> = BTreeMap::new();
         let mut seal = Vec::new();
         for session in session_ids {

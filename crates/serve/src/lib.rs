@@ -1,27 +1,22 @@
 //! # latch-serve
 //!
-//! An in-process taint-checking **service**: one worker pool
-//! multiplexing many independent monitored sessions, each backed by its
-//! own [`SessionPipeline`] (coarse LATCH screen + precise DIFT mirror).
+//! An in-process taint-checking **service**: one scheduler multiplexing
+//! many independent monitored sessions, each backed by its own
+//! [`SessionPipeline`] (coarse LATCH screen + precise DIFT mirror).
 //! Clients submit batches of events tagged with a session id; the
 //! service guarantees per-session FIFO order, applies admission control
 //! with typed backpressure ([`Rejected`]), coalesces queued events into
-//! batches, steals work across workers, and evicts idle sessions to
-//! snapshot blobs under memory pressure.
+//! batches, and evicts idle sessions to snapshot blobs under memory
+//! pressure.
 //!
-//! [`Service::deterministic`] runs virtual workers driven by a seeded
-//! round-robin cursor: no threads, no wall clock. [`Service::pump`]
-//! applies everything queued and [`Service::finish`] drains. Per-session
-//! results are byte-identical across runs and identical to running each
-//! session alone through a [`SessionPipeline`] — the conformance oracle
-//! for everything else. The durability layer, the `latchd` front door
-//! and the cluster router all serve through this one engine.
-//!
-//! Fault tolerance: a [`FaultPlan`] with worker kills armed makes a
-//! worker die partway through a batch. The service replays the batch
-//! from the session's pre-batch checkpoint on a surviving worker —
-//! no event loss, and final taint state byte-identical to an unfaulted
-//! run.
+//! [`Service::deterministic`] keeps one FIFO ready queue of sessions:
+//! no threads, no wall clock. [`Service::pump`] applies everything
+//! queued, one batch per session per turn, and [`Service::finish`]
+//! drains. Per-session results are byte-identical across runs and
+//! identical to running each session alone through a
+//! [`SessionPipeline`] — the conformance oracle for everything else.
+//! The durability layer, the `latchd` front door and the cluster router
+//! all serve through this one engine.
 
 mod sched;
 
@@ -41,10 +36,9 @@ pub use overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use wire::{WireConfig, WireServer};
 
-use latch_faults::FaultPlan;
 use latch_sim::event::Event;
 use latch_systems::session::{SessionPipeline, SessionReport};
-use sched::{process, Sched, SnapSource};
+use sched::{Sched, SnapSource};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -53,11 +47,12 @@ use std::time::Instant;
 /// Tuning knobs for a service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Virtual worker count.
+    /// Unused: the scheduler has one ready queue.
+    #[deprecated(note = "unused: the scheduler has one ready queue")]
     pub workers: usize,
     /// Global admission cap: total events queued across all sessions.
     pub queue_events: usize,
-    /// Per-session cap on queued events (in-flight batches excluded).
+    /// Per-session cap on queued events.
     pub session_inflight_cap: usize,
     /// Maximum events coalesced into one dispatched batch.
     pub batch_max: usize,
@@ -66,16 +61,18 @@ pub struct ServeConfig {
     pub max_resident: usize,
     /// Parity-scrub cadence handed to each session pipeline.
     pub scrub_interval: u64,
-    /// Seeds the deterministic scheduler's starting cursor.
+    /// Unused: the scheduler has no seeded cursor.
+    #[deprecated(note = "unused: the scheduler has no seeded cursor")]
     pub seed: u64,
     /// The overload policy ([`Slo::OFF`] disables it entirely).
     pub slo: Slo,
 }
 
 impl Default for ServeConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
-            workers: 4,
+            workers: 1,
             queue_events: 1 << 14,
             session_inflight_cap: 1 << 12,
             batch_max: 64,
@@ -89,7 +86,6 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn sanitized(mut self) -> Self {
-        self.workers = self.workers.max(1);
         self.queue_events = self.queue_events.max(1);
         self.session_inflight_cap = self.session_inflight_cap.max(1);
         self.batch_max = self.batch_max.max(1);
@@ -182,7 +178,7 @@ impl fmt::Display for Rejected {
 impl Error for Rejected {}
 
 /// Service-level counters. Every one is deterministic: the same
-/// config, fault plan and sequence of calls reproduce them exactly.
+/// config and sequence of calls reproduce them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Events admitted across all sessions.
@@ -191,18 +187,12 @@ pub struct ServeStats {
     pub rejected_queue_full: u64,
     /// Submissions rejected: per-session cap reached.
     pub rejected_session_busy: u64,
-    /// Batches dispatched to workers.
+    /// Batches dispatched.
     pub dispatches: u64,
-    /// Dispatches that stole a session from another worker's queue.
-    pub batches_stolen: u64,
     /// Idle sessions frozen to snapshot blobs.
     pub evictions: u64,
     /// Frozen sessions thawed back into pipelines.
     pub restores: u64,
-    /// Workers killed by the fault plan.
-    pub worker_kills: u64,
-    /// Events replayed after worker deaths.
-    pub replayed_events: u64,
     /// High-water mark of the global event queue.
     pub queue_depth_hwm: u64,
     /// Submissions shed under overload pressure.
@@ -232,11 +222,6 @@ pub struct ServiceOutcome {
     pub pipelines: BTreeMap<u64, SessionPipeline>,
     /// Service-level counters.
     pub stats: ServeStats,
-    /// Simulated busy cycles per worker (batch cost + context switch
-    /// per dispatch); `max` is the cost-model makespan.
-    pub worker_busy_cycles: Vec<u64>,
-    /// Per-batch latency samples in simulated cycles, dispatch order.
-    pub batch_cycles: Vec<u64>,
     /// Every SLO report cut during the run, in order. Empty when the
     /// overload policy is off.
     pub slo_reports: Vec<SloReport>,
@@ -252,21 +237,16 @@ pub struct ServiceOutcome {
 /// The multi-session taint-checking service. See the crate docs.
 pub struct Service {
     sched: Sched,
-    /// The virtual worker that runs the next dispatch.
-    cursor: usize,
     started: Instant,
 }
 
 impl Service {
-    /// A service with virtual workers and a seeded round-robin
-    /// scheduler: byte-deterministic, no wall clock in any decision.
+    /// A service with one FIFO ready queue: byte-deterministic, no wall
+    /// clock in any decision.
     #[must_use]
-    pub fn deterministic(cfg: ServeConfig, plan: FaultPlan) -> Self {
-        let cfg = cfg.sanitized();
-        let cursor = (latch_faults::mix(cfg.seed, 0x5E2_17E, 0) % cfg.workers as u64) as usize;
+    pub fn deterministic(cfg: ServeConfig) -> Self {
         Self {
-            sched: Sched::new(cfg, plan),
-            cursor,
+            sched: Sched::new(cfg.sanitized()),
             started: Instant::now(),
         }
     }
@@ -307,16 +287,9 @@ impl Service {
         self.sched.degraded_sessions()
     }
 
-    /// Runs the virtual workers until every queued event is applied.
+    /// Applies every queued event.
     pub fn pump(&mut self) {
-        while !self.sched.idle() {
-            let w = self.cursor;
-            self.cursor = (self.cursor + 1) % self.sched.workers();
-            if let Some(item) = self.sched.next_work(w) {
-                let result = process(item);
-                self.sched.complete(w, result);
-            }
-        }
+        self.sched.pump();
     }
 
     /// Graceful drain: applies everything queued and returns
@@ -333,8 +306,6 @@ impl Service {
         // session's admitted stream.
         sched.promote_all();
         let stats = sched.stats;
-        let worker_busy_cycles = sched.worker_busy.clone();
-        let batch_cycles = sched.batch_cycles.clone();
         let slo_reports = sched.slo_reports.clone();
         let degraded_spans = sched.degraded_spans.clone();
         let pipelines = sched.into_sessions();
@@ -343,8 +314,6 @@ impl Service {
             sessions,
             pipelines,
             stats,
-            worker_busy_cycles,
-            batch_cycles,
             slo_reports,
             degraded_spans,
             wall_ns,
@@ -357,18 +326,16 @@ impl Service {
         self.sched.session_ids()
     }
 
-    /// `(applied, epoch)` for a quiescent session; `None` for sessions
-    /// that never ran or whose batch is mid-flight.
+    /// `(applied, epoch)` for a session; `None` for sessions that never
+    /// ran.
     #[must_use]
     pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
         self.sched.session_progress(session)
     }
 
-    /// What a byte-stable snapshot of a quiescent session is taken
-    /// from: its live pipeline, or a blob encoded earlier with the
-    /// progress it covers. `None` for sessions that never ran or whose
-    /// batch is mid-flight — the durability layer simply snapshots them
-    /// at the next quiescent point.
+    /// What a byte-stable snapshot of a session is taken from: its live
+    /// pipeline, or a blob encoded earlier with the progress it covers.
+    /// `None` for sessions that never ran.
     pub(crate) fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
         self.sched.snapshot_source(session)
     }
@@ -476,12 +443,8 @@ mod tests {
     #[test]
     fn deterministic_mode_matches_solo_pipelines_exactly() {
         let streams = session_streams();
-        let cfg = ServeConfig {
-            workers: 4,
-            seed: 7,
-            ..ServeConfig::default()
-        };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let cfg = ServeConfig::default();
+        let mut svc = Service::deterministic(cfg);
         drive(&mut svc, &streams, 256);
         let out = svc.finish();
         assert_eq!(out.sessions.len(), streams.len());
@@ -501,20 +464,14 @@ mod tests {
     fn deterministic_runs_are_byte_identical() {
         let streams = session_streams();
         let run = || {
-            let cfg = ServeConfig {
-                workers: 3,
-                seed: 99,
-                ..ServeConfig::default()
-            };
-            let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+            let cfg = ServeConfig::default();
+            let mut svc = Service::deterministic(cfg);
             drive(&mut svc, &streams, 128);
             svc.finish()
         };
         let a = run();
         let b = run();
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.worker_busy_cycles, b.worker_busy_cycles);
-        assert_eq!(a.batch_cycles, b.batch_cycles);
         for (id, r) in &a.sessions {
             assert_eq!(r.encode(), b.sessions[id].encode());
         }
@@ -524,12 +481,10 @@ mod tests {
     fn eviction_pressure_is_invisible_in_results() {
         let streams = session_streams();
         let cfg = ServeConfig {
-            workers: 2,
             max_resident: 2, // constant churn: 6 sessions, 2 resident
-            seed: 3,
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         drive(&mut svc, &streams, 64);
         let out = svc.finish();
         assert!(out.stats.evictions > 0, "pressure must force evictions");
@@ -544,70 +499,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_death_replays_without_event_loss() {
-        let streams = session_streams();
-        let cfg = ServeConfig {
-            workers: 4,
-            seed: 11,
-            ..ServeConfig::default()
-        };
-        let plan = FaultPlan::new(77).with_worker_kills(40, 2);
-        let mut svc = Service::deterministic(cfg, plan);
-        drive(&mut svc, &streams, 256);
-        let out = svc.finish();
-        assert!(out.stats.worker_kills > 0, "plan must fire at this rate");
-        assert!(out.stats.replayed_events > 0);
-        for (id, evs) in &streams {
-            assert_eq!(
-                out.sessions[id].encode(),
-                solo_report(evs, cfg.scrub_interval).encode(),
-                "session {id} diverged after worker-death replay"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_kills_under_eviction_churn_match_solo() {
-        // Eight workers, twelve sessions and four resident slots: worker
-        // deaths land on sessions that eviction keeps freezing and
-        // thawing, and every replay must still be invisible.
-        let streams: Vec<(u64, Vec<Event>)> = (0..12u64)
-            .map(|id| (id, events("perlbench", 500 + id, 2_000)))
-            .collect();
-        let cfg = ServeConfig {
-            workers: 8,
-            max_resident: 4,
-            seed: 42,
-            ..ServeConfig::default()
-        };
-        let plan = FaultPlan::new(4242).with_worker_kills(30, 3);
-        let mut svc = Service::deterministic(cfg, plan);
-        drive(&mut svc, &streams, 128);
-        let out = svc.finish();
-        assert!(out.stats.worker_kills > 0, "plan must fire at this rate");
-        assert!(
-            out.stats.evictions > 0,
-            "4 resident slots for 12 sessions must evict"
-        );
-        for (id, evs) in &streams {
-            assert_eq!(
-                out.sessions[id].encode(),
-                solo_report(evs, cfg.scrub_interval).encode(),
-                "session {id} diverged under kills and eviction churn"
-            );
-        }
-    }
-
-    #[test]
     fn admission_control_rejects_cleanly() {
         let evs = events("hmmer", 1, 64);
         let cfg = ServeConfig {
-            workers: 1,
             queue_events: 100,
             session_inflight_cap: 48,
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         svc.submit(0, &evs[..48]).unwrap();
         // Per-session cap: one more event for session 0 must bounce.
         let err = svc.submit(0, &evs[..1]).unwrap_err();
@@ -630,12 +529,8 @@ mod tests {
         // The overload layer must be invisible when disabled: same
         // stats, same reports, no SLO cuts, no spans.
         let streams = session_streams();
-        let cfg = ServeConfig {
-            workers: 3,
-            seed: 17,
-            ..ServeConfig::default()
-        };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let cfg = ServeConfig::default();
+        let mut svc = Service::deterministic(cfg);
         drive(&mut svc, &streams, 128);
         let out = svc.finish();
         assert!(out.slo_reports.is_empty());
@@ -648,7 +543,6 @@ mod tests {
     fn shedding_is_priority_ordered_and_pure() {
         let evs = events("hmmer", 1, 64);
         let cfg = ServeConfig {
-            workers: 1,
             queue_events: 100,
             slo: Slo {
                 slo_cycles: 1, // every real batch breaches
@@ -659,7 +553,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         // 64 queued events put occupancy over 50%: pressure 1 before
         // any latency signal exists. Critical always passes; bulk sheds.
         svc.submit_with_priority(0, &evs, Priority::Critical)
@@ -698,7 +592,6 @@ mod tests {
     fn sticky_priority_ignores_later_flags() {
         let evs = events("hmmer", 2, 64);
         let cfg = ServeConfig {
-            workers: 1,
             queue_events: 100,
             slo: Slo {
                 slo_cycles: 1,
@@ -708,7 +601,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         // Session 0 is created Critical; a later Bulk flag cannot
         // downgrade it mid-pressure (or shed decisions would depend on
         // client flag order, not scheduler state).
@@ -733,8 +626,6 @@ mod tests {
             (2, events("hmmer", 302, 4_000)),
         ];
         let cfg = ServeConfig {
-            workers: 2,
-            seed: 9,
             slo: Slo {
                 slo_cycles: 1,
                 report_every: 4,
@@ -746,7 +637,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let run = || {
-            let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+            let mut svc = Service::deterministic(cfg);
             for r in 0..streams.iter().map(|(_, e)| e.len().div_ceil(256)).max().unwrap() {
                 for (id, evs) in &streams {
                     let prio = if *id == 0 { Priority::Critical } else { Priority::Normal };
@@ -803,7 +694,6 @@ mod tests {
     fn degraded_session_snapshot_is_the_demotion_checkpoint() {
         let evs = events("gromacs", 44, 2_000);
         let cfg = ServeConfig {
-            workers: 1,
             slo: Slo {
                 slo_cycles: 1,
                 report_every: 2,
@@ -814,7 +704,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         svc.submit(7, &evs[..1_000]).expect("queue empty");
         svc.pump();
         assert_eq!(svc.degraded_sessions(), vec![7], "sole normal session demotes");
@@ -835,51 +725,4 @@ mod tests {
         assert_eq!(out.sessions[&7].encode(), solo_report(&evs, cfg.scrub_interval).encode());
     }
 
-    #[test]
-    fn worker_death_on_degraded_slot_keeps_cursor_frozen() {
-        // Worker kills + an armed SLO: the sole normal session demotes
-        // at the first cut, then a worker dies mid-batch while the
-        // session is degraded. The death replay restores the dispatch
-        // checkpoint — the provisional *coarse* pipeline — and must NOT
-        // advance the frozen durability cursor past the demotion
-        // checkpoint (the snapshot blob stays the precise state).
-        let evs = events("gromacs", 44, 2_000);
-        let cfg = ServeConfig {
-            workers: 3,
-            batch_max: 16,
-            slo: Slo {
-                slo_cycles: 1,
-                report_every: 1,
-                demote_after: 1,
-                max_degraded: 1,
-                queue_pressure_pct: 100,
-                ..Slo::OFF
-            },
-            ..ServeConfig::default()
-        };
-        let plan = FaultPlan::new(13).with_worker_kills(150, 2);
-        let mut svc = Service::deterministic(cfg, plan);
-        svc.submit(7, &evs[..1_000]).expect("queue empty");
-        svc.pump();
-        assert_eq!(svc.degraded_sessions(), vec![7], "sole normal session demotes");
-        let (applied, blob) = demotion_checkpoint(&svc, 7);
-        assert!(applied < 1_000, "cursor frozen at the demotion point");
-        let restored = SessionPipeline::from_snapshot(&blob).expect("checkpoint decodes");
-        assert_eq!(
-            restored.applied(),
-            applied,
-            "cursor must match the demotion-checkpoint blob even after a death replay"
-        );
-        // More degraded traffic (and possibly another kill): still frozen.
-        svc.submit(7, &evs[1_000..]).expect("pressure 1 admits normal");
-        svc.pump();
-        let (applied2, blob2) = demotion_checkpoint(&svc, 7);
-        assert_eq!(applied, applied2);
-        let restored2 = SessionPipeline::from_snapshot(&blob2).expect("checkpoint decodes");
-        assert_eq!(restored2.applied(), applied2);
-        let out = svc.finish();
-        assert!(out.stats.worker_kills > 0, "plan must kill while degraded");
-        assert!(out.stats.coarse_batches > 0, "session must run coarse-only");
-        assert_eq!(out.sessions[&7].encode(), solo_report(&evs, cfg.scrub_interval).encode());
-    }
 }

@@ -1,31 +1,28 @@
 //! The scheduler core behind [`Service`](crate::Service).
 //!
 //! All scheduling state lives in one [`Sched`] value: session slots,
-//! per-worker ready queues, admission counters, the fault injector, and
-//! the cost accounting. The service owns it directly and drives virtual
-//! workers with a seeded round-robin cursor: each turn pulls a
-//! [`WorkItem`] out with `next_work`, runs it through [`process`], and
-//! pushes the [`BatchResult`] back with `complete`. Event application
-//! itself ([`process`]) never touches scheduler state.
+//! one FIFO ready queue, admission counters, and the overload policy.
+//! The service owns it directly. [`Sched::pump`] pops sessions off the
+//! ready queue in order and applies one coalesced batch of each in
+//! place on the session's pipeline; a session with events left goes
+//! back to the tail.
 //!
 //! Invariants:
 //!
-//! * A session is on at most one ready queue, and never while a worker
-//!   is running its batch (`SlotState::Running`), so per-session event
-//!   order is submission order — always.
+//! * A session is on the ready queue exactly when its pending queue is
+//!   non-empty, and at most once, so per-session event order is
+//!   submission order — always.
 //! * `pending_total` counts exactly the events sitting in session
 //!   pending queues; admission control gates on it before any state
 //!   changes, so a rejected submit is a complete no-op.
 //! * A frozen session's blob round-trips byte-identically (the
-//!   `SessionPipeline` snapshot contract), so eviction, migration, and
-//!   death-replay are invisible in per-session reports.
+//!   `SessionPipeline` snapshot contract), so eviction and migration
+//!   are invisible in per-session reports.
 
 use crate::overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
 use crate::{Rejected, ServeConfig, ServeStats};
-use latch_faults::{FaultInjector, FaultPlan};
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
-use latch_systems::cost::CostModel;
 use latch_systems::session::SessionPipeline;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -37,11 +34,9 @@ enum SlotState {
     Live(Box<SessionPipeline>),
     /// Evicted to a snapshot blob.
     Frozen(Vec<u8>),
-    /// A worker is applying a batch right now.
-    Running,
 }
 
-/// A quiescent session's state, borrowed for a durable snapshot.
+/// A session's state, borrowed for a durable snapshot.
 pub(crate) enum SnapSource<'a> {
     /// A resident pipeline, not yet encoded.
     Live(&'a SessionPipeline),
@@ -73,8 +68,6 @@ struct Slot {
     pending: VecDeque<Event>,
     /// Logical completion tick of the last batch (LRU recency).
     last_active: u64,
-    /// Whether the session sits on some worker's ready queue.
-    enqueued: bool,
     /// Events the pipeline had applied at its last quiescent point —
     /// kept current so a `Frozen` slot's progress is known without
     /// decoding its blob (the durability layer snapshots from this).
@@ -94,7 +87,6 @@ impl Slot {
             state: SlotState::Fresh,
             pending: VecDeque::new(),
             last_active: 0,
-            enqueued: false,
             applied: 0,
             epoch: 0,
             priority,
@@ -103,112 +95,16 @@ impl Slot {
     }
 }
 
-/// One dispatched batch: everything a worker needs to run it without
-/// touching scheduler state.
-pub(crate) struct WorkItem {
-    pub session: u64,
-    pub pipeline: Box<SessionPipeline>,
-    pub batch: Vec<Event>,
-    /// Pipeline cycle count at batch start (for per-batch latency).
-    pub start_cycles: u64,
-    /// Pre-batch snapshot, taken only when the plan arms worker kills
-    /// — the checkpoint a death replay restores from.
-    pub checkpoint: Option<Vec<u8>>,
-    /// Injected death: the worker dies after applying this many events
-    /// of the batch.
-    pub kill_at: Option<usize>,
-    /// Degraded dispatch: apply the batch through the coarse tier only.
-    pub coarse_only: bool,
-}
-
-/// What a worker hands back after running a batch.
-pub(crate) enum BatchResult {
-    Done {
-        session: u64,
-        pipeline: Box<SessionPipeline>,
-        /// Cycles the batch consumed.
-        cycles: u64,
-        /// The batch itself, handed back so a degraded session's
-        /// deferred buffer grows only on completion (a died batch is
-        /// replayed, never double-deferred).
-        batch: Vec<Event>,
-    },
-    /// The worker died mid-batch. `pipeline` is the checkpoint state
-    /// (everything the dead worker did is discarded) and `batch` is the
-    /// full batch, to be replayed on a surviving worker.
-    Died {
-        session: u64,
-        pipeline: Box<SessionPipeline>,
-        batch: Vec<Event>,
-    },
-}
-
-/// Applies a batch to its pipeline. Pure with respect to scheduler
-/// state.
-pub(crate) fn process(mut item: WorkItem) -> BatchResult {
-    if let (Some(kill_at), Some(blob)) = (item.kill_at, item.checkpoint.as_ref()) {
-        // The worker makes partial progress, then dies: its pipeline
-        // (and everything applied since the checkpoint) is lost.
-        for ev in item.batch.iter().take(kill_at) {
-            if item.coarse_only {
-                item.pipeline.apply_coarse_only(ev);
-            } else {
-                item.pipeline.apply(ev);
-            }
-        }
-        let restored =
-            Box::new(SessionPipeline::from_snapshot(blob).expect("own snapshot must decode"));
-        return BatchResult::Died {
-            session: item.session,
-            pipeline: restored,
-            batch: item.batch,
-        };
-    }
-    if item.coarse_only {
-        // Degraded span: coarse screen only, no precise mirror. The
-        // whole point of demotion is the cost: one cycle per event,
-        // none of the coarse-tier penalty cycles a precise batch pays.
-        for ev in &item.batch {
-            item.pipeline.apply_coarse_only(ev);
-        }
-        let cycles = item.batch.len() as u64;
-        return BatchResult::Done {
-            session: item.session,
-            pipeline: item.pipeline,
-            cycles,
-            batch: item.batch,
-        };
-    }
-    for ev in &item.batch {
-        item.pipeline.apply(ev);
-    }
-    let cycles = item.pipeline.cycles() - item.start_cycles;
-    BatchResult::Done {
-        session: item.session,
-        pipeline: item.pipeline,
-        cycles,
-        batch: item.batch,
-    }
-}
-
 /// The complete scheduling state of a service instance.
 pub(crate) struct Sched {
     cfg: ServeConfig,
-    cost: CostModel,
     slots: HashMap<u64, Slot>,
-    ready: Vec<VecDeque<u64>>,
+    /// Sessions with pending events, in dispatch order.
+    ready: VecDeque<u64>,
     pending_total: usize,
-    in_flight: usize,
     tick: u64,
-    inj: FaultInjector,
-    alive: Vec<bool>,
-    alive_count: usize,
     live_resident: usize,
     pub stats: ServeStats,
-    /// Simulated busy cycles per worker (batch cost + context switch).
-    pub worker_busy: Vec<u64>,
-    /// Per-batch latency samples, in simulated cycles.
-    pub batch_cycles: Vec<u64>,
     /// The SLO policy (a sanitized copy of `cfg.slo`).
     slo: Slo,
     /// Sliding window of per-batch costs feeding the percentile cuts.
@@ -228,24 +124,16 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    pub fn new(cfg: ServeConfig, plan: FaultPlan) -> Self {
-        let workers = cfg.workers;
+    pub fn new(cfg: ServeConfig) -> Self {
         let slo = cfg.slo.sanitized();
         Self {
             cfg,
-            cost: CostModel::default(),
             slots: HashMap::new(),
-            ready: vec![VecDeque::new(); workers],
+            ready: VecDeque::new(),
             pending_total: 0,
-            in_flight: 0,
             tick: 0,
-            inj: FaultInjector::new(plan),
-            alive: vec![true; workers],
-            alive_count: workers,
             live_resident: 0,
             stats: ServeStats::default(),
-            worker_busy: vec![0; workers],
-            batch_cycles: Vec::new(),
             slo,
             sampler: SloSampler::new(slo.window),
             completed: 0,
@@ -256,22 +144,6 @@ impl Sched {
             slo_reports: Vec::new(),
             degraded_spans: Vec::new(),
         }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.cfg.workers
-    }
-
-    /// No queued events, nothing on any ready queue, nothing in flight.
-    pub fn idle(&self) -> bool {
-        self.pending_total == 0 && self.in_flight == 0 && self.ready.iter().all(VecDeque::is_empty)
-    }
-
-    fn first_alive(&self) -> usize {
-        self.alive
-            .iter()
-            .position(|&a| a)
-            .expect("at least one worker survives")
     }
 
     /// The current overload pressure level, a pure function of
@@ -347,198 +219,84 @@ impl Sched {
                 cap: self.cfg.session_inflight_cap,
             });
         }
-        slot.pending.extend(events.iter().copied());
-        let enqueue = !slot.enqueued && !matches!(slot.state, SlotState::Running);
-        if enqueue {
-            slot.enqueued = true;
+        if slot.pending.is_empty() {
+            self.ready.push_back(session);
         }
+        slot.pending.extend(events.iter().copied());
         self.pending_total += events.len();
         self.stats.submitted_events = self.stats.submitted_events.saturating_add(events.len() as u64);
         if self.pending_total as u64 > self.stats.queue_depth_hwm {
             self.stats.queue_depth_hwm = self.pending_total as u64;
             latch_obs::watermark("serve.queue.depth", self.pending_total as u64);
         }
-        if enqueue {
-            let home = (session as usize) % self.cfg.workers;
-            let w = if self.alive[home] {
-                home
-            } else {
-                self.first_alive()
-            };
-            self.ready[w].push_back(session);
-        }
         Ok(())
     }
 
-    /// Pops the next session for `worker`: its own queue first, then a
-    /// steal from the longest other queue (ties to the lowest worker
-    /// index, victim popped from the back — classic work stealing).
-    fn pop_ready(&mut self, worker: usize) -> Option<u64> {
-        if let Some(s) = self.ready[worker].pop_front() {
-            return Some(s);
+    /// Applies every queued event: pops sessions off the ready queue in
+    /// order and runs one coalesced batch of each in place.
+    pub fn pump(&mut self) {
+        while let Some(session) = self.ready.pop_front() {
+            self.run_batch(session);
         }
-        let victim = (0..self.ready.len())
-            .filter(|&w| w != worker && !self.ready[w].is_empty())
-            .max_by_key(|&w| (self.ready[w].len(), std::cmp::Reverse(w)))?;
-        let s = self.ready[victim].pop_back()?;
-        self.stats.batches_stolen = self.stats.batches_stolen.saturating_add(1);
-        latch_obs::counter_inc("serve.steals");
-        Some(s)
     }
 
-    /// Dispatches up to one coalesced batch to `worker`. Returns `None`
-    /// when the worker is dead or no session is ready.
-    pub fn next_work(&mut self, worker: usize) -> Option<WorkItem> {
-        if !self.alive[worker] {
-            return None;
-        }
-        let session = self.pop_ready(worker)?;
-        let batch_max = self.cfg.batch_max;
-        let scrub_interval = self.cfg.scrub_interval;
+    /// Applies up to `batch_max` of `session`'s pending events to its
+    /// pipeline (thawing or creating it first), requeues the session if
+    /// events are left, then evicts and cuts SLO reports as due.
+    fn run_batch(&mut self, session: u64) {
         let slot = self.slots.get_mut(&session).expect("ready session exists");
-        slot.enqueued = false;
-        let coarse_only = slot.degraded.is_some();
-        let take = slot.pending.len().min(batch_max);
+        let take = slot.pending.len().min(self.cfg.batch_max);
         let batch: Vec<Event> = slot.pending.drain(..take).collect();
-        let (pipeline, was_live, restored) =
-            match std::mem::replace(&mut slot.state, SlotState::Running) {
-                SlotState::Live(p) => (p, true, false),
-                SlotState::Frozen(blob) => (
-                    Box::new(
-                        SessionPipeline::from_snapshot(&blob)
-                            .expect("frozen blob is self-produced"),
-                    ),
-                    false,
-                    true,
-                ),
-                SlotState::Fresh => (Box::new(SessionPipeline::new(scrub_interval)), false, false),
-                SlotState::Running => unreachable!("session dispatched twice concurrently"),
+        if !matches!(slot.state, SlotState::Live(_)) {
+            let thawed = match &slot.state {
+                SlotState::Frozen(blob) => {
+                    self.stats.restores = self.stats.restores.saturating_add(1);
+                    latch_obs::counter_inc("serve.session.restores");
+                    latch_obs::emit("serve", TraceEvent::SessionRestore { session });
+                    SessionPipeline::from_snapshot(blob).expect("frozen blob is self-produced")
+                }
+                _ => SessionPipeline::new(self.cfg.scrub_interval),
             };
-        if was_live {
-            self.live_resident -= 1;
+            slot.state = SlotState::Live(Box::new(thawed));
+            self.live_resident += 1;
         }
-        if restored {
-            self.stats.restores = self.stats.restores.saturating_add(1);
-            latch_obs::counter_inc("serve.session.restores");
-            latch_obs::emit("serve", TraceEvent::SessionRestore { session });
-        }
+        let SlotState::Live(pipeline) = &mut slot.state else {
+            unreachable!("thawed above")
+        };
         self.pending_total -= batch.len();
-        self.in_flight += 1;
-        let batch_index = self.stats.dispatches;
         self.stats.dispatches = self.stats.dispatches.saturating_add(1);
         latch_obs::histogram_record("serve.batch.events", batch.len() as u64);
-        let arm_kills = self.inj.plan().worker.kill_per_mille > 0;
-        let checkpoint = arm_kills.then(|| pipeline.to_snapshot());
-        let kill_at = if arm_kills && self.alive_count > 1 {
-            self.inj.worker_kill_at(batch_index, batch.len())
+        let cycles = if let Some(d) = slot.degraded.as_mut() {
+            // Degraded span: coarse screen only, no precise mirror, at
+            // one cycle per event. The batch is deferred for the
+            // precise resync, and `applied`/`epoch` stay frozen at the
+            // demotion point — the durability layer must keep
+            // snapshotting the precise checkpoint.
+            for ev in &batch {
+                pipeline.apply_coarse_only(ev);
+            }
+            let n = batch.len() as u64;
+            d.deferred.extend(batch);
+            self.stats.coarse_batches = self.stats.coarse_batches.saturating_add(1);
+            self.stats.coarse_events = self.stats.coarse_events.saturating_add(n);
+            n
         } else {
-            None
+            let start = pipeline.cycles();
+            for ev in &batch {
+                pipeline.apply(ev);
+            }
+            slot.applied = pipeline.applied();
+            slot.epoch = pipeline.epoch();
+            pipeline.cycles() - start
         };
-        let start_cycles = pipeline.cycles();
-        Some(WorkItem {
-            session,
-            pipeline,
-            batch,
-            start_cycles,
-            checkpoint,
-            kill_at,
-            coarse_only,
-        })
-    }
-
-    /// Folds a finished (or died) batch back into the scheduler.
-    pub fn complete(&mut self, worker: usize, result: BatchResult) {
-        self.in_flight -= 1;
+        latch_obs::histogram_record("serve.batch.cycles", cycles);
         self.tick += 1;
-        let tick = self.tick;
-        match result {
-            BatchResult::Done {
-                session,
-                pipeline,
-                cycles,
-                batch,
-            } => {
-                self.worker_busy[worker] = self.worker_busy[worker]
-                    .saturating_add(cycles.saturating_add(self.cost.ctx_switch_cycles));
-                self.batch_cycles.push(cycles);
-                latch_obs::histogram_record("serve.batch.cycles", cycles);
-                let slot = self.slots.get_mut(&session).expect("running session exists");
-                if let Some(d) = slot.degraded.as_mut() {
-                    // A degraded slot's dispatch was coarse-only (demote
-                    // and promote both skip `Running` slots, so the flag
-                    // cannot change mid-batch). Defer the batch for the
-                    // precise resync and keep `applied`/`epoch` frozen
-                    // at the demotion point — the durability layer must
-                    // keep snapshotting the precise checkpoint.
-                    let n = batch.len() as u64;
-                    d.deferred.extend(batch);
-                    self.stats.coarse_batches = self.stats.coarse_batches.saturating_add(1);
-                    self.stats.coarse_events = self.stats.coarse_events.saturating_add(n);
-                } else {
-                    slot.applied = pipeline.applied();
-                    slot.epoch = pipeline.epoch();
-                }
-                slot.state = SlotState::Live(pipeline);
-                slot.last_active = tick;
-                let requeue = !slot.pending.is_empty();
-                if requeue {
-                    slot.enqueued = true;
-                }
-                self.live_resident += 1;
-                if requeue {
-                    self.ready[worker].push_back(session);
-                }
-                self.maybe_evict();
-                self.note_batch(cycles);
-            }
-            BatchResult::Died {
-                session,
-                pipeline,
-                batch,
-            } => {
-                self.alive[worker] = false;
-                self.alive_count -= 1;
-                self.stats.worker_kills = self.stats.worker_kills.saturating_add(1);
-                self.stats.replayed_events =
-                    self.stats.replayed_events.saturating_add(batch.len() as u64);
-                latch_obs::counter_inc("serve.worker.deaths");
-                latch_obs::emit(
-                    "serve",
-                    TraceEvent::WorkerDeath {
-                        worker: worker as u32,
-                        replayed: batch.len() as u64,
-                    },
-                );
-                // Orphaned ready sessions move to a survivor wholesale.
-                let target = self.first_alive();
-                let orphans: Vec<u64> = self.ready[worker].drain(..).collect();
-                self.ready[target].extend(orphans);
-                // The batch goes back to the *front* of the session's
-                // pending queue so replay preserves event order, and the
-                // checkpoint pipeline becomes resident again.
-                self.pending_total += batch.len();
-                let slot = self.slots.get_mut(&session).expect("running session exists");
-                for ev in batch.into_iter().rev() {
-                    slot.pending.push_front(ev);
-                }
-                if slot.degraded.is_none() {
-                    // Mirror the Done handler: for a degraded slot the
-                    // dispatch checkpoint is the provisional *coarse*
-                    // pipeline, whose applied count includes coarse-only
-                    // events. Copying it would advance the frozen
-                    // durability cursor past the demotion checkpoint
-                    // while snapshots still carry the precise blob —
-                    // recovery would then skip the deferred span.
-                    slot.applied = pipeline.applied();
-                    slot.epoch = pipeline.epoch();
-                }
-                slot.state = SlotState::Live(pipeline);
-                slot.last_active = tick;
-                slot.enqueued = true;
-                self.live_resident += 1;
-                self.ready[target].push_back(session);
-            }
+        slot.last_active = self.tick;
+        if !slot.pending.is_empty() {
+            self.ready.push_back(session);
         }
+        self.maybe_evict();
+        self.note_batch(cycles);
     }
 
     /// Records one completed batch in the SLO sampler and, on cadence,
@@ -568,7 +326,8 @@ impl Sched {
         {
             self.demote_one();
         } else if !report.breach && self.clean_streak >= self.slo.promote_after {
-            self.promote_quiescent();
+            self.promote_all();
+            self.maybe_evict();
         }
         report.degraded = self.degraded_count as u32;
         latch_obs::emit(
@@ -584,10 +343,9 @@ impl Sched {
     }
 
     /// Demotes the lowest-priority demotable session to coarse-only
-    /// screening. Candidates must be quiescent (`Live` or `Frozen` —
-    /// never mid-batch) and never `Critical`; ties break to the
-    /// smallest session id, so the choice is a pure function of
-    /// scheduler state.
+    /// screening. Candidates must have state (`Live` or `Frozen`) and
+    /// never be `Critical`; ties break to the smallest session id, so
+    /// the choice is a pure function of scheduler state.
     fn demote_one(&mut self) {
         let victim = self
             .slots
@@ -604,7 +362,7 @@ impl Sched {
         let checkpoint = match &slot.state {
             SlotState::Live(p) => p.to_snapshot(),
             SlotState::Frozen(blob) => blob.clone(),
-            SlotState::Fresh | SlotState::Running => unreachable!("victim filter is quiescent"),
+            SlotState::Fresh => unreachable!("victim filter excludes fresh slots"),
         };
         slot.degraded = Some(Degraded {
             checkpoint,
@@ -625,36 +383,12 @@ impl Sched {
         );
     }
 
-    /// Promotes every degraded session that is not mid-batch: restores
-    /// the demotion checkpoint and replays the deferred span through
+    /// Promotes every degraded session, in session-id order: restores
+    /// each demotion checkpoint and replays the deferred span through
     /// the precise tier, making the span invisible in the session's
-    /// final report. A `Running` slot is skipped and caught at the next
-    /// clean cut (or at drain).
-    fn promote_quiescent(&mut self) {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some() && !matches!(s.state, SlotState::Running))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.promote(id);
-        }
-        self.maybe_evict();
-    }
-
-    /// Promotes every degraded session. Only valid once the scheduler
-    /// is idle — the drain path calls this before reports are cut.
+    /// final report. Runs at a clean cut and at drain.
     pub fn promote_all(&mut self) {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
+        for id in self.degraded_sessions() {
             self.promote(id);
         }
         debug_assert_eq!(self.degraded_count, 0);
@@ -663,10 +397,6 @@ impl Sched {
     fn promote(&mut self, id: u64) {
         let slot = self.slots.get_mut(&id).expect("degraded slot exists");
         let Some(d) = slot.degraded.take() else { return };
-        debug_assert!(
-            !matches!(slot.state, SlotState::Running),
-            "cannot promote a session mid-batch"
-        );
         let was_live = matches!(slot.state, SlotState::Live(_));
         let mut pipeline = SessionPipeline::from_snapshot(&d.checkpoint)
             .expect("demotion checkpoint is self-produced");
@@ -727,7 +457,6 @@ impl Sched {
                 .iter()
                 .filter(|(_, s)| {
                     matches!(s.state, SlotState::Live(_))
-                        && !s.enqueued
                         && s.pending.is_empty()
                         && s.degraded.is_none()
                 })
@@ -758,7 +487,7 @@ impl Sched {
     /// Consumes the scheduler after a drain, materializing every
     /// session (thawing frozen ones) into its final pipeline + report.
     pub fn into_sessions(self) -> BTreeMap<u64, SessionPipeline> {
-        debug_assert!(self.idle(), "into_sessions requires a drained scheduler");
+        debug_assert!(self.ready.is_empty(), "into_sessions requires a drained scheduler");
         let scrub_interval = self.cfg.scrub_interval;
         self.slots
             .into_iter()
@@ -768,7 +497,6 @@ impl Sched {
                     SlotState::Frozen(blob) => SessionPipeline::from_snapshot(&blob)
                         .expect("frozen blob is self-produced"),
                     SlotState::Fresh => SessionPipeline::new(scrub_interval),
-                    SlotState::Running => unreachable!("drained scheduler has no running batch"),
                 };
                 (id, pipeline)
             })
@@ -782,29 +510,22 @@ impl Sched {
         ids
     }
 
-    /// `(applied, epoch)` for a session at its last quiescent point,
-    /// or `None` for sessions with no state yet (`Fresh`) or a batch
-    /// mid-flight (`Running`).
+    /// `(applied, epoch)` for a session, or `None` for sessions with
+    /// no state yet (`Fresh`).
     pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
         let slot = self.slots.get(&session)?;
-        if slot.degraded.is_some() {
-            // A degraded session's durable progress is its demotion
-            // checkpoint: the coarse pipeline past it is provisional.
-            return match &slot.state {
-                SlotState::Running => None,
-                _ => Some((slot.applied, slot.epoch)),
-            };
-        }
         match &slot.state {
-            SlotState::Live(p) => Some((p.applied(), p.epoch())),
-            SlotState::Frozen(_) => Some((slot.applied, slot.epoch)),
-            SlotState::Fresh | SlotState::Running => None,
+            SlotState::Fresh => None,
+            SlotState::Live(p) if slot.degraded.is_none() => Some((p.applied(), p.epoch())),
+            // A frozen slot's progress, or a degraded session's demotion
+            // checkpoint: the coarse pipeline past it is provisional.
+            _ => Some((slot.applied, slot.epoch)),
         }
     }
 
-    /// What a durable snapshot of a quiescent session is taken from.
-    /// Frozen slots hand back their blob without thawing; `Fresh` and
-    /// `Running` slots return `None`.
+    /// What a durable snapshot of a session is taken from. Frozen slots
+    /// hand back their blob without thawing; `Fresh` slots return
+    /// `None`.
     pub fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
         let slot = self.slots.get(&session)?;
         let encoded = |blob| SnapSource::Encoded {
@@ -812,19 +533,14 @@ impl Sched {
             epoch: slot.epoch,
             blob,
         };
-        if let Some(d) = &slot.degraded {
+        match (&slot.degraded, &slot.state) {
+            (_, SlotState::Fresh) => None,
             // The durable snapshot of a degraded session is its precise
             // demotion checkpoint — WAL replay from `applied` then
             // re-derives the deferred span precisely on recovery.
-            return match &slot.state {
-                SlotState::Running => None,
-                _ => Some(encoded(&d.checkpoint)),
-            };
-        }
-        match &slot.state {
-            SlotState::Live(p) => Some(SnapSource::Live(p)),
-            SlotState::Frozen(blob) => Some(encoded(blob)),
-            SlotState::Fresh | SlotState::Running => None,
+            (Some(d), _) => Some(encoded(&d.checkpoint)),
+            (None, SlotState::Live(p)) => Some(SnapSource::Live(p)),
+            (None, SlotState::Frozen(blob)) => Some(encoded(blob)),
         }
     }
 

@@ -199,9 +199,7 @@ proptest! {
             .map(|s| stream(&profiles[(seed as usize + s) % profiles.len()], seed + s as u64, 900))
             .collect();
         let cfg = ServeConfig {
-            workers: 2,
             max_resident: 2,
-            seed,
             ..ServeConfig::default()
         };
         let dcfg = DurableConfig { group_commit_events: group_commit, snapshot_every };
@@ -261,7 +259,7 @@ proptest! {
     ) {
         let profiles = all_profiles();
         let evs = stream(&profiles[seed as usize % profiles.len()], seed, 700);
-        let cfg = ServeConfig { workers: 2, seed, ..ServeConfig::default() };
+        let cfg = ServeConfig::default();
         let dcfg = DurableConfig { group_commit_events: 64, snapshot_every: 200 };
         let plan = FaultPlan::new(seed).with_disk_faults(torn, 100, 100, 200);
         let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
@@ -300,7 +298,7 @@ proptest! {
         let streams: Vec<Vec<Event>> = (0..sessions)
             .map(|s| stream(&profiles[(seed as usize + s) % profiles.len()], seed + s as u64, 600))
             .collect();
-        let cfg = ServeConfig { workers: 2, seed, ..ServeConfig::default() };
+        let cfg = ServeConfig::default();
         let dcfg = DurableConfig { group_commit_events: group_commit, snapshot_every };
         let plan = FaultPlan::new(seed ^ 0xF100).with_disk_faults(torn, 0, 0, fsync_fail);
         let mut svc = DurableService::new(cfg, dcfg, plan, FloorProbe::new(MemStorage::new(plan)));
@@ -343,11 +341,7 @@ proptest! {
 fn a_torn_older_generation_is_quarantined_and_the_newer_restores() {
     let profiles = all_profiles();
     let evs = stream(&profiles[2], 23, 1_000);
-    let cfg = ServeConfig {
-        workers: 2,
-        seed: 23,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig::default();
     let dcfg = DurableConfig {
         group_commit_events: 1,
         snapshot_every: 100,
@@ -397,16 +391,15 @@ fn a_torn_older_generation_is_quarantined_and_the_newer_restores() {
     assert_eq!(out.sessions[&0].encode(), solo(&evs, cfg.scrub_interval));
 }
 
-/// Worker kills under an armed SLO, with durable snapshots cut while
-/// the session is degraded: the durability cursor must stay frozen at
-/// the demotion checkpoint through death replays, so a crash + WAL
-/// replay recovers the deferred span instead of silently skipping it.
+/// An armed SLO, with durable snapshots cut while the session is
+/// degraded: the durability cursor must stay frozen at the demotion
+/// checkpoint, so a crash + WAL replay recovers the deferred span
+/// instead of silently skipping it.
 #[test]
-fn degraded_worker_death_then_crash_recovery_loses_nothing() {
+fn degraded_crash_recovery_loses_nothing() {
     let profiles = all_profiles();
     let evs = stream(&profiles[1], 91, 2_000);
     let cfg = ServeConfig {
-        workers: 3,
         batch_max: 16,
         slo: Slo {
             slo_cycles: 1, // every cut breaches: the session demotes at the first cut
@@ -418,13 +411,12 @@ fn degraded_worker_death_then_crash_recovery_loses_nothing() {
         },
         ..ServeConfig::default()
     };
-    // Aggressive durability so snapshots land while degraded, and kills
-    // that fire well after the first-cut demotion.
+    // Aggressive durability so snapshots land while degraded.
     let dcfg = DurableConfig {
         group_commit_events: 1,
         snapshot_every: 1,
     };
-    let plan = FaultPlan::new(91).with_worker_kills(150, 2);
+    let plan = FaultPlan::benign();
     let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
     for chunk in evs.chunks(200) {
         svc.submit(0, chunk)
@@ -470,11 +462,7 @@ fn degraded_worker_death_then_crash_recovery_loses_nothing() {
 fn priority_class_survives_crash_recovery() {
     let profiles = all_profiles();
     let evs = stream(&profiles[0], 7, 600);
-    let cfg = ServeConfig {
-        workers: 2,
-        seed: 7,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig::default();
     let plan = FaultPlan::benign();
 
     // (a) Crash before any snapshot is due: only the WAL exists, and
@@ -516,11 +504,7 @@ fn clean_shutdown_then_recovery_restores_everything() {
     let streams: Vec<Vec<Event>> = (0..3)
         .map(|s| stream(&profiles[s % profiles.len()], 40 + s as u64, 1_200))
         .collect();
-    let cfg = ServeConfig {
-        workers: 2,
-        seed: 17,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig::default();
     let dcfg = DurableConfig {
         group_commit_events: 32,
         snapshot_every: 300,

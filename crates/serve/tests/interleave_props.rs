@@ -1,9 +1,8 @@
 //! Property tests of the serving layer's isolation and snapshot
 //! contracts: no matter how K sessions' streams are interleaved,
-//! chunked, scheduled, evicted, or replayed, each session's results
-//! equal a solo run of its own stream.
+//! chunked, evicted, or restored, each session's results equal a solo
+//! run of its own stream.
 
-use latch_faults::FaultPlan;
 use latch_serve::{Rejected, ServeConfig, Service};
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
@@ -34,7 +33,6 @@ proptest! {
     fn interleaved_sessions_match_solo_runs(
         seed in 0u64..10_000,
         sessions in 2usize..5,
-        workers in 1usize..5,
         chunk in 16usize..200,
         max_resident in 1usize..4,
         order in proptest::collection::vec(0usize..4, 8..40),
@@ -44,12 +42,10 @@ proptest! {
             .map(|s| stream(&profiles[s % profiles.len()], seed + s as u64, 1_500))
             .collect();
         let cfg = ServeConfig {
-            workers,
             max_resident,
-            seed,
             ..ServeConfig::default()
         };
-        let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+        let mut svc = Service::deterministic(cfg);
         // Submit chunks in the arbitrary session order the strategy
         // picked, wrapping until every stream is fully submitted.
         let mut cursor = vec![0usize; sessions];

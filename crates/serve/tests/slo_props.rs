@@ -12,7 +12,6 @@
 //!    schedule yields the identical decision trace, stats, reports,
 //!    and degradation spans.
 
-use latch_faults::FaultPlan;
 use latch_serve::{
     Priority, Rejected, ServeConfig, Service, Slo, SloReport, SloSampler,
 };
@@ -47,24 +46,21 @@ enum Decision {
     SessionBusy,
 }
 
-/// Drives one seeded schedule against a fresh service and returns
-/// everything the purity property compares.
+/// Drives one schedule against a fresh service and returns everything
+/// the purity property compares.
 fn run_schedule(
-    seed: u64,
     schedule: &[(usize, usize, bool)],
     streams: &[Vec<Event>],
     slo: Slo,
 ) -> (Vec<Decision>, Vec<u8>, Vec<u8>) {
     let cfg = ServeConfig {
-        workers: 1,
         queue_events: 256,
         batch_max: 32,
         max_resident: 2,
-        seed,
         slo,
         ..ServeConfig::default()
     };
-    let mut svc = Service::deterministic(cfg, FaultPlan::benign());
+    let mut svc = Service::deterministic(cfg);
     let mut cursor = vec![0usize; streams.len()];
     let mut trace = Vec::new();
     for &(s_raw, chunk, pump_after) in schedule {
@@ -195,8 +191,8 @@ proptest! {
             max_degraded: 2,
             queue_pressure_pct,
         };
-        let a = run_schedule(seed, &schedule, &streams, slo);
-        let b = run_schedule(seed, &schedule, &streams, slo);
+        let a = run_schedule(&schedule, &streams, slo);
+        let b = run_schedule(&schedule, &streams, slo);
         prop_assert_eq!(&a.0, &b.0, "admission decision traces diverged");
         prop_assert_eq!(&a.1, &b.1, "SLO report streams diverged");
         prop_assert_eq!(&a.2, &b.2, "degradation spans diverged");

@@ -12,9 +12,9 @@
 //! The whole pipeline round-trips through a binary snapshot
 //! ([`to_snapshot`](SessionPipeline::to_snapshot) /
 //! [`from_snapshot`](SessionPipeline::from_snapshot)) byte-identically:
-//! a session can be frozen while idle, evicted to a blob, restored on a
-//! different worker thread, and continue as if nothing happened. That
-//! is the foundation for both LRU eviction and worker-death replay in
+//! a session can be frozen while idle, evicted to a blob, restored later
+//! or on another node, and continue as if nothing happened. That is the
+//! foundation for LRU eviction, crash recovery and session migration in
 //! the serving layer.
 
 use crate::platch::ACTIVITY_WINDOW;
@@ -346,9 +346,8 @@ impl SessionPipeline {
 }
 
 /// Deterministic per-session results: identical for the same event
-/// stream regardless of which worker ran it, how often it was evicted
-/// and restored, or whether a worker died mid-batch and the batch was
-/// replayed.
+/// stream regardless of how it was batched, how often it was evicted
+/// and restored, or which node it migrated to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Events the session retired.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_serve.json: the latch-serve scaling sweep.
+# Regenerates BENCH_serve.json: the latch-serve overload trajectory.
 #
-# Drives the load generator through the deterministic scheduler at
-# 1/2/4/8 workers. All metrics are in simulated cost-model cycles, so
-# the JSON is byte-identical on any machine — commit the refreshed file
-# whenever the serving layer's scheduling or cost accounting changes.
+# Drives mixed-priority traffic through the scheduler with a capped
+# queue and an armed SLO. Every figure is an event count or a simulated
+# cost-model cycle count, so the JSON is byte-identical on any machine —
+# commit the refreshed file whenever admission, shedding, demotion or
+# promotion changes.
 #
-# Knobs (env vars): SESSIONS, EVENTS, CHUNK, WORKERS, OUT.
+# Knobs (env vars): SESSIONS, EVENTS, CHUNK, OUT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,5 +15,4 @@ cargo run --release -q -p latch-serve --bin serve_bench -- \
     --sessions "${SESSIONS:-24}" \
     --events "${EVENTS:-4000}" \
     --chunk "${CHUNK:-256}" \
-    --workers "${WORKERS:-1,2,4,8}" \
     --out "${OUT:-BENCH_serve.json}"

@@ -33,8 +33,8 @@ echo "==> cargo test -q (obs on)"
 cargo test -q --workspace --features "$OBS_FEATURES"
 
 # The serving layer is exercised explicitly in both observability
-# configurations, including the fixed-seed eight-worker test that
-# combines worker kills with eviction churn.
+# configurations, including the eviction-churn, degraded-snapshot and
+# pinned work-count tests.
 echo "==> latch-serve (obs off)"
 cargo test -q -p latch-serve
 

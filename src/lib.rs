@@ -24,10 +24,10 @@
 //!   events, phase timing, and deterministic JSON snapshots. Inert
 //!   unless built with `--features obs`; see `DESIGN.md`
 //!   § "Observability".
-//! * [`serve`] — the sharded multi-session serving layer: a worker
-//!   pool multiplexing many `SessionPipeline`s with admission control,
-//!   batch coalescing, work stealing, LRU session eviction, and
-//!   worker-death replay; see `DESIGN.md` § "Serving layer".
+//! * [`serve`] — the multi-session serving layer: one FIFO ready
+//!   queue multiplexing many `SessionPipeline`s with admission control,
+//!   batch coalescing, and LRU session eviction; see `DESIGN.md`
+//!   § "Serving layer".
 //!
 //! ## Quickstart
 //!
