@@ -7,9 +7,7 @@
 
 use latch_faults::{FaultInjector, FaultPlan};
 use latch_proto::Endpoint;
-use latch_router::{
-    MigrationRecord, RebalanceRecord, Router, RouterConfig, RouterError, TakeoverRecord,
-};
+use latch_router::{MigrationRecord, Router, RouterConfig, RouterError, TakeoverRecord};
 use latch_serve::{
     export_sessions, DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig,
     Service, ServiceOutcome, SessionExport, SloReport, WireConfig, WireServer,
@@ -434,7 +432,7 @@ pub struct ClusterRun {
     /// The router's failover migrations.
     pub migrations: Vec<MigrationRecord>,
     /// The router's planned rebalance moves.
-    pub rebalances: Vec<RebalanceRecord>,
+    pub rebalances: Vec<MigrationRecord>,
 }
 
 /// Requires no session acked-lost, drains the cluster through

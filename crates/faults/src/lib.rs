@@ -53,8 +53,6 @@ pub enum Stream {
     BurstFactor = 20,
     SlowClient = 21,
     NodeDeath = 25,
-    ReplicaLag = 26,
-    DiskLoss = 27,
 }
 
 /// Which coarse structure a bit flip lands in.
@@ -211,28 +209,6 @@ impl NodeFaultConfig {
     };
 }
 
-/// Configures replication faults (the `latch-replica` layer): backups
-/// that drop a push (forcing the router's reseed path), and node kills
-/// that destroy the victim's storage with it — the diskless-failover
-/// case, where recovery must come from a surviving replica journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaFaultConfig {
-    /// Probability per replication push that the backup drops it (the
-    /// push is skipped, so the backup lags and must be reseeded).
-    pub lag_per_mille: u32,
-    /// Probability that a killed node's storage dies with it, in parts
-    /// per mille (1000 = every kill is a full machine loss).
-    pub disk_loss_per_mille: u32,
-}
-
-impl ReplicaFaultConfig {
-    /// Healthy replication.
-    pub const OFF: Self = Self {
-        lag_per_mille: 0,
-        disk_loss_per_mille: 0,
-    };
-}
-
 /// A complete, seeded description of the faults to inject into one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -243,7 +219,6 @@ pub struct FaultPlan {
     pub disk: DiskFaultConfig,
     pub overload: OverloadFaultConfig,
     pub node: NodeFaultConfig,
-    pub replica: ReplicaFaultConfig,
 }
 
 impl FaultPlan {
@@ -258,7 +233,6 @@ impl FaultPlan {
             disk: DiskFaultConfig::OFF,
             overload: OverloadFaultConfig::OFF,
             node: NodeFaultConfig::OFF,
-            replica: ReplicaFaultConfig::OFF,
         }
     }
 
@@ -369,22 +343,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms replication faults: dropped backup pushes (each forces a
-    /// reseed) and storage loss on node kills (`disk_loss_per_mille` of
-    /// kills also destroy the victim's disk).
-    #[must_use]
-    pub fn with_replica_faults(mut self, lag_per_mille: u32, disk_loss_per_mille: u32) -> Self {
-        assert!(
-            lag_per_mille <= 1000 && disk_loss_per_mille <= 1000,
-            "per_mille out of range"
-        );
-        self.replica = ReplicaFaultConfig {
-            lag_per_mille,
-            disk_loss_per_mille,
-        };
-        self
-    }
-
     /// Whether the plan injects anything at all.
     #[must_use]
     pub fn is_benign(&self) -> bool {
@@ -394,7 +352,6 @@ impl FaultPlan {
             && self.disk == DiskFaultConfig::OFF
             && self.overload == OverloadFaultConfig::OFF
             && self.node == NodeFaultConfig::OFF
-            && self.replica == ReplicaFaultConfig::OFF
     }
 }
 
@@ -440,8 +397,6 @@ pub struct FaultStats {
     pub bursts: u64,
     pub slow_rounds: u64,
     pub node_kills: u64,
-    pub replica_lags: u64,
-    pub disk_losses: u64,
 }
 
 impl FaultStats {
@@ -463,8 +418,6 @@ impl FaultStats {
         self.bursts += other.bursts;
         self.slow_rounds += other.slow_rounds;
         self.node_kills += other.node_kills;
-        self.replica_lags += other.replica_lags;
-        self.disk_losses += other.disk_losses;
     }
 }
 
@@ -688,41 +641,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether backup `node` drops replication push number `push`
-    /// (the router sees the lag on its next frame and reseeds).
-    pub fn replica_lag_at(&mut self, node: u32, push: u64) -> bool {
-        let idx = Self::node_index(node, push);
-        if fires(
-            self.plan.seed,
-            Stream::ReplicaLag,
-            idx,
-            self.plan.replica.lag_per_mille,
-        ) {
-            self.stats.replica_lags += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether kill number `kill` of node `node` also destroys the
-    /// victim's storage — the full-machine-loss case, where failover
-    /// must recover from a surviving replica journal.
-    pub fn disk_lost_at(&mut self, node: u32, kill: u64) -> bool {
-        let idx = Self::node_index(node, kill);
-        if fires(
-            self.plan.seed,
-            Stream::DiskLoss,
-            idx,
-            self.plan.replica.disk_loss_per_mille,
-        ) {
-            self.stats.disk_losses += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Whether the consumer's first life ends once it has processed
     /// `events_processed` events.
     pub fn consumer_dies_now(&mut self, events_processed: u64) -> bool {
@@ -893,11 +811,11 @@ mod tests {
     #[test]
     fn per_node_decisions_are_independent() {
         // The same round must give independent decisions per node, so
-        // one node's dropped push says nothing about another's.
-        let plan = FaultPlan::new(77).with_replica_faults(500, 0);
+        // one node's kill says nothing about another's.
+        let plan = FaultPlan::new(77).with_node_kills(500, u32::MAX);
         let mut inj = FaultInjector::new(plan);
         let per_node: Vec<Vec<bool>> = (0..3)
-            .map(|n| (0..2_000).map(|i| inj.replica_lag_at(n, i)).collect())
+            .map(|n| (0..2_000).map(|i| inj.node_killed_at(n, i)).collect())
             .collect();
         assert_ne!(per_node[0], per_node[1]);
         assert_ne!(per_node[1], per_node[2]);

@@ -268,7 +268,7 @@ pub enum TraceEvent {
         node: u32,
         /// Events the backup had acknowledged when it was dropped.
         have: u64,
-        /// Events the primary's logical WAL covers.
+        /// Events the backup should have covered.
         want: u64,
     },
     /// A diskless failover sourced a session from a backup's replica
@@ -279,17 +279,6 @@ pub enum TraceEvent {
         /// The backup node whose journal fed the recovery scan.
         node: u32,
         /// Events the chosen journal covers.
-        journaled: u64,
-    },
-    /// A diskless failover found no backup journal as fresh as the
-    /// router's own replication stream (the cursors were cleared by a
-    /// just-completed import and the owner died before the next batch
-    /// reseeded them) and sourced the session from the router's
-    /// in-memory copy instead.
-    ReplLocalRestore {
-        /// The session restored.
-        session: u64,
-        /// Events the router's stream covers.
         journaled: u64,
     },
     /// A planned rebalance moved one session to its new ring owner at
@@ -327,15 +316,15 @@ pub enum TraceEvent {
         /// Sessions whose routes were rebuilt from surveys.
         sessions: u64,
     },
-    /// A primary compacted a session's replica journal: the WAL buffer
-    /// outgrew its byte budget, so the next push reseeds every backup
-    /// with a fresh snapshot instead of another append.
+    /// A backup's replica journal outgrew its bound (a floor, or twice
+    /// the state it was seeded from), so the router reseeds it from the
+    /// owner's current state instead of appending another record.
     ReplCompact {
         /// The session whose journal was compacted.
         session: u64,
-        /// WAL bytes held before the compaction.
+        /// WAL bytes the backup held before the reseed.
         wal_bytes: u64,
-        /// Events the journal covers (unchanged by compaction).
+        /// Events the reseeded journal covers.
         journaled: u64,
     },
 }
@@ -379,7 +368,6 @@ impl TraceEvent {
             TraceEvent::AckedLost { .. } => "acked_lost",
             TraceEvent::ReplLag { .. } => "repl_lag",
             TraceEvent::ReplRestore { .. } => "repl_restore",
-            TraceEvent::ReplLocalRestore { .. } => "repl_local_restore",
             TraceEvent::Rebalance { .. } => "rebalance",
             TraceEvent::StaleRouter { .. } => "stale_router",
             TraceEvent::Takeover { .. } => "takeover",
@@ -589,9 +577,6 @@ impl TraceEvent {
                     out,
                     ",\"session\":{session},\"node\":{node},\"journaled\":{journaled}"
                 );
-            }
-            TraceEvent::ReplLocalRestore { session, journaled } => {
-                let _ = write!(out, ",\"session\":{session},\"journaled\":{journaled}");
             }
             TraceEvent::Rebalance {
                 session,

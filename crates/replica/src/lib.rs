@@ -1,16 +1,16 @@
 //! Session replication primitives.
 //!
 //! A replica group is the first R distinct owners of a session on the
-//! seeded ring. The primary (the route owner) journals every admitted
-//! batch to its own WAL, and the router pushes the same encoded WAL
-//! record bytes to each backup *before* acking the client. Each backup
-//! keeps a [`ReplicaJournal`]: the session's snapshot blob plus a WAL
-//! byte buffer that is, by construction, a byte-prefix of the primary's
-//! logical (never-cut) WAL stream. A journal is seeded whole (the
-//! router stages it as chunks and commits it into the backup store) and
-//! then grows by appends. On failover the freshest backup journal feeds
-//! the ordinary §13 recovery scan, so losing a machine *and its disk*
-//! loses nothing that was ever acked.
+//! seeded ring. The owner journals every admitted batch to its own
+//! WAL, and the router appends the same encoded WAL record to each
+//! backup *before* acking the client. Each backup keeps a
+//! [`ReplicaJournal`]: the owner state it was seeded from (a snapshot
+//! blob plus WAL bytes), followed by the acked records appended since.
+//! A journal is seeded whole (the router stages it as chunks and
+//! commits it into the backup store) and then grows by appends. On
+//! failover the freshest backup journal feeds the ordinary §13
+//! recovery scan, so losing a machine *and its disk* loses nothing
+//! that was ever acked.
 //!
 //! Appends speak byte offsets, not record indices: an append names the
 //! exact `wal_off` its bytes belong at, so an oversized record can be
@@ -22,7 +22,7 @@
 //!
 //! This crate is deliberately dependency-light (only `latch-obs`): the
 //! wire frames live in `latch-proto`, the WAL codec in `latch-serve`,
-//! and the placement/push logic in `latch-router`. Here live the pure
+//! and the placement/push logic in `latch-router`. Here lives the pure
 //! journal state machine and its typed error surface, which is what the
 //! byte-prefix property is proved against.
 
@@ -78,8 +78,9 @@ impl std::fmt::Display for ReplicaError {
 impl std::error::Error for ReplicaError {}
 
 /// One session's backup state: a snapshot blob plus the WAL bytes that
-/// follow it. `wal` always starts with the primary's WAL header and is
-/// a byte-prefix of the primary's logical (never-cut) WAL stream.
+/// follow it. `wal` always starts with a WAL header for the session:
+/// it is the WAL of the owner state the journal was seeded from, then
+/// the acked records appended since.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaJournal {
     pub session: u64,
@@ -208,20 +209,6 @@ impl ReplicaStore {
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
     }
-}
-
-/// One planned session move, recorded by the router's rebalance
-/// planner. Deterministic across reruns: the remap set comes from the
-/// seeded ring and is walked in `BTreeMap` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceRecord {
-    pub at_tick: u64,
-    pub session: u64,
-    pub from_node: u32,
-    pub to_node: u32,
-    /// Events applied at the cut-point (the importer resumes from
-    /// exactly here).
-    pub applied: u64,
 }
 
 #[cfg(test)]

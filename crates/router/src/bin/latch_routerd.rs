@@ -22,9 +22,9 @@
 //! With `--standby --peer tcp:HOST:PORT` the process starts as a warm
 //! standby instead: it refuses client commands (typed
 //! `error_code::STANDBY`) while heartbeating the primary router at
-//! `--peer`, and takes over — rebuilding routes and replication
-//! cursors from the surviving nodes under a bumped epoch — when the
-//! primary stops answering. Give the standby the same `--seed`,
+//! `--peer`, and takes over — rebuilding routes from the surviving
+//! nodes under a bumped epoch and reseeding each session's backups from
+//! its owner — when the primary stops answering. Give the standby the same `--seed`,
 //! `--vnodes`, and `--node` list as the primary so its ring agrees.
 
 use latch_proto::Endpoint;
@@ -53,7 +53,6 @@ struct Args {
     standby: bool,
     peer: Option<Endpoint>,
     epoch: u64,
-    repl_wal_budget: usize,
 }
 
 fn parse_node(spec: &str) -> NodeSpec {
@@ -85,7 +84,6 @@ impl Args {
         let mut standby = false;
         let mut peer = None;
         let mut epoch = 1u64;
-        let mut repl_wal_budget = 1usize << 20;
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut value = || {
@@ -120,9 +118,6 @@ impl Args {
                     }));
                 }
                 "--epoch" => epoch = value().parse().expect("--epoch"),
-                "--repl-wal-budget" => {
-                    repl_wal_budget = value().parse().expect("--repl-wal-budget");
-                }
                 other => panic!("unknown flag {other}"),
             }
         }
@@ -141,7 +136,6 @@ impl Args {
             standby,
             peer,
             epoch,
-            repl_wal_budget,
         }
     }
 }
@@ -157,7 +151,7 @@ fn main() {
         connect_timeout: Duration::from_millis(args.connect_timeout_ms),
         replicas: args.replicas,
         epoch: args.epoch,
-        repl_wal_budget: args.repl_wal_budget,
+        ..RouterConfig::default()
     });
     let mut dirs: BTreeMap<u32, std::path::PathBuf> = BTreeMap::new();
     for node in &args.nodes {

@@ -24,6 +24,18 @@
 //! migrated session's drained report is byte-identical to a solo
 //! pipeline run — the oracle `tests/failover.rs` and conformance leg 10
 //! enforce.
+//!
+//! **Replication.** With [`RouterConfig::replicas`] > 0 each acked
+//! batch is also journaled on the session's replica group, the next
+//! distinct ring owners after its owner, before the client sees the
+//! ack. The router keeps no copy of the journal: it holds one cursor
+//! per group member, `(wal_len, journaled, seeded_bytes)`, and appends
+//! the batch's WAL record at that cursor. A member with no cursor, one
+//! that refused or disagreed, or one whose WAL has outgrown the state
+//! it was seeded from is seeded whole from the owner instead. A backup
+//! journal is the owner state it was seeded from plus the acked records
+//! that followed, so it stays a valid recovery source and append target
+//! whoever owns the session later.
 
 use latch_client::{Client, ClientError, SessionState};
 use latch_obs::TraceEvent;
@@ -39,10 +51,16 @@ use std::time::Duration;
 /// lock. Tunable via [`RouterConfig::connect_timeout`].
 const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// A backup journal's WAL may grow to this many bytes, or to twice the
+/// size of the state it was last seeded from if that is larger, before
+/// the router reseeds it from the owner. The doubling keeps the seeds
+/// of an owner that never snapshots geometric, so their total stays
+/// linear in the session's history.
+const REPL_WAL_FLOOR: u64 = 1 << 20;
+
 mod ring;
 pub mod server;
 
-pub use latch_replica::RebalanceRecord;
 pub use ring::Ring;
 pub use server::{Exporter, RouterServer, RouterServerConfig};
 
@@ -73,15 +91,14 @@ pub struct RouterConfig {
     /// keeps a zombie primary from double-applying after a standby's
     /// [`Router::takeover`].
     pub epoch: u64,
-    /// Byte budget for one session's in-router replication WAL buffer.
-    /// When an append pushes the buffer past it, the router refetches
-    /// the owner's compact durable state (snapshot + short WAL) and
-    /// reseeds every backup from that instead of growing the journal
-    /// without bound.
+    /// Unused: the router keeps no replication buffer, and a backup
+    /// reseeds past a fixed floor or twice its seed.
+    #[deprecated(note = "unused: the router keeps no replication buffer")]
     pub repl_wal_budget: usize,
 }
 
 impl Default for RouterConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             seed: 0,
@@ -175,20 +192,22 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// One completed session migration, in failover order. Reruns of the
-/// same seed and kill schedule produce an identical vector — the
-/// conformance leg diffs it byte-for-byte.
+/// One completed session move: a failover migration or a planned
+/// rebalance move, each kept in its own history in order. Reruns of the
+/// same seed and schedule produce identical vectors — the conformance
+/// legs diff them byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRecord {
-    /// The router's heartbeat tick when the failover ran.
+    /// The router's heartbeat tick when the move ran.
     pub at_tick: u64,
     /// The session that moved.
     pub session: u64,
-    /// The node it left (dead or draining).
+    /// The node it left (dead, draining or leaving).
     pub from_node: u32,
     /// The node that imported it.
     pub to_node: u32,
-    /// Events the importer's pipeline restored.
+    /// Events the importer's pipeline restored (for a rebalance move,
+    /// the cut-point the new owner resumes from).
     pub applied: u64,
 }
 
@@ -219,51 +238,14 @@ struct Node {
     alive: bool,
 }
 
-/// One backup's replication cursor: the bytes and record-boundary
-/// events it has acked.
+/// One replica-group member's cursor: the WAL bytes and events its
+/// backup journal holds, and the size (blob + WAL) of the state it was
+/// last seeded with.
 #[derive(Debug, Clone, Copy)]
 struct BackupCursor {
     wal_len: u64,
     journaled: u64,
-}
-
-/// Router-side source of one session's replication stream: the logical
-/// (never-cut) snapshot + WAL byte state its backups mirror, the
-/// record boundaries within it, and each backup's acked cursor. The
-/// owner's on-disk WAL is cut under maintenance; this buffer never
-/// is, which is what makes every backup journal a byte-prefix of one
-/// well-defined stream.
-struct ReplSession {
-    state: SessionState,
-    /// `(wal byte offset, journaled events)` at each record boundary,
-    /// ascending. Chunked pushes read the boundary count for their end
-    /// offset here, so a torn push leaves the backup with a
-    /// conservative (never overcounting) cursor.
-    marks: Vec<(usize, u64)>,
-    backups: BTreeMap<u32, BackupCursor>,
-}
-
-impl ReplSession {
-    /// A stream rooted at `state` (a bare WAL header for a session
-    /// first admitted here, else an imported or fetched state): the
-    /// state is one opaque record span, and every backup seeds from
-    /// scratch.
-    fn from_state(state: SessionState) -> Self {
-        Self {
-            marks: vec![(state.wal.len(), state.journaled)],
-            state,
-            backups: BTreeMap::new(),
-        }
-    }
-
-    /// Events covered at byte offset `off`: the journaled count of the
-    /// last record boundary at-or-before it (0 before any boundary).
-    fn journaled_at(&self, off: usize) -> u64 {
-        match self.marks.partition_point(|&(o, _)| o <= off) {
-            0 => 0,
-            i => self.marks[i - 1].1,
-        }
-    }
+    seeded_bytes: u64,
 }
 
 struct Route {
@@ -283,6 +265,24 @@ struct Route {
     /// detection. A poisoned session answers [`RouterError::AckedLost`]
     /// instead of silently serving a diverged stream.
     lost: Option<u64>,
+    /// The cursor of each replica-group member whose backup journal
+    /// this router keeps current. A member keeps its cursor across
+    /// owner moves and loses it when it leaves the group or fails a
+    /// push.
+    backups: BTreeMap<u32, BackupCursor>,
+}
+
+impl Route {
+    fn new(owner: u32, admitted: u64) -> Self {
+        Self {
+            owner,
+            admitted,
+            in_doubt: 0,
+            skip: 0,
+            lost: None,
+            backups: BTreeMap::new(),
+        }
+    }
 }
 
 /// The deterministic routing core. [`RouterServer`] puts it on a
@@ -293,10 +293,7 @@ pub struct Router {
     nodes: BTreeMap<u32, Node>,
     routes: BTreeMap<u64, Route>,
     history: Vec<MigrationRecord>,
-    rebalances: Vec<RebalanceRecord>,
-    /// Per-session replication source streams (empty unless
-    /// [`RouterConfig::replicas`] > 0).
-    repl: BTreeMap<u64, ReplSession>,
+    rebalances: Vec<MigrationRecord>,
     /// Nodes whose failover failed partway (ring emptied, importer
     /// died mid-ship): [`tick`](Self::tick) re-returns them while any
     /// route is still pinned, so the heartbeat loop retries with a
@@ -320,7 +317,6 @@ impl Router {
             routes: BTreeMap::new(),
             history: Vec::new(),
             rebalances: Vec::new(),
-            repl: BTreeMap::new(),
             pending_failover: BTreeSet::new(),
             ticks: 0,
             epoch: cfg.epoch,
@@ -396,20 +392,8 @@ impl Router {
     /// Reruns of the same seed, membership changes, and submission
     /// schedule produce an identical vector.
     #[must_use]
-    pub fn rebalance_history(&self) -> &[RebalanceRecord] {
+    pub fn rebalance_history(&self) -> &[MigrationRecord] {
         &self.rebalances
-    }
-
-    /// `(journaled, wal_bytes)` for a session's replication stream —
-    /// how many events the backups' journals cover and how many WAL
-    /// bytes the router is retaining for pushes. `None` when the
-    /// session has no replication stream (replicas = 0, or nothing
-    /// acked yet).
-    #[must_use]
-    pub fn repl_stats(&self, session: u64) -> Option<(u64, usize)> {
-        self.repl
-            .get(&session)
-            .map(|rs| (rs.state.journaled, rs.state.wal.len()))
     }
 
     /// Sessions poisoned by acked-event loss (a failover restored
@@ -524,16 +508,7 @@ impl Router {
             Some(r) => r.owner,
             None => {
                 let owner = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner,
-                        admitted: 0,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                self.routes.insert(session, Route::new(owner, 0));
                 latch_obs::counter_inc("router.ring.places");
                 latch_obs::emit("router", TraceEvent::RingPlace { session, node: owner });
                 owner
@@ -564,13 +539,18 @@ impl Router {
                 let base = route.admitted;
                 route.admitted += n;
                 route.in_doubt = 0;
+                // Synchronous: the batch is on every live group member
+                // before the client sees its ack, and *only* acked
+                // batches replicate — an in-doubt batch never leaks into
+                // a backup journal, so a diskless restore is always the
+                // exact acked prefix. The wire and the journal share
+                // `WAL_MAX_PAYLOAD`, so any batch a node admitted also
+                // encodes; a refusal would be a codec bug, not an input
+                // condition.
                 if self.cfg.replicas > 0 {
-                    // Synchronous: the batch is on every live backup
-                    // before the client sees its ack, and *only* acked
-                    // batches replicate — an in-doubt batch never leaks
-                    // into a backup journal, so a diskless restore is
-                    // always the exact acked prefix.
-                    self.replicate(session, rank, base, events);
+                    if let Ok(record) = journal::encode_record(base, events) {
+                        self.replicate(session, base + n, Some((rank, base, &record)));
+                    }
                 }
                 Ok(())
             }
@@ -590,182 +570,185 @@ impl Router {
         }
     }
 
-    /// Pushes the batch the owner just admitted to every backup in the
-    /// session's replica group (the next [`RouterConfig::replicas`]
-    /// distinct ring owners after the route's owner). A backup that
-    /// cannot be brought current — transport death, or a refused seed —
-    /// is dropped from the group with a `repl_lag` event rather than
-    /// failing the submit: availability wins, and the next failover
-    /// simply has one fewer source.
-    fn replicate(&mut self, session: u64, rank: u8, base: u64, events: &[Event]) {
-        let mut rs = match self.repl.remove(&session) {
-            Some(rs) => rs,
-            None if base == 0 => {
-                let priority = Priority::from_rank(rank).unwrap_or_default();
-                ReplSession::from_state(SessionState {
-                    rank,
-                    wal: journal::wal_header(session, priority),
-                    ..SessionState::default()
-                })
-            }
-            None => {
-                // Mid-stream with no journal to append to (a takeover
-                // whose cursor reseed was refused). Starting a journal
-                // here would push a gapped prefix to backups; skip
-                // replication for this session until it restarts.
-                latch_obs::counter_inc("router.repl.orphan_batches");
-                return;
-            }
-        };
-        // The wire and the journal share `WAL_MAX_PAYLOAD`, so any
-        // batch a node admitted also encodes; a refusal here would be a
-        // codec bug, not an input condition.
-        if let Ok(record) = journal::encode_record(base, events) {
-            rs.state.wal.extend_from_slice(&record);
-            rs.state.journaled = base + events.len() as u64;
-            rs.marks.push((rs.state.wal.len(), rs.state.journaled));
+    /// Seeds every live replica-group member that holds no cursor (or
+    /// one behind the acked count, after a failover counted an in-doubt
+    /// batch as landed) from its session's owner, and drops the cursors
+    /// of nodes that left the group. Every call that changes owners or
+    /// membership ends here, so between router calls every acked batch
+    /// is on its owner and on every live group member.
+    fn repair(&mut self) {
+        if self.cfg.replicas == 0 {
+            return;
         }
-        rs.state.rank = rank;
-        let owner = self.routes.get(&session).map(|r| r.owner);
-        if rs.state.wal.len() > self.cfg.repl_wal_budget {
-            self.compact_repl(session, &mut rs, owner);
-        }
-        let backups: Vec<u32> = self
-            .ring
-            .owners(session, self.cfg.replicas as usize + 1)
-            .into_iter()
-            .filter(|&b| Some(b) != owner && self.is_alive(b))
-            .take(self.cfg.replicas as usize)
+        let routes: Vec<(u64, u64)> = self
+            .routes
+            .iter()
+            .filter(|(_, r)| r.admitted > 0 && r.lost.is_none() && self.is_alive(r.owner))
+            .map(|(&s, r)| (s, r.admitted))
             .collect();
-        for b in backups {
-            if self.push_backup(session, &mut rs, b).is_err() {
-                let have = rs.backups.remove(&b).map_or(0, |c| c.journaled);
-                latch_obs::counter_inc("router.repl.lag");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::ReplLag {
-                        session,
-                        node: b,
-                        have,
-                        want: rs.state.journaled,
-                    },
-                );
+        for (session, admitted) in routes {
+            self.replicate(session, admitted, None);
+        }
+    }
+
+    /// Brings every live member of `session`'s replica group — the next
+    /// [`RouterConfig::replicas`] distinct ring owners after its owner —
+    /// to `want` events, and drops the cursors of nodes that left the
+    /// group. With `push`, the `(rank, base, record)` of a batch the
+    /// owner just acked, a member whose cursor sits at `base` with its
+    /// WAL under `max(REPL_WAL_FLOOR, 2 × seeded_bytes)` gets the record
+    /// appended. Without one, a member whose cursor is at `want` is
+    /// current. Every other member is seeded whole: with the WAL header
+    /// and the record on the session's first batch, else with the
+    /// owner's fetched state, which holds every acked batch. A member
+    /// that cannot be brought current is dropped from the group with a
+    /// `repl_lag` event rather than failing the caller: availability
+    /// wins, and the next failover simply has one fewer source.
+    fn replicate(&mut self, session: u64, want: u64, push: Option<(u8, u64, &[u8])>) {
+        let owner = self.routes[&session].owner;
+        let replicas = self.cfg.replicas as usize;
+        let group: Vec<u32> = self
+            .ring
+            .owners(session, replicas + 1)
+            .into_iter()
+            .filter(|&b| b != owner && self.is_alive(b))
+            .take(replicas)
+            .collect();
+        let route = self.routes.get_mut(&session).expect("route exists");
+        route.backups.retain(|b, _| group.contains(b));
+        let mut seed = match push {
+            Some((rank, 0, record)) => {
+                let priority = Priority::from_rank(rank).unwrap_or_default();
+                let wal = [&journal::wal_header(session, priority)[..], record].concat();
+                Some(Some(SessionState {
+                    rank,
+                    journaled: want,
+                    blob: Vec::new(),
+                    wal,
+                }))
             }
-        }
-        self.repl.insert(session, rs);
-    }
-
-    /// Folds a session's replica journal when its WAL outgrows
-    /// [`RouterConfig::repl_wal_budget`]: fetch a fresh snapshot from
-    /// the (quiescent, just-acked) owner and make it the new base.
-    /// Clearing the backup cursors forces the next push to reseed every
-    /// backup with the compact form — the byte-prefix invariant holds
-    /// trivially over a fresh journal. A fetch that fails or comes back
-    /// behind our journaled count leaves the journal untouched
-    /// (compaction must never regress coverage).
-    fn compact_repl(&mut self, session: u64, rs: &mut ReplSession, owner: Option<u32>) {
-        let Some(owner) = owner else { return };
-        let fetched = self
-            .node_conn(owner)
-            .and_then(|c| c.repl_fetch(session, false).map_err(RouterError::Wire));
-        let Ok(Some(state)) = fetched else {
-            return;
+            _ => None,
         };
-        if state.journaled < rs.state.journaled {
-            return;
+        for node in group {
+            let cursor = self.routes[&session].backups.get(&node).copied();
+            let appended = match (cursor, push) {
+                (Some(c), None) if c.journaled == want => continue,
+                (Some(c), Some((rank, base, record))) if c.journaled == base => {
+                    if c.wal_len < REPL_WAL_FLOOR.max(2 * c.seeded_bytes) {
+                        self.append_backup(session, rank, node, c, record, want)
+                    } else {
+                        latch_obs::counter_inc("router.repl.compactions");
+                        latch_obs::emit(
+                            "router",
+                            TraceEvent::ReplCompact {
+                                session,
+                                wal_bytes: c.wal_len,
+                                journaled: want,
+                            },
+                        );
+                        None
+                    }
+                }
+                _ => None,
+            };
+            let synced = appended.or_else(|| self.seed_backup(session, owner, node, &mut seed));
+            let backups = &mut self.routes.get_mut(&session).expect("route exists").backups;
+            if let Some(c) = synced {
+                backups.insert(node, c);
+                continue;
+            }
+            let have = backups.remove(&node).map_or(0, |c| c.journaled);
+            latch_obs::counter_inc("router.repl.lag");
+            latch_obs::emit(
+                "router",
+                TraceEvent::ReplLag {
+                    session,
+                    node,
+                    have,
+                    want,
+                },
+            );
         }
-        let old_wal = rs.state.wal.len() as u64;
-        *rs = ReplSession::from_state(state);
-        latch_obs::counter_inc("router.repl.compactions");
-        latch_obs::emit(
-            "router",
-            TraceEvent::ReplCompact {
-                session,
-                wal_bytes: old_wal,
-                journaled: rs.state.journaled,
-            },
-        );
     }
 
-    /// Brings one backup current: appends from its acked byte cursor,
-    /// or — on first contact, or once the backup lags — seeds it whole
-    /// with the one transfer path, staged chunks committed into its
-    /// backup store. Any error means the backup must be dropped from
-    /// the group.
-    fn push_backup(
+    /// Seeds backup `node` whole with the one transfer path, staged
+    /// chunks committed into its backup store, and returns its cursor.
+    /// The seed is `seed` when already known, else one non-expelling
+    /// fetch of `owner`, kept in `seed` for the group's other members.
+    fn seed_backup(
         &mut self,
         session: u64,
-        rs: &mut ReplSession,
+        owner: u32,
         node: u32,
-    ) -> Result<(), RouterError> {
-        if let Some(cursor) = rs.backups.get(&node).map(|c| c.wal_len as usize) {
-            if cursor <= rs.state.wal.len() && self.append_backup(session, rs, node, cursor)? {
-                return Ok(());
-            }
-            // A NACK or a cursor mismatch: reseed.
-            rs.backups.remove(&node);
-        }
+        seed: &mut Option<Option<SessionState>>,
+    ) -> Option<BackupCursor> {
+        let state = seed
+            .get_or_insert_with(|| {
+                let conn = self.node_conn(owner).ok()?;
+                conn.repl_fetch(session, false).ok().flatten()
+            })
+            .as_ref()?;
+        let conn = self.node_conn(node).ok()?;
         latch_obs::counter_inc("router.repl.seeds");
-        let seeded =
-            self.node_conn(node)?
-                .migrate_session(session, migrate_into::BACKUP, &rs.state);
-        match seeded {
-            Ok(journaled) => {
-                let wal_len = rs.state.wal.len() as u64;
-                rs.backups.insert(node, BackupCursor { wal_len, journaled });
-                Ok(())
+        match conn.migrate_session(session, migrate_into::BACKUP, state) {
+            Ok(journaled) => Some(BackupCursor {
+                wal_len: state.wal.len() as u64,
+                journaled,
+                seeded_bytes: (state.blob.len() + state.wal.len()) as u64,
+            }),
+            Err(e) => {
+                self.backup_failed(node, &e);
+                None
             }
-            Err(e) => Err(self.backup_failed(node, &e)),
         }
     }
 
-    /// Appends the stream past byte `start` to one backup, in frames of
-    /// at most [`MIGRATE_CHUNK_BYTES`], each carrying the
-    /// record-boundary `journaled` count valid at its end byte.
-    /// `Ok(false)` when the backup lagged: it refused a frame, or its
-    /// cursor disagrees with ours at the end.
+    /// Appends one WAL record at `cursor` on backup `node`, in frames
+    /// of at most [`MIGRATE_CHUNK_BYTES`], and returns its new cursor.
+    /// Every frame but the last carries the cursor's `journaled` count,
+    /// the record boundary before it, so a torn push never overcounts.
+    /// `None` when the backup refused a frame, disagrees with our
+    /// cursor at the end, or failed.
     fn append_backup(
         &mut self,
         session: u64,
-        rs: &mut ReplSession,
+        rank: u8,
         node: u32,
-        start: usize,
-    ) -> Result<bool, RouterError> {
-        let len = rs.state.wal.len();
-        let mut off = start;
-        while off < len {
-            let end = len.min(off + MIGRATE_CHUNK_BYTES);
-            let journaled = rs.journaled_at(end);
+        cursor: BackupCursor,
+        record: &[u8],
+        want: u64,
+    ) -> Option<BackupCursor> {
+        let end = cursor.wal_len + record.len() as u64;
+        let mut off = cursor.wal_len;
+        let mut acked = (0, 0);
+        for chunk in record.chunks(MIGRATE_CHUNK_BYTES) {
+            let next = off + chunk.len() as u64;
+            let journaled = if next == end { want } else { cursor.journaled };
             latch_obs::counter_inc("router.repl.frames");
-            let pushed = self.node_conn(node)?.repl_frame(
-                session,
-                rs.state.rank,
-                off as u64,
-                journaled,
-                &rs.state.wal[off..end],
-            );
-            match pushed {
-                Ok((true, journaled, wal_len)) => {
-                    rs.backups.insert(node, BackupCursor { wal_len, journaled });
+            let conn = self.node_conn(node).ok()?;
+            match conn.repl_frame(session, rank, off, journaled, chunk) {
+                Ok((true, journaled, wal_len)) => acked = (journaled, wal_len),
+                Ok((false, ..)) => return None,
+                Err(e) => {
+                    self.backup_failed(node, &e);
+                    return None;
                 }
-                Ok((false, ..)) => return Ok(false),
-                Err(e) => return Err(self.backup_failed(node, &e)),
             }
-            off = end;
+            off = next;
         }
-        Ok(rs
-            .backups
-            .get(&node)
-            .is_some_and(|c| c.wal_len == len as u64))
+        (acked == (want, end)).then_some(BackupCursor {
+            wal_len: end,
+            journaled: want,
+            ..cursor
+        })
     }
 
     /// A push to `node` failed. A typed refusal comes from a healthy
     /// node, so only other failures mark it down.
-    fn backup_failed(&mut self, node: u32, e: &ClientError) -> RouterError {
+    fn backup_failed(&mut self, node: u32, e: &ClientError) {
         if !matches!(e, ClientError::Server { .. }) {
             self.mark_down(node, 0);
         }
-        RouterError::NodeDown { node }
     }
 
     /// One heartbeat pass: pings every live node, counts misses
@@ -869,7 +852,9 @@ impl Router {
             let restored = self.restore_from_backups(node, &covered);
             states.extend(restored);
         }
-        match self.fail_over_inner(node, states) {
+        let moved = self.fail_over_inner(node, states);
+        self.repair();
+        match moved {
             Ok(records) => {
                 self.pending_failover.remove(&node);
                 Ok(records)
@@ -896,11 +881,6 @@ impl Router {
     ) -> Result<Vec<MigrationRecord>, RouterError> {
         self.mark_down(node, 0);
         self.ring.remove_node(node);
-        // The dead node can never ack another replication frame; its
-        // cursors must not survive into freshness decisions.
-        for rs in self.repl.values_mut() {
-            rs.backups.remove(&node);
-        }
         if self.ring.is_empty() {
             return Err(RouterError::NoNodes);
         }
@@ -918,14 +898,8 @@ impl Router {
                 continue;
             }
             let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-            let applied = self.import(session, to, state)?;
-            let route = self.routes.entry(session).or_insert(Route {
-                owner: to,
-                admitted: 0,
-                in_doubt: 0,
-                skip: 0,
-                lost: None,
-            });
+            let applied = self.import(session, to, &state)?;
+            let route = self.routes.entry(session).or_insert(Route::new(to, 0));
             route.owner = to;
             if route.in_doubt > 0 && applied >= route.admitted + route.in_doubt {
                 // The in-doubt batch landed before the node died; the
@@ -987,29 +961,12 @@ impl Router {
         Ok(records)
     }
 
-    /// Imports `state` into node `to`'s live service. With replication
-    /// on, the imported state becomes the session's new replication
-    /// base; every backup reseeds against it lazily on the next
-    /// admitted batch.
-    fn import(&mut self, session: u64, to: u32, state: SessionState) -> Result<u64, RouterError> {
-        let applied = self
-            .node_conn(to)?
-            .migrate_session(session, migrate_into::LIVE, &state)
-            .map_err(RouterError::Wire)?;
-        self.rebase_repl(session, state, applied);
-        Ok(applied)
-    }
-
-    /// Re-roots a session's replication stream at the state a node just
-    /// imported (`applied` events), when replication is on.
-    fn rebase_repl(&mut self, session: u64, state: SessionState, applied: u64) {
-        if self.cfg.replicas > 0 {
-            let state = SessionState {
-                journaled: applied,
-                ..state
-            };
-            self.repl.insert(session, ReplSession::from_state(state));
-        }
+    /// Imports `state` into node `to`'s live service, returning the
+    /// events it restored.
+    fn import(&mut self, session: u64, to: u32, state: &SessionState) -> Result<u64, RouterError> {
+        self.node_conn(to)?
+            .migrate_session(session, migrate_into::LIVE, state)
+            .map_err(RouterError::Wire)
     }
 
     /// The one freshest-state walk, shared by diskless failover and
@@ -1055,77 +1012,45 @@ impl Router {
 
     /// Diskless failover source: for every session still pinned to the
     /// dead node without a surviving export, fetch the freshest backup
-    /// journal from its replica group. Because replication is
-    /// synchronous (acked ⇒ journaled on every live backup) the chosen
-    /// journal always covers exactly the acked prefix, so the recovery
-    /// scan on the new owner restores a state byte-identical to what a
-    /// surviving disk would have yielded.
-    ///
-    /// Candidates are the union of the acked-cursor backups and the
-    /// session's current ring replica group: a failover or rebalance
-    /// import clears the cursor map and backups reseed only lazily on
-    /// the next acked batch, yet live group members may still hold
-    /// journals. Cursorless group members probe last, at cursor zero.
-    /// And when no candidate yields a journal as fresh as the router's
-    /// own replication stream — every holder died, or the new owner
-    /// died before any post-import batch reseeded its backups — the
-    /// router's [`ReplSession`] state is the export source itself: it
-    /// always covers the acked prefix, so an acked session is never
-    /// poisoned while this router survives.
+    /// journal among its group members' cursors. Because replication is
+    /// synchronous (acked ⇒ journaled on every live group member, which
+    /// `repair` restores after every move) the chosen journal covers
+    /// exactly the acked prefix, so the recovery scan on the new owner
+    /// restores a state byte-identical to what a surviving disk would
+    /// have yielded. An acked session is never poisoned while any node
+    /// that holds its journal survives.
     fn restore_from_backups(
         &mut self,
         node: u32,
         covered: &BTreeSet<u64>,
     ) -> Vec<(u64, SessionState)> {
-        let sessions: Vec<u64> = self
+        let pinned: Vec<(u64, Vec<(u64, u32)>)> = self
             .routes
             .iter()
-            .filter(|(s, r)| r.owner == node && !covered.contains(s))
-            .map(|(&s, _)| s)
+            .filter(|(s, r)| r.owner == node && r.admitted > 0 && !covered.contains(s))
+            .map(|(&session, r)| {
+                let candidates = r
+                    .backups
+                    .iter()
+                    .filter(|&(&b, _)| b != node && self.is_alive(b))
+                    .map(|(&b, c)| (c.journaled, b))
+                    .collect();
+                (session, candidates)
+            })
             .collect();
-        let group = self.cfg.replicas as usize + 1;
         let mut out = Vec::new();
-        for session in sessions {
-            let Some(rs) = self.repl.get(&session) else {
-                continue;
-            };
-            let mut candidates: Vec<(u64, u32)> = rs
-                .backups
-                .iter()
-                .filter(|&(&b, _)| b != node && self.is_alive(b))
-                .map(|(&b, c)| (c.journaled, b))
-                .collect();
-            for b in self.ring.owners(session, group) {
-                if b != node && self.is_alive(b) && !rs.backups.contains_key(&b) {
-                    candidates.push((0, b));
-                }
-            }
-            let best = self.freshest_state(session, candidates);
-            let rs = self.repl.get(&session).expect("repl stream checked above");
-            match best {
-                Some((b, state)) if state.journaled >= rs.state.journaled => {
-                    latch_obs::counter_inc("router.repl.restores");
-                    latch_obs::emit(
-                        "router",
-                        TraceEvent::ReplRestore {
-                            session,
-                            node: b,
-                            journaled: state.journaled,
-                        },
-                    );
-                    out.push((session, state));
-                }
-                _ => {
-                    latch_obs::counter_inc("router.repl.local_restores");
-                    latch_obs::emit(
-                        "router",
-                        TraceEvent::ReplLocalRestore {
-                            session,
-                            journaled: rs.state.journaled,
-                        },
-                    );
-                    out.push((session, rs.state.clone()));
-                }
+        for (session, candidates) in pinned {
+            if let Some((b, state)) = self.freshest_state(session, candidates) {
+                latch_obs::counter_inc("router.repl.restores");
+                latch_obs::emit(
+                    "router",
+                    TraceEvent::ReplRestore {
+                        session,
+                        node: b,
+                        journaled: state.journaled,
+                    },
+                );
+                out.push((session, state));
             }
         }
         out
@@ -1177,15 +1102,14 @@ impl Router {
     ///    quiescent before answering, so applied == admitted). A
     ///    session surveyed by two nodes raced an in-flight migration;
     ///    the higher applied count wins.
-    /// 3. **Cursor reseed.** With replication on, each routed session's
-    ///    owner is fetched once for a fresh [`ReplSession`] base; the
-    ///    empty backup-cursor map makes the next admitted batch seed
-    ///    every backup through the normal seed/NACK machinery.
-    /// 4. **Dead-owner failover.** Sessions that exist only in
+    /// 3. **Dead-owner failover.** Sessions that exist only in
     ///    surviving replica journals (owner died *with* the old router)
     ///    are restored through the same freshest-state walk as
     ///    [`restore_from_backups`](Self::restore_from_backups) and
     ///    migrated to their ring owner.
+    /// 4. **Group repair.** With replication on, every live replica
+    ///    group member is seeded from its session's owner, because the
+    ///    rebuilt routes hold no cursors.
     ///
     /// The returned [`TakeoverRecord`] is rerun-identical for a given
     /// cluster state and is also appended to
@@ -1244,7 +1168,6 @@ impl Router {
             return Err(RouterError::NoNodes);
         }
         self.routes.clear();
-        self.repl.clear();
         self.pending_failover.clear();
         for &d in &dead {
             self.ring.remove_node(d);
@@ -1261,29 +1184,12 @@ impl Router {
                 if stale {
                     continue;
                 }
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner: node,
-                        admitted: applied,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                self.routes.insert(session, Route::new(node, applied));
             }
         }
         let adopted: Vec<u32> = surveys.keys().copied().collect();
         let mut orphans: Vec<u64> = Vec::new();
         if self.cfg.replicas > 0 {
-            // Fresh replication bases for every surviving route.
-            let routed: Vec<(u64, u32)> =
-                self.routes.iter().map(|(&s, r)| (s, r.owner)).collect();
-            for (session, owner) in routed {
-                if let Some((_, state)) = self.freshest_state(session, vec![(0, owner)]) {
-                    self.repl.insert(session, ReplSession::from_state(state));
-                }
-            }
             // Sessions alive only in surviving replica journals: their
             // owner died with the old router — fail them over now.
             let mut candidates: BTreeMap<u64, Vec<(u64, u32)>> = BTreeMap::new();
@@ -1307,20 +1213,12 @@ impl Router {
                     continue;
                 };
                 let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-                let applied = self.import(session, to, state)?;
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner: to,
-                        admitted: applied,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                let applied = self.import(session, to, &state)?;
+                self.routes.insert(session, Route::new(to, applied));
                 self.record_migration(session, src, to, applied);
                 orphans.push(session);
             }
+            self.repair();
         }
         let sessions: Vec<(u64, u32, u64)> = self
             .routes
@@ -1367,7 +1265,7 @@ impl Router {
         &mut self,
         node: u32,
         endpoint: Endpoint,
-    ) -> Result<Vec<RebalanceRecord>, RouterError> {
+    ) -> Result<Vec<MigrationRecord>, RouterError> {
         match self.nodes.get_mut(&node) {
             Some(n) => {
                 n.endpoint = endpoint;
@@ -1395,11 +1293,7 @@ impl Router {
             .filter(|&(&s, r)| r.owner != node && self.ring.owner(s) == Some(node))
             .map(|(&s, _)| s)
             .collect();
-        let mut records = Vec::with_capacity(moving.len());
-        for session in moving {
-            records.push(self.rebalance_one(session)?);
-        }
-        Ok(records)
+        self.rebalance_all(moving)
     }
 
     /// Planned leave: removes `node` from the ring and live-migrates
@@ -1416,7 +1310,7 @@ impl Router {
     /// failover, not a rebalance); [`RouterError::NoNodes`] when it is
     /// the last ring member (the ring is restored untouched). Partial
     /// failures leave moved sessions moved; a retry resumes the rest.
-    pub fn rebalance_leave(&mut self, node: u32) -> Result<Vec<RebalanceRecord>, RouterError> {
+    pub fn rebalance_leave(&mut self, node: u32) -> Result<Vec<MigrationRecord>, RouterError> {
         if !self.is_alive(node) {
             return Err(RouterError::NodeDown { node });
         }
@@ -1425,22 +1319,26 @@ impl Router {
             self.ring.add_node(node);
             return Err(RouterError::NoNodes);
         }
-        // The leaver exits every replica group with its points; its
-        // journals go stale and must not be consulted by failovers.
-        for rs in self.repl.values_mut() {
-            rs.backups.remove(&node);
-        }
         let moving: Vec<u64> = self
             .routes
             .iter()
             .filter(|(_, r)| r.owner == node)
             .map(|(&s, _)| s)
             .collect();
-        let mut records = Vec::with_capacity(moving.len());
-        for session in moving {
-            records.push(self.rebalance_one(session)?);
-        }
-        Ok(records)
+        self.rebalance_all(moving)
+    }
+
+    /// Moves each session in `moving` with `rebalance_one`, stopping at
+    /// the first error, then repairs the replica groups the membership
+    /// change reshaped (the leaver's journals go stale and leave every
+    /// group with its points).
+    fn rebalance_all(&mut self, moving: Vec<u64>) -> Result<Vec<MigrationRecord>, RouterError> {
+        let moved = moving
+            .into_iter()
+            .map(|session| self.rebalance_one(session))
+            .collect();
+        self.repair();
+        moved
     }
 
     /// Moves one session to its current ring owner without draining the
@@ -1462,7 +1360,7 @@ impl Router {
     /// a RESTART chunk discards the staging on the same connection and
     /// the full cut state is restaged inline (a fresh connection is
     /// only torn up if the inline restage dies in transport).
-    fn rebalance_one(&mut self, session: u64) -> Result<RebalanceRecord, RouterError> {
+    fn rebalance_one(&mut self, session: u64) -> Result<MigrationRecord, RouterError> {
         let from = self
             .routes
             .get(&session)
@@ -1500,7 +1398,7 @@ impl Router {
                 },
             );
         }
-        let rec = RebalanceRecord {
+        let rec = MigrationRecord {
             at_tick: self.ticks,
             session,
             from_node: from,
@@ -1586,7 +1484,6 @@ impl Router {
                         }
                     }
                 };
-                self.rebase_repl(session, state, applied);
                 applied
             }
         };

@@ -13,14 +13,14 @@
 //! - **Drain-free rebalancing** — a planned join or leave migrates
 //!   exactly the remap set at a sequenced cut-point while the old
 //!   owners keep serving, with zero client-visible stream
-//!   interruption, and the [`RebalanceRecord`] history reruns
+//!   interruption, and the rebalance history reruns
 //!   byte-identically.
 
 use latch_client::{Client, ClientError};
 use latch_faults::FaultPlan;
 use latch_proto::{migrate_into, Endpoint, MAX_FRAME_PAYLOAD};
 use latch_router::{
-    Exporter, RebalanceRecord, Router, RouterConfig, RouterServer, RouterServerConfig,
+    Exporter, MigrationRecord, Router, RouterConfig, RouterServer, RouterServerConfig,
 };
 use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer};
 use latch_sim::event::{Event, EventSource};
@@ -562,7 +562,7 @@ fn rebalance_under_live_clients_never_interrupts_a_stream() {
 }
 
 /// The same membership schedule replayed against a fresh cluster
-/// produces a byte-identical [`RebalanceRecord`] history and identical
+/// produces a byte-identical rebalance history and identical
 /// reports — rebalancing is deterministic in (seed, membership
 /// changes, submission schedule).
 #[test]
@@ -573,7 +573,7 @@ fn rebalance_history_is_rerun_identical() {
     let streams: Vec<Vec<Event>> = (0..SESSIONS)
         .map(|s| stream(s, SEED.wrapping_add(s as u64), EVENTS))
         .collect();
-    let run = || -> (Vec<RebalanceRecord>, BTreeMap<u64, Vec<u8>>) {
+    let run = || -> (Vec<MigrationRecord>, BTreeMap<u64, Vec<u8>>) {
         let mut servers: Vec<Option<WireServer<MemStorage>>> =
             (0..2).map(|_| Some(start_node())).collect();
         let mut router = Router::new(router_config(1));
@@ -610,22 +610,28 @@ fn rebalance_history_is_rerun_identical() {
     check_reports(&reports_a, &streams, "rerun");
 }
 
-/// The poison window after a failover: the imported state re-roots the
-/// replication stream (`ReplSession::from_state`) and clears every
-/// backup cursor, and backups reseed only on the next acked batch. If
-/// the *new* owner dies disklessly inside that window, the restore
-/// must still probe the session's ring replica group — whose live
-/// members retained their journals, because restore probes are
-/// non-expelling — so a second `fail_over(victim2, Vec::new())` with
-/// no submits in between poisons nothing.
+/// Back-to-back diskless kills with no submit in between: the second
+/// victim is the node that just imported a moved session, by a failover
+/// or by a planned leave. Every move ends with a repair pass that seeds
+/// each live replica-group member from its session's owner, so the
+/// second restore finds a journal that covers the acked prefix and
+/// poisons nothing — with two backups per session, with one, and with
+/// one after a leave.
 #[test]
 fn back_to_back_diskless_failovers_never_poison() {
+    back_to_back_diskless_failovers(2, false);
+    back_to_back_diskless_failovers(1, false);
+    back_to_back_diskless_failovers(1, true);
+}
+
+fn back_to_back_diskless_failovers(replicas: u32, leave_first: bool) {
     const SESSIONS: usize = 8;
     const EVENTS: u64 = 400;
     const CHUNK: usize = 48;
+    let what = format!("back-to-back diskless, replicas {replicas}, leave first {leave_first}");
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..3).map(|_| Some(start_node())).collect();
-    let mut router = Router::new(router_config(2));
+    let mut router = Router::new(router_config(replicas));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
     }
@@ -637,35 +643,40 @@ fn back_to_back_diskless_failovers_never_poison() {
         drive_round(&mut router, &streams, &mut pos, CHUNK);
     }
 
-    let victim1 = router.owner_of(0).expect("ring has nodes");
-    kill_and_destroy(servers[victim1 as usize].take().expect("victim1"));
-    let records = router
-        .fail_over(victim1, Vec::new())
-        .expect("first diskless failover");
+    let first = router.owner_of(0).expect("ring has nodes");
+    let records = if leave_first {
+        router.rebalance_leave(first).expect("planned leave")
+    } else {
+        kill_and_destroy(servers[first as usize].take().expect("first victim"));
+        router
+            .fail_over(first, Vec::new())
+            .expect("first diskless failover")
+    };
     // Kill the node that just imported a moved session *before* any
-    // further submit reseeds that session's backups.
-    let victim2 = records.first().expect("victim1 owned sessions").to_node;
-    kill_and_destroy(servers[victim2 as usize].take().expect("victim2"));
+    // further submit.
+    let victim = records.first().expect("the first node owned sessions").to_node;
+    kill_and_destroy(servers[victim as usize].take().expect("victim"));
     let records2 = router
-        .fail_over(victim2, Vec::new())
+        .fail_over(victim, Vec::new())
         .expect("second diskless failover");
 
     let moved_twice: BTreeSet<u64> = records
         .iter()
-        .filter(|m| m.to_node == victim2)
+        .filter(|m| m.to_node == victim)
         .map(|m| m.session)
         .collect();
     let moved_second: BTreeSet<u64> = records2.iter().map(|m| m.session).collect();
     assert!(
         moved_second.is_superset(&moved_twice),
-        "sessions that had just moved to victim2 must move again: {moved_twice:?} vs {moved_second:?}"
+        "{what}: sessions that had just moved to the victim must move again: \
+         {moved_twice:?} vs {moved_second:?}"
     );
     for m in &records2 {
-        assert!(m.applied > 0, "session {} restored no state", m.session);
+        assert!(m.applied > 0, "{what}: session {} restored no state", m.session);
     }
     assert!(
         router.lost_sessions().is_empty(),
-        "no session may be poisoned while a live backup holds its journal: {:?}",
+        "{what}: no session may be poisoned while a live node holds its journal: {:?}",
         router.lost_sessions()
     );
 
@@ -673,7 +684,7 @@ fn back_to_back_diskless_failovers_never_poison() {
         drive_round(&mut router, &streams, &mut pos, CHUNK);
     }
     let reports: BTreeMap<u64, Vec<u8>> = router.drain().expect("drain").into_iter().collect();
-    check_reports(&reports, &streams, "back-to-back diskless");
+    check_reports(&reports, &streams, &what);
     for srv in servers.into_iter().flatten() {
         srv.shutdown();
     }
@@ -687,11 +698,9 @@ fn back_to_back_diskless_failovers_never_poison() {
 fn over_frame_backup_journal_is_fetched_whole_and_restores() {
     let node_a = start_packrat_node();
     let node_b = start_packrat_node();
-    // No compaction: the backup journal grows by appends alone.
-    let mut router = Router::new(RouterConfig {
-        repl_wal_budget: usize::MAX,
-        ..router_config(1)
-    });
+    // The owner never cuts its journal, so every reseed of the backup
+    // is the whole history: the journal passes the frame cap anyway.
+    let mut router = Router::new(router_config(1));
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
     let session = (0..64)

@@ -5,11 +5,12 @@
 //!
 //! - **Takeover continuity** — killing the primary router mid-stream
 //!   under live client threads lets a warm standby adopt the nodes,
-//!   rebuild routes and replication cursors from their quiescent
-//!   surveys, and drain every session byte-identical to its solo run
-//!   with `lost_sessions()` empty. The retry-is-never-double-applied
-//!   guarantee survives the router switch: an orphaned in-flight batch
-//!   is resolved against the new router's admitted cursor.
+//!   rebuild routes from their quiescent surveys, reseed each session's
+//!   backups from its owner, and drain every session byte-identical to
+//!   its solo run with `lost_sessions()` empty. The
+//!   retry-is-never-double-applied guarantee survives the router
+//!   switch: an orphaned in-flight batch is resolved against the new
+//!   router's admitted cursor.
 //! - **Fencing** — a revived old router's commands are refused with
 //!   the typed `StaleRouter` answer and apply *nothing*: the streams
 //!   it touched still match their solo oracles afterwards.
@@ -24,7 +25,10 @@ use latch_proto::Endpoint;
 use latch_router::{
     Exporter, Router, RouterConfig, RouterError, RouterServer, RouterServerConfig, TakeoverRecord,
 };
-use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer};
+use latch_serve::{
+    journal, DurableConfig, DurableService, MemStorage, Priority, ServeConfig, WireConfig,
+    WireServer,
+};
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
 use latch_workloads::all_profiles;
@@ -125,6 +129,29 @@ fn drive_round(router: &mut Router, streams: &[Vec<Event>], pos: &mut [usize], c
                 Err(RouterError::Rejected(_)) => {}
                 Err(e) => panic!("session {s} submit failed: {e}"),
             }
+        }
+    }
+}
+
+/// `(journaled, wal_len)` of the backup journal a node holds for
+/// `session`, from the node's own replica survey.
+fn backup_journal(backup: &mut Client, session: u64) -> (u64, u64) {
+    backup
+        .survey_replicas()
+        .expect("survey the backup")
+        .into_iter()
+        .find(|e| e.0 == session)
+        .map(|(_, _, journaled, wal_len)| (journaled, wal_len))
+        .expect("the backup holds a journal for the session")
+}
+
+/// Submits one batch, retrying typed backpressure.
+fn submit_all(router: &mut Router, session: u64, batch: &[Event]) {
+    loop {
+        match router.submit(session, 0, batch) {
+            Ok(()) => return,
+            Err(RouterError::Rejected(_)) => {}
+            Err(e) => panic!("session {session} submit failed: {e}"),
         }
     }
 }
@@ -555,52 +582,56 @@ fn restart_chunk_discards_staging_on_the_live_connection() {
     node_b.shutdown();
 }
 
-/// With the replica WAL budget squeezed below a single batch's record,
-/// every submit compacts the journal: the backup keeps restoring the
-/// full acked prefix after a diskless owner loss, and the journaled
-/// count never regresses — compaction folds bytes, never coverage.
+/// A never-snapshotting owner driven with empty events past the
+/// backup's reseed floor (1 MiB of WAL) and past twice it: the backup is
+/// reseeded from the owner's whole journal on the way, and after every
+/// submit its own journal covers exactly the acked prefix. Reseeding
+/// folds bytes, never coverage, and a diskless owner loss afterwards
+/// restores every acked event from the backup.
 #[test]
 fn compaction_under_tiny_budget_survives_diskless_failover() {
     const EVENTS: u64 = 300;
     const CHUNK: usize = 32;
-    let node_a = start_node();
-    let node_b = start_node();
-    let mut router = Router::new(RouterConfig {
-        repl_wal_budget: 256,
-        ..router_config(1, 7)
-    });
+    const EMPTY_BATCHES: usize = 80;
+    let node_a = start_packrat_node();
+    let node_b = start_packrat_node();
+    let mut backup = Client::connect(node_b.endpoint(), 256, false).expect("connect backup");
+    let mut router = Router::new(router_config(1, 7));
     router.add_node(0, node_a.endpoint().clone());
     router.add_node(1, node_b.endpoint().clone());
     let mut servers = BTreeMap::from([(0u32, Some(node_a)), (1u32, Some(node_b))]);
     let session = (0..64)
         .find(|&s| router.owner_of(s) == Some(0))
         .expect("node 0 owns some session");
-    let events = stream(0, SEED ^ 0xC0DE, EVENTS);
+    // Profile events in small batches, then empty events (8 journal
+    // bytes each) in 4096-event batches to 2.5 MiB of WAL.
+    let mut events = stream(0, SEED ^ 0xC0DE, EVENTS);
+    let profile = events.len();
+    events.extend(vec![Event::empty(0); EMPTY_BATCHES * 4096]);
+    let priority = Priority::from_rank(0).expect("rank 0 is a priority");
+    let mut wal_len = journal::wal_header(session, priority).len() as u64;
     let mut pos = 0usize;
-    let mut last_journaled = 0u64;
     while pos < events.len() {
-        let take = CHUNK.min(events.len() - pos);
-        router.submit(session, 1, &events[pos..pos + take]).expect("submit");
+        let take = if pos < profile { CHUNK.min(profile - pos) } else { 4096 };
+        let batch = &events[pos..pos + take];
+        submit_all(&mut router, session, batch);
+        wal_len += journal::encode_record(pos as u64, batch)
+            .expect("an admitted batch encodes")
+            .len() as u64;
         pos += take;
-        let (journaled, wal_len) = router
-            .repl_stats(session)
-            .expect("replication stream exists");
-        assert!(
-            journaled >= last_journaled,
-            "compaction regressed the journaled count: {journaled} < {last_journaled}"
+        // The owner never cuts its journal, so a reseed fetches that
+        // same journal: the backup's WAL is exactly the header plus one
+        // record per acked batch, never a duplicated or dropped record.
+        assert_eq!(
+            backup_journal(&mut backup, session),
+            (pos as u64, wal_len),
+            "the backup journal must hold exactly the acked prefix"
         );
-        assert_eq!(journaled, pos as u64, "journal must cover the acked prefix");
-        // The budget is smaller than any batch record, so every submit
-        // compacts: the retained WAL is the owner's own (rotated)
-        // journal suffix, not the unbounded append stream.
-        assert!(
-            wal_len < events.len() * 64,
-            "WAL grew without bound under a tiny budget"
-        );
-        last_journaled = journaled;
     }
+    assert!(wal_len > 2 << 20, "the drive must pass twice the reseed floor");
+    drop(backup);
 
-    // The owner machine dies outright: the compacted journal on the
+    // The owner machine dies outright: the reseeded journal on the
     // backup must still restore the exact acked prefix.
     kill_and_destroy(servers.get_mut(&0).unwrap().take().expect("owner"));
     let records = router.fail_over(0, Vec::new()).expect("diskless failover");
@@ -608,7 +639,7 @@ fn compaction_under_tiny_budget_survives_diskless_failover() {
         .iter()
         .find(|m| m.session == session)
         .expect("session migrated");
-    assert_eq!(moved.applied, EVENTS, "compacted restore lost events");
+    assert_eq!(moved.applied, events.len() as u64, "reseeded restore lost events");
     assert!(router.lost_sessions().is_empty());
     let reports: BTreeMap<u64, Vec<u8>> = router.drain().expect("drain").into_iter().collect();
     assert_eq!(reports[&session], solo_report(&events));
@@ -623,8 +654,10 @@ fn compaction_under_tiny_budget_survives_diskless_failover() {
 /// tear-down-and-reconnect restage path: `router.rebalance.restages`
 /// stays at zero, because a rotation caught in the pre-copy window is
 /// now handled inline with a RESTART chunk on the live connection.
-/// The same storm squeezes the replica WAL budget so compaction fires
-/// and its counter proves it.
+/// Session 0's stream ends in 2 MiB of empty events, so its backup's
+/// WAL passes the reseed floor: compaction fires and its counter proves
+/// it, and every backup journal ends holding exactly its session's
+/// stream within the floor.
 #[cfg(feature = "obs")]
 #[test]
 fn rotation_prone_rebalances_never_count_restages() {
@@ -651,16 +684,14 @@ fn rotation_prone_rebalances_never_count_restages() {
 
     const SESSIONS: usize = 4;
     const EVENTS: u64 = 400;
+    const TAIL: usize = (2 << 20) / 8;
     // Counters are process-global: read deltas, not absolutes.
     let restages_before = counter("router.rebalance.restages");
     let compactions_before = counter("router.repl.compactions");
 
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..2).map(|_| Some(start_snappy_node())).collect();
-    let mut router = Router::new(RouterConfig {
-        repl_wal_budget: 256,
-        ..router_config(1, 7)
-    });
+    let mut router = Router::new(router_config(1, 7));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh").endpoint().clone());
     }
@@ -676,9 +707,10 @@ fn rotation_prone_rebalances_never_count_restages() {
     )
     .expect("bind router");
     let endpoint = front.endpoint().clone();
-    let streams: Vec<Vec<Event>> = (0..SESSIONS)
+    let mut streams: Vec<Vec<Event>> = (0..SESSIONS)
         .map(|s| stream(s, SEED.wrapping_add(s as u64), EVENTS))
         .collect();
+    streams[0].extend(vec![Event::empty(0); TAIL]);
     let rolling = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let handles: Vec<_> = streams
         .iter()
@@ -694,11 +726,12 @@ fn rotation_prone_rebalances_never_count_restages() {
                 while pos < events.len() {
                     assert!(rounds < 1_000_000, "drive failed to make progress");
                     rounds += 1;
-                    let take = 16.min(events.len() - pos);
+                    let chunk = if pos < EVENTS as usize { 16 } else { 256 };
+                    let take = chunk.min(events.len() - pos);
                     match client.submit(s as u64, (s % 3) as u8, &events[pos..pos + take]) {
                         Ok(()) => {
                             pos += take;
-                            if s == 0 && pos >= events.len() / 4 {
+                            if s == 0 && pos >= EVENTS as usize / 4 {
                                 rolling.store(true, std::sync::atomic::Ordering::SeqCst);
                             }
                         }
@@ -726,6 +759,21 @@ fn rotation_prone_rebalances_never_count_restages() {
     for h in handles {
         h.join().expect("client thread");
     }
+    // Nodes 1 and 2 are the ring now: each session's backup is the one
+    // that does not own it, and its journal holds the whole stream in
+    // a WAL under the floor plus one record.
+    for (s, events) in streams.iter().enumerate() {
+        let owner = front.with_router(|r| r.owner_of(s as u64)).expect("routed");
+        let member = if owner == 1 { 2 } else { 1 };
+        let srv = servers[member].as_ref().expect("live member");
+        let mut backup = Client::connect(srv.endpoint(), 256, false).expect("connect backup");
+        let (journaled, wal_len) = backup_journal(&mut backup, s as u64);
+        assert_eq!(journaled, events.len() as u64, "session {s}: backup lags its acks");
+        assert!(
+            wal_len < (1 << 20) + 4096,
+            "session {s}: backup WAL of {wal_len} bytes passed the reseed floor"
+        );
+    }
     let mut client = Client::connect(&endpoint, 256, false).expect("connect router");
     let reports: BTreeMap<u64, Vec<u8>> =
         client.drain().expect("drain cluster").into_iter().collect();
@@ -738,7 +786,7 @@ fn rotation_prone_rebalances_never_count_restages() {
     );
     assert!(
         counter("router.repl.compactions") > compactions_before,
-        "a 256-byte WAL budget over {EVENTS}-event streams must compact"
+        "a {TAIL}-event tail of empty events must pass the reseed floor"
     );
     front.shutdown();
     for srv in servers.into_iter().flatten() {
@@ -747,20 +795,17 @@ fn rotation_prone_rebalances_never_count_restages() {
 }
 
 /// A session whose durable state exceeds one frame keeps its
-/// replication cover across a standby takeover: the rebuild fetches
-/// the owner's state as staged chunks, so the new router holds a
-/// replication stream for it, and a diskless kill of the owner
-/// afterwards restores every acked event instead of poisoning them.
+/// replication cover across a standby takeover: the takeover's repair
+/// pass seeds the backup from the owner's state as staged chunks, the
+/// new router's next push appends to it, and a diskless kill of the
+/// owner afterwards restores every acked event instead of poisoning
+/// them.
 #[test]
 fn takeover_keeps_replication_for_an_over_frame_session() {
     let mut servers: BTreeMap<u32, Option<WireServer<MemStorage>>> =
         (0..2).map(|id| (id, Some(start_packrat_node()))).collect();
-    let budget = RouterConfig {
-        repl_wal_budget: latch_proto::MAX_FRAME_PAYLOAD,
-        ..router_config(1, 7)
-    };
-    let mut old = Router::new(budget);
-    let mut new = Router::new(RouterConfig { router_id: 8, ..budget });
+    let mut old = Router::new(router_config(1, 7));
+    let mut new = Router::new(router_config(1, 8));
     for (&id, srv) in &servers {
         let endpoint = srv.as_ref().expect("fresh").endpoint().clone();
         old.add_node(id, endpoint.clone());
@@ -771,23 +816,23 @@ fn takeover_keeps_replication_for_an_over_frame_session() {
         .expect("node 0 owns some session");
     // Empty events journal at 8 bytes each, so the never-rotated WAL
     // alone passes the frame cap.
-    let events = vec![Event::empty(0); latch_proto::MAX_FRAME_PAYLOAD / 8 + 4096];
-    for batch in events.chunks(4096) {
-        loop {
-            match old.submit(session, 0, batch) {
-                Ok(()) => break,
-                Err(RouterError::Rejected(_)) => {}
-                Err(e) => panic!("submit failed: {e}"),
-            }
-        }
+    let events = vec![Event::empty(0); latch_proto::MAX_FRAME_PAYLOAD / 8 + 8192];
+    let (before, after) = events.split_at(events.len() - 4096);
+    for batch in before.chunks(4096) {
+        submit_all(&mut old, session, batch);
     }
     drop(old);
 
     new.takeover().expect("standby takeover");
-    assert!(
-        new.repl_stats(session).is_some(),
-        "the over-frame session lost its replication stream in the takeover"
+    submit_all(&mut new, session, after);
+    let backup = servers[&1].as_ref().expect("backup").endpoint().clone();
+    let mut backup = Client::connect(&backup, 256, false).expect("connect backup");
+    assert_eq!(
+        backup_journal(&mut backup, session).0,
+        events.len() as u64,
+        "the over-frame session lost its replication cover in the takeover"
     );
+    drop(backup);
     kill_and_destroy(servers.get_mut(&0).unwrap().take().expect("owner"));
     new.fail_over(0, Vec::new()).expect("diskless failover");
     assert!(

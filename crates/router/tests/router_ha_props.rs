@@ -5,18 +5,23 @@
 //!    takes over rebuilds exactly the dead router's pre-kill state:
 //!    the same owner and the same admitted cursor for every session,
 //!    and the finished streams still match their solo oracles.
-//! 2. **Compaction** — for an arbitrary WAL byte budget and batch
-//!    schedule, compaction never regresses a session's journaled
-//!    count below the acked prefix, keeps the retained WAL bounded,
-//!    and the compacted journal still restores the full acked prefix
-//!    through a diskless failover (the byte-prefix invariant's
-//!    observable consequence: a diverged journal could not drain
-//!    byte-identical).
+//! 2. **Compaction** — for an arbitrary batch schedule padded with
+//!    empty events past the backup's reseed floor, on an owner that
+//!    never snapshots, the backup's own journal covers exactly the
+//!    acked prefix after every submit and its WAL is exactly the
+//!    owner's journal through every reseed, and the reseeded journal
+//!    still restores the full acked prefix through a diskless failover
+//!    (the byte-prefix invariant's observable consequence: a diverged
+//!    journal could not drain byte-identical).
 
+use latch_client::Client;
 use latch_faults::FaultPlan;
 use latch_proto::Endpoint;
 use latch_router::{Router, RouterConfig, RouterError};
-use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer};
+use latch_serve::{
+    journal, DurableConfig, DurableService, MemStorage, Priority, ServeConfig, WireConfig,
+    WireServer,
+};
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
 use latch_workloads::all_profiles;
@@ -47,6 +52,26 @@ fn start_node() -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
         serve_config(),
         DurableConfig::default(),
+        FaultPlan::benign(),
+        MemStorage::new(FaultPlan::benign()),
+    );
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
+}
+
+/// A node that never snapshots (and so never cuts its journal), with a
+/// queue deep enough for 4096-event batches.
+fn start_packrat_node() -> WireServer<MemStorage> {
+    let (svc, _recovery) = DurableService::recover(
+        ServeConfig {
+            queue_events: 1 << 14,
+            session_inflight_cap: 1 << 12,
+            ..serve_config()
+        },
+        DurableConfig {
+            snapshot_every: u64::MAX,
+            ..DurableConfig::default()
+        },
         FaultPlan::benign(),
         MemStorage::new(FaultPlan::benign()),
     );
@@ -148,60 +173,71 @@ proptest! {
         }
     }
 
-    /// Arbitrary budgets and batch schedules: the journaled count is
-    /// monotone and always covers the acked prefix, the retained WAL
-    /// stays bounded once over budget, and a diskless failover off the
-    /// compacted journal drains byte-identical.
+    /// Arbitrary batch schedules, each batch followed by 4096-event
+    /// blocks of empty events, after a lead-in of 768 KiB of them: the
+    /// backup's WAL crosses the 1 MiB reseed floor (and often twice it)
+    /// at an arbitrary point. After every submit the backup's journal
+    /// covers exactly the acked prefix, and since the owner never cuts
+    /// its journal, a reseed leaves the backup's WAL exactly the
+    /// owner's: header plus one record per acked batch. A diskless
+    /// failover off it drains byte-identical.
     #[test]
     fn compaction_never_regresses_journal_coverage(
-        budget in 64usize..4096,
-        batches in proptest::collection::vec(1usize..48, 4..12),
+        batches in proptest::collection::vec((1usize..48, 0usize..12), 4..12),
         case_seed in 0u64..1024,
     ) {
-        let node_a = start_node();
-        let node_b = start_node();
-        let mut router = Router::new(RouterConfig {
-            repl_wal_budget: budget,
-            ..router_config(1, 7)
-        });
+        const BLOCK: usize = 4096;
+        let node_a = start_packrat_node();
+        let node_b = start_packrat_node();
+        let mut backup = Client::connect(node_b.endpoint(), 256, false).expect("connect backup");
+        let mut router = Router::new(router_config(1, 7));
         router.add_node(0, node_a.endpoint().clone());
         router.add_node(1, node_b.endpoint().clone());
         let session = (0..64)
             .find(|&s| router.owner_of(s) == Some(0))
             .expect("node 0 owns some session");
-        let total: usize = batches.iter().sum();
-        let events = stream(0, SEED ^ case_seed, total as u64);
-        let mut pos = 0usize;
-        let mut last_journaled = 0u64;
-        for take in &batches {
-            submit_all(&mut router, session, 1, &events[pos..pos + take]);
-            pos += take;
-            let (journaled, wal_len) =
-                router.repl_stats(session).expect("replication stream exists");
-            prop_assert!(
-                journaled >= last_journaled,
-                "journaled regressed: {} < {}", journaled, last_journaled
-            );
-            prop_assert_eq!(journaled, pos as u64, "journal must cover the acked prefix");
-            // Compaction folds the stream back to the owner's own
-            // rotated journal; a bounded budget must not let the
-            // retained WAL grow with the whole history.
-            prop_assert!(
-                wal_len <= budget.max(total * 96),
-                "retained WAL {} ignored budget {}", wal_len, budget
-            );
-            last_journaled = journaled;
+        let total: usize = batches.iter().map(|&(n, _)| n).sum();
+        let mut profile = stream(0, SEED ^ case_seed, total as u64).into_iter();
+        let mut sizes = vec![BLOCK; 24];
+        let mut events = vec![Event::empty(0); 24 * BLOCK];
+        for &(n, blocks) in &batches {
+            events.extend(profile.by_ref().take(n));
+            events.extend(vec![Event::empty(0); blocks * BLOCK]);
+            sizes.push(n);
+            sizes.extend(std::iter::repeat_n(BLOCK, blocks));
         }
+        let priority = Priority::from_rank(1).expect("rank 1 is a priority");
+        let mut wal_len = journal::wal_header(session, priority).len() as u64;
+        let mut pos = 0usize;
+        for take in sizes {
+            let batch = &events[pos..pos + take];
+            submit_all(&mut router, session, 1, batch);
+            wal_len += journal::encode_record(pos as u64, batch)
+                .expect("an admitted batch encodes")
+                .len() as u64;
+            pos += take;
+            let survey = backup.survey_replicas().expect("survey the backup");
+            let journal = survey
+                .iter()
+                .find(|e| e.0 == session)
+                .map(|&(_, _, journaled, wal_len)| (journaled, wal_len));
+            prop_assert_eq!(
+                journal,
+                Some((pos as u64, wal_len)),
+                "the backup journal must hold exactly the acked prefix"
+            );
+        }
+        drop(backup);
 
         let svc = node_a.kill().expect("owner not drained");
         drop(svc.crash());
         let records = router.fail_over(0, Vec::new()).expect("diskless failover");
         let moved = records.iter().find(|m| m.session == session).expect("session migrated");
-        prop_assert_eq!(moved.applied, total as u64, "compacted restore lost events");
+        prop_assert_eq!(moved.applied, events.len() as u64, "reseeded restore lost events");
         prop_assert!(router.lost_sessions().is_empty());
         let reports: BTreeMap<u64, Vec<u8>> =
             router.drain().expect("drain").into_iter().collect();
-        prop_assert_eq!(&reports[&session], &solo_report(&events), "compacted journal diverged");
+        prop_assert_eq!(&reports[&session], &solo_report(&events), "reseeded journal diverged");
         node_b.shutdown();
     }
 }

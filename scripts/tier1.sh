@@ -41,6 +41,13 @@ cargo test -q -p latch-serve
 echo "==> latch-serve (obs on)"
 cargo test -q -p latch-serve --features obs
 
+# The router's pinned replication work counts: the exact frames, backup
+# seeds, compactions (reseeds of a backup whose WAL passed 1 MiB or
+# twice its last seed) and lags of a cluster-r1-shaped drive and of a
+# never-snapshotting owner. The counters exist only with obs on.
+echo "==> latch-router replication counts (obs on)"
+cargo test -q -p latch-router --features obs --test replication_counts
+
 # Crash-recovery stress: a fixed-seed kill loop over the real-directory
 # storage backend. Each iteration kills a durable service mid-stream,
 # mangles the surviving files (torn WAL tail, snapshot bit rot),
