@@ -18,7 +18,8 @@
 //!    fault plan (Degrade recovery keeps reports deterministic).
 //! 6. **serve**: three sessions fed the same desugared trace,
 //!    interleaved chunk-by-chunk through the deterministic scheduler
-//!    under eviction pressure.
+//!    under eviction pressure; each drained pipeline's coarse tier,
+//!    which gates its precise tier per event, is superset-checked.
 //! 7. **durable-serve**: the same over a durable service with disk
 //!    faults, killed at a seeded storage operation and recovered.
 //! 8. **overload-serve**: three priorities under burst and slow-client
@@ -525,6 +526,13 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         let out = svc.finish();
         for s in 0..SESSIONS {
             let pipe = &out.pipelines[&s];
+            check_superset(
+                "serve",
+                pipe.latch(),
+                &ShadowView(pipe.engine()),
+                &golden.touched_pages,
+                desugared.len(),
+            )?;
             compare_precise("serve", pipe.engine(), &golden)?;
             let violations: Vec<SecurityViolation> =
                 pipe.violations().iter().map(|(_, v)| v.clone()).collect();

@@ -443,6 +443,14 @@ impl CoarseTaintCache {
         Some(CttWordId(self.lines[idx].word))
     }
 
+    /// Whether any valid line's parity disagrees with its bits: the
+    /// lines the next [`scrub`](Self::scrub) would reload.
+    pub(crate) fn parity_mismatch(&self) -> bool {
+        self.lines
+            .iter()
+            .any(|line| line.valid && odd_parity(line.bits) != line.parity)
+    }
+
     /// Parity-checks every valid line and reloads mismatching lines
     /// from the backing CTT (the authority for cached coarse state).
     /// Pending clear bits of a repaired line are dropped — the coarse

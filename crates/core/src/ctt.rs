@@ -218,6 +218,14 @@ impl CoarseTaintTable {
         Ok(table)
     }
 
+    /// Whether any resident word's parity disagrees with its bits: the
+    /// words the next [`scrub`](Self::scrub) would repair.
+    pub(crate) fn parity_mismatch(&self) -> bool {
+        self.words
+            .iter()
+            .any(|(key, &bits)| odd_parity(bits) != self.parity.get(key).copied().unwrap_or(false))
+    }
+
     /// Parity-checks every resident word and conservatively re-derives
     /// mismatching words from the precise taint state: a domain bit is
     /// rebuilt as tainted exactly when `view` holds taint anywhere in

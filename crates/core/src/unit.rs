@@ -81,6 +81,11 @@ pub struct LatchUnit {
     scrub_stats: ScrubStats,
     last_exception_addr: Option<Addr>,
     pending_evictions: Vec<EvictedLine>,
+    /// Set while an injected soft error may hide in the coarse state:
+    /// by [`corrupt_coarse`](Self::corrupt_coarse), cleared by a
+    /// [`scrub`](Self::scrub) that repaired something, and derived from
+    /// the stored parity on restore. Not part of the snapshot.
+    suspect: bool,
 }
 
 impl LatchUnit {
@@ -97,6 +102,7 @@ impl LatchUnit {
             scrub_stats: ScrubStats::default(),
             last_exception_addr: None,
             pending_evictions: Vec::new(),
+            suspect: false,
         }
     }
 
@@ -292,10 +298,24 @@ impl LatchUnit {
     /// `set == false` injects a spurious clear — the dangerous
     /// direction that [`LatchUnit::scrub`] exists to repair.
     pub fn corrupt_coarse(&mut self, target: CoarseStructure, slot: u64, bit: u32, set: bool) -> bool {
-        match target {
+        let flipped = match target {
             CoarseStructure::Ctc => self.ctc.corrupt_slot(slot, bit, set).is_some(),
             CoarseStructure::Ctt => self.ctt.corrupt_slot(slot, bit, set).is_some(),
-        }
+        };
+        self.suspect |= flipped;
+        flipped
+    }
+
+    /// Whether a clean coarse answer can stand in for the precise tier:
+    /// false from a [`corrupt_coarse`](Self::corrupt_coarse) flip until
+    /// a [`scrub`](Self::scrub) repairs a parity mismatch, and after a
+    /// restore whose CTT words or CTC lines carry stale parity. A scrub
+    /// that finds nothing to repair keeps the mark: the flip may have
+    /// been re-paritied by a legitimate write to its word, where no
+    /// scrub will ever see it. A restore cannot see such a flip either,
+    /// and trusts it.
+    pub fn coarse_trusted(&self) -> bool {
+        !self.suspect
     }
 
     /// Parity-scrubs both coarse structures against the precise taint
@@ -332,6 +352,9 @@ impl LatchUnit {
             .scrub_stats
             .ctc_lines_repaired
             .saturating_add(ctc_report.lines_repaired);
+        if ctt_report.words_repaired > 0 || ctc_report.lines_repaired > 0 {
+            self.suspect = false;
+        }
         latch_obs::counter_inc("core.scrub.passes");
         if ctt_report.words_repaired > 0 {
             latch_obs::counter_add("core.scrub.ctt_words_repaired", ctt_report.words_repaired);
@@ -535,6 +558,7 @@ impl LatchUnit {
             });
         }
         r.expect_end()?;
+        let suspect = ctt.parity_mismatch() || ctc.parity_mismatch();
         Ok(Self {
             params,
             ctt,
@@ -546,6 +570,7 @@ impl LatchUnit {
             scrub_stats,
             last_exception_addr,
             pending_evictions,
+            suspect,
         })
     }
 
@@ -768,6 +793,25 @@ mod tests {
         assert_eq!(report.ctc.lines_repaired, 1);
         assert_eq!(report.ctt.words_repaired, 0, "CTT was never corrupted");
         assert!(u.check_read(0x4000, 4).coarse_tainted);
+    }
+
+    #[test]
+    fn corruption_revokes_trust_until_a_scrub_and_across_a_restore() {
+        let view = VecView(vec![(0x4000, 4)]);
+        for target in [CoarseStructure::Ctt, CoarseStructure::Ctc] {
+            let mut u = unit();
+            u.write_taint(0x4000, 4, true);
+            u.check_read(0x4000, 4);
+            let thawed = |u: &LatchUnit| LatchUnit::from_snapshot(&u.to_snapshot()).unwrap();
+            assert!(u.coarse_trusted());
+            assert!(thawed(&u).coarse_trusted());
+            assert!(u.corrupt_coarse(target, 0, u.geometry().bit_of(0x4000), false));
+            assert!(!u.coarse_trusted(), "{target:?}");
+            assert!(!thawed(&u).coarse_trusted(), "{target:?}: stale parity");
+            u.scrub(&view);
+            assert!(u.coarse_trusted(), "{target:?}");
+            assert!(thawed(&u).coarse_trusted());
+        }
     }
 
     #[test]

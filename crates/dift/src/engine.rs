@@ -138,6 +138,20 @@ impl DiftEngine {
         out
     }
 
+    /// Counts `n` propagation rules that the caller has shown to be
+    /// clean-to-clean no-ops — every register they name clean, every
+    /// byte they address clean — without applying them. The counters
+    /// move exactly as `n` calls of [`propagate`](Self::propagate) on
+    /// those rules would move them: such a call changes no tag and
+    /// touches no taint, and zero calls create no counter.
+    pub fn count_noop_rules(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.stats.instrs = self.stats.instrs.saturating_add(n);
+        latch_obs::counter_add("dift.instrs", n);
+    }
+
     /// Validation rule (paper §2 step 4) for an indirect control transfer
     /// through register `reg`.
     ///

@@ -1107,9 +1107,10 @@ impl Router {
     ///    are restored through the same freshest-state walk as
     ///    [`restore_from_backups`](Self::restore_from_backups) and
     ///    migrated to their ring owner.
-    /// 4. **Group repair.** With replication on, every live replica
-    ///    group member is seeded from its session's owner, because the
-    ///    rebuilt routes hold no cursors.
+    /// 4. **Group repair.** With replication on, a surveyed backup
+    ///    whose journal holds the session's acked count gets a cursor
+    ///    at it, and keeps its journal; every other live replica group
+    ///    member is seeded from its session's owner.
     ///
     /// The returned [`TakeoverRecord`] is rerun-identical for a given
     /// cluster state and is also appended to
@@ -1202,9 +1203,23 @@ impl Router {
                     self.mark_down(node, 0);
                     continue;
                 };
-                for (session, _rank, journaled, _wal_len) in entries {
-                    if !self.routes.contains_key(&session) {
-                        candidates.entry(session).or_default().push((journaled, node));
+                for (session, _rank, journaled, wal_len) in entries {
+                    match self.routes.get_mut(&session) {
+                        // A backup that holds every acked event is
+                        // current: it keeps its journal, and `replicate`
+                        // drops its cursor if it is outside the group.
+                        Some(route) if route.admitted == journaled => {
+                            route.backups.insert(
+                                node,
+                                BackupCursor {
+                                    wal_len,
+                                    journaled,
+                                    seeded_bytes: wal_len,
+                                },
+                            );
+                        }
+                        Some(_) => {}
+                        None => candidates.entry(session).or_default().push((journaled, node)),
                     }
                 }
             }

@@ -15,7 +15,9 @@
 //! that never snapshots, 4096-event batches of empty events (8 journal
 //! bytes each) past 4 MiB. Each of its reseeds is the owner's whole
 //! journal, so the reseeds must double in size for their total to stay
-//! linear in the history.
+//! linear in the history. The takeover drive hands a replicated cluster
+//! to a standby router whose survey finds every backup current, so the
+//! takeover seeds no backup and fetches no owner state.
 
 #![cfg(feature = "obs")]
 
@@ -66,6 +68,21 @@ compacted_wal_bytes      3246640
 session 0 backup 0 journaled 557056 wal_len 4460001
 ";
 
+/// The takeover drive: four sessions, 15 batches of 256 events each
+/// through the primary, a standby takeover, and one more batch each
+/// through the standby, appended to the journals the backups kept.
+/// Before the takeover kept current backups' cursors, it reseeded every
+/// backup from one owner fetch: 4 seeds and 4 fetches, and backup WALs
+/// of 4480–27316 bytes at the end.
+const PINNED_TAKEOVER: &str = "\
+router.repl.seeds        0
+serve.repl.fetches       0
+session 0 backup 2 journaled 4096 wal_len 73018
+session 1 backup 2 journaled 4096 wal_len 73765
+session 2 backup 0 journaled 4096 wal_len 73270
+session 3 backup 2 journaled 4096 wal_len 74348
+";
+
 fn start_node(durable: DurableConfig) -> WireServer<MemStorage> {
     let (svc, _recovery) = DurableService::recover(
         ServeConfig::default(),
@@ -99,12 +116,11 @@ fn submit(router: &mut Router, session: u64, batch: &[Event]) {
     }
 }
 
-/// The counters, the sessions and WAL bytes of every compaction, and
-/// each session's backup journal, as one table.
-fn table(router: &Router, nodes: &[WireServer<MemStorage>], sessions: u64) -> String {
+/// The named counters, one line each.
+fn counters(names: &[&str]) -> String {
     let snap = latch_obs::snapshot();
     let mut out = String::new();
-    for name in COUNTERS {
+    for &name in names {
         let v = snap
             .metrics
             .iter()
@@ -112,7 +128,36 @@ fn table(router: &Router, nodes: &[WireServer<MemStorage>], sessions: u64) -> St
             .map_or(0, |(_, v)| *v);
         let _ = writeln!(out, "{name:<24} {v}");
     }
-    let compactions: Vec<(u64, u64)> = snap
+    out
+}
+
+/// Each session's backup journal, as its backups survey it.
+fn backups(router: &Router, nodes: &[WireServer<MemStorage>], sessions: u64) -> String {
+    let mut out = String::new();
+    for session in 0..sessions {
+        let owner = router.owner_of(session).expect("routed");
+        for (id, node) in nodes.iter().enumerate() {
+            if id as u32 == owner {
+                continue;
+            }
+            let mut conn = Client::connect(node.endpoint(), 256, false).expect("connect node");
+            let survey = conn.survey_replicas().expect("survey the node");
+            if let Some(&(_, _, journaled, wal_len)) = survey.iter().find(|e| e.0 == session) {
+                let _ = writeln!(
+                    out,
+                    "session {session} backup {id} journaled {journaled} wal_len {wal_len}"
+                );
+            }
+        }
+    }
+    out
+}
+
+/// The counters, the sessions and WAL bytes of every compaction, and
+/// each session's backup journal, as one table.
+fn table(router: &Router, nodes: &[WireServer<MemStorage>], sessions: u64) -> String {
+    let mut out = counters(&COUNTERS);
+    let compactions: Vec<(u64, u64)> = latch_obs::snapshot()
         .tracks
         .iter()
         .filter(|(track, _)| track == "router")
@@ -131,22 +176,8 @@ fn table(router: &Router, nodes: &[WireServer<MemStorage>], sessions: u64) -> St
             compactions.iter().any(|&(s, _)| s == session),
             "session {session} never passed the reseed floor"
         );
-        let owner = router.owner_of(session).expect("routed");
-        for (id, node) in nodes.iter().enumerate() {
-            if id as u32 == owner {
-                continue;
-            }
-            let mut conn = Client::connect(node.endpoint(), 256, false).expect("connect node");
-            let survey = conn.survey_replicas().expect("survey the node");
-            if let Some(&(_, _, journaled, wal_len)) = survey.iter().find(|e| e.0 == session) {
-                let _ = writeln!(
-                    out,
-                    "session {session} backup {id} journaled {journaled} wal_len {wal_len}"
-                );
-            }
-        }
     }
-    out
+    out + &backups(router, nodes, sessions)
 }
 
 fn cluster_drive() -> String {
@@ -210,11 +241,56 @@ fn packrat_drive() -> String {
     out
 }
 
+fn takeover_drive() -> String {
+    const SESSIONS: u64 = 4;
+    const BATCH: usize = 256;
+    const EVENTS: usize = 4096;
+    let nodes: Vec<WireServer<MemStorage>> = (0..3)
+        .map(|_| start_node(DurableConfig::default()))
+        .collect();
+    let config = |router_id| RouterConfig {
+        seed: 0x1a7c_4d01,
+        replicas: 1,
+        router_id,
+        ..RouterConfig::default()
+    };
+    let (mut primary, mut standby) = (Router::new(config(1)), Router::new(config(2)));
+    for (id, node) in nodes.iter().enumerate() {
+        primary.add_node(id as u32, node.endpoint().clone());
+        standby.add_node(id as u32, node.endpoint().clone());
+    }
+    let streams: Vec<Vec<Event>> = ["curl", "wget", "mySQL", "apache"]
+        .iter()
+        .zip(1u64..)
+        .map(|(p, seed)| stream(p, seed, EVENTS))
+        .collect();
+    let (before, last) = (EVENTS - BATCH, EVENTS - BATCH..EVENTS);
+    for lo in (0..before).step_by(BATCH) {
+        for (s, events) in streams.iter().enumerate() {
+            submit(&mut primary, s as u64, &events[lo..lo + BATCH]);
+        }
+    }
+    drop(primary);
+    latch_obs::reset();
+    standby.takeover().expect("standby takeover");
+    let mut out = counters(&["router.repl.seeds", "serve.repl.fetches"]);
+    for (s, events) in streams.iter().enumerate() {
+        submit(&mut standby, s as u64, &events[last.clone()]);
+    }
+    out += &backups(&standby, &nodes, SESSIONS);
+    for node in nodes {
+        node.shutdown();
+    }
+    out
+}
+
 #[test]
 fn replication_work_counts_are_pinned() {
     let cluster = cluster_drive();
     let packrat = packrat_drive();
-    println!("cluster drive:\n{cluster}\npackrat drive:\n{packrat}");
+    let takeover = takeover_drive();
+    println!("cluster drive:\n{cluster}\npackrat drive:\n{packrat}\ntakeover drive:\n{takeover}");
     assert_eq!(cluster, PINNED_CLUSTER, "cluster drive counts moved");
     assert_eq!(packrat, PINNED_PACKRAT, "packrat drive counts moved");
+    assert_eq!(takeover, PINNED_TAKEOVER, "takeover drive counts moved");
 }

@@ -22,7 +22,9 @@ use latch_core::config::LatchConfig;
 use latch_core::isa_ext::LatchInstr;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::stats::{CheckStats, ScrubStats};
+use latch_core::trf::{NUM_REGS, REG_BYTES};
 use latch_core::unit::LatchUnit;
+use latch_core::Addr;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::SecurityViolation;
 use latch_dift::prop::PropRule;
@@ -77,40 +79,43 @@ impl SessionPipeline {
     /// cadence. Returns whether the screen selected the event for a
     /// monitor (coarse hit, taint activity, or active-window tail) —
     /// the filtering decision of paper Fig. 11.
+    ///
+    /// The coarse tier gates the precise one per event: an event the
+    /// screen passes clean, with no source, control check or sink, and
+    /// whose propagation rules are all clean-to-clean no-ops — every
+    /// register they name clean in the precise register file, every
+    /// byte they address inside the memory operand the screen just
+    /// passed — only counts its rules, and skips the DIFT step and the
+    /// TRF reload, which would change nothing. While the coarse state
+    /// may hold an unscrubbed soft error
+    /// ([`LatchUnit::coarse_trusted`]) every event takes the full path.
     pub fn apply(&mut self, ev: &Event) -> bool {
         let index = self.applied;
-        let mut penalty = 0u64;
-        let mut hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-            penalty += out.penalty_cycles;
-        }
-        hit |= ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some();
-        let step = apply_event_dift(&mut self.engine, ev);
-        if let Some(v) = step.violation {
-            self.violations.push((index, v));
-        }
-        if let Some((addr, len, tainted)) = step.mem_taint_write {
-            let out = self.latch.write_taint(addr, len, tainted);
-            penalty += out.penalty_cycles;
-            if !tainted {
-                self.latch.clear_scan(self.engine.shadow());
+        let (hit, mut penalty) = self.screen(ev);
+        let touched = if !hit && self.latch.coarse_trusted() && self.rules_are_noops(ev) {
+            let rules = u64::from(ev.prop.is_some()) + u64::from(ev.prop2.is_some());
+            self.engine.count_noop_rules(rules);
+            false
+        } else {
+            let step = apply_event_dift(&mut self.engine, ev);
+            if let Some(v) = step.violation {
+                self.violations.push((index, v));
             }
-        }
-        let packed = self.engine.regs().to_packed();
-        self.latch.trf_mut().load_packed(packed);
+            if let Some((addr, len, tainted)) = step.mem_taint_write {
+                let out = self.latch.write_taint(addr, len, tainted);
+                penalty += out.penalty_cycles;
+                if !tainted {
+                    self.latch.clear_scan(self.engine.shadow());
+                }
+            }
+            let packed = self.engine.regs().to_packed();
+            self.latch.trf_mut().load_packed(packed);
+            step.touched_taint
+        };
         if self.scrub_interval > 0 && (index + 1).is_multiple_of(self.scrub_interval) {
             self.latch.scrub(self.engine.shadow());
         }
-        let selected = if hit || step.touched_taint {
+        let selected = if hit || touched {
             self.window_left = ACTIVITY_WINDOW;
             true
         } else if self.window_left > 0 {
@@ -125,6 +130,66 @@ impl SessionPipeline {
         }
         self.cycles += 1 + penalty;
         selected
+    }
+
+    /// The coarse screen of one event: whether a register the event
+    /// names is tainted in the TRF, its memory operand is coarsely
+    /// tainted, or it carries a source, control check or sink; and the
+    /// cycles the memory check cost.
+    fn screen(&mut self, ev: &Event) -> (bool, u64) {
+        let mut hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
+            || ev
+                .regs
+                .written
+                .is_some_and(|w| self.latch.reg_tainted(w as usize));
+        let mut penalty = 0;
+        if let Some(mem) = ev.mem {
+            let out = match mem.kind {
+                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
+                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
+            };
+            hit |= out.coarse_tainted;
+            penalty = out.penalty_cycles;
+        }
+        hit |= ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some();
+        (hit, penalty)
+    }
+
+    /// Whether every propagation rule of `ev` is a clean-to-clean no-op
+    /// in the precise tier, decided from the rules themselves and never
+    /// from `ev.regs`: every register a rule names is clean in the
+    /// precise register file, and every byte range it addresses
+    /// (`Load`/`Store` at their `len.min(4)` bytes, `StoreImm` whole)
+    /// lies inside the `ev.mem` range that [`screen`](Self::screen) just
+    /// found coarsely clean, so — the coarse view being a superset of
+    /// the precise one — precisely clean too. The ranges are compared
+    /// in `u64`, so one that runs past `0xFFFF_FFFF` cannot wrap.
+    fn rules_are_noops(&self, ev: &Event) -> bool {
+        let regs = self.engine.regs();
+        let clean = |r: usize| r < NUM_REGS && !regs.is_tainted(r);
+        let screened = |addr: Addr, len: u32| {
+            ev.mem.is_some_and(|m| {
+                u64::from(m.addr) <= u64::from(addr)
+                    && u64::from(addr) + u64::from(len) <= u64::from(m.addr) + u64::from(m.len)
+            })
+        };
+        [ev.prop, ev.prop2]
+            .into_iter()
+            .flatten()
+            .all(|rule| match rule {
+                PropRule::BinaryAlu { dst, src1, src2 } => clean(dst) && clean(src1) && clean(src2),
+                PropRule::UnaryAlu { dst, src } | PropRule::Mov { dst, src } => {
+                    clean(dst) && clean(src)
+                }
+                PropRule::ClearDst { dst } => clean(dst),
+                PropRule::Load { dst, addr, len } => {
+                    clean(dst) && screened(addr, len.min(REG_BYTES))
+                }
+                PropRule::Store { src, addr, len } => {
+                    clean(src) && screened(addr, len.min(REG_BYTES))
+                }
+                PropRule::StoreImm { addr, len } => screened(addr, len),
+            })
     }
 
     /// Retires one event through the coarse tier only (degraded mode,
@@ -142,19 +207,7 @@ impl SessionPipeline {
     /// and replaying the deferred events through [`apply`](Self::apply),
     /// so nothing mutated here outlives the span.
     pub fn apply_coarse_only(&mut self, ev: &Event) -> bool {
-        let mut hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-        }
-        hit |= ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some();
+        let (hit, _) = self.screen(ev);
         if let Some(src) = ev.source {
             if !src.trusted {
                 let _ = self.latch.write_taint(src.addr, src.len, true);

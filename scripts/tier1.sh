@@ -48,6 +48,14 @@ cargo test -q -p latch-serve --features obs
 echo "==> latch-router replication counts (obs on)"
 cargo test -q -p latch-router --features obs --test replication_counts
 
+# The session pipeline's pinned work counts: events, propagation rules
+# counted and TRF reloads of five fixed streams. The tier gate skips
+# the reload for events whose rules are clean-to-clean no-ops, so the
+# reloads count only full-path events. The counters exist only with
+# obs on.
+echo "==> latch-systems apply counts (obs on)"
+cargo test -q -p latch-systems --features obs --test apply_counts
+
 # Crash-recovery stress: a fixed-seed kill loop over the real-directory
 # storage backend. Each iteration kills a durable service mid-stream,
 # mangles the surviving files (torn WAL tail, snapshot bit rot),

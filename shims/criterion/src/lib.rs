@@ -2,8 +2,10 @@
 //!
 //! Runs each benchmark closure for a short, fixed measurement window
 //! and prints mean time per iteration (plus throughput when a group
-//! declares one). No statistics, plots, or baselines — enough to keep
-//! `harness = false` bench targets compiling and runnable.
+//! declares one), then one JSON line with the median and quartiles of
+//! the time per iteration over its timed batches, for recording. No
+//! plots or baselines — enough to keep `harness = false` bench targets
+//! compiling, runnable and recordable.
 
 use std::time::{Duration, Instant};
 
@@ -34,6 +36,9 @@ pub enum Throughput {
 pub struct Bencher {
     iters: u64,
     elapsed: Duration,
+    /// Nanoseconds per iteration of each timed batch: 64 calls for
+    /// [`iter`](Self::iter), one for [`iter_batched`](Self::iter_batched).
+    batches: Vec<f64>,
 }
 
 impl Bencher {
@@ -41,6 +46,7 @@ impl Bencher {
         Self {
             iters: 0,
             elapsed: Duration::ZERO,
+            batches: Vec::new(),
         }
     }
 
@@ -52,9 +58,11 @@ impl Bencher {
         let start = Instant::now();
         let mut iters = 0u64;
         while start.elapsed() < MEASURE_WINDOW {
+            let batch = Instant::now();
             for _ in 0..64 {
                 black_box(routine());
             }
+            self.batches.push(batch.elapsed().as_nanos() as f64 / 64.0);
             iters += 64;
         }
         self.elapsed = start.elapsed();
@@ -78,7 +86,9 @@ impl Bencher {
             let input = setup();
             let t = Instant::now();
             black_box(routine(input));
-            measured += t.elapsed();
+            let took = t.elapsed();
+            measured += took;
+            self.batches.push(took.as_nanos() as f64);
             iters += 1;
         }
         self.elapsed = measured;
@@ -104,6 +114,35 @@ fn report(name: &str, b: &Bencher, throughput: Option<Throughput>) {
         None => String::new(),
     };
     println!("{name:<40} {per_iter:>12.1} ns/iter{extra}");
+    println!("{}", summary_json(name, b, throughput));
+}
+
+/// The `q`-quantile of sorted `xs`, interpolated between ranks.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let pos = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+}
+
+/// One JSON object on one line: the bench's name (bench names need no
+/// escaping), its batch and iteration counts, the median and quartiles
+/// of its batches' time per iteration, and its throughput annotation.
+fn summary_json(name: &str, b: &Bencher, throughput: Option<Throughput>) -> String {
+    let mut xs = b.batches.clone();
+    xs.sort_by(f64::total_cmp);
+    let unit = match throughput {
+        Some(Throughput::Elements(n)) => format!(",\"elements\":{n}"),
+        Some(Throughput::Bytes(n)) => format!(",\"bytes\":{n}"),
+        None => String::new(),
+    };
+    format!(
+        "{{\"bench\":\"{name}\",\"batches\":{},\"iters\":{},\"median_ns\":{:.1},\"q1_ns\":{:.1},\"q3_ns\":{:.1}{unit}}}",
+        xs.len(),
+        b.iters,
+        quantile(&xs, 0.5),
+        quantile(&xs, 0.25),
+        quantile(&xs, 0.75),
+    )
 }
 
 /// The benchmark driver.
@@ -130,6 +169,7 @@ impl Criterion {
         println!("group: {}", name.as_ref());
         BenchmarkGroup {
             _parent: self,
+            name: name.as_ref().to_string(),
             throughput: None,
         }
     }
@@ -138,6 +178,7 @@ impl Criterion {
 /// A group of benchmarks sharing a throughput annotation.
 pub struct BenchmarkGroup<'a> {
     _parent: &'a mut Criterion,
+    name: String,
     throughput: Option<Throughput>,
 }
 
@@ -156,7 +197,8 @@ impl BenchmarkGroup<'_> {
     ) -> &mut Self {
         let mut b = Bencher::new();
         f(&mut b);
-        report(name.as_ref(), &b, self.throughput);
+        let name = format!("{}/{}", self.name, name.as_ref());
+        report(&name, &b, self.throughput);
         self
     }
 
@@ -195,6 +237,21 @@ mod tests {
         b.iter(|| black_box(1u64) + 1);
         assert!(b.iters > 0);
         assert!(b.elapsed > Duration::ZERO);
+    }
+
+    #[test]
+    fn summary_is_one_json_line_of_quartiles() {
+        let b = Bencher {
+            iters: 5,
+            elapsed: Duration::from_nanos(150),
+            batches: vec![50.0, 10.0, 40.0, 20.0, 30.0],
+        };
+        assert_eq!(
+            summary_json("g/a", &b, Some(Throughput::Elements(7))),
+            "{\"bench\":\"g/a\",\"batches\":5,\"iters\":5,\"median_ns\":30.0,\
+             \"q1_ns\":20.0,\"q3_ns\":40.0,\"elements\":7}"
+        );
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
     }
 
     #[test]
