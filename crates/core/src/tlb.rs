@@ -119,6 +119,9 @@ struct TlbEntry {
     last_use: u64,
 }
 
+/// Slots of [`TaintTlb`]'s page-to-entry hint table.
+const HINT_SLOTS: usize = 64;
+
 /// A fully-associative TLB model carrying page taint bits.
 ///
 /// Only the taint-relevant behaviour is modelled; address translation
@@ -127,6 +130,11 @@ struct TlbEntry {
 pub struct TaintTlb {
     geom: DomainGeometry,
     entries: Vec<TlbEntry>,
+    /// The entry each page last resolved to, by `page % HINT_SLOTS`:
+    /// a guess that [`find`](Self::find) checks before it scans, so a
+    /// hit costs one probe. A page is resident in at most one entry, so
+    /// the guess never changes the answer. Not part of the snapshot.
+    hint: [u32; HINT_SLOTS],
     clock: u64,
     miss_penalty: u64,
     stats: TlbStats,
@@ -144,6 +152,7 @@ impl TaintTlb {
         Self {
             geom,
             entries: vec![TlbEntry::default(); entries],
+            hint: [0; HINT_SLOTS],
             clock: 0,
             miss_penalty,
             stats: TlbStats::default(),
@@ -161,7 +170,12 @@ impl TaintTlb {
     }
 
     fn find(&self, page: u32) -> Option<usize> {
-        self.entries.iter().position(|e| e.valid && e.page == page)
+        let holds = |e: &TlbEntry| e.valid && e.page == page;
+        let guess = self.hint[page as usize % HINT_SLOTS] as usize;
+        if self.entries.get(guess).is_some_and(holds) {
+            return Some(guess);
+        }
+        self.entries.iter().position(holds)
     }
 
     fn fill(&mut self, page: u32, pt: &PageTaintTable) -> usize {
@@ -206,6 +220,7 @@ impl TaintTlb {
                 (false, self.fill(page, pt))
             }
         };
+        self.hint[page as usize % HINT_SLOTS] = idx as u32;
         let tainted = self.entries[idx].taint_bits & (1 << pd) != 0;
         if !tainted {
             self.stats.resolved_untainted = self.stats.resolved_untainted.saturating_add(1);
@@ -320,6 +335,7 @@ impl TaintTlb {
         Ok(Self {
             geom,
             entries,
+            hint: [0; HINT_SLOTS],
             clock,
             miss_penalty,
             stats,
@@ -367,6 +383,32 @@ mod tests {
         let acc = tlb.lookup(0x1238, &pt);
         assert!(acc.hit);
         assert_eq!(tlb.stats().resolved_untainted, 2);
+    }
+
+    /// Pages that share hint slots, through a TLB smaller than the
+    /// working set: every lookup hits exactly when a plain LRU list of
+    /// the last eight pages holds the page, so the hint never changes
+    /// which entry answers or which one is evicted.
+    #[test]
+    fn hinted_lookups_match_a_plain_lru_list() {
+        let mut tlb = TaintTlb::new(geom(), 8, 0);
+        let pt = PageTaintTable::new();
+        let mut lru: Vec<u32> = Vec::new();
+        let mut x = 1u64;
+        for step in 0..4_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let page = ((x >> 33) % 12) as u32 * HINT_SLOTS as u32 + ((x >> 20) % 2) as u32;
+            let hit = lru.contains(&page);
+            lru.retain(|&p| p != page);
+            if lru.len() == 8 {
+                lru.remove(0);
+            }
+            lru.push(page);
+            assert_eq!(tlb.lookup(page * PAGE_SIZE, &pt).hit, hit, "step {step}");
+        }
+        assert!(tlb.stats().hits > 1_000 && tlb.stats().misses > 1_000);
     }
 
     #[test]

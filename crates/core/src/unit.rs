@@ -81,10 +81,10 @@ pub struct LatchUnit {
     scrub_stats: ScrubStats,
     last_exception_addr: Option<Addr>,
     pending_evictions: Vec<EvictedLine>,
-    /// Set while an injected soft error may hide in the coarse state:
-    /// by [`corrupt_coarse`](Self::corrupt_coarse), cleared by a
-    /// [`scrub`](Self::scrub) that repaired something, and derived from
-    /// the stored parity on restore. Not part of the snapshot.
+    /// Set for good once an injected soft error may hide in the coarse
+    /// state: by [`corrupt_coarse`](Self::corrupt_coarse), and on
+    /// restore from stale parity or a past scrub repair. Not part of
+    /// the snapshot.
     suspect: bool,
 }
 
@@ -307,13 +307,14 @@ impl LatchUnit {
     }
 
     /// Whether a clean coarse answer can stand in for the precise tier:
-    /// false from a [`corrupt_coarse`](Self::corrupt_coarse) flip until
-    /// a [`scrub`](Self::scrub) repairs a parity mismatch, and after a
-    /// restore whose CTT words or CTC lines carry stale parity. A scrub
-    /// that finds nothing to repair keeps the mark: the flip may have
-    /// been re-paritied by a legitimate write to its word, where no
-    /// scrub will ever see it. A restore cannot see such a flip either,
-    /// and trusts it.
+    /// false for good from the first [`corrupt_coarse`](Self::corrupt_coarse)
+    /// flip, because a [`scrub`](Self::scrub) cannot vouch for the
+    /// state — a flip that a legitimate write to its word re-parities
+    /// is invisible to every scrub, however many other flips it
+    /// repairs. A restore is untrusted when a CTT word or CTC line
+    /// carries stale parity or the unit's scrubs ever repaired
+    /// anything; it cannot see a flip that was re-paritied before the
+    /// snapshot and never met a scrub, and trusts it.
     pub fn coarse_trusted(&self) -> bool {
         !self.suspect
     }
@@ -352,9 +353,6 @@ impl LatchUnit {
             .scrub_stats
             .ctc_lines_repaired
             .saturating_add(ctc_report.lines_repaired);
-        if ctt_report.words_repaired > 0 || ctc_report.lines_repaired > 0 {
-            self.suspect = false;
-        }
         latch_obs::counter_inc("core.scrub.passes");
         if ctt_report.words_repaired > 0 {
             latch_obs::counter_add("core.scrub.ctt_words_repaired", ctt_report.words_repaired);
@@ -558,7 +556,10 @@ impl LatchUnit {
             });
         }
         r.expect_end()?;
-        let suspect = ctt.parity_mismatch() || ctc.parity_mismatch();
+        let suspect = ctt.parity_mismatch()
+            || ctc.parity_mismatch()
+            || scrub_stats.ctt_words_repaired > 0
+            || scrub_stats.ctc_lines_repaired > 0;
         Ok(Self {
             params,
             ctt,
@@ -796,21 +797,22 @@ mod tests {
     }
 
     #[test]
-    fn corruption_revokes_trust_until_a_scrub_and_across_a_restore() {
+    fn corruption_revokes_trust_for_good_and_across_a_restore() {
         let view = VecView(vec![(0x4000, 4)]);
         for target in [CoarseStructure::Ctt, CoarseStructure::Ctc] {
             let mut u = unit();
             u.write_taint(0x4000, 4, true);
             u.check_read(0x4000, 4);
             let thawed = |u: &LatchUnit| LatchUnit::from_snapshot(&u.to_snapshot()).unwrap();
+            u.scrub(&view);
             assert!(u.coarse_trusted());
-            assert!(thawed(&u).coarse_trusted());
+            assert!(thawed(&u).coarse_trusted(), "a scrub that repaired nothing");
             assert!(u.corrupt_coarse(target, 0, u.geometry().bit_of(0x4000), false));
             assert!(!u.coarse_trusted(), "{target:?}");
             assert!(!thawed(&u).coarse_trusted(), "{target:?}: stale parity");
-            u.scrub(&view);
-            assert!(u.coarse_trusted(), "{target:?}");
-            assert!(thawed(&u).coarse_trusted());
+            assert!(u.scrub(&view).repaired_anything(), "{target:?}");
+            assert!(!u.coarse_trusted(), "{target:?}: the scrub cannot vouch");
+            assert!(!thawed(&u).coarse_trusted(), "{target:?}: a past repair");
         }
     }
 

@@ -22,7 +22,7 @@
 use crate::regfile::RegTagFile;
 use crate::shadow::ShadowMemory;
 use crate::tag::TaintTag;
-use latch_core::trf::REG_BYTES;
+use latch_core::trf::{NUM_REGS, REG_BYTES};
 use latch_core::{Addr, PreciseView};
 
 /// One taint-relevant micro-operation, extracted from a retired
@@ -105,6 +105,36 @@ pub struct PropOutcome {
     /// `(addr, len, tainted_after)`. S-LATCH turns this into an `stnt`;
     /// H-LATCH feeds it to the commit-stage coarse update.
     pub mem_write: Option<(Addr, u32, bool)>,
+}
+
+impl PropRule {
+    /// Whether [`apply`] of this rule is a clean-to-clean no-op — it
+    /// changes no tag and touches no taint — when the bytes of `clean`
+    /// (`(addr, len)`) are known to hold no taint: every register the
+    /// rule names is clean in `regs`, and every byte it addresses lies
+    /// inside `clean`. The addressed bytes are those `apply` reads or
+    /// writes: the low `len.min(4)` of a `Load` or `Store`, the whole
+    /// range of a `StoreImm`. Ranges compare in `u64`, so one running
+    /// past `0xFFFF_FFFF` cannot wrap; a register out of range is never
+    /// a no-op.
+    #[inline]
+    pub fn is_noop_within(self, regs: &RegTagFile, clean: Option<(Addr, u32)>) -> bool {
+        let reg = |r: usize| r < NUM_REGS && !regs.is_tainted(r);
+        let inside = |addr: Addr, len: u32| {
+            clean.is_some_and(|(base, size)| {
+                u64::from(base) <= u64::from(addr)
+                    && u64::from(addr) + u64::from(len) <= u64::from(base) + u64::from(size)
+            })
+        };
+        match self {
+            PropRule::BinaryAlu { dst, src1, src2 } => reg(dst) && reg(src1) && reg(src2),
+            PropRule::UnaryAlu { dst, src } | PropRule::Mov { dst, src } => reg(dst) && reg(src),
+            PropRule::ClearDst { dst } => reg(dst),
+            PropRule::Load { dst, addr, len } => reg(dst) && inside(addr, len.min(REG_BYTES)),
+            PropRule::Store { src, addr, len } => reg(src) && inside(addr, len.min(REG_BYTES)),
+            PropRule::StoreImm { addr, len } => inside(addr, len),
+        }
+    }
 }
 
 /// Applies one propagation rule to the register tag file and shadow
@@ -206,6 +236,70 @@ mod tests {
 
     fn setup() -> (RegTagFile, ShadowMemory) {
         (RegTagFile::new(), ShadowMemory::new())
+    }
+
+    /// Every rule over a small grid of registers and ranges, next to
+    /// taint in `r1` and in `[0x100, 0x104)`: whatever
+    /// `is_noop_within` calls a no-op over a clean range leaves both
+    /// tag stores as they were and touches no taint.
+    #[test]
+    fn is_noop_within_agrees_with_apply() {
+        let (mut regs, mut shadow) = setup();
+        regs.set_uniform(1, TaintTag::FILE);
+        for a in 0x100..0x104 {
+            shadow.set(a, TaintTag::NETWORK);
+        }
+        let addrs = [0xF8, 0xFC, 0xFE, 0x104, 0x106, 0xFFFF_FFFC, 0xFFFF_FFFE];
+        let lens = [0, 1, 2, 4, 6, 9];
+        let mut rules = Vec::new();
+        for r in [0, 1, 2, NUM_REGS] {
+            rules.push(PropRule::BinaryAlu {
+                dst: 0,
+                src1: r,
+                src2: 2,
+            });
+            rules.push(PropRule::UnaryAlu { dst: r, src: 0 });
+            rules.push(PropRule::Mov { dst: 2, src: r });
+            rules.push(PropRule::ClearDst { dst: r });
+            for &addr in &addrs {
+                for &len in &lens {
+                    rules.push(PropRule::Load { dst: r, addr, len });
+                    rules.push(PropRule::Store { src: r, addr, len });
+                    rules.push(PropRule::StoreImm { addr, len });
+                }
+            }
+        }
+        let mut noops = 0;
+        for rule in rules {
+            for &base in &addrs {
+                for &size in &lens {
+                    let clean = (base, size);
+                    let end = u64::from(base) + u64::from(size);
+                    if end > 0x100 && u64::from(base) < 0x104 {
+                        continue;
+                    }
+                    if !rule.is_noop_within(&regs, Some(clean)) {
+                        continue;
+                    }
+                    noops += 1;
+                    let (mut r2, mut s2) = (regs.clone(), shadow.clone());
+                    let out = apply(rule, &mut r2, &mut s2);
+                    assert_eq!(out, PropOutcome::default(), "{rule:?} over {clean:x?}");
+                    assert!(r2 == regs, "{rule:?}");
+                    assert_eq!(s2.tainted_bytes(), 4, "{rule:?}");
+                    assert!((0x100..0x104).all(|a| s2.get(a).is_tainted()), "{rule:?}");
+                }
+            }
+            let addresses_memory = matches!(
+                rule,
+                PropRule::Load { .. } | PropRule::Store { .. } | PropRule::StoreImm { .. }
+            );
+            assert!(
+                !(addresses_memory && rule.is_noop_within(&regs, None)),
+                "{rule:?}"
+            );
+        }
+        assert!(noops > 100, "the grid must exercise the no-op side");
     }
 
     #[test]

@@ -1208,13 +1208,16 @@ impl Router {
                         // A backup that holds every acked event is
                         // current: it keeps its journal, and `replicate`
                         // drops its cursor if it is outside the group.
+                        // The survey does not report the size it was
+                        // seeded with, so its WAL gets the bare
+                        // `REPL_WAL_FLOOR` before it is reseeded.
                         Some(route) if route.admitted == journaled => {
                             route.backups.insert(
                                 node,
                                 BackupCursor {
                                     wal_len,
                                     journaled,
-                                    seeded_bytes: wal_len,
+                                    seeded_bytes: 0,
                                 },
                             );
                         }

@@ -22,9 +22,7 @@ use latch_core::config::LatchConfig;
 use latch_core::isa_ext::LatchInstr;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::stats::{CheckStats, ScrubStats};
-use latch_core::trf::{NUM_REGS, REG_BYTES};
 use latch_core::unit::LatchUnit;
-use latch_core::Addr;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::SecurityViolation;
 use latch_dift::prop::PropRule;
@@ -156,40 +154,17 @@ impl SessionPipeline {
     }
 
     /// Whether every propagation rule of `ev` is a clean-to-clean no-op
-    /// in the precise tier, decided from the rules themselves and never
-    /// from `ev.regs`: every register a rule names is clean in the
-    /// precise register file, and every byte range it addresses
-    /// (`Load`/`Store` at their `len.min(4)` bytes, `StoreImm` whole)
-    /// lies inside the `ev.mem` range that [`screen`](Self::screen) just
-    /// found coarsely clean, so — the coarse view being a superset of
-    /// the precise one — precisely clean too. The ranges are compared
-    /// in `u64`, so one that runs past `0xFFFF_FFFF` cannot wrap.
+    /// in the precise tier ([`PropRule::is_noop_within`]), decided from
+    /// the rules and the precise register file, never from `ev.regs`.
+    /// The known-clean range is the `ev.mem` operand that
+    /// [`screen`](Self::screen) just found coarsely clean — the coarse
+    /// view being a superset of the precise one, precisely clean too.
     fn rules_are_noops(&self, ev: &Event) -> bool {
-        let regs = self.engine.regs();
-        let clean = |r: usize| r < NUM_REGS && !regs.is_tainted(r);
-        let screened = |addr: Addr, len: u32| {
-            ev.mem.is_some_and(|m| {
-                u64::from(m.addr) <= u64::from(addr)
-                    && u64::from(addr) + u64::from(len) <= u64::from(m.addr) + u64::from(m.len)
-            })
-        };
+        let screened = ev.mem.map(|m| (m.addr, m.len));
         [ev.prop, ev.prop2]
             .into_iter()
             .flatten()
-            .all(|rule| match rule {
-                PropRule::BinaryAlu { dst, src1, src2 } => clean(dst) && clean(src1) && clean(src2),
-                PropRule::UnaryAlu { dst, src } | PropRule::Mov { dst, src } => {
-                    clean(dst) && clean(src)
-                }
-                PropRule::ClearDst { dst } => clean(dst),
-                PropRule::Load { dst, addr, len } => {
-                    clean(dst) && screened(addr, len.min(REG_BYTES))
-                }
-                PropRule::Store { src, addr, len } => {
-                    clean(src) && screened(addr, len.min(REG_BYTES))
-                }
-                PropRule::StoreImm { addr, len } => screened(addr, len),
-            })
+            .all(|rule| rule.is_noop_within(self.engine.regs(), screened))
     }
 
     /// Retires one event through the coarse tier only (degraded mode,

@@ -245,6 +245,52 @@ fn a_scrub_that_repairs_nothing_keeps_the_full_path() {
     );
 }
 
+/// The same re-paritied CTC flip at `0x1000`, now with a visible flip
+/// in a distant tainted region's CTT word that the scrub does repair.
+/// A repair elsewhere vouches for nothing: the mark stays, and the
+/// load behind the hidden flip still takes the precise tier — also
+/// after a snapshot round trip, where the scrub's repair count is left
+/// to tell.
+#[test]
+fn a_scrub_that_repairs_another_flip_keeps_the_full_path() {
+    for round_trip in [false, true] {
+        let mut pipe = SessionPipeline::new(4);
+        pipe.apply(&taint_source());
+        let bit = pipe.latch().geometry().bit_of(0x1000);
+        assert!(pipe
+            .latch_mut()
+            .corrupt_coarse(CoarseStructure::Ctc, 0, bit, false));
+        for (addr, len) in [(0x1040, 4), (0x0080_0000, 16)] {
+            pipe.apply(&Event {
+                source: Some(SourceInput {
+                    kind: SourceKind::Socket,
+                    addr,
+                    len,
+                    trusted: false,
+                }),
+                ..event()
+            });
+        }
+        // CTT words sort by key: slot 1 is the distant region's word.
+        let far = pipe.latch().geometry().bit_of(0x0080_0000);
+        assert!(pipe
+            .latch_mut()
+            .corrupt_coarse(CoarseStructure::Ctt, 1, far, false));
+        pipe.apply(&event());
+        let scrub = pipe.report().scrub;
+        assert_eq!(scrub.scrubs, 1);
+        assert!(scrub.ctt_words_repaired + scrub.ctc_lines_repaired >= 1);
+        if round_trip {
+            pipe = SessionPipeline::from_snapshot(&pipe.to_snapshot()).unwrap();
+        }
+        pipe.apply(&load_tainted_word());
+        assert!(
+            pipe.engine().regs().is_tainted(1),
+            "round trip {round_trip}: the load lost its taint behind a re-paritied flip"
+        );
+    }
+}
+
 /// Rules whose bytes run past the memory operand, into a tainted
 /// domain the screen never looked at: a constant store that clears
 /// the tail, a clean store over it, and a load of it, each with only
