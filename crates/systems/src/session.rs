@@ -84,9 +84,9 @@ impl SessionPipeline {
     /// register they name clean in the precise register file, every
     /// byte they address inside the memory operand the screen just
     /// passed — only counts its rules, and skips the DIFT step and the
-    /// TRF reload, which would change nothing. While the coarse state
-    /// may hold an unscrubbed soft error
-    /// ([`LatchUnit::coarse_trusted`]) every event takes the full path.
+    /// TRF reload, which would change nothing. Once a soft error may
+    /// hide in the coarse state ([`LatchUnit::coarse_trusted`]), every
+    /// event takes the full path.
     pub fn apply(&mut self, ev: &Event) -> bool {
         let index = self.applied;
         let (hit, mut penalty) = self.screen(ev);
