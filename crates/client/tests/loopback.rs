@@ -35,9 +35,6 @@ fn overloaded_config() -> ServeConfig {
             slo_cycles: 2,
             window: 32,
             report_every: 4,
-            demote_after: 1,
-            promote_after: 2,
-            max_degraded: 2,
             queue_pressure_pct: 50,
         },
         ..ServeConfig::default()

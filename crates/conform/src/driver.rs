@@ -24,7 +24,7 @@
 //!    faults, killed at a seeded storage operation and recovered.
 //! 8. **overload-serve**: three priorities under burst and slow-client
 //!    plans with an armed SLO — deterministic sheds, solo-identical
-//!    admitted streams, no false negatives through degraded spans.
+//!    admitted streams, no false negatives.
 //! 9. **wire-serve**: one `latchd` over a loopback socket.
 //! 10. **cluster-serve**: the router over two nodes, a seeded node
 //!     kill, and failover from the dead node's disk.
@@ -604,15 +604,14 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         }
     }
 
-    // ---- leg 8: overload-serve — shed and degrade --------------------
+    // ---- leg 8: overload-serve — shed ---------------------------------
     // Three sessions at three priorities feed the same trace while the
     // fault plan injects bursts and slow clients, and the armed SLO
-    // sheds and demotes under the resulting pressure. The contracts:
-    // the shed set and the SLO report stream are byte-identical across
-    // reruns; every session ends byte-identical to a solo run of its
-    // *admitted* (non-shed) stream; and the coarse state still covers
-    // precise taint — zero false negatives even through coarse-only
-    // degraded spans.
+    // sheds under the resulting pressure. The contracts: the shed set
+    // and the SLO report stream are byte-identical across reruns; every
+    // session ends byte-identical to a solo run of its *admitted*
+    // (non-shed) stream; and the coarse state still covers precise
+    // taint — zero false negatives.
     if !desugared.is_empty() {
         let leg = contract("overload-serve");
         let cfg = ServeConfig {
@@ -623,9 +622,6 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
                 slo_cycles: 2,
                 window: 32,
                 report_every: 4,
-                demote_after: 1,
-                promote_after: 2,
-                max_degraded: 2,
                 queue_pressure_pct: 50,
             },
             ..ServeConfig::default()
@@ -654,7 +650,7 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
                 }
                 return Err(leg("admitted events but no pipeline"));
             };
-            // Zero false negatives, even through coarse-only spans.
+            // Zero false negatives.
             check_superset(
                 "overload-serve",
                 pipe.latch(),

@@ -30,10 +30,12 @@ struct CtcLine {
     bits: u32,
     clear_bits: u32,
     last_use: u64,
-    /// Odd parity of `bits`, maintained by every legitimate write.
-    /// A soft error injected via [`CoarseTaintCache::corrupt_slot`]
-    /// flips `bits` without updating this, which is how
-    /// [`CoarseTaintCache::scrub`] detects it.
+    /// Odd parity of `bits`. A fill, refresh or scrub loads the line
+    /// from the CTT and computes it afresh; a legitimate write toggles
+    /// it by the parity of the bits it changes, so a soft error injected
+    /// via [`CoarseTaintCache::corrupt_slot`] (which flips `bits`
+    /// without updating this) stays visible to
+    /// [`CoarseTaintCache::scrub`] until a scrub repairs the line.
     parity: bool,
 }
 
@@ -328,9 +330,11 @@ impl CoarseTaintCache {
                 }
             };
             if tainted {
-                self.lines[idx].bits |= mask;
-                self.lines[idx].parity = odd_parity(self.lines[idx].bits);
-                self.lines[idx].clear_bits &= !mask;
+                let line = &mut self.lines[idx];
+                let bits = line.bits | mask;
+                line.parity ^= odd_parity(line.bits ^ bits);
+                line.bits = bits;
+                line.clear_bits &= !mask;
                 if !ctt.domain_bit(domain) {
                     ctt.set_domain_bit(domain, true);
                 }
@@ -373,8 +377,8 @@ impl CoarseTaintCache {
                     report.cleared.push(crate::domain::DomainId(domain_index));
                 }
             }
+            self.lines[idx].parity ^= odd_parity(line.bits ^ bits);
             self.lines[idx].bits = bits;
-            self.lines[idx].parity = odd_parity(bits);
             self.lines[idx].clear_bits = 0;
         }
         report
@@ -765,6 +769,23 @@ mod tests {
         assert_eq!(report.lines_repaired, 1);
         assert!(!ctc.lookup(0x1040, &ctt).tainted);
         assert!(ctc.lookup(0x1000, &ctt).tainted, "legit taint survives");
+    }
+
+    #[test]
+    fn writes_keep_a_flip_in_their_line_visible() {
+        let (mut ctc, mut ctt) = small_ctc();
+        ctc.write_taint(0x1000, 4, true, &mut ctt);
+        ctc.corrupt_slot(0, geom().bit_of(0x1000), false).unwrap();
+        // A taint write, then a clear-scan, to other domains of the
+        // corrupted line: each toggles parity by the bits it changes.
+        ctc.write_taint(0x1040, 4, true, &mut ctt);
+        assert!(ctc.parity_mismatch(), "after the write");
+        ctc.write_taint(0x1040, 4, false, &mut ctt);
+        ctc.clear_scan(&EmptyView, &mut ctt);
+        assert!(ctc.parity_mismatch(), "after the clear-scan");
+        assert_eq!(ctc.scrub(&ctt).lines_repaired, 1);
+        assert!(ctc.lookup(0x1000, &ctt).tainted, "scrub restored the bit");
+        assert!(ctc.coherent_with(&ctt));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! path. [`CoarseTaintTable::corrupt_slot`] models a soft error by
 //! flipping a bit *without* updating parity, and
 //! [`CoarseTaintTable::scrub`] detects the mismatch and conservatively
-//! re-derives the word from the precise taint state.
+//! re-derives the word from the precise taint state. A legitimate
+//! domain write toggles the parity by the one bit it changes rather
+//! than recomputing it, so a flip elsewhere in the word stays visible
+//! until a scrub repairs it.
 
 use crate::domain::{CttWordId, DomainGeometry, DomainId};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -69,9 +72,18 @@ impl CoarseTaintTable {
         self.words.get(&word.0).copied().unwrap_or(0)
     }
 
-    /// Stores a CTT word, reclaiming storage for all-zero words.
+    /// Stores a CTT word with fresh parity, reclaiming storage for
+    /// all-zero words.
     #[inline]
     pub fn store_word(&mut self, word: CttWordId, bits: u32) {
+        self.put(word, bits, odd_parity(bits));
+    }
+
+    /// Stores `bits` under the parity flag `parity`. An all-zero word
+    /// is reclaimed only when its parity agrees; one with stale parity
+    /// stays resident, as [`corrupt_slot`](Self::corrupt_slot) leaves
+    /// it, so a scrub can still detect it.
+    fn put(&mut self, word: CttWordId, bits: u32, parity: bool) {
         if latch_obs::ENABLED {
             let before = self.load_word(word);
             if before != bits {
@@ -86,12 +98,12 @@ impl CoarseTaintTable {
                 );
             }
         }
-        if bits == 0 {
+        if bits == 0 && !parity {
             self.words.remove(&word.0);
             self.parity.remove(&word.0);
         } else {
             self.words.insert(word.0, bits);
-            self.parity.insert(word.0, odd_parity(bits));
+            self.parity.insert(word.0, parity);
         }
     }
 
@@ -104,14 +116,16 @@ impl CoarseTaintTable {
     }
 
     /// Sets or clears the coarse taint bit for a single domain. Returns the
-    /// previous value of the bit.
+    /// previous value of the bit. A change toggles the word's stored
+    /// parity, so a flip elsewhere in the word stays detectable.
     pub fn set_domain_bit(&mut self, domain: DomainId, tainted: bool) -> bool {
         let word = CttWordId(domain.0 / CTT_WORD_BITS);
         let mask = 1u32 << (domain.0 % CTT_WORD_BITS);
         let old = self.load_word(word);
         let new = if tainted { old | mask } else { old & !mask };
         if new != old {
-            self.store_word(word, new);
+            let parity = self.parity.get(&word.0).copied().unwrap_or(false);
+            self.put(word, new, !parity);
         }
         old & mask != 0
     }
@@ -377,6 +391,26 @@ mod tests {
         assert_eq!(report.domains_dropped, 1);
         assert!(ctt.domain_bit(d), "legit taint survives");
         assert_eq!(ctt.tainted_domains(), 1);
+    }
+
+    #[test]
+    fn domain_writes_keep_a_flip_in_their_word_visible() {
+        let geom = DomainGeometry::new(64).unwrap();
+        let mut ctt = CoarseTaintTable::new();
+        let d = geom.domain_of(0x1000);
+        ctt.set_domain_bit(d, true);
+        ctt.corrupt_slot(0, d.0 % CTT_WORD_BITS, false).unwrap();
+        // Taint and untaint a neighbour in the same word: the word ends
+        // at zero with stale parity, and stays resident for the scrub.
+        let next = DomainId(d.0 + 1);
+        ctt.set_domain_bit(next, true);
+        assert!(ctt.parity_mismatch(), "after the set");
+        ctt.set_domain_bit(next, false);
+        assert!(ctt.parity_mismatch(), "after the clear");
+        assert_eq!(ctt.populated_words(), 1);
+        let report = ctt.scrub(&geom, &SpanView(0x1000, 4));
+        assert_eq!(report.domains_retainted, 1);
+        assert!(ctt.domain_bit(d), "scrub must rebuild the bit as tainted");
     }
 
     #[test]

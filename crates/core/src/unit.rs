@@ -309,12 +309,11 @@ impl LatchUnit {
     /// Whether a clean coarse answer can stand in for the precise tier:
     /// false for good from the first [`corrupt_coarse`](Self::corrupt_coarse)
     /// flip, because a [`scrub`](Self::scrub) cannot vouch for the
-    /// state — a flip that a legitimate write to its word re-parities
-    /// is invisible to every scrub, however many other flips it
-    /// repairs. A restore is untrusted when a CTT word or CTC line
-    /// carries stale parity or the unit's scrubs ever repaired
-    /// anything; it cannot see a flip that was re-paritied before the
-    /// snapshot and never met a scrub, and trusts it.
+    /// state — two flips in one CTT word or CTC line cancel in its
+    /// parity. Legitimate writes toggle parity by the bits they change,
+    /// so a single flip stays visible until a scrub repairs it, and a
+    /// restore is untrusted when a CTT word or CTC line carries stale
+    /// parity or the unit's scrubs ever repaired anything.
     pub fn coarse_trusted(&self) -> bool {
         !self.suspect
     }

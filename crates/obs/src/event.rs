@@ -171,20 +171,6 @@ pub enum TraceEvent {
         /// Pressure level that triggered the shed (1 or 2).
         pressure: u8,
     },
-    /// A session was demoted to coarse-only screening.
-    SessionDemote {
-        /// The demoted session's id.
-        session: u64,
-        /// Events applied precisely before the demotion checkpoint.
-        at_applied: u64,
-    },
-    /// A demoted session was promoted back to precise checking.
-    SessionPromote {
-        /// The promoted session's id.
-        session: u64,
-        /// Coarse-only events replayed through the precise tier.
-        replayed: u64,
-    },
     /// Recovery quarantined a corrupt or torn frame.
     FrameQuarantined {
         /// The session whose file held the frame.
@@ -355,8 +341,6 @@ impl TraceEvent {
             TraceEvent::RecoveryStart { .. } => "recovery_start",
             TraceEvent::SloReport { .. } => "slo_report",
             TraceEvent::SubmissionShed { .. } => "submission_shed",
-            TraceEvent::SessionDemote { .. } => "session_demote",
-            TraceEvent::SessionPromote { .. } => "session_promote",
             TraceEvent::FrameQuarantined { .. } => "frame_quarantined",
             TraceEvent::ConnOpen { .. } => "conn_open",
             TraceEvent::ConnClose { .. } => "conn_close",
@@ -508,15 +492,6 @@ impl TraceEvent {
                     out,
                     ",\"session\":{session},\"priority\":{priority},\"pressure\":{pressure}"
                 );
-            }
-            TraceEvent::SessionDemote {
-                session,
-                at_applied,
-            } => {
-                let _ = write!(out, ",\"session\":{session},\"at_applied\":{at_applied}");
-            }
-            TraceEvent::SessionPromote { session, replayed } => {
-                let _ = write!(out, ",\"session\":{session},\"replayed\":{replayed}");
             }
             TraceEvent::ConnOpen { conn } => {
                 let _ = write!(out, ",\"conn\":{conn}");

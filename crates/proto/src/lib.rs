@@ -45,8 +45,9 @@ use std::time::Duration;
 /// rejected at the first frame with [`ProtoError::BadMagic`].
 pub const PROTO_MAGIC: u32 = 0x4C54_5750;
 
-/// Protocol version negotiated by Hello/HelloAck.
-pub const PROTO_VERSION: u32 = 2;
+/// Protocol version negotiated by Hello/HelloAck. Version 3 dropped
+/// the degraded-session count from [`Msg::SloPush`].
+pub const PROTO_VERSION: u32 = 3;
 
 /// Cap on a single frame's payload. Matches the journal's
 /// `WAL_MAX_PAYLOAD` so the wire can never admit a batch the journal
@@ -346,8 +347,6 @@ pub struct WireSlo {
     pub pressure: u8,
     /// Events shed so far (cumulative).
     pub shed_events: u64,
-    /// Sessions degraded to coarse-only at the cut.
-    pub degraded: u32,
 }
 
 /// One protocol message. See the module docs for the frame layout.
@@ -933,7 +932,6 @@ impl Msg {
                 w.u8(u8::from(slo.breach));
                 w.u8(slo.pressure);
                 w.u64(slo.shed_events);
-                w.u32(slo.degraded);
             }
             Msg::Drain => w.u8(TAG_DRAIN),
             Msg::Drained { reports } => {
@@ -1183,7 +1181,6 @@ impl Msg {
                 breach: r.flag()?,
                 pressure: r.u8()?,
                 shed_events: r.u64()?,
-                degraded: r.u32()?,
             }),
             TAG_DRAIN => Msg::Drain,
             TAG_DRAINED => {
@@ -1714,7 +1711,6 @@ mod tests {
                 breach: true,
                 pressure: 1,
                 shed_events: 128,
-                degraded: 2,
             }),
             Msg::Drain,
             Msg::Drained {
@@ -2087,7 +2083,6 @@ mod tests {
                 breach: false,
                 pressure: 0,
                 shed_events: 0,
-                degraded: 0,
             }),
             Msg::Drained {
                 reports: vec![(1, vec![4u8; 24])],

@@ -8,6 +8,11 @@
 //! latchd --listen unix:/tmp/latchd.sock --dir ./state --window 4096
 //! ```
 //!
+//! `--slo-cycles N` arms the overload policy at a p99 target of `N`
+//! simulated cycles per batch: SLO telemetry for connections that ask
+//! for it, and lowest-priority-first shedding under pressure (a
+//! breached target, or a queue past `Slo::OFF`'s occupancy threshold).
+//!
 //! The process exits 0 once a client issues `Drain` and the `Drained`
 //! reply has been written.
 

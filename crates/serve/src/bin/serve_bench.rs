@@ -2,10 +2,10 @@
 //!
 //! Drives S sessions × E events/session of mixed-priority traffic
 //! through the scheduler with a capped queue and an armed SLO, and
-//! reports what was admitted, shed, demoted and resynced. Every figure
-//! is an event count or a **simulated cost-model cycle** count —
-//! wall-clock never appears in the output, so the JSON is
-//! byte-reproducible on any machine and pins the overload trajectory.
+//! reports what was admitted and shed. Every figure is an event count
+//! or a **simulated cost-model cycle** count — wall-clock never appears
+//! in the output, so the JSON is byte-reproducible on any machine and
+//! pins the overload trajectory.
 //!
 //! ```text
 //! serve_bench [--sessions S] [--events E] [--chunk C] [--out BENCH_serve.json]
@@ -77,9 +77,6 @@ fn run_overload(streams: &[Vec<Event>], chunk: usize) -> (ServiceOutcome, u64, u
             slo_cycles: 96,
             window: 64,
             report_every: 8,
-            demote_after: 1,
-            promote_after: 2,
-            max_degraded: 8,
             queue_pressure_pct: 50,
         },
         ..ServeConfig::default()
@@ -146,21 +143,13 @@ fn main() {
     } else {
         out.stats.shed_events as f64 / offered as f64
     };
-    eprintln!(
-        "overload: offered={offered}, admitted={admitted}, shed_rate={shed_rate:.4}, \
-         demotions={}, coarse_events={}",
-        out.stats.demotions, out.stats.coarse_events
-    );
+    eprintln!("overload: offered={offered}, admitted={admitted}, shed_rate={shed_rate:.4}");
     let _ = writeln!(json, "  \"overload\": {{");
     let _ = writeln!(json, "    \"slo_cycles\": 96,");
     let _ = writeln!(json, "    \"offered_events\": {offered},");
     let _ = writeln!(json, "    \"admitted_events\": {admitted},");
     let _ = writeln!(json, "    \"shed_events\": {},", out.stats.shed_events);
-    let _ = writeln!(json, "    \"shed_rate\": {shed_rate:.4},");
-    let _ = writeln!(json, "    \"demotions\": {},", out.stats.demotions);
-    let _ = writeln!(json, "    \"promotions\": {},", out.stats.promotions);
-    let _ = writeln!(json, "    \"coarse_events\": {},", out.stats.coarse_events);
-    let _ = writeln!(json, "    \"resync_cycles\": {}", out.stats.resync_cycles);
+    let _ = writeln!(json, "    \"shed_rate\": {shed_rate:.4}");
     json.push_str("  }\n}\n");
 
     std::fs::write(&args.out, &json).expect("write bench output");

@@ -32,7 +32,7 @@ pub use durable::{
     ImportError, RecoveryReport, SessionExport, SessionRecovery,
 };
 pub use journal::RecoveryError;
-pub use overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
+pub use overload::{Priority, Slo, SloReport, SloSampler};
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use wire::{WireConfig, WireServer};
 
@@ -199,18 +199,6 @@ pub struct ServeStats {
     pub rejected_shed: u64,
     /// Events those shed submissions carried.
     pub shed_events: u64,
-    /// Sessions demoted to coarse-only screening.
-    pub demotions: u64,
-    /// Degraded sessions promoted back to precise checking.
-    pub promotions: u64,
-    /// Deferred events replayed precisely at promotion.
-    pub resync_events: u64,
-    /// Simulated cycles the promotion resyncs consumed.
-    pub resync_cycles: u64,
-    /// Batches applied coarse-only (degraded throughput).
-    pub coarse_batches: u64,
-    /// Events those coarse-only batches carried.
-    pub coarse_events: u64,
 }
 
 /// Everything a drained service hands back.
@@ -225,10 +213,6 @@ pub struct ServiceOutcome {
     /// Every SLO report cut during the run, in order. Empty when the
     /// overload policy is off.
     pub slo_reports: Vec<SloReport>,
-    /// Every coarse-only degradation span, in promotion order. The
-    /// spans quantify the precision trade; the per-session reports are
-    /// unaffected (promotion resyncs precisely).
-    pub degraded_spans: Vec<DegradedSpan>,
     /// Wall-clock drain time. Timing-dependent — never part of any
     /// determinism oracle.
     pub wall_ns: u64,
@@ -281,12 +265,6 @@ impl Service {
         self.sched.submit(session, events, priority)
     }
 
-    /// Session ids currently degraded to coarse-only screening, sorted.
-    #[must_use]
-    pub fn degraded_sessions(&self) -> Vec<u64> {
-        self.sched.degraded_sessions()
-    }
-
     /// Applies every queued event.
     pub fn pump(&mut self) {
         self.sched.pump();
@@ -299,23 +277,15 @@ impl Service {
     pub fn finish(mut self) -> ServiceOutcome {
         self.pump();
         let wall_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut sched = self.sched;
-        // Any session still degraded at drain end is promoted now: its
-        // deferred span replays through the precise tier, so every final
-        // report is byte-identical to an unpressured solo run of the
-        // session's admitted stream.
-        sched.promote_all();
-        let stats = sched.stats;
-        let slo_reports = sched.slo_reports.clone();
-        let degraded_spans = sched.degraded_spans.clone();
-        let pipelines = sched.into_sessions();
+        let stats = self.sched.stats;
+        let slo_reports = std::mem::take(&mut self.sched.slo_reports);
+        let pipelines = self.sched.into_sessions();
         let sessions = pipelines.iter().map(|(id, p)| (*id, p.report())).collect();
         ServiceOutcome {
             sessions,
             pipelines,
             stats,
             slo_reports,
-            degraded_spans,
             wall_ns,
         }
     }
@@ -527,16 +497,14 @@ mod tests {
     #[test]
     fn slo_off_changes_nothing() {
         // The overload layer must be invisible when disabled: same
-        // stats, same reports, no SLO cuts, no spans.
+        // stats, same reports, no SLO cuts, no sheds.
         let streams = session_streams();
         let cfg = ServeConfig::default();
         let mut svc = Service::deterministic(cfg);
         drive(&mut svc, &streams, 128);
         let out = svc.finish();
         assert!(out.slo_reports.is_empty());
-        assert!(out.degraded_spans.is_empty());
         assert_eq!(out.stats.rejected_shed, 0);
-        assert_eq!(out.stats.demotions, 0);
     }
 
     #[test]
@@ -548,7 +516,6 @@ mod tests {
                 slo_cycles: 1, // every real batch breaches
                 report_every: 1,
                 queue_pressure_pct: 50,
-                max_degraded: 0, // isolate shedding from demotion
                 ..Slo::OFF
             },
             ..ServeConfig::default()
@@ -596,7 +563,6 @@ mod tests {
             slo: Slo {
                 slo_cycles: 1,
                 queue_pressure_pct: 50,
-                max_degraded: 0,
                 ..Slo::OFF
             },
             ..ServeConfig::default()
@@ -613,116 +579,42 @@ mod tests {
     }
 
     #[test]
-    fn demoted_then_promoted_matches_unpressured_solo_run() {
-        // Sessions: 0 critical (never demoted), 1 and 2 normal. With
-        // slo_cycles = 1 every cut breaches, so demotion starts at the
-        // first cut and never lifts until the drain promotes everyone.
-        // Pressure stays at level 1 (occupancy bar at 100%), which
-        // sheds only bulk — so the normal sessions keep receiving
-        // events *while degraded*, exercising the deferred buffer.
-        let streams: Vec<(u64, Vec<Event>)> = vec![
-            (0, events("perlbench", 300, 4_000)),
-            (1, events("gromacs", 301, 4_000)),
-            (2, events("hmmer", 302, 4_000)),
-        ];
-        let cfg = ServeConfig {
-            slo: Slo {
-                slo_cycles: 1,
-                report_every: 4,
-                demote_after: 1,
-                max_degraded: 2,
-                queue_pressure_pct: 100,
-                ..Slo::OFF
-            },
-            ..ServeConfig::default()
-        };
-        let run = || {
-            let mut svc = Service::deterministic(cfg);
-            for r in 0..streams.iter().map(|(_, e)| e.len().div_ceil(256)).max().unwrap() {
-                for (id, evs) in &streams {
-                    let prio = if *id == 0 { Priority::Critical } else { Priority::Normal };
-                    let lo = (r * 256).min(evs.len());
-                    let hi = (lo + 256).min(evs.len());
-                    svc.submit_with_priority(*id, &evs[lo..hi], prio)
-                        .expect("pressure 1 never sheds normal or critical");
-                }
-                svc.pump();
-            }
-            svc.finish()
-        };
-        let out = run();
-        assert!(out.stats.demotions >= 1, "breach streak must demote");
-        assert_eq!(out.stats.demotions, out.stats.promotions);
-        assert_eq!(out.degraded_spans.len() as u64, out.stats.demotions);
-        assert!(out.stats.coarse_batches > 0, "demoted sessions must run coarse-only");
-        let span = &out.degraded_spans[0];
-        assert!(span.deferred_events > 0, "demoted session must defer events");
-        assert_eq!(out.stats.resync_events, out
-            .degraded_spans
-            .iter()
-            .map(|s| s.deferred_events)
-            .sum::<u64>());
-        // The acceptance bar: demote + coarse-only + promote is byte-
-        // invisible in every per-session report.
-        for (id, evs) in &streams {
-            assert_eq!(
-                out.sessions[id].encode(),
-                solo_report(evs, cfg.scrub_interval).encode(),
-                "session {id} diverged through its degraded span"
-            );
-        }
-        // And the whole overload trajectory replays byte-identically.
-        let out2 = run();
-        assert_eq!(out.stats, out2.stats);
-        assert_eq!(out.degraded_spans, out2.degraded_spans);
-        assert_eq!(
-            out.slo_reports.iter().flat_map(SloReport::encode).collect::<Vec<u8>>(),
-            out2.slo_reports.iter().flat_map(SloReport::encode).collect::<Vec<u8>>(),
-        );
-    }
-
-    /// `(applied, blob)` of a degraded session's durable snapshot
-    /// source: its demotion checkpoint, never the live pipeline.
-    fn demotion_checkpoint(svc: &Service, session: u64) -> (u64, Vec<u8>) {
-        match svc.snapshot_source(session).expect("quiescent") {
-            SnapSource::Encoded { applied, blob, .. } => (applied, blob.to_vec()),
-            SnapSource::Live(_) => panic!("a degraded session snapshots its demotion checkpoint"),
-        }
-    }
-
-    #[test]
-    fn degraded_session_snapshot_is_the_demotion_checkpoint() {
+    fn breaching_session_snapshot_is_the_live_pipeline() {
+        // Every cut breaches, and the sole normal session is admitted
+        // at pressure 1. A breach only sheds, so each pump applies
+        // every admitted event: the durable snapshot source is the
+        // live pipeline, and its progress covers the whole stream.
         let evs = events("gromacs", 44, 2_000);
         let cfg = ServeConfig {
             slo: Slo {
                 slo_cycles: 1,
                 report_every: 2,
-                demote_after: 1,
-                max_degraded: 1,
                 queue_pressure_pct: 100,
                 ..Slo::OFF
             },
             ..ServeConfig::default()
         };
         let mut svc = Service::deterministic(cfg);
-        svc.submit(7, &evs[..1_000]).expect("queue empty");
-        svc.pump();
-        assert_eq!(svc.degraded_sessions(), vec![7], "sole normal session demotes");
-        let (applied, blob) = demotion_checkpoint(&svc, 7);
-        let restored = SessionPipeline::from_snapshot(&blob).expect("checkpoint decodes");
-        assert_eq!(restored.applied(), applied);
+        let mut admitted = 0;
+        for chunk in evs.chunks(500) {
+            svc.submit(7, chunk).expect("pressure 1 admits normal");
+            admitted += chunk.len() as u64;
+            svc.pump();
+            match svc.snapshot_source(7).expect("the session ran") {
+                SnapSource::Live(pipe) => assert_eq!(pipe.applied(), admitted),
+                SnapSource::Encoded { .. } => panic!("a resident session snapshots its pipeline"),
+            }
+            assert_eq!(svc.session_progress(7), Some((admitted, 0)));
+        }
+        let cuts = svc.slo_reports();
         assert!(
-            applied < 1_000,
-            "durable progress must freeze at the demotion point, not track coarse progress"
+            !cuts.is_empty() && cuts.iter().all(|r| r.breach),
+            "every cut breaches"
         );
-        // More traffic while degraded must not move the durable cursor.
-        svc.submit(7, &evs[1_000..]).expect("pressure 1 admits normal");
-        svc.pump();
-        let (applied2, _) = demotion_checkpoint(&svc, 7);
-        assert_eq!(applied, applied2);
-        // The drain still promotes and lands on the full stream.
         let out = svc.finish();
-        assert_eq!(out.sessions[&7].encode(), solo_report(&evs, cfg.scrub_interval).encode());
+        assert_eq!(
+            out.sessions[&7].encode(),
+            solo_report(&evs, cfg.scrub_interval).encode()
+        );
     }
-
 }

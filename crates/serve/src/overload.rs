@@ -6,23 +6,21 @@
 //! state and byte-identical across reruns of the deterministic mode. No
 //! wall clock enters any decision.
 //!
-//! The policy surface (paper framing: LATCH checking should cost
-//! ~nothing when nothing is tainted; HardTaint shows that under an
-//! overhead budget the principled move is to fall back to coarse
-//! screening and *quantify* the precision loss, never to drop
-//! correctness):
+//! Under overload the service sheds admissions, lowest priority first,
+//! and never weakens checking: every admitted event is applied by the
+//! tier-gated [`SessionPipeline::apply`](latch_systems::session::SessionPipeline::apply),
+//! which already lets the coarse screen answer taint-free events alone
+//! (DESIGN.md §12). The policy surface:
 //!
 //! * [`Slo`] — the target and the knobs (window, report cadence,
-//!   demotion hysteresis, degradation bound).
+//!   queue-pressure threshold).
 //! * [`SloSampler`] — a fixed-size ring of per-batch cycle costs with
 //!   nearest-rank p50/p99 extraction.
 //! * [`SloReport`] — one periodic cut of the sampler, emitted through
 //!   latch-obs and kept in [`ServiceOutcome`](crate::ServiceOutcome).
+//!   Its breach verdict is the latency half of the shed pressure.
 //! * [`Priority`] — the admission class used for lowest-priority-first
 //!   shedding.
-//! * [`DegradedSpan`] — the record of one coarse-only span: when a
-//!   session was demoted, when it was promoted back, and how many
-//!   deferred events the precise resync replayed.
 
 use latch_core::snapshot::SnapWriter;
 
@@ -32,13 +30,13 @@ use latch_core::snapshot::SnapWriter;
 /// clients happen to pass flags in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
-    /// Never shed, never demoted; rejected only by hard capacity
+    /// Never shed; rejected only by hard capacity
     /// ([`Rejected::QueueFull`](crate::Rejected::QueueFull)).
     Critical,
     /// Shed only at severe pressure (level 2).
     #[default]
     Normal,
-    /// First to shed (level 1) and first to demote.
+    /// First to shed (level 1).
     Bulk,
 }
 
@@ -80,8 +78,8 @@ impl Priority {
 /// The service-level latency objective and overload-policy knobs.
 ///
 /// `slo_cycles == 0` disables the whole overload layer: no sampling
-/// overhead beyond ring pushes, no reports, no shedding, no demotion —
-/// existing workloads behave exactly as before.
+/// overhead beyond ring pushes, no reports, no shedding — existing
+/// workloads behave exactly as before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slo {
     /// Target p99 per-batch cost in simulated cycles (0 = off).
@@ -90,12 +88,6 @@ pub struct Slo {
     pub window: usize,
     /// Completed batches between [`SloReport`] cuts.
     pub report_every: u64,
-    /// Consecutive breached cuts before one session is demoted.
-    pub demote_after: u32,
-    /// Consecutive clean cuts before degraded sessions are promoted.
-    pub promote_after: u32,
-    /// Upper bound on concurrently degraded sessions.
-    pub max_degraded: usize,
     /// Queue occupancy (percent of `queue_events`) that counts as
     /// pressure on its own, independent of the latency signal.
     pub queue_pressure_pct: u32,
@@ -108,17 +100,12 @@ impl Slo {
         slo_cycles: 0,
         window: 64,
         report_every: 16,
-        demote_after: 2,
-        promote_after: 2,
-        max_degraded: 4,
         queue_pressure_pct: 75,
     };
 
     pub(crate) fn sanitized(mut self) -> Self {
         self.window = self.window.max(1);
         self.report_every = self.report_every.max(1);
-        self.demote_after = self.demote_after.max(1);
-        self.promote_after = self.promote_after.max(1);
         self.queue_pressure_pct = self.queue_pressure_pct.clamp(1, 100);
         self
     }
@@ -242,7 +229,6 @@ impl SloSampler {
             breach: slo_cycles > 0 && p99 > slo_cycles,
             pressure: 0,
             shed_events: 0,
-            degraded: 0,
         }
     }
 }
@@ -266,8 +252,6 @@ pub struct SloReport {
     pub pressure: u8,
     /// Events shed so far (cumulative).
     pub shed_events: u64,
-    /// Sessions degraded to coarse-only at the cut.
-    pub degraded: u32,
 }
 
 impl SloReport {
@@ -283,29 +267,8 @@ impl SloReport {
         w.u64(u64::from(self.breach));
         w.u64(u64::from(self.pressure));
         w.u64(self.shed_events);
-        w.u64(u64::from(self.degraded));
         w.finish()
     }
-}
-
-/// The record of one coarse-only degradation span: demotion cut,
-/// promotion cut, and the precise resync size. Spans live in
-/// [`ServiceOutcome`](crate::ServiceOutcome), *not* in the per-session
-/// [`SessionReport`](latch_systems::session::SessionReport) — promotion
-/// replays the span through the precise tier, so the session's report
-/// stays byte-identical to an unpressured solo run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradedSpan {
-    /// The demoted session.
-    pub session: u64,
-    /// Precisely applied events at the demotion checkpoint.
-    pub from_applied: u64,
-    /// Completed-batch count at demotion.
-    pub demoted_at_batch: u64,
-    /// Completed-batch count at promotion.
-    pub promoted_at_batch: u64,
-    /// Deferred events the promotion resync replayed precisely.
-    pub deferred_events: u64,
 }
 
 #[cfg(test)]
@@ -401,7 +364,6 @@ mod tests {
             breach: true,
             pressure: 1,
             shed_events: 5,
-            degraded: 6,
         };
         let mut b = a;
         b.pressure = 2;

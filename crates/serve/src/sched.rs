@@ -19,7 +19,7 @@
 //!   `SessionPipeline` snapshot contract), so eviction and migration
 //!   are invisible in per-session reports.
 
-use crate::overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
+use crate::overload::{Priority, Slo, SloReport, SloSampler};
 use crate::{Rejected, ServeConfig, ServeStats};
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
@@ -32,16 +32,21 @@ enum SlotState {
     Fresh,
     /// Resident pipeline, ready to run.
     Live(Box<SessionPipeline>),
-    /// Evicted to a snapshot blob.
-    Frozen(Vec<u8>),
+    /// Evicted to a snapshot blob, with the progress and recovery
+    /// epoch it covers, so the durability layer knows them without
+    /// decoding the blob.
+    Frozen {
+        blob: Vec<u8>,
+        applied: u64,
+        epoch: u64,
+    },
 }
 
 /// A session's state, borrowed for a durable snapshot.
 pub(crate) enum SnapSource<'a> {
     /// A resident pipeline, not yet encoded.
     Live(&'a SessionPipeline),
-    /// An LTSE blob encoded earlier (a frozen slot, or a degraded
-    /// session's demotion checkpoint) and the progress it covers.
+    /// A frozen slot's LTSE blob and the progress it covers.
     Encoded {
         applied: u64,
         epoch: u64,
@@ -49,36 +54,13 @@ pub(crate) enum SnapSource<'a> {
     },
 }
 
-/// The coarse-only degradation state of one demoted session.
-///
-/// The checkpoint freezes the last precise state; `deferred` collects
-/// every event the session retires coarse-only, in order. Promotion
-/// restores the checkpoint and replays `deferred` through the full
-/// pipeline, so the final report is byte-identical to a run that was
-/// never demoted.
-struct Degraded {
-    checkpoint: Vec<u8>,
-    deferred: Vec<Event>,
-    from_applied: u64,
-    at_batch: u64,
-}
-
 struct Slot {
     state: SlotState,
     pending: VecDeque<Event>,
     /// Logical completion tick of the last batch (LRU recency).
     last_active: u64,
-    /// Events the pipeline had applied at its last quiescent point —
-    /// kept current so a `Frozen` slot's progress is known without
-    /// decoding its blob (the durability layer snapshots from this).
-    /// Frozen at the demotion point while the slot is degraded.
-    applied: u64,
-    /// Recovery epoch at the same point.
-    epoch: u64,
     /// Admission class, fixed at slot creation (sticky).
     priority: Priority,
-    /// `Some` while the session runs coarse-only.
-    degraded: Option<Degraded>,
 }
 
 impl Slot {
@@ -87,10 +69,7 @@ impl Slot {
             state: SlotState::Fresh,
             pending: VecDeque::new(),
             last_active: 0,
-            applied: 0,
-            epoch: 0,
             priority,
-            degraded: None,
         }
     }
 }
@@ -114,13 +93,8 @@ pub(crate) struct Sched {
     /// Breach verdict of the last cut — the latency half of the
     /// pressure signal, stable between cuts.
     last_breach: bool,
-    breach_streak: u32,
-    clean_streak: u32,
-    degraded_count: usize,
     /// Every SLO cut, in order.
     pub slo_reports: Vec<SloReport>,
-    /// Every completed degradation span, in promotion order.
-    pub degraded_spans: Vec<DegradedSpan>,
 }
 
 impl Sched {
@@ -138,11 +112,7 @@ impl Sched {
             sampler: SloSampler::new(slo.window),
             completed: 0,
             last_breach: false,
-            breach_streak: 0,
-            clean_streak: 0,
-            degraded_count: 0,
             slo_reports: Vec::new(),
-            degraded_spans: Vec::new(),
         }
     }
 
@@ -249,7 +219,7 @@ impl Sched {
         let batch: Vec<Event> = slot.pending.drain(..take).collect();
         if !matches!(slot.state, SlotState::Live(_)) {
             let thawed = match &slot.state {
-                SlotState::Frozen(blob) => {
+                SlotState::Frozen { blob, .. } => {
                     self.stats.restores = self.stats.restores.saturating_add(1);
                     latch_obs::counter_inc("serve.session.restores");
                     latch_obs::emit("serve", TraceEvent::SessionRestore { session });
@@ -266,29 +236,11 @@ impl Sched {
         self.pending_total -= batch.len();
         self.stats.dispatches = self.stats.dispatches.saturating_add(1);
         latch_obs::histogram_record("serve.batch.events", batch.len() as u64);
-        let cycles = if let Some(d) = slot.degraded.as_mut() {
-            // Degraded span: coarse screen only, no precise mirror, at
-            // one cycle per event. The batch is deferred for the
-            // precise resync, and `applied`/`epoch` stay frozen at the
-            // demotion point — the durability layer must keep
-            // snapshotting the precise checkpoint.
-            for ev in &batch {
-                pipeline.apply_coarse_only(ev);
-            }
-            let n = batch.len() as u64;
-            d.deferred.extend(batch);
-            self.stats.coarse_batches = self.stats.coarse_batches.saturating_add(1);
-            self.stats.coarse_events = self.stats.coarse_events.saturating_add(n);
-            n
-        } else {
-            let start = pipeline.cycles();
-            for ev in &batch {
-                pipeline.apply(ev);
-            }
-            slot.applied = pipeline.applied();
-            slot.epoch = pipeline.epoch();
-            pipeline.cycles() - start
-        };
+        let start = pipeline.cycles();
+        for ev in &batch {
+            pipeline.apply(ev);
+        }
+        let cycles = pipeline.cycles() - start;
         latch_obs::histogram_record("serve.batch.cycles", cycles);
         self.tick += 1;
         slot.last_active = self.tick;
@@ -300,8 +252,8 @@ impl Sched {
     }
 
     /// Records one completed batch in the SLO sampler and, on cadence,
-    /// cuts a report and applies the demotion/promotion policy. Pure in
-    /// scheduler state — the whole overload trajectory of a
+    /// cuts a report whose breach verdict feeds the shed pressure. Pure
+    /// in scheduler state — the whole overload trajectory of a
     /// deterministic run replays byte-identically.
     fn note_batch(&mut self, cycles: u64) {
         self.sampler.push(cycles);
@@ -311,25 +263,8 @@ impl Sched {
         }
         let mut report = self.sampler.cut(self.completed, self.slo.slo_cycles);
         self.last_breach = report.breach;
-        if report.breach {
-            self.breach_streak = self.breach_streak.saturating_add(1);
-            self.clean_streak = 0;
-        } else {
-            self.clean_streak = self.clean_streak.saturating_add(1);
-            self.breach_streak = 0;
-        }
         report.pressure = self.pressure(0);
         report.shed_events = self.stats.shed_events;
-        if report.breach
-            && self.breach_streak >= self.slo.demote_after
-            && self.degraded_count < self.slo.max_degraded
-        {
-            self.demote_one();
-        } else if !report.breach && self.clean_streak >= self.slo.promote_after {
-            self.promote_all();
-            self.maybe_evict();
-        }
-        report.degraded = self.degraded_count as u32;
         latch_obs::emit(
             "serve",
             TraceEvent::SloReport {
@@ -342,124 +277,14 @@ impl Sched {
         self.slo_reports.push(report);
     }
 
-    /// Demotes the lowest-priority demotable session to coarse-only
-    /// screening. Candidates must have state (`Live` or `Frozen`) and
-    /// never be `Critical`; ties break to the smallest session id, so
-    /// the choice is a pure function of scheduler state.
-    fn demote_one(&mut self) {
-        let victim = self
-            .slots
-            .iter()
-            .filter(|(_, s)| {
-                s.degraded.is_none()
-                    && s.priority != Priority::Critical
-                    && matches!(s.state, SlotState::Live(_) | SlotState::Frozen(_))
-            })
-            .max_by_key(|(id, s)| (s.priority.rank(), std::cmp::Reverse(**id)))
-            .map(|(id, _)| *id);
-        let Some(id) = victim else { return };
-        let slot = self.slots.get_mut(&id).expect("victim exists");
-        let checkpoint = match &slot.state {
-            SlotState::Live(p) => p.to_snapshot(),
-            SlotState::Frozen(blob) => blob.clone(),
-            SlotState::Fresh => unreachable!("victim filter excludes fresh slots"),
-        };
-        slot.degraded = Some(Degraded {
-            checkpoint,
-            deferred: Vec::new(),
-            from_applied: slot.applied,
-            at_batch: self.completed,
-        });
-        let at_applied = slot.applied;
-        self.degraded_count += 1;
-        self.stats.demotions = self.stats.demotions.saturating_add(1);
-        latch_obs::counter_inc("serve.session.demotions");
-        latch_obs::emit(
-            "serve",
-            TraceEvent::SessionDemote {
-                session: id,
-                at_applied,
-            },
-        );
-    }
-
-    /// Promotes every degraded session, in session-id order: restores
-    /// each demotion checkpoint and replays the deferred span through
-    /// the precise tier, making the span invisible in the session's
-    /// final report. Runs at a clean cut and at drain.
-    pub fn promote_all(&mut self) {
-        for id in self.degraded_sessions() {
-            self.promote(id);
-        }
-        debug_assert_eq!(self.degraded_count, 0);
-    }
-
-    fn promote(&mut self, id: u64) {
-        let slot = self.slots.get_mut(&id).expect("degraded slot exists");
-        let Some(d) = slot.degraded.take() else { return };
-        let was_live = matches!(slot.state, SlotState::Live(_));
-        let mut pipeline = SessionPipeline::from_snapshot(&d.checkpoint)
-            .expect("demotion checkpoint is self-produced");
-        let before = pipeline.cycles();
-        for ev in &d.deferred {
-            pipeline.apply(ev);
-        }
-        let resync_cycles = pipeline.cycles() - before;
-        slot.applied = pipeline.applied();
-        slot.epoch = pipeline.epoch();
-        slot.state = SlotState::Live(Box::new(pipeline));
-        if !was_live {
-            self.live_resident += 1;
-        }
-        let replayed = d.deferred.len() as u64;
-        self.degraded_count -= 1;
-        self.stats.promotions = self.stats.promotions.saturating_add(1);
-        self.stats.resync_events = self.stats.resync_events.saturating_add(replayed);
-        self.stats.resync_cycles = self.stats.resync_cycles.saturating_add(resync_cycles);
-        self.degraded_spans.push(DegradedSpan {
-            session: id,
-            from_applied: d.from_applied,
-            demoted_at_batch: d.at_batch,
-            promoted_at_batch: self.completed,
-            deferred_events: replayed,
-        });
-        latch_obs::counter_inc("serve.session.promotions");
-        latch_obs::emit(
-            "serve",
-            TraceEvent::SessionPromote {
-                session: id,
-                replayed,
-            },
-        );
-    }
-
-    /// Session ids currently degraded to coarse-only, sorted.
-    pub fn degraded_sessions(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Evicts least-recently-active idle sessions to snapshot blobs
     /// until at most `max_resident` pipelines stay materialized.
-    /// Degraded slots are never evicted: their precise checkpoint
-    /// already holds the durable state, and freezing the provisional
-    /// coarse pipeline would buy nothing.
     fn maybe_evict(&mut self) {
         while self.live_resident > self.cfg.max_resident {
             let victim = self
                 .slots
                 .iter()
-                .filter(|(_, s)| {
-                    matches!(s.state, SlotState::Live(_))
-                        && s.pending.is_empty()
-                        && s.degraded.is_none()
-                })
+                .filter(|(_, s)| matches!(s.state, SlotState::Live(_)) && s.pending.is_empty())
                 .min_by_key(|(id, s)| (s.last_active, **id))
                 .map(|(id, _)| *id);
             let Some(id) = victim else { return };
@@ -467,8 +292,6 @@ impl Sched {
             let SlotState::Live(p) = std::mem::replace(&mut slot.state, SlotState::Fresh) else {
                 unreachable!("victim filter guarantees a live slot");
             };
-            slot.applied = p.applied();
-            slot.epoch = p.epoch();
             let blob = p.to_snapshot();
             self.live_resident -= 1;
             self.stats.evictions = self.stats.evictions.saturating_add(1);
@@ -480,7 +303,11 @@ impl Sched {
                     blob_bytes: blob.len() as u64,
                 },
             );
-            slot.state = SlotState::Frozen(blob);
+            slot.state = SlotState::Frozen {
+                blob,
+                applied: p.applied(),
+                epoch: p.epoch(),
+            };
         }
     }
 
@@ -494,8 +321,9 @@ impl Sched {
             .map(|(id, slot)| {
                 let pipeline = match slot.state {
                     SlotState::Live(p) => *p,
-                    SlotState::Frozen(blob) => SessionPipeline::from_snapshot(&blob)
-                        .expect("frozen blob is self-produced"),
+                    SlotState::Frozen { blob, .. } => {
+                        SessionPipeline::from_snapshot(&blob).expect("frozen blob is self-produced")
+                    }
                     SlotState::Fresh => SessionPipeline::new(scrub_interval),
                 };
                 (id, pipeline)
@@ -516,10 +344,8 @@ impl Sched {
         let slot = self.slots.get(&session)?;
         match &slot.state {
             SlotState::Fresh => None,
-            SlotState::Live(p) if slot.degraded.is_none() => Some((p.applied(), p.epoch())),
-            // A frozen slot's progress, or a degraded session's demotion
-            // checkpoint: the coarse pipeline past it is provisional.
-            _ => Some((slot.applied, slot.epoch)),
+            SlotState::Live(p) => Some((p.applied(), p.epoch())),
+            SlotState::Frozen { applied, epoch, .. } => Some((*applied, *epoch)),
         }
     }
 
@@ -528,19 +354,18 @@ impl Sched {
     /// `None`.
     pub fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
         let slot = self.slots.get(&session)?;
-        let encoded = |blob| SnapSource::Encoded {
-            applied: slot.applied,
-            epoch: slot.epoch,
-            blob,
-        };
-        match (&slot.degraded, &slot.state) {
-            (_, SlotState::Fresh) => None,
-            // The durable snapshot of a degraded session is its precise
-            // demotion checkpoint — WAL replay from `applied` then
-            // re-derives the deferred span precisely on recovery.
-            (Some(d), _) => Some(encoded(&d.checkpoint)),
-            (None, SlotState::Live(p)) => Some(SnapSource::Live(p)),
-            (None, SlotState::Frozen(blob)) => Some(encoded(blob)),
+        match &slot.state {
+            SlotState::Fresh => None,
+            SlotState::Live(p) => Some(SnapSource::Live(p)),
+            SlotState::Frozen {
+                blob,
+                applied,
+                epoch,
+            } => Some(SnapSource::Encoded {
+                applied: *applied,
+                epoch: *epoch,
+                blob,
+            }),
         }
     }
 
@@ -561,9 +386,11 @@ impl Sched {
     ) {
         let slot = self.slots.entry(session).or_insert_with(|| Slot::new(priority));
         slot.priority = priority;
-        slot.state = SlotState::Frozen(blob);
-        slot.applied = applied;
-        slot.epoch = epoch;
+        slot.state = SlotState::Frozen {
+            blob,
+            applied,
+            epoch,
+        };
     }
 
     /// The sticky admission class of a known session, or `None` for a

@@ -114,8 +114,7 @@ fn frame_writer(
 }
 
 /// Encodes a snapshot frame around an LTSE blob encoded elsewhere (a
-/// frozen slot, a degraded session's checkpoint, a recovery or import
-/// blob). The blob is copied in and the trailer reads it in full: only
+/// frozen slot, a recovery or import blob). The blob is copied in and the trailer reads it in full: only
 /// a blob the frame's own writer sealed may be skipped.
 #[must_use]
 pub fn encode_frame(

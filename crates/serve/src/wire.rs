@@ -503,7 +503,6 @@ fn wire_slo(r: &crate::overload::SloReport) -> WireSlo {
         breach: r.breach,
         pressure: r.pressure,
         shed_events: r.shed_events,
-        degraded: r.degraded,
     }
 }
 

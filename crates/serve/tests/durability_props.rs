@@ -391,27 +391,25 @@ fn a_torn_older_generation_is_quarantined_and_the_newer_restores() {
     assert_eq!(out.sessions[&0].encode(), solo(&evs, cfg.scrub_interval));
 }
 
-/// An armed SLO, with durable snapshots cut while the session is
-/// degraded: the durability cursor must stay frozen at the demotion
-/// checkpoint, so a crash + WAL replay recovers the deferred span
-/// instead of silently skipping it.
+/// An armed SLO that breaches at every cut only sheds: each pump
+/// applies every admitted event, so the checkpoint after it covers the
+/// whole admitted stream, and a crash loses nothing a snapshot frame
+/// does not already hold.
 #[test]
-fn degraded_crash_recovery_loses_nothing() {
+fn breaching_crash_recovery_loses_nothing() {
     let profiles = all_profiles();
     let evs = stream(&profiles[1], 91, 2_000);
     let cfg = ServeConfig {
         batch_max: 16,
         slo: Slo {
-            slo_cycles: 1, // every cut breaches: the session demotes at the first cut
+            slo_cycles: 1, // every cut breaches
             report_every: 1,
-            demote_after: 1,
-            max_degraded: 1,
             queue_pressure_pct: 100,
             ..Slo::OFF
         },
         ..ServeConfig::default()
     };
-    // Aggressive durability so snapshots land while degraded.
+    // Aggressive durability so a snapshot lands after every pump.
     let dcfg = DurableConfig {
         group_commit_events: 1,
         snapshot_every: 1,
@@ -423,34 +421,31 @@ fn degraded_crash_recovery_loses_nothing() {
             .expect("a sole normal session is never shed at pressure 1");
         svc.pump();
     }
-    assert_eq!(
-        svc.service().degraded_sessions(),
-        vec![0],
-        "the session must still be degraded when the service dies"
+    let cuts = svc.service().slo_reports();
+    assert!(
+        !cuts.is_empty() && cuts.iter().all(|r| r.breach),
+        "every cut breaches"
     );
 
     // Kill the process; recover; re-submit the lost suffix.
     let storage = svc.crash();
     let (mut svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
     let rec = report.sessions[&0];
-    assert!(
-        rec.snapshot_applied < evs.len() as u64,
-        "durable snapshots must stay frozen at the demotion checkpoint"
-    );
-    assert!(
-        rec.replayed > 0,
-        "the deferred degraded span must be re-derived from the WAL, not skipped"
+    assert_eq!(
+        rec.snapshot_applied, 2_000,
+        "the last checkpoint must cover every admitted event"
     );
     let suffix = evs[rec.recovered as usize..].to_vec();
     for chunk in suffix.chunks(200) {
-        svc.submit(0, chunk).expect("recovered service admits the suffix");
+        svc.submit(0, chunk)
+            .expect("recovered service admits the suffix");
         svc.pump();
     }
     let (out, _) = svc.finish();
     assert_eq!(
         out.sessions[&0].encode(),
         solo(&evs, cfg.scrub_interval),
-        "recovery must not skip the deferred degraded span"
+        "recovery must land on the full admitted stream"
     );
 }
 

@@ -9,17 +9,15 @@
 //! covers every session, byte-identical to solo runs, and then a clean
 //! exit.
 
+mod common;
+
+use common::{spawn_latchd, wait_exit};
 use latch_proto::{read_msg, write_msg, Msg};
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
 use latch_workloads::all_profiles;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::path::Path;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 const ITERATIONS: usize = 20;
 const SESSIONS: u64 = 128;
@@ -33,55 +31,6 @@ fn stream(session: u64) -> Vec<Event> {
         out.push(ev);
     }
     out
-}
-
-/// The spawned daemon, killed if the test fails before it exits on its
-/// own.
-struct Daemon(Child);
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns `latchd` on a kernel-assigned loopback port. Returns it, the
-/// address it reports on stderr once listening, and the thread that
-/// keeps reading its stderr so it never blocks on a full pipe.
-fn spawn_latchd(dir: &Path) -> (Daemon, String, JoinHandle<()>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_latchd"))
-        .args(["--listen", "tcp:127.0.0.1:0", "--dir"])
-        .arg(dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn latchd");
-    let mut lines = BufReader::new(child.stderr.take().expect("piped stderr")).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("latchd exited before listening")
-            .expect("read latchd stderr");
-        if let Some(addr) = line.strip_prefix("latchd: listening on tcp:") {
-            break addr.to_string();
-        }
-    };
-    let reader = std::thread::spawn(move || lines.for_each(drop));
-    (Daemon(child), addr, reader)
-}
-
-fn wait_exit(child: &mut Child) -> ExitStatus {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(status) = child.try_wait().expect("wait for latchd") {
-            return status;
-        }
-        if Instant::now() > deadline {
-            panic!("latchd still running 10 s after its drain");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 #[test]
@@ -99,7 +48,7 @@ fn latchd_replies_to_the_drain_before_it_exits() {
     for i in 0..ITERATIONS {
         let dir = std::env::temp_dir().join(format!("latchd-drain-{}-{i}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (mut daemon, addr, reader) = spawn_latchd(&dir);
+        let (mut daemon, addr, reader) = spawn_latchd(&dir, &[]);
         let mut conn = TcpStream::connect(addr.as_str()).expect("connect latchd");
         write_msg(
             &mut conn,

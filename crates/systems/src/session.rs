@@ -19,13 +19,11 @@
 
 use crate::platch::ACTIVITY_WINDOW;
 use latch_core::config::LatchConfig;
-use latch_core::isa_ext::LatchInstr;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::stats::{CheckStats, ScrubStats};
 use latch_core::unit::LatchUnit;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::SecurityViolation;
-use latch_dift::prop::PropRule;
 use latch_sim::event::{Event, MemAccessKind};
 use latch_sim::machine::apply_event_dift;
 
@@ -154,8 +152,10 @@ impl SessionPipeline {
     }
 
     /// Whether every propagation rule of `ev` is a clean-to-clean no-op
-    /// in the precise tier ([`PropRule::is_noop_within`]), decided from
-    /// the rules and the precise register file, never from `ev.regs`.
+    /// in the precise tier
+    /// ([`PropRule::is_noop_within`](latch_dift::prop::PropRule::is_noop_within)),
+    /// decided from the rules and the precise register file, never from
+    /// `ev.regs`.
     /// The known-clean range is the `ev.mem` operand that
     /// [`screen`](Self::screen) just found coarsely clean — the coarse
     /// view being a superset of the precise one, precisely clean too.
@@ -165,57 +165,6 @@ impl SessionPipeline {
             .into_iter()
             .flatten()
             .all(|rule| rule.is_noop_within(self.engine.regs(), screened))
-    }
-
-    /// Retires one event through the coarse tier only (degraded mode,
-    /// HardTaint-style fallback): the precise DIFT mirror is *not*
-    /// advanced, the LatchUnit screen keeps running, and the coarse
-    /// taint state grows as a monotone over-approximation — untrusted
-    /// source bytes, every store destination, and explicit `stnt` taint
-    /// marks are tainted, and nothing is ever cleared. The coarse view
-    /// therefore stays a superset of the golden memory taint for the
-    /// whole degraded span: screening loses no true positives, it only
-    /// admits extra false positives.
-    ///
-    /// State advanced this way is provisional. The serving layer
-    /// promotes a degraded session by restoring its demotion checkpoint
-    /// and replaying the deferred events through [`apply`](Self::apply),
-    /// so nothing mutated here outlives the span.
-    pub fn apply_coarse_only(&mut self, ev: &Event) -> bool {
-        let (hit, _) = self.screen(ev);
-        if let Some(src) = ev.source {
-            if !src.trusted {
-                let _ = self.latch.write_taint(src.addr, src.len, true);
-            }
-        }
-        for prop in [ev.prop, ev.prop2].into_iter().flatten() {
-            if let PropRule::Store { addr, len, .. } = prop {
-                let _ = self.latch.write_taint(addr, len, true);
-            }
-        }
-        if let Some(LatchInstr::Stnt {
-            addr,
-            len,
-            tainted: true,
-        }) = ev.latch
-        {
-            let _ = self.latch.write_taint(addr, len, true);
-        }
-        let selected = if hit {
-            self.window_left = ACTIVITY_WINDOW;
-            true
-        } else if self.window_left > 0 {
-            self.window_left -= 1;
-            true
-        } else {
-            false
-        };
-        self.applied += 1;
-        if selected {
-            self.selected += 1;
-        }
-        self.cycles += 1;
-        selected
     }
 
     /// The coarse tier.
@@ -616,69 +565,6 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         assert!(SessionPipeline::from_snapshot(&bad).is_err());
-    }
-
-    #[test]
-    fn coarse_only_span_stays_superset_of_golden_taint() {
-        use latch_core::PAGE_SIZE;
-        let evs = events("perlbench", 21, 8_000);
-        let mut pipe = SessionPipeline::new(512);
-        let mut golden = DiftEngine::new();
-        for ev in &evs[..4_000] {
-            pipe.apply(ev);
-            apply_event_dift(&mut golden, ev);
-        }
-        // Degraded span: the pipeline sees only the coarse tier while
-        // the golden precise state keeps evolving (taint writes *and*
-        // clears included).
-        for ev in &evs[4_000..] {
-            pipe.apply_coarse_only(ev);
-            apply_event_dift(&mut golden, ev);
-        }
-        // Every page that could hold golden taint must still be covered
-        // by the coarse view: zero false negatives in degraded mode.
-        let mut pages = std::collections::BTreeSet::new();
-        for ev in &evs {
-            if let Some(src) = ev.source {
-                pages.insert(src.addr / PAGE_SIZE);
-                pages.insert((src.addr + src.len.saturating_sub(1)) / PAGE_SIZE);
-            }
-            for prop in [ev.prop, ev.prop2].into_iter().flatten() {
-                if let PropRule::Store { addr, len, .. } | PropRule::StoreImm { addr, len } = prop
-                {
-                    pages.insert(addr / PAGE_SIZE);
-                    pages.insert((addr + len.saturating_sub(1)) / PAGE_SIZE);
-                }
-            }
-            if let Some(LatchInstr::Stnt { addr, len, .. }) = ev.latch {
-                pages.insert(addr / PAGE_SIZE);
-                pages.insert((addr + len.saturating_sub(1)) / PAGE_SIZE);
-            }
-        }
-        assert!(!pages.is_empty(), "stream must exercise memory taint");
-        for page in pages {
-            assert!(
-                pipe.latch()
-                    .coarse_covers_precise(golden.shadow(), page.saturating_mul(PAGE_SIZE), PAGE_SIZE),
-                "coarse view lost golden taint on page {page}"
-            );
-        }
-    }
-
-    #[test]
-    fn coarse_only_never_advances_the_precise_tier() {
-        let evs = events("hmmer", 22, 3_000);
-        let mut pipe = SessionPipeline::new(256);
-        for ev in &evs[..1_500] {
-            pipe.apply(ev);
-        }
-        let precise_before = pipe.engine().to_snapshot();
-        let applied_before = pipe.applied();
-        for ev in &evs[1_500..] {
-            pipe.apply_coarse_only(ev);
-        }
-        assert_eq!(pipe.engine().to_snapshot(), precise_before);
-        assert_eq!(pipe.applied(), applied_before + 1_500);
     }
 
     #[test]

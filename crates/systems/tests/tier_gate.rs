@@ -207,19 +207,10 @@ fn spurious_clear_never_drops_precise_taint() {
     }
 }
 
-/// A CTC flip that a legitimate taint write to the same line
-/// re-parities is invisible to the scrub that follows, which repairs
-/// nothing. The mark outlives that scrub, so the load behind the flip
-/// still takes the precise tier.
-#[test]
-fn a_scrub_that_repairs_nothing_keeps_the_full_path() {
-    let mut pipe = SessionPipeline::new(3);
-    pipe.apply(&taint_source());
-    let bit = pipe.latch().geometry().bit_of(0x1000);
-    assert!(pipe
-        .latch_mut()
-        .corrupt_coarse(CoarseStructure::Ctc, 0, bit, false));
-    pipe.apply(&Event {
+/// Untrusted socket bytes at `[0x1040, 0x1044)`: the domain after
+/// `taint_source`'s, in the same CTT word and CTC line.
+fn taint_next_domain() -> Event {
+    Event {
         source: Some(SourceInput {
             kind: SourceKind::Socket,
             addr: 0x1040,
@@ -227,7 +218,22 @@ fn a_scrub_that_repairs_nothing_keeps_the_full_path() {
             trusted: false,
         }),
         ..event()
-    });
+    }
+}
+
+/// A legitimate taint write to a CTC line that holds a spurious clear
+/// toggles the line's parity by the bit it sets, so the flip stays
+/// visible and the scrub that follows repairs the line; the load
+/// behind the flip keeps its taint.
+#[test]
+fn a_write_over_a_flip_leaves_it_to_the_scrub() {
+    let mut pipe = SessionPipeline::new(3);
+    pipe.apply(&taint_source());
+    let bit = pipe.latch().geometry().bit_of(0x1000);
+    assert!(pipe
+        .latch_mut()
+        .corrupt_coarse(CoarseStructure::Ctc, 0, bit, false));
+    pipe.apply(&taint_next_domain());
     pipe.apply(&event());
     let scrub = pipe.report().scrub;
     assert_eq!(
@@ -236,21 +242,49 @@ fn a_scrub_that_repairs_nothing_keeps_the_full_path() {
             scrub.ctt_words_repaired,
             scrub.ctc_lines_repaired
         ),
-        (1, 0, 0)
+        (1, 0, 1)
     );
     pipe.apply(&load_tainted_word());
     assert!(
         pipe.engine().regs().is_tainted(1),
-        "the load lost its taint behind a re-paritied flip"
+        "the load lost its taint behind a flip a write reached"
     );
 }
 
-/// The same re-paritied CTC flip at `0x1000`, now with a visible flip
-/// in a distant tainted region's CTT word that the scrub does repair.
-/// A repair elsewhere vouches for nothing: the mark stays, and the
-/// load behind the hidden flip still takes the precise tier — also
-/// after a snapshot round trip, where the scrub's repair count is left
-/// to tell.
+/// The same sequence with a snapshot round trip between the scrub and
+/// the load: the restored unit sees the scrub's repair and stays off
+/// the gate, and the load keeps its taint. When a write recomputed the
+/// line's parity over the flip, the scrub repaired nothing, the
+/// restore trusted the coarse state, and the gate skipped the load.
+#[test]
+fn a_restore_after_a_write_over_a_flip_is_untrusted() {
+    let mut pipe = SessionPipeline::new(3);
+    pipe.apply(&taint_source());
+    let bit = pipe.latch().geometry().bit_of(0x1000);
+    assert!(pipe
+        .latch_mut()
+        .corrupt_coarse(CoarseStructure::Ctc, 0, bit, false));
+    pipe.apply(&taint_next_domain());
+    pipe.apply(&event());
+    assert_eq!(pipe.report().scrub.scrubs, 1);
+    let mut pipe = SessionPipeline::from_snapshot(&pipe.to_snapshot()).unwrap();
+    assert!(
+        !pipe.latch().coarse_trusted(),
+        "the restore trusts a flipped unit"
+    );
+    pipe.apply(&load_tainted_word());
+    assert!(
+        pipe.engine().regs().is_tainted(1),
+        "the load lost its taint behind a flip a write reached"
+    );
+}
+
+/// The CTC flip at `0x1000` that a write reached, now with a flip in
+/// a distant tainted region's CTT word as well; the scrub repairs
+/// both. A repair vouches for nothing: the mark stays, and the load
+/// behind the flip still takes the precise tier — also after a
+/// snapshot round trip, where the scrub's repair count is left to
+/// tell.
 #[test]
 fn a_scrub_that_repairs_another_flip_keeps_the_full_path() {
     for round_trip in [false, true] {
@@ -260,17 +294,16 @@ fn a_scrub_that_repairs_another_flip_keeps_the_full_path() {
         assert!(pipe
             .latch_mut()
             .corrupt_coarse(CoarseStructure::Ctc, 0, bit, false));
-        for (addr, len) in [(0x1040, 4), (0x0080_0000, 16)] {
-            pipe.apply(&Event {
-                source: Some(SourceInput {
-                    kind: SourceKind::Socket,
-                    addr,
-                    len,
-                    trusted: false,
-                }),
-                ..event()
-            });
-        }
+        pipe.apply(&taint_next_domain());
+        pipe.apply(&Event {
+            source: Some(SourceInput {
+                kind: SourceKind::Socket,
+                addr: 0x0080_0000,
+                len: 16,
+                trusted: false,
+            }),
+            ..event()
+        });
         // CTT words sort by key: slot 1 is the distant region's word.
         let far = pipe.latch().geometry().bit_of(0x0080_0000);
         assert!(pipe
@@ -286,7 +319,7 @@ fn a_scrub_that_repairs_another_flip_keeps_the_full_path() {
         pipe.apply(&load_tainted_word());
         assert!(
             pipe.engine().regs().is_tainted(1),
-            "round trip {round_trip}: the load lost its taint behind a re-paritied flip"
+            "round trip {round_trip}: the load lost its taint behind a flip a write reached"
         );
     }
 }

@@ -4,8 +4,8 @@
 # Drives mixed-priority traffic through the scheduler with a capped
 # queue and an armed SLO. Every figure is an event count or a simulated
 # cost-model cycle count, so the JSON is byte-identical on any machine —
-# commit the refreshed file whenever admission, shedding, demotion or
-# promotion changes.
+# commit the refreshed file whenever admission or shedding changes.
+# Tier-1 (scripts/tier1.sh) and CI both regenerate it and diff.
 #
 # Knobs (env vars): SESSIONS, EVENTS, CHUNK, OUT.
 set -euo pipefail

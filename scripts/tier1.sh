@@ -33,8 +33,8 @@ echo "==> cargo test -q (obs on)"
 cargo test -q --workspace --features "$OBS_FEATURES"
 
 # The serving layer is exercised explicitly in both observability
-# configurations, including the eviction-churn, degraded-snapshot and
-# pinned work-count tests.
+# configurations, including the eviction-churn, breaching-SLO snapshot,
+# latchd --slo-cycles and pinned work-count tests.
 echo "==> latch-serve (obs off)"
 cargo test -q -p latch-serve
 
@@ -76,10 +76,21 @@ cargo run --release -q -p latch-conform --bin latch-stress -- crash \
     --seed 7 --iters 24 --sessions 8 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
+# The committed overload trajectory: every BENCH_serve.json figure is an
+# event or simulated-cycle count, so a rerun must reproduce the file
+# byte for byte, or the change moved admission or shedding without
+# refreshing it (scripts/bench_serve.sh does).
+echo "==> BENCH_serve.json (regenerated trajectory matches the committed file)"
+SERVE_BENCH="$(mktemp)"
+OUT="$SERVE_BENCH" bash scripts/bench_serve.sh
+diff BENCH_serve.json "$SERVE_BENCH" \
+    || { rm -f "$SERVE_BENCH"; echo "tier1: BENCH_serve.json is stale; run scripts/bench_serve.sh" >&2; exit 1; }
+rm -f "$SERVE_BENCH"
+
 # Overload stress: fixed-seed drives under burst/slow-client plans with
-# an armed SLO. Asserts deterministic shedding, zero false negatives
-# through coarse-only degraded spans, and solo-identical reports after
-# promotion — in both observability configurations.
+# an armed SLO. Asserts deterministic shedding, zero false negatives,
+# and that every session's report equals a solo run of its admitted
+# stream — in both observability configurations.
 echo "==> latch-stress overload (obs off)"
 cargo run --release -q -p latch-conform --bin latch-stress -- overload \
     --seed 7 --iters 8 --events 1500
