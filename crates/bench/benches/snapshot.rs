@@ -2,17 +2,19 @@
 //! snapshot trailer, WAL record and wire frame, a full
 //! `SessionPipeline` snapshot round trip on a taint-heavy stream, and
 //! what durable maintenance does for each due session — encode the
-//! LTSF frame, then put it in place on a real directory, sync it, and
-//! cut the journal.
+//! LTSF frame, then write it in place on a real directory, sync it,
+//! and cut the journal — both for a whole frame and for the patch of a
+//! generation's last frame that a steady-state checkpoint writes.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use latch_core::snapshot::crc32;
 use latch_serve::journal::{wal_header, wal_name};
-use latch_serve::store::{encode_pipeline_frame, snap_name};
+use latch_serve::store::{encode_checkpoint, snap_name, SlotFile};
 use latch_serve::{DirStorage, Priority, Storage};
 use latch_sim::event::EventSource;
 use latch_systems::session::SessionPipeline;
 use latch_workloads::BenchmarkProfile;
+use std::cell::RefCell;
 
 /// Events applied before the pipeline is snapshotted: enough astar
 /// traffic for dozens of resident shadow pages.
@@ -57,11 +59,12 @@ fn session_snapshot(c: &mut Criterion) {
 
 fn maintenance(c: &mut Criterion) {
     let pipe = astar_pipeline();
-    let frame = encode_pipeline_frame(1, Priority::Normal, &pipe);
+    // A checkpoint with no landed layout to patch: the whole frame.
+    let (frame, _) = encode_checkpoint(1, Priority::Normal, &pipe, None);
     let mut g = c.benchmark_group("maintenance");
-    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.throughput(Throughput::Bytes(frame.bytes_written() as u64));
     g.bench_function("encode_frame_astar", |b| {
-        b.iter(|| encode_pipeline_frame(1, Priority::Normal, black_box(&pipe)))
+        b.iter(|| encode_checkpoint(1, Priority::Normal, black_box(&pipe), None))
     });
     // One due session on a real directory, as a maintenance pass runs
     // it: the frame put in place over the older generation, the pass's
@@ -74,10 +77,44 @@ fn maintenance(c: &mut Criterion) {
     g.bench_function("dir_storage_pass_astar", |b| {
         b.iter(|| {
             generation ^= 1;
-            assert!(storage.put(&snap_name(1, generation), black_box(&frame)));
+            assert!(black_box(&frame).write_to(&mut storage, &snap_name(1, generation)));
             assert!(storage.fsync());
             assert!(storage.put(&wal_name(1), &header));
         })
+    });
+    // The steady state: 2048 more astar events (untimed), then one
+    // checkpoint of the due generation — the patch of the frame that
+    // generation last landed (whole, the first time into each), the
+    // barrier, and the journal cut — as maintenance alternates the two.
+    let mut src = BenchmarkProfile::by_name("astar")
+        .unwrap()
+        .stream(1, 1 << 32);
+    let mut live = SessionPipeline::new(512);
+    for _ in 0..EVENTS {
+        live.apply(&src.next_event().expect("a long stream"));
+    }
+    let live = RefCell::new(live);
+    let mut slots: [Option<SlotFile>; 2] = [None, None];
+    g.bench_function("dir_storage_patch_astar", |b| {
+        b.iter_batched(
+            || {
+                let mut pipe = live.borrow_mut();
+                for _ in 0..2048 {
+                    pipe.apply(&src.next_event().expect("a long stream"));
+                }
+            },
+            |()| {
+                generation ^= 1;
+                let due = &mut slots[usize::from(generation)];
+                let (write, landed) =
+                    encode_checkpoint(1, Priority::Normal, &live.borrow(), due.as_ref());
+                assert!(write.write_to(&mut storage, &snap_name(1, generation)));
+                assert!(storage.fsync());
+                assert!(storage.put(&wal_name(1), &header));
+                *due = Some(landed);
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);

@@ -209,6 +209,70 @@ fn slo_pushes_stream_to_subscribed_connections() {
     server.shutdown();
 }
 
+/// A service that cuts more than twice the SLO reports it keeps: a
+/// connection subscribed from the start is pushed every cut once, in
+/// order; one that opens late, and one that opens after the drain, get
+/// exactly the kept window, the newest cuts, with no gap or duplicate.
+#[test]
+fn slo_reports_stay_bounded_and_pushes_never_repeat_or_skip() {
+    use latch_serve::SLO_REPORTS_KEPT;
+    let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();
+    let cfg = ServeConfig {
+        batch_max: 1, // one batch, and one cut, per event
+        slo: Slo {
+            slo_cycles: u64::MAX,
+            window: 8,
+            report_every: 1,
+            queue_pressure_pct: 100,
+        },
+        ..ServeConfig::default()
+    };
+    let server = start(cfg, &endpoint);
+    let events = stream(8, 0x51C, 2 * SLO_REPORTS_KEPT as u64 + 640);
+    let cuts = events.len() as u64;
+    // The pushes a reply draws follow it, so the next call reads them:
+    // a ping collects what the previous reply drew.
+    let flush = |c: &mut Client| -> Vec<u64> {
+        c.ping(0).expect("ping");
+        c.take_slo_reports().iter().map(|r| r.at_batch).collect()
+    };
+    // A 128-event window pumps every 128 events, far fewer than the
+    // kept window, so the early connection never falls behind.
+    let mut early = Client::connect(server.endpoint(), 128, true).expect("connect");
+    for chunk in events.chunks(64) {
+        early.submit(0, 1, chunk).expect("never shed");
+    }
+    let mut pushed = flush(&mut early);
+    // A connection that opens now gets the kept window, the newest
+    // cuts so far, and then only what follows them.
+    let mut late = Client::connect(server.endpoint(), 128, true).expect("connect");
+    late.ping(1).expect("ping");
+    let mut joined = flush(&mut late);
+    assert_eq!(joined.len(), SLO_REPORTS_KEPT);
+    assert_eq!(joined.last(), pushed.last());
+    early.drain().expect("drain");
+    pushed.extend(flush(&mut early));
+    joined.extend(flush(&mut late));
+    assert!(flush(&mut late).is_empty(), "a cut pushed twice");
+    assert!(
+        pushed == (1..=cuts).collect::<Vec<_>>(),
+        "early: a gap or duplicate"
+    );
+    assert!(
+        joined == pushed[pushed.len() - joined.len()..],
+        "late: a gap or duplicate"
+    );
+    // After the drain, a new connection gets the last kept window.
+    let mut after = Client::connect(server.endpoint(), 128, true).expect("connect");
+    after.ping(2).expect("ping");
+    let tail = flush(&mut after);
+    assert!(
+        tail == pushed[pushed.len() - SLO_REPORTS_KEPT..],
+        "after drain"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn garbage_fed_connection_fails_closed_without_wedging_the_server() {
     let endpoint = Endpoint::parse("tcp:127.0.0.1:0").unwrap();

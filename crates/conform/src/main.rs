@@ -4,7 +4,11 @@
 //! (the oracle against all twelve driver legs, plus metamorphic
 //! transforms) and prints a summary that is byte-identical across
 //! reruns of the same arguments. Any failing seed is delta-debug
-//! minimized and the reproducer written to the regression corpus.
+//! minimized and the reproducer written to the corpus directory:
+//! `--corpus-dir`, else `tests/corpus` of the working directory — the
+//! regression corpus — except under `--inject`, whose reproducers are
+//! of a deliberately injected bug and go to a fresh temporary
+//! directory, whose path the run prints first.
 //!
 //! ```text
 //! latch-conform --seeds 64                 # CI tier-1 budget
@@ -23,7 +27,7 @@ struct Args {
     start: u64,
     inject_coarse_clear: bool,
     metamorphic: bool,
-    corpus_dir: PathBuf,
+    corpus_dir: Option<PathBuf>,
 }
 
 fn usage() -> ! {
@@ -40,7 +44,7 @@ fn parse_args() -> Args {
         start: 0,
         inject_coarse_clear: false,
         metamorphic: true,
-        corpus_dir: PathBuf::from("tests/corpus"),
+        corpus_dir: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -53,11 +57,25 @@ fn parse_args() -> Args {
                 _ => usage(),
             },
             "--no-metamorphic" => args.metamorphic = false,
-            "--corpus-dir" => args.corpus_dir = PathBuf::from(value()),
+            "--corpus-dir" => args.corpus_dir = Some(PathBuf::from(value())),
             _ => usage(),
         }
     }
     args
+}
+
+/// Creates a directory no one else uses, for one run's reproducers.
+fn fresh_temp_dir() -> std::io::Result<PathBuf> {
+    let base = std::env::temp_dir();
+    let pid = std::process::id();
+    let mut n = 0u32;
+    loop {
+        let dir = base.join(format!("latch-conform-{pid}-{n}"));
+        match std::fs::create_dir(&dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && n < u32::MAX => n += 1,
+            made => return made.map(|()| dir),
+        }
+    }
 }
 
 /// Minimizes a failing program under the same options (metamorphic legs
@@ -70,6 +88,20 @@ fn shrink(prog: &TestProgram, opts: &CheckOptions) -> TestProgram {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let corpus_dir = match (&args.corpus_dir, args.inject_coarse_clear) {
+        (Some(dir), _) => dir.clone(),
+        (None, false) => PathBuf::from("tests/corpus"),
+        (None, true) => match fresh_temp_dir() {
+            Ok(dir) => {
+                println!("reproducers of the injected bug go to {}", dir.display());
+                dir
+            }
+            Err(e) => {
+                eprintln!("latch-conform: no temporary directory for reproducers: {e}");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let opts = CheckOptions {
         metamorphic: args.metamorphic,
         inject_coarse_clear: args.inject_coarse_clear,
@@ -99,12 +131,12 @@ fn main() -> ExitCode {
                 println!("seed {seed:>6}: FAIL {div}");
                 let min = shrink(&prog, &opts);
                 let name = format!("seed-{seed}-minimized.txt");
-                let path = args.corpus_dir.join(&name);
+                let path = corpus_dir.join(&name);
                 let body = format!(
                     "# minimized reproducer for seed {seed}\n# divergence: {div}\n{}",
                     corpus::encode(&min)
                 );
-                match std::fs::create_dir_all(&args.corpus_dir)
+                match std::fs::create_dir_all(&corpus_dir)
                     .and_then(|()| std::fs::write(&path, body))
                 {
                     Ok(()) => println!(

@@ -11,8 +11,11 @@
 //!
 //! * **crash** — a kill loop over the real-directory storage backend:
 //!   each iteration kills a durable service at a seeded round, mangles
-//!   the surviving files (torn tail, bit rot), recovers, re-submits the
-//!   lost suffixes, and requires solo-identical reports.
+//!   the surviving files (torn tail, bit rot, or a stale snapshot slot:
+//!   one 4 KiB slot block copied from the other generation, as a patch
+//!   extent that never landed, which recovery must quarantine),
+//!   recovers, re-submits the lost suffixes, and requires
+//!   solo-identical reports.
 //! * **overload** — a deterministic service with an armed SLO under
 //!   seeded burst and slow-client plans: critical traffic is never
 //!   shed, the coarse state covers precise taint, every session equals
@@ -52,7 +55,7 @@ use latch_faults::{FaultInjector, FaultPlan};
 use latch_proto::{Endpoint, WireRejected};
 use latch_router::{Exporter, Router, RouterServer, RouterServerConfig};
 use latch_serve::{
-    DirStorage, DurableConfig, DurableService, Rejected, ServeConfig, SessionExport, Slo,
+    store, DirStorage, DurableConfig, DurableService, Rejected, ServeConfig, SessionExport, Slo,
 };
 use latch_sim::event::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -219,9 +222,56 @@ fn crash_drive(
     }
 }
 
+/// A v3 snapshot frame's slot count, or `None` for anything else.
+fn slot_count(frame: &[u8]) -> Option<usize> {
+    let version = u32::from_le_bytes(frame.get(4..8)?.try_into().ok()?);
+    let slots = u64::from_le_bytes(frame.get(16..24)?.try_into().ok()?);
+    (version == 3).then_some(slots as usize)
+}
+
+/// Copies one 4 KiB slot block of a session's snapshot file over the
+/// same slot of its other generation, where the two differ: what a
+/// patch leaves when that slot's extent never landed. Returns what it
+/// did and the name of the file it staled.
+fn stale_slot(files: &[PathBuf], r: u64) -> Option<(String, String)> {
+    let slot = store::SLOT_BYTES;
+    let mut candidates = Vec::new();
+    for path in files {
+        let name = path.file_name()?.to_string_lossy().into_owned();
+        let Some((session, generation)) = store::parse_snap_name(&name) else {
+            continue;
+        };
+        let other = path.with_file_name(store::snap_name(session, 1 - generation));
+        let (Ok(target), Ok(source)) = (std::fs::read(path), std::fs::read(&other)) else {
+            continue;
+        };
+        let (Some(a), Some(b)) = (slot_count(&target), slot_count(&source)) else {
+            continue;
+        };
+        for k in 0..a.min(b) {
+            let block = slot * (1 + k)..slot * (2 + k);
+            if target[block.clone()] != source[block] {
+                candidates.push((path.clone(), other.clone(), k));
+            }
+        }
+    }
+    if candidates.is_empty() {
+        return None;
+    }
+    let (target, source, k) = &candidates[(mix(r ^ 0xE9) as usize) % candidates.len()];
+    let mut bytes = std::fs::read(target).ok()?;
+    let block = slot * (1 + k)..slot * (2 + k);
+    bytes[block.clone()].copy_from_slice(&std::fs::read(source).ok()?[block]);
+    std::fs::write(target, &bytes).ok()?;
+    let name = |p: &Path| p.file_name().map(|n| n.to_string_lossy().into_owned());
+    let (target, source) = (name(target)?, name(source)?);
+    Some((format!("staled slot {k} of {target} from {source}"), target))
+}
+
 /// Post-mortem file mangling: what the kernel may leave behind that
 /// the in-memory fault model cannot produce on a real directory.
-fn mangle(dir: &Path, r: u64) -> Option<String> {
+/// Returns what it did, and a file recovery must quarantine.
+fn mangle(dir: &Path, r: u64) -> Option<(String, Option<String>)> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .ok()?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -229,6 +279,11 @@ fn mangle(dir: &Path, r: u64) -> Option<String> {
     files.sort();
     if files.is_empty() {
         return None;
+    }
+    // A kill that leaves two generations of a session whose slots
+    // differ stales one of them; the rest tear or rot any file.
+    if let Some((what, staled)) = stale_slot(&files, r) {
+        return Some((what, Some(staled)));
     }
     let target = &files[(mix(r) as usize) % files.len()];
     let bytes = std::fs::read(target).ok()?;
@@ -240,7 +295,7 @@ fn mangle(dir: &Path, r: u64) -> Option<String> {
                 .len()
                 .saturating_sub(1 + (mix(r ^ 0xB6) as usize) % 64);
             std::fs::write(target, &bytes[..cut]).ok()?;
-            Some(format!("torn {name} to {cut}/{} bytes", bytes.len()))
+            Some((format!("torn {name} to {cut}/{} bytes", bytes.len()), None))
         }
         1 => {
             // Bit rot: flip one bit anywhere.
@@ -251,7 +306,7 @@ fn mangle(dir: &Path, r: u64) -> Option<String> {
             let at = (mix(r ^ 0xC7) as usize) % bad.len();
             bad[at] ^= 1 << (mix(r ^ 0xD8) % 8);
             std::fs::write(target, &bad).ok()?;
-            Some(format!("flipped bit in {name} at byte {at}"))
+            Some((format!("flipped bit in {name} at byte {at}"), None))
         }
         _ => None, // clean kill: the torn frame is the crash point itself
     }
@@ -267,6 +322,7 @@ fn crash(args: &Args) {
     let mut total_quarantined = 0usize;
     let mut total_replayed = 0u64;
     let mut mangles = 0usize;
+    let mut stale_slots = 0usize;
 
     for iter in 0..args.iters {
         let r = mix(args.seed ^ (iter << 17));
@@ -297,8 +353,11 @@ fn crash(args: &Args) {
         crash_drive(&mut svc, &streams, chunk, stop_round);
         drop(svc.crash()); // the kill: all volatile state is gone
 
-        if let Some(what) = mangle(&dir, r) {
+        let mut must_quarantine = None;
+        if let Some((what, staled)) = mangle(&dir, r) {
             mangles += 1;
+            stale_slots += usize::from(staled.is_some());
+            must_quarantine = staled;
             println!("iter {iter}: {what}");
         }
 
@@ -309,6 +368,12 @@ fn crash(args: &Args) {
             println!(
                 "iter {iter}: quarantined {} @{}: {}",
                 q.file, q.offset, q.error
+            );
+        }
+        if let Some(file) = must_quarantine {
+            assert!(
+                report.quarantined.iter().any(|q| q.file == file),
+                "iter {iter}: the staled {file} was restored"
             );
         }
         let suffixes: Vec<Vec<Event>> = streams
@@ -344,9 +409,9 @@ fn crash(args: &Args) {
 
     let _ = std::fs::remove_dir_all(&args.dir);
     println!(
-        "crash_stress OK: {} iters, {} sessions each, {} mangled images, \
-         {} frames quarantined, {} events replayed from WAL",
-        args.iters, args.sessions, mangles, total_quarantined, total_replayed
+        "crash_stress OK: {} iters, {} sessions each, {} mangled images \
+         ({} stale slots), {} frames quarantined, {} events replayed from WAL",
+        args.iters, args.sessions, mangles, stale_slots, total_quarantined, total_replayed
     );
 }
 

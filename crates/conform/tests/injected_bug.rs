@@ -53,3 +53,42 @@ fn checks_are_deterministic_per_seed() {
         assert_eq!(a, b, "seed {seed}");
     }
 }
+
+/// `latch-conform --inject` without `--corpus-dir`, run from a working
+/// directory that holds a regression corpus, writes its reproducers of
+/// the injected bug to the fresh temporary directory it names, and
+/// adds nothing to `tests/corpus`.
+#[test]
+fn an_inject_run_leaves_the_regression_corpus_alone() {
+    let cwd = std::env::temp_dir().join(format!("latch-conform-cwd-{}", std::process::id()));
+    let corpus_dir = cwd.join("tests/corpus");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&corpus_dir).unwrap();
+    std::fs::write(corpus_dir.join("kept.txt"), "# a committed reproducer\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_latch-conform"))
+        .args([
+            "--seeds",
+            "1",
+            "--inject",
+            "coarse-clear",
+            "--no-metamorphic",
+        ])
+        .current_dir(&cwd)
+        .output()
+        .expect("run latch-conform");
+    assert!(!out.status.success(), "the injected bug must fail the run");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let listed: Vec<_> = std::fs::read_dir(&corpus_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(listed, ["kept.txt"], "the corpus gained files:\n{stdout}");
+    let dir = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("reproducers of the injected bug go to "))
+        .expect("the run names its directory");
+    let written = std::path::Path::new(dir).join("seed-0-minimized.txt");
+    assert!(written.is_file(), "no reproducer in {dir}:\n{stdout}");
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_dir_all(&cwd);
+}

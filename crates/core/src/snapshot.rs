@@ -161,10 +161,18 @@ static CRC32_X2N: [u32; 32] = {
     table
 };
 
+/// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b.len()`
+/// alone, as zlib's `crc32_combine`: neither byte string is read, so a
+/// writer that caches the CRCs of a file's fixed-size blocks checksums
+/// the whole file without reading the blocks that did not change.
+#[must_use]
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    crc32_shift(crc_a, len_b) ^ crc_b
+}
+
 /// Multiplies `crc` by x^(8n) mod P: the CRC-32 is affine, so
 /// `crc32(a ++ b) == crc32_shift(crc32(a), b.len()) ^ crc32(b)` for any
-/// `a` and `b` (zlib's `crc32_combine`). One product per set bit of
-/// `n`, whatever the bytes.
+/// `a` and `b`. One product per set bit of `n`, whatever the bytes.
 fn crc32_shift(mut crc: u32, mut n: usize) -> u32 {
     let mut k = 3; // x^(8n) = product of x^(2^(i+3)) over the set bits i of n
     while n != 0 {
@@ -604,6 +612,7 @@ mod tests {
     #[test]
     fn crc32_shift_and_residue_match_concatenation() {
         let buf = seeded_bytes(0xC0DE, 257 + 1029);
+        let big_a = seeded_bytes(0xC0DF, 4096 + 1029);
         for alen in 0..=257 {
             let a = &buf[..alen];
             for blen in [0, 1, 15, 16, 17, 1029 - alen] {
@@ -623,6 +632,14 @@ mod tests {
                 CRC32_RESIDUE,
                 "sealed length {}",
                 n + 4
+            );
+        }
+        for (alen, blen) in [(0, 0), (0, 9), (9, 0), (100, 4096), (4096, 1029)] {
+            let (a, b) = (&big_a[..alen], &big_a[alen..alen + blen]);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len()),
+                crc32(&big_a[..alen + blen]),
+                "combine {alen} + {blen}"
             );
         }
         // Shifts compose, including lengths whose top bits index the

@@ -251,8 +251,16 @@ impl DiftEngine {
     /// [`SnapWriter::finish_crc`], or nest it inside an enclosing blob
     /// with [`SnapWriter::sealed`].
     pub fn snap_encode(&self, w: &mut SnapWriter) {
+        self.snap_encode_with(w, true);
+    }
+
+    /// [`snap_encode`](Self::snap_encode), with the shadow's page
+    /// section written empty when `pages` is false: the blob of this
+    /// engine with no resident page, for a writer that stores the pages
+    /// apart.
+    pub fn snap_encode_with(&self, w: &mut SnapWriter, pages: bool) {
         w.header(SNAP_MAGIC, SNAP_VERSION);
-        self.shadow.snap_encode(w);
+        self.shadow.snap_encode(w, pages);
         self.regs.snap_encode(w);
         self.policy.snap_encode(w);
         w.u64(self.stats.instrs);

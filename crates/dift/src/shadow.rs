@@ -6,20 +6,39 @@
 //! equivalent to libdft's software-defined tag storage (paper §2, "the
 //! storage of taint tags"). The shadow also keeps the page-level census
 //! the paper reports in Tables 3 and 4: which pages *ever* held taint.
+//!
+//! Each resident page carries a stamp: the value of a per-shadow write
+//! clock at the last write that changed one of its bytes. A
+//! [`PageMark`] records the clock, so a checkpoint writer can ask which
+//! pages changed since its last checkpoint without keeping a copy of
+//! the shadow to diff against. Stamps never reach a snapshot byte.
 
 use crate::tag::TaintTag;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
 use latch_core::{Addr, PreciseView, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const PAGE: usize = PAGE_SIZE as usize;
 
-/// A resident page holds one raw [`TaintTag`] byte per address.
-type Page = Box<[u8]>;
+/// A resident page: one raw [`TaintTag`] byte per address, and the
+/// write-clock value of the last write that changed one of them.
+#[derive(Debug, Clone)]
+struct Page {
+    tags: Box<[u8]>,
+    stamp: u64,
+}
+
+impl Page {
+    /// A page holding `tags`, stamped before any write.
+    fn new(tags: Box<[u8]>) -> Self {
+        Self { tags, stamp: 0 }
+    }
+}
 
 fn clean_page() -> Page {
-    vec![0; PAGE].into_boxed_slice()
+    Page::new(vec![0; PAGE].into_boxed_slice())
 }
 
 /// The page that a write of `tag` to page `page_idx` lands in. A clean
@@ -34,6 +53,35 @@ fn page_for_write(
     } else {
         pages.get_mut(&page_idx)
     }
+}
+
+/// Identifies one shadow's write history. Every new, decoded or cloned
+/// shadow draws a fresh one, so a [`PageMark`] taken on one shadow
+/// never vouches for the pages of another.
+#[derive(Debug)]
+struct Incarnation(u64);
+
+impl Default for Incarnation {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Incarnation {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// A point in one shadow's write history, taken by
+/// [`ShadowMemory::mark`]. A page changed since the mark when a write
+/// changed one of its bytes after it; every page of a shadow other than
+/// the one that issued the mark counts as changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageMark {
+    incarnation: u64,
+    clock: u64,
 }
 
 /// Splits `[addr, addr + len)`, clamped to the top of the address
@@ -64,6 +112,9 @@ pub struct ShadowMemory {
     /// (the "pages tainted" census of paper Tables 3–4).
     ever_tainted_pages: HashSet<u32>,
     tainted_bytes: u64,
+    /// Writes that changed a page so far: the page stamps' clock.
+    clock: u64,
+    incarnation: Incarnation,
 }
 
 impl ShadowMemory {
@@ -76,7 +127,7 @@ impl ShadowMemory {
     #[inline]
     pub fn get(&self, addr: Addr) -> TaintTag {
         match self.pages.get(&(addr / PAGE_SIZE)) {
-            Some(page) => TaintTag(page[(addr % PAGE_SIZE) as usize]),
+            Some(page) => TaintTag(page.tags[(addr % PAGE_SIZE) as usize]),
             None => TaintTag::CLEAN,
         }
     }
@@ -88,9 +139,13 @@ impl ShadowMemory {
             return TaintTag::CLEAN;
         };
         let old = TaintTag(std::mem::replace(
-            &mut page[(addr % PAGE_SIZE) as usize],
+            &mut page.tags[(addr % PAGE_SIZE) as usize],
             tag.0,
         ));
+        if old != tag {
+            self.clock += 1;
+            page.stamp = self.clock;
+        }
         match (old.is_tainted(), tag.is_tainted()) {
             (false, true) => {
                 self.tainted_bytes += 1;
@@ -110,7 +165,12 @@ impl ShadowMemory {
             let Some(page) = page_for_write(&mut self.pages, page_idx, tag) else {
                 continue;
             };
-            let bytes = &mut page[span];
+            let bytes = &mut page.tags[span];
+            if bytes.iter().all(|&b| b == tag.0) {
+                continue;
+            }
+            self.clock += 1;
+            page.stamp = self.clock;
             // Only transitions count: clean to tainted for a tainted
             // tag, tainted to clean for a clean one.
             let flipped = bytes
@@ -138,7 +198,7 @@ impl ShadowMemory {
         let mut bits = 0;
         for (page_idx, span) in page_chunks(addr, len) {
             if let Some(page) = self.pages.get(&page_idx) {
-                bits |= page[span].iter().fold(0, |acc, &b| acc | b);
+                bits |= page.tags[span].iter().fold(0, |acc, &b| acc | b);
             }
         }
         TaintTag(bits)
@@ -159,8 +219,13 @@ impl ShadowMemory {
     pub fn pages_currently_tainted(&self) -> usize {
         self.pages
             .values()
-            .filter(|p| p.iter().any(|&b| b != 0))
+            .filter(|p| p.tags.iter().any(|&b| b != 0))
             .count()
+    }
+
+    /// Number of resident pages, clean ones included.
+    pub fn resident_pages(&self) -> usize {
+        self.pages.len()
     }
 
     /// Removes all taint but keeps the ever-tainted census.
@@ -169,18 +234,67 @@ impl ShadowMemory {
         self.tainted_bytes = 0;
     }
 
+    /// The current point in this shadow's write history.
+    pub fn mark(&self) -> PageMark {
+        PageMark {
+            incarnation: self.incarnation.0,
+            clock: self.clock,
+        }
+    }
+
+    /// Whether `mark` was taken on this shadow, so that
+    /// [`pages_since`](Self::pages_since) can tell its pages apart.
+    pub fn issued(&self, mark: PageMark) -> bool {
+        mark.incarnation == self.incarnation.0
+    }
+
+    /// Every resident page, in no particular order, as its index, its
+    /// 4 KiB of raw tag bytes, and whether it changed since `since`
+    /// (always, for `None` or another shadow's mark).
+    pub fn pages_since(
+        &self,
+        since: Option<PageMark>,
+    ) -> impl Iterator<Item = (u32, &[u8], bool)> + '_ {
+        let clock = since.filter(|&m| self.issued(m)).map(|m| m.clock);
+        self.pages.iter().map(move |(&idx, page)| {
+            let changed = clock.is_none_or(|c| page.stamp > c);
+            (idx, &page.tags[..], changed)
+        })
+    }
+
+    /// Makes page `idx` resident with the raw tag bytes `tags`, as the
+    /// snapshot decoder does for each encoded page. The census and the
+    /// tainted-byte count are the snapshot's to restore.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] when `tags` is not one page long or the
+    /// page is already resident.
+    pub fn restore_page(&mut self, idx: u32, tags: &[u8]) -> Result<(), SnapError> {
+        if tags.len() != PAGE || self.pages.contains_key(&idx) {
+            return Err(SnapError::Corrupt("shadow page"));
+        }
+        self.pages.insert(idx, Page::new(tags.into()));
+        Ok(())
+    }
+
     /// Snapshot encoder: resident pages (including all-clean ones — a
     /// resident-but-clean page is observable through allocation-free
     /// clean writes) written sorted by index, each as its 4 KiB of raw
     /// tag bytes, then the ever-tainted census sorted, then the byte
-    /// count.
-    pub(crate) fn snap_encode(&self, w: &mut SnapWriter) {
-        let mut idxs: Vec<u32> = self.pages.keys().copied().collect();
+    /// count. With `pages` false the page section is written empty, as
+    /// for a shadow with no resident page.
+    pub(crate) fn snap_encode(&self, w: &mut SnapWriter, pages: bool) {
+        let mut idxs: Vec<u32> = if pages {
+            self.pages.keys().copied().collect()
+        } else {
+            Vec::new()
+        };
         idxs.sort_unstable();
         w.u64(idxs.len() as u64);
         for idx in idxs {
             w.u32(idx);
-            w.bytes(&self.pages[&idx]);
+            w.bytes(&self.pages[&idx].tags);
         }
         let mut ever: Vec<u32> = self.ever_tainted_pages.iter().copied().collect();
         ever.sort_unstable();
@@ -202,7 +316,7 @@ impl ShadowMemory {
         let n = r.len(4 + PAGE)?;
         for _ in 0..n {
             let idx = r.u32()?;
-            shadow.pages.insert(idx, r.bytes(PAGE)?.into());
+            shadow.pages.insert(idx, Page::new(r.bytes(PAGE)?.into()));
         }
         let n = r.len(4)?;
         for _ in 0..n {
@@ -218,7 +332,7 @@ impl ShadowMemory {
     /// unspecified).
     pub fn iter_tainted(&self) -> impl Iterator<Item = (Addr, TaintTag)> + '_ {
         self.pages.iter().flat_map(|(&page_idx, page)| {
-            page.iter().enumerate().filter_map(move |(off, &b)| {
+            page.tags.iter().enumerate().filter_map(move |(off, &b)| {
                 (b != 0).then_some((page_idx * PAGE_SIZE + off as u32, TaintTag(b)))
             })
         })
@@ -230,7 +344,7 @@ impl PreciseView for ShadowMemory {
         page_chunks(start, len).any(|(page_idx, span)| {
             self.pages
                 .get(&page_idx)
-                .is_some_and(|page| page[span].iter().any(|&b| b != 0))
+                .is_some_and(|page| page.tags[span].iter().any(|&b| b != 0))
         })
     }
 }

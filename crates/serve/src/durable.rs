@@ -9,16 +9,24 @@
 //!   CRC-framed record (see [`crate::journal`]). Fsyncs are batched:
 //!   one group commit per `group_commit_events` journaled events.
 //! * **Checkpoints** — once a session has applied `snapshot_every`
-//!   events past its last durable snapshot, the maintenance pass puts
+//!   events past its last durable snapshot, the maintenance pass writes
 //!   its checksummed frame (see [`crate::store`]) in place over the
 //!   generation that does *not* hold the session's newest durable
-//!   frame. One barrier covers every frame of the pass. Only after it
-//!   succeeds does the session flip its generation, advance its
-//!   snapshot mark and cut its journal, by putting the 17-byte header
-//!   over it; the next group commit makes the cut durable, and until
-//!   then recovery skips the records the frame covers. A failed
-//!   barrier lands nothing, so the same generation is overwritten
-//!   next time. Recovery and import seal a session by the same steps.
+//!   frame. For each session and generation the service keeps the slot
+//!   layout, slot CRCs and page mark of the last frame it landed there
+//!   ([`store::SlotFile`]), and patches that frame: only the shadow
+//!   pages changed since, the tail and the trailer. It writes the frame
+//!   whole when the generation holds no landed frame of the session's
+//!   current pipeline (a fresh, restored, recovered or imported one),
+//!   when its last write failed or missed its barrier, when a slotted
+//!   page left residency, and for a frozen session. One barrier covers
+//!   every frame of the pass. Only after it succeeds does the session
+//!   keep the new layout, flip its generation, advance its snapshot
+//!   mark and cut its journal, by putting the 17-byte header over it;
+//!   the next group commit makes the cut durable, and until then
+//!   recovery skips the records the frame covers. A failed barrier
+//!   lands nothing, so the same generation is written whole next time.
+//!   Recovery and import seal a session by the same steps.
 //! * **Recovery** — [`DurableService::recover`] scans the store,
 //!   quarantines every corrupt or torn frame with a typed
 //!   [`RecoveryError`] (never a panic), restores the newest valid
@@ -94,6 +102,10 @@ struct DurState {
     needs_resync: bool,
     /// Whether the `wal-*` file exists (header written).
     has_wal: bool,
+    /// Per generation, the layout of the last frame landed there from
+    /// the session's live pipeline, which the next checkpoint into that
+    /// generation patches; `None` writes it whole.
+    slots: [Option<store::SlotFile>; 2],
 }
 
 impl DurState {
@@ -104,11 +116,12 @@ impl DurState {
             next_generation: 0,
             needs_resync: false,
             has_wal: false,
+            slots: [None, None],
         }
     }
 }
 
-/// A frame put during a pass, waiting on the pass's barrier.
+/// A frame written during a pass, waiting on the pass's barrier.
 struct Checkpoint {
     session: u64,
     /// Events the frame covers.
@@ -116,6 +129,9 @@ struct Checkpoint {
     /// Whether the journal is cut once the frame is durable.
     cut: bool,
     priority: Priority,
+    /// The layout the generation holds once the frame is durable, when
+    /// a later checkpoint may patch it.
+    slots: Option<store::SlotFile>,
 }
 
 /// One session's durable state, packaged for migration to another
@@ -362,12 +378,14 @@ impl<S: Storage> DurableService<S> {
 
     /// Steps 2 and 3 of every checkpoint. One barrier covers every
     /// frame of `pass`, and every journal append before it. Only once
-    /// it succeeds does each session flip its generation, advance its
-    /// snapshot mark and, where the frame covers everything journaled,
-    /// cut its journal by putting the header over it. The cut needs no
-    /// barrier of its own: until the next group commit makes it
-    /// durable, a crash may keep old records, and the durable frame
-    /// covers them. A failed barrier lands nothing.
+    /// it succeeds does each session keep the frame's layout for its
+    /// generation, flip its generation, advance its snapshot mark and,
+    /// where the frame covers everything journaled, cut its journal by
+    /// putting the header over it. The cut needs no barrier of its own:
+    /// until the next group commit makes it durable, a crash may keep
+    /// old records, and the durable frame covers them. A failed barrier
+    /// lands nothing, and the generations written in the pass keep no
+    /// layout, so they are written whole next time.
     fn land(&mut self, pass: Vec<Checkpoint>) {
         if !self.group_commit() {
             return;
@@ -377,6 +395,7 @@ impl<S: Storage> DurableService<S> {
                 continue;
             };
             state.snapshotted = ck.applied;
+            state.slots[usize::from(state.next_generation)] = ck.slots;
             state.next_generation ^= 1;
             if !ck.cut {
                 continue;
@@ -425,33 +444,39 @@ impl<S: Storage> DurableService<S> {
                 continue;
             };
             let priority = self.svc.session_priority(session).unwrap_or_default();
-            // A live pipeline is encoded straight into its frame; a
-            // blob encoded earlier is copied in and checksummed whole.
-            let (applied, frame) = match source {
-                SnapSource::Live(pipe) => (
-                    pipe.applied(),
-                    store::encode_pipeline_frame(session, priority, pipe),
-                ),
-                SnapSource::Encoded {
-                    applied,
-                    epoch,
-                    blob,
-                } => (
-                    applied,
-                    store::encode_frame(session, epoch, applied, priority, blob),
-                ),
+            // The generation's layout is taken whatever happens: until
+            // this write lands, the file may hold anything.
+            let prev = state.slots[usize::from(state.next_generation)].take();
+            // A live pipeline patches the frame it last landed in this
+            // generation; a frozen one is thawed and written whole.
+            let (applied, write, slots) = match source {
+                SnapSource::Live(pipe) => {
+                    let (write, slots) =
+                        store::encode_checkpoint(session, priority, pipe, prev.as_ref());
+                    (pipe.applied(), write, Some(slots))
+                }
+                SnapSource::Encoded(blob) => {
+                    let pipe =
+                        SessionPipeline::from_snapshot(blob).expect("frozen blob is self-produced");
+                    let (write, _) = store::encode_checkpoint(session, priority, &pipe, None);
+                    (pipe.applied(), write, None)
+                }
             };
             let name = store::snap_name(session, state.next_generation);
-            if !self.storage.put(&name, &frame) {
+            if !write.write_to(&mut self.storage, &name) {
                 continue;
             }
             self.dirty_files += 1;
             latch_obs::counter_inc("serve.snapshot.writes");
+            if !write.is_whole() {
+                latch_obs::counter_inc("serve.snapshot.patches");
+            }
             pass.push(Checkpoint {
                 session,
                 applied,
                 cut: applied >= state.journaled,
                 priority,
+                slots,
             });
         }
         self.land(pass);
@@ -538,9 +563,9 @@ impl<S: Storage> DurableService<S> {
                     error,
                 });
             };
-            // Newest valid snapshot across both generations; a frame
-            // that decodes but whose embedded blob does not is
-            // quarantined exactly like a bad frame.
+            // Newest valid snapshot across both generations, each frame
+            // thawed once; a frame that decodes but whose pipeline
+            // does not thaw is quarantined exactly like a bad frame.
             let mut best: Option<(u8, store::SnapFrame, SessionPipeline)> = None;
             for generation in [0u8, 1u8] {
                 let name = store::snap_name(session, generation);
@@ -548,7 +573,7 @@ impl<S: Storage> DurableService<S> {
                     continue;
                 };
                 match store::decode_frame(session, &bytes) {
-                    Ok(frame) => match SessionPipeline::from_snapshot(&frame.blob) {
+                    Ok(frame) => match frame.thaw() {
                         Ok(pipe) => {
                             if best.as_ref().is_none_or(|(_, b, _)| frame.newer_than(b)) {
                                 best = Some((generation, frame, pipe));
@@ -615,7 +640,6 @@ impl<S: Storage> DurableService<S> {
             pipe.bump_epoch();
             let epoch = pipe.epoch();
             let recovered = pipe.applied();
-            let blob = pipe.to_snapshot();
             // A clean journal with this class in its header keeps
             // taking appends from `recovered` on; any other is cut once
             // the seal is durable, and takes none until then —
@@ -623,13 +647,16 @@ impl<S: Storage> DurableService<S> {
             // new records behind it.
             let cut = has_wal && !(clean && wal_priority == Some(priority));
             let generation = source.map_or(0, |g| 1 - g);
-            let frame = store::encode_frame(session, epoch, recovered, priority, &blob);
-            if storage.put(&store::snap_name(session, generation), &frame) {
+            // The recovered pipeline is frozen below, so the seal's
+            // layout would vouch for no later pipeline: it is whole.
+            let (frame, _) = store::encode_checkpoint(session, priority, &pipe, None);
+            if frame.write_to(&mut storage, &store::snap_name(session, generation)) {
                 seal.push(Checkpoint {
                     session,
                     applied: recovered,
                     cut,
                     priority,
+                    slots: None,
                 });
             }
             sessions.insert(
@@ -640,9 +667,10 @@ impl<S: Storage> DurableService<S> {
                     next_generation: generation,
                     needs_resync: cut,
                     has_wal,
+                    slots: [None, None],
                 },
             );
-            svc.preload_session(session, blob, recovered, epoch, priority);
+            svc.preload_session(session, pipe.to_snapshot(), recovered, epoch, priority);
             report.sessions.insert(
                 session,
                 SessionRecovery {
@@ -770,16 +798,16 @@ impl<S: Storage> DurableService<S> {
         pipe.bump_epoch();
         let epoch = pipe.epoch();
         let applied = pipe.applied();
-        let sealed = pipe.to_snapshot();
-        let frame = store::encode_frame(session, epoch, applied, priority, &sealed);
+        let (frame, _) = store::encode_checkpoint(session, priority, &pipe, None);
         let mut pass = Vec::new();
-        if self.storage.put(&store::snap_name(session, 0), &frame) {
+        if frame.write_to(&mut self.storage, &store::snap_name(session, 0)) {
             self.dirty_files += 1;
             pass.push(Checkpoint {
                 session,
                 applied,
                 cut: true,
                 priority,
+                slots: None,
             });
         }
         self.sessions.insert(
@@ -791,7 +819,8 @@ impl<S: Storage> DurableService<S> {
             },
         );
         self.land(pass);
-        self.svc.preload_session(session, sealed, applied, epoch, priority);
+        self.svc
+            .preload_session(session, pipe.to_snapshot(), applied, epoch, priority);
         latch_obs::counter_inc("serve.migrate.imports");
         Ok(applied)
     }
@@ -838,20 +867,21 @@ pub fn thaw_export(
 /// Reads one session's durable artifacts straight off a storage
 /// backend — the path used when the owning process is dead and only
 /// its disk survives. Picks the newest snapshot generation whose frame
-/// decodes *and* whose blob thaws (the recovery criterion), and ships
+/// decodes *and* whose pipeline thaws (the recovery criterion), and
+/// ships its LTSE blob — a v3 frame's thawed pipeline re-encoded — with
 /// the raw journal bytes alongside. `None` when no file mentions the
 /// session.
 pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<SessionExport> {
-    let mut best: Option<store::SnapFrame> = None;
+    let mut best: Option<(store::SnapFrame, SessionPipeline)> = None;
     for generation in [0u8, 1u8] {
         let Some(bytes) = storage.read(&store::snap_name(session, generation)) else {
             continue;
         };
         if let Ok(frame) = store::decode_frame(session, &bytes) {
-            if SessionPipeline::from_snapshot(&frame.blob).is_ok()
-                && best.as_ref().is_none_or(|b| frame.newer_than(b))
-            {
-                best = Some(frame);
+            if let Ok(pipe) = frame.thaw() {
+                if best.as_ref().is_none_or(|(b, _)| frame.newer_than(b)) {
+                    best = Some((frame, pipe));
+                }
             }
         }
     }
@@ -863,7 +893,13 @@ pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<
         .as_ref()
         .and_then(|bytes| journal::scan_wal(session, bytes).priority);
     let (blob, frame_priority) = match best {
-        Some(frame) => (frame.blob, Some(frame.priority)),
+        Some((frame, pipe)) => {
+            let blob = match frame.body {
+                store::FrameBody::Blob(blob) => blob,
+                store::FrameBody::Slotted { .. } => pipe.to_snapshot(),
+            };
+            (blob, Some(frame.priority))
+        }
         None => (Vec::new(), None),
     };
     Some(SessionExport {

@@ -32,7 +32,7 @@ pub use durable::{
     ImportError, RecoveryReport, SessionExport, SessionRecovery,
 };
 pub use journal::RecoveryError;
-pub use overload::{Priority, Slo, SloReport, SloSampler};
+pub use overload::{Priority, Slo, SloReport, SloSampler, SLO_REPORTS_KEPT};
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use wire::{WireConfig, WireServer};
 
@@ -210,9 +210,13 @@ pub struct ServiceOutcome {
     pub pipelines: BTreeMap<u64, SessionPipeline>,
     /// Service-level counters.
     pub stats: ServeStats,
-    /// Every SLO report cut during the run, in order. Empty when the
-    /// overload policy is off.
+    /// The newest SLO reports cut during the run, at most
+    /// [`SLO_REPORTS_KEPT`], in order. Empty when the overload policy
+    /// is off.
     pub slo_reports: Vec<SloReport>,
+    /// Older reports dropped before `slo_reports[0]`: the first kept
+    /// report is cut number `slo_dropped`, counting from 0.
+    pub slo_dropped: u64,
     /// Wall-clock drain time. Timing-dependent — never part of any
     /// determinism oracle.
     pub wall_ns: u64,
@@ -279,6 +283,7 @@ impl Service {
         let wall_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let stats = self.sched.stats;
         let slo_reports = std::mem::take(&mut self.sched.slo_reports);
+        let slo_dropped = self.sched.slo_dropped;
         let pipelines = self.sched.into_sessions();
         let sessions = pipelines.iter().map(|(id, p)| (*id, p.report())).collect();
         ServiceOutcome {
@@ -286,6 +291,7 @@ impl Service {
             pipelines,
             stats,
             slo_reports,
+            slo_dropped,
             wall_ns,
         }
     }
@@ -304,7 +310,7 @@ impl Service {
     }
 
     /// What a byte-stable snapshot of a session is taken from: its live
-    /// pipeline, or a blob encoded earlier with the progress it covers.
+    /// pipeline, or the LTSE blob it was frozen to.
     /// `None` for sessions that never ran.
     pub(crate) fn snapshot_source(&self, session: u64) -> Option<SnapSource<'_>> {
         self.sched.snapshot_source(session)
@@ -326,13 +332,23 @@ impl Service {
             .preload_session(session, blob, applied, epoch, priority);
     }
 
-    /// SLO report cuts taken so far, in cut order. The list only
-    /// grows while the service runs, so a caller can stream new cuts
-    /// by keeping a cursor into it — the wire server pushes the suffix
-    /// to subscribed connections after each reply.
+    /// The newest SLO report cuts, at most [`SLO_REPORTS_KEPT`], in cut
+    /// order. A caller streams new cuts by keeping an absolute cursor,
+    /// a count of cuts seen, against
+    /// [`slo_reports_dropped`](Self::slo_reports_dropped) — the wire
+    /// server pushes each subscribed connection the kept cuts past its
+    /// cursor after each reply.
     #[must_use]
     pub fn slo_reports(&self) -> &[SloReport] {
         &self.sched.slo_reports
+    }
+
+    /// Cuts dropped before [`slo_reports`](Self::slo_reports)' first:
+    /// its first report is cut number `slo_reports_dropped()`,
+    /// counting from 0.
+    #[must_use]
+    pub fn slo_reports_dropped(&self) -> u64 {
+        self.sched.slo_dropped
     }
 
     /// The sticky admission class of a known session, or `None` for a
@@ -505,6 +521,37 @@ mod tests {
         let out = svc.finish();
         assert!(out.slo_reports.is_empty());
         assert_eq!(out.stats.rejected_shed, 0);
+    }
+
+    #[test]
+    fn slo_reports_keep_only_the_newest_window() {
+        let evs = events("hmmer", 3, 2 * SLO_REPORTS_KEPT as u64 + 700);
+        // One batch, and one cut, per event; never a shed.
+        let mut svc = Service::deterministic(ServeConfig {
+            batch_max: 1,
+            slo: Slo {
+                slo_cycles: u64::MAX,
+                window: 8,
+                report_every: 1,
+                queue_pressure_pct: 100,
+            },
+            ..ServeConfig::default()
+        });
+        for chunk in evs.chunks(256) {
+            svc.submit(0, chunk).unwrap();
+            svc.pump();
+            assert!(svc.slo_reports().len() <= SLO_REPORTS_KEPT);
+        }
+        let cut = evs.len() as u64;
+        let dropped = cut - SLO_REPORTS_KEPT as u64;
+        assert_eq!(svc.slo_reports_dropped(), dropped);
+        let batches: Vec<u64> = svc.slo_reports().iter().map(|r| r.at_batch).collect();
+        assert_eq!(batches, (dropped + 1..=cut).collect::<Vec<_>>());
+        let out = svc.finish();
+        assert_eq!(
+            (out.slo_reports.len(), out.slo_dropped),
+            (SLO_REPORTS_KEPT, dropped)
+        );
     }
 
     #[test]

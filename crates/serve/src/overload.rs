@@ -233,6 +233,12 @@ impl SloSampler {
     }
 }
 
+/// SLO cuts a running service keeps: the newest ones, about 48 KB of
+/// reports (a million events at the default cadence). Older cuts are
+/// dropped, so an armed daemon's telemetry stays bounded however long
+/// it runs.
+pub const SLO_REPORTS_KEPT: usize = 1024;
+
 /// One periodic cut of the SLO sampler, with the policy state the
 /// scheduler attached at the cut point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

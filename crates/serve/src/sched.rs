@@ -19,7 +19,7 @@
 //!   `SessionPipeline` snapshot contract), so eviction and migration
 //!   are invisible in per-session reports.
 
-use crate::overload::{Priority, Slo, SloReport, SloSampler};
+use crate::overload::{Priority, Slo, SloReport, SloSampler, SLO_REPORTS_KEPT};
 use crate::{Rejected, ServeConfig, ServeStats};
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
@@ -46,12 +46,8 @@ enum SlotState {
 pub(crate) enum SnapSource<'a> {
     /// A resident pipeline, not yet encoded.
     Live(&'a SessionPipeline),
-    /// A frozen slot's LTSE blob and the progress it covers.
-    Encoded {
-        applied: u64,
-        epoch: u64,
-        blob: &'a [u8],
-    },
+    /// A frozen slot's LTSE blob.
+    Encoded(&'a [u8]),
 }
 
 struct Slot {
@@ -93,8 +89,10 @@ pub(crate) struct Sched {
     /// Breach verdict of the last cut — the latency half of the
     /// pressure signal, stable between cuts.
     last_breach: bool,
-    /// Every SLO cut, in order.
+    /// The newest SLO cuts, at most [`SLO_REPORTS_KEPT`], in order.
     pub slo_reports: Vec<SloReport>,
+    /// SLO cuts dropped from the front of `slo_reports` so far.
+    pub slo_dropped: u64,
 }
 
 impl Sched {
@@ -113,6 +111,7 @@ impl Sched {
             completed: 0,
             last_breach: false,
             slo_reports: Vec::new(),
+            slo_dropped: 0,
         }
     }
 
@@ -275,6 +274,10 @@ impl Sched {
             },
         );
         self.slo_reports.push(report);
+        if self.slo_reports.len() > SLO_REPORTS_KEPT {
+            self.slo_reports.remove(0);
+            self.slo_dropped += 1;
+        }
     }
 
     /// Evicts least-recently-active idle sessions to snapshot blobs
@@ -357,15 +360,7 @@ impl Sched {
         match &slot.state {
             SlotState::Fresh => None,
             SlotState::Live(p) => Some(SnapSource::Live(p)),
-            SlotState::Frozen {
-                blob,
-                applied,
-                epoch,
-            } => Some(SnapSource::Encoded {
-                applied: *applied,
-                epoch: *epoch,
-                blob,
-            }),
+            SlotState::Frozen { blob, .. } => Some(SnapSource::Encoded(blob)),
         }
     }
 

@@ -2,14 +2,16 @@
 //!
 //! Everything the journal and snapshot store do to disk goes through
 //! the [`Storage`] trait: list, whole-file read, append, in-place put,
-//! atomic replace, group fsync, remove. Two backends implement it:
+//! in-place patch, atomic replace, group fsync, remove. Two backends
+//! implement it:
 //!
 //! * [`DirStorage`] — a real directory. Appends go straight to the
-//!   file; a put overwrites the file in place; atomic replaces write
-//!   and sync a temp file, then rename it over the target; fsync syncs
-//!   every file appended to or put since its last sync, and the
-//!   directory once if a rename, creation or removal happened since the
-//!   last successful barrier.
+//!   file; a put overwrites the file in place; a patch writes each of
+//!   its extents at its offset and then sets the file's length; atomic
+//!   replaces write and sync a temp file, then rename it over the
+//!   target; fsync syncs every file appended to, put or patched since
+//!   its last sync, and the directory once if a rename, creation or
+//!   removal happened since the last successful barrier.
 //! * [`MemStorage`] — a deterministic in-memory model with an explicit
 //!   crash semantics driven by the seeded disk-fault streams of
 //!   [`latch_faults`]. It records every mutating operation in an op
@@ -22,8 +24,15 @@
 //! the read path, keyed by a monotone operation counter, so recovery
 //! code is exercised against silently corrupted media too.
 
-use latch_faults::{FaultInjector, FaultPlan};
+use latch_faults::{mix, FaultInjector, FaultPlan};
 use std::collections::BTreeMap;
+
+/// The torn-write decision key of extent `k` of the patch at op `idx`
+/// (`u64::MAX` for its length): apart from every op's own key and from
+/// each other.
+fn patch_key(idx: u64, k: u64) -> u64 {
+    mix(idx, 0x9A7C_4E5D, k)
+}
 
 /// Minimal file-store interface the durability layer needs.
 pub trait Storage {
@@ -51,6 +60,19 @@ pub trait Storage {
     fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
         self.write_atomic(name, bytes)
     }
+    /// Writes each `(offset, bytes)` extent in place, then sets the
+    /// file's length to `len` (creating the file, zero-filling any
+    /// gap). Returns `false` on failure. Until a later successful
+    /// [`fsync`](Self::fsync) each extent has [`put`](Self::put)'s
+    /// contract, independently of the others: it may have landed
+    /// whole, in part or not at all, and so may the new length. The
+    /// default reads the file, lays the extents over it and puts the
+    /// result, which meets the same contract.
+    fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
+        let mut file = self.read(name).unwrap_or_default();
+        lay_extents(&mut file, len, extents);
+        self.put(name, &file)
+    }
     /// Durably flushes everything written, replaced or removed since
     /// the last successful sync. Returns `false` when the backend
     /// reports the sync failed — callers must assume nothing since the
@@ -58,6 +80,24 @@ pub trait Storage {
     fn fsync(&mut self) -> bool;
     /// Deletes a file if present.
     fn remove(&mut self, name: &str);
+}
+
+/// Lays `extents` over `file` and sets its length to `len`: what a
+/// [`Storage::patch`] leaves once it has landed.
+fn lay_extents(file: &mut Vec<u8>, len: u64, extents: &[(u64, &[u8])]) {
+    for &(at, bytes) in extents {
+        lay(file, at, bytes);
+    }
+    file.resize(len as usize, 0);
+}
+
+/// Writes `bytes` at `at` in `file`, growing it with zeros to reach.
+fn lay(file: &mut Vec<u8>, at: u64, bytes: &[u8]) {
+    let (lo, hi) = (at as usize, at as usize + bytes.len());
+    if file.len() < hi {
+        file.resize(hi, 0);
+    }
+    file[lo..hi].copy_from_slice(bytes);
 }
 
 // ---- real directory ------------------------------------------------------
@@ -181,6 +221,25 @@ impl Storage for DirStorage {
         ok
     }
 
+    fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
+        use std::os::unix::fs::FileExt;
+        let mut opts = std::fs::OpenOptions::new();
+        opts.write(true);
+        let ok = self
+            .open_with(name, opts)
+            .and_then(|f| {
+                for &(at, bytes) in extents {
+                    f.write_all_at(bytes, at)?;
+                }
+                f.set_len(len)
+            })
+            .is_ok();
+        if ok {
+            self.mark_dirty(name);
+        }
+        ok
+    }
+
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
         use std::io::Write;
         let tmp = self.path(&format!("{name}.tmp"));
@@ -231,6 +290,11 @@ impl Storage for DirStorage {
 enum Op {
     Append { name: String, bytes: Vec<u8> },
     Put { name: String, bytes: Vec<u8> },
+    Patch {
+        name: String,
+        len: u64,
+        extents: Vec<(u64, Vec<u8>)>,
+    },
     Replace { name: String, bytes: Vec<u8> },
     Remove { name: String },
     Fsync { reported_ok: bool },
@@ -276,12 +340,16 @@ impl MemStorage {
 
     /// The disk as it would look if the process died right before op
     /// `crash_op` executed: ops `0..crash_op` happened on top of the
-    /// disk this store started from, later ops never did. Appends, puts
-    /// and replaces not yet covered by a successful fsync survive fully
-    /// or tear, as the plan's torn-write stream decides: a torn append
-    /// keeps a seeded strict prefix of its bytes, a torn put lays a
-    /// seeded strict prefix of its new bytes over the old contents, and
-    /// a torn replace falls back to the old contents. The result is a
+    /// disk this store started from, later ops never did. Appends, puts,
+    /// patches and replaces not yet covered by a successful fsync
+    /// survive fully or tear, as the plan's torn-write stream decides: a
+    /// torn append keeps a seeded strict prefix of its bytes, a torn put
+    /// lays a seeded strict prefix of its new bytes over the old
+    /// contents, and a torn replace falls back to the old contents. A
+    /// patch decides each extent on its own — it lands whole, tears to a
+    /// seeded strict prefix laid over the old bytes, or (half of its
+    /// tears) does not land at all — and then its new length, which
+    /// lands or does not. The result is a
     /// fresh store sharing the same fault plan, starting from that
     /// disk (so it can crash again), with the op counter advanced past
     /// this store's history so post-crash decisions stay independent.
@@ -298,6 +366,13 @@ impl MemStorage {
             }
             Op::Put { name, bytes } | Op::Replace { name, bytes } => {
                 durable.insert(name.clone(), bytes.clone());
+            }
+            Op::Patch { name, len, extents } => {
+                let file = durable.entry(name.clone()).or_default();
+                for (at, bytes) in extents {
+                    lay(file, *at, bytes);
+                }
+                file.resize(*len as usize, 0);
             }
             Op::Remove { name } => {
                 durable.remove(name);
@@ -339,6 +414,21 @@ impl MemStorage {
                     }
                     None => apply(&mut durable, op),
                 },
+                Op::Patch { name, len, extents } => {
+                    let file = durable.entry(name.clone()).or_default();
+                    for (k, (at, bytes)) in extents.iter().enumerate() {
+                        let key = patch_key(idx, k as u64);
+                        let keep = match inj.disk_torn_at(key, bytes.len()) {
+                            None => bytes.len(),
+                            Some(_) if mix(self.plan.seed, key, 0) & 1 == 0 => 0,
+                            Some(keep) => keep,
+                        };
+                        lay(file, *at, &bytes[..keep]);
+                    }
+                    if inj.disk_torn_at(patch_key(idx, u64::MAX), 1).is_none() {
+                        file.resize(*len as usize, 0);
+                    }
+                }
                 Op::Replace { name: _, bytes } => {
                     // Rename is all-or-nothing: a torn decision means
                     // the rename never reached the directory entry.
@@ -414,6 +504,21 @@ impl Storage for MemStorage {
         true
     }
 
+    fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
+        self.next_op();
+        lay_extents(
+            self.files.entry(name.to_string()).or_default(),
+            len,
+            extents,
+        );
+        self.ops.push(Op::Patch {
+            name: name.to_string(),
+            len,
+            extents: extents.iter().map(|&(at, b)| (at, b.to_vec())).collect(),
+        });
+        true
+    }
+
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
         self.next_op();
         self.files.insert(name.to_string(), bytes.to_vec());
@@ -482,12 +587,16 @@ mod tests {
             if i % 4 == 1 {
                 s.put("snap", &vec![i; 16 + usize::from(i)]);
             }
+            if i % 4 == 2 {
+                let (a, b) = ([i; 5], [i ^ 0xFF; 9]);
+                s.patch("slots", 40 + u64::from(i), &[(3, &a[..]), (20, &b[..])]);
+            }
             if i % 3 == 0 {
                 s.fsync();
             }
         }
         for crash_op in 0..=s.ops_len() {
-            for name in ["wal", "snap"] {
+            for name in ["wal", "snap", "slots"] {
                 let a = s.crash_image(crash_op).read(name);
                 let b = s.crash_image(crash_op).read(name);
                 assert_eq!(
@@ -554,6 +663,118 @@ mod tests {
         let got = s.crash_image(s.ops_len()).read("f").unwrap();
         assert!(got.len() < 10, "an unsynced put must tear, got {got:?}");
         assert_eq!(&b"0123456789"[..got.len()], &got[..]);
+    }
+
+    /// An un-synced patch decides each extent on its own: across seeds
+    /// an extent lands whole, tears to a strict prefix laid over the old
+    /// bytes, or leaves them standing, and the new length lands or not.
+    /// Nothing outside the extents and the length change ever moves.
+    #[test]
+    fn an_unsynced_patch_survives_whole_torn_or_absent_per_extent() {
+        let old = vec![b'o'; 64];
+        let (a, b) = (vec![b'A'; 10], vec![b'B'; 12]);
+        let extents = [(4, &a[..]), (40, &b[..])];
+        let mut seen = [[0usize; 3]; 2];
+        let mut lengths = [0usize; 2];
+        for seed in 0..96 {
+            let plan = FaultPlan::new(seed).with_disk_faults(600, 0, 0, 0);
+            let mut s = MemStorage::new(plan);
+            s.put("f", &old);
+            assert!(s.fsync());
+            assert!(s.patch("f", 56, &extents));
+            let mut live = old[..56].to_vec();
+            live[4..14].copy_from_slice(&a);
+            live[40..52].copy_from_slice(&b);
+            assert_eq!(s.read("f").unwrap(), live, "the live file holds the patch");
+            let got = s.crash_image(s.ops_len()).read("f").unwrap();
+            lengths[usize::from(got.len() == 56)] += 1;
+            assert!(
+                got.len() == 56 || got.len() == 64,
+                "seed {seed}: {} bytes",
+                got.len()
+            );
+            for (k, &(at, new)) in extents.iter().enumerate() {
+                let at = at as usize;
+                let span = &got[at..at + new.len()];
+                let keep = span.iter().take_while(|&&c| c == new[0]).count();
+                assert!(
+                    span[keep..].iter().all(|&c| c == b'o'),
+                    "seed {seed}: extent {k}"
+                );
+                seen[k][match keep {
+                    0 => 2,
+                    n if n == new.len() => 0,
+                    _ => 1,
+                }] += 1;
+            }
+            let outside = got
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !(4..14).contains(&i) && !(40..52).contains(&i));
+            assert!(outside.into_iter().all(|(_, &c)| c == b'o'), "seed {seed}");
+        }
+        for (k, outcomes) in seen.iter().enumerate() {
+            assert!(outcomes.iter().all(|&n| n > 0), "extent {k}: {outcomes:?}");
+        }
+        assert!(lengths.iter().all(|&n| n > 0), "{lengths:?}");
+    }
+
+    #[test]
+    fn a_synced_patch_survives_and_a_failed_fsync_leaves_it_volatile() {
+        let bytes = b"0123456789";
+        let extents = [(2, &bytes[..4]), (8, &bytes[4..])];
+        let want = b"\0\x000123\0\x00456789".to_vec();
+        // Full-rate tearing: only a successful sync can save the patch.
+        let plan = FaultPlan::new(5).with_disk_faults(1000, 0, 0, 0);
+        let mut s = MemStorage::new(plan);
+        assert!(s.patch("f", 14, &extents));
+        assert!(s.fsync());
+        assert_eq!(s.crash_image(s.ops_len()).read("f").unwrap(), want);
+        // Every sync fails: the patch stays volatile, and at full-rate
+        // tearing neither its last extent nor its length lands whole.
+        let plan = FaultPlan::new(5).with_disk_faults(1000, 0, 0, 1000);
+        let mut s = MemStorage::new(plan);
+        assert!(s.patch("f", 14, &extents));
+        assert!(!s.fsync(), "full-rate fsync failure must report");
+        let got = s.crash_image(s.ops_len()).read("f").unwrap_or_default();
+        assert_ne!(got, want, "an unsynced patch must tear");
+        assert!(got.len() < 14, "the new length never landed: {got:?}");
+    }
+
+    /// The provided `patch`, for a backend that implements only the
+    /// other methods: read the file, lay the extents over it, put it.
+    #[test]
+    fn the_default_patch_reads_lays_and_puts() {
+        struct Plain(MemStorage);
+        impl Storage for Plain {
+            fn list(&self) -> Vec<String> {
+                self.0.list()
+            }
+            fn read(&mut self, name: &str) -> Option<Vec<u8>> {
+                self.0.read(name)
+            }
+            fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
+                self.0.append(name, bytes)
+            }
+            fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
+                self.0.write_atomic(name, bytes)
+            }
+            fn fsync(&mut self) -> bool {
+                self.0.fsync()
+            }
+            fn remove(&mut self, name: &str) {
+                self.0.remove(name);
+            }
+        }
+        let mut plain = Plain(MemStorage::new(FaultPlan::benign()));
+        let mut mem = MemStorage::new(FaultPlan::benign());
+        for s in [&mut plain as &mut dyn Storage, &mut mem] {
+            assert!(s.patch("f", 6, &[(2, b"ab")]));
+            assert!(s.patch("f", 12, &[(0, b"x"), (9, b"yz")]));
+            assert!(s.patch("f", 4, &[(1, b"q")]));
+        }
+        assert_eq!(plain.read("f"), mem.read("f"));
+        assert_eq!(mem.read("f").unwrap(), b"xqab");
     }
 
     #[test]
@@ -624,6 +845,35 @@ mod tests {
             .collect();
         assert!(raw.iter().all(|n| !n.ends_with(".tmp")), "{raw:?}");
         assert_eq!(s.list(), vec!["snap-1".to_string(), "wal-1".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_storage_patch_creates_extends_and_shrinks_in_place() {
+        let dir = std::env::temp_dir().join(format!("latch-serve-patch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DirStorage::open(&dir).unwrap();
+        assert!(s.patch("snap-1", 8, &[(2, b"ab")]));
+        assert!(s.fsync(), "the creation's directory sync");
+        assert_eq!(s.read("snap-1").unwrap(), b"\0\0ab\0\0\0\0");
+        assert!(s.patch("snap-1", 12, &[(0, b"x"), (10, b"yz")]));
+        assert_eq!(
+            s.read("snap-1").unwrap(),
+            b"x\0ab\0\0\0\0\0\0yz",
+            "extended"
+        );
+        assert!(s.patch("snap-1", 5, &[(3, b"Q")]));
+        assert!(s.fsync());
+        assert_eq!(
+            s.read("snap-1").unwrap(),
+            b"x\0aQ\0",
+            "shrunk, no stale tail"
+        );
+        let raw: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(raw, vec!["snap-1".to_string()], "no temp file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

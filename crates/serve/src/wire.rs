@@ -36,8 +36,13 @@
 //!   wire as a [`WireRejected`], including `Shed` (with priority and
 //!   pressure) and `BatchTooLarge` (the journal-cap refusal).
 //! * **Telemetry** — connections that set `want_slo` receive
-//!   [`Msg::SloPush`] frames for every SLO cut, streamed after each
-//!   reply via a per-connection cursor.
+//!   [`Msg::SloPush`] frames for the SLO cuts, streamed after each
+//!   reply via a per-connection cursor that counts cuts absolutely. The
+//!   service keeps only the newest [`SLO_REPORTS_KEPT`] cuts, so a
+//!   connection that opens late, or falls that far behind, gets the
+//!   kept ones; no connection gets a cut twice or skips a kept one.
+//!
+//!   [`SLO_REPORTS_KEPT`]: crate::SLO_REPORTS_KEPT
 //! * **Drain** — `Drain` takes the service, runs
 //!   [`DurableService::finish`], stores every session's final report,
 //!   and replies `Drained`. The reply is idempotent; later `Submit`s
@@ -345,11 +350,12 @@ fn fail_closed<H: Handler>(conn_id: u64, reason: &'static str) -> Vec<Msg> {
 
 // ---- the node ------------------------------------------------------------
 
-/// What a drain left behind: per-session `(applied, report bytes)` and
-/// the final SLO report stream.
+/// What a drain left behind: per-session `(applied, report bytes)`, the
+/// kept SLO reports, and the cut number of the first of them.
 struct Drained {
     reports: BTreeMap<u64, (u64, Vec<u8>)>,
     slo: Vec<WireSlo>,
+    slo_first: u64,
 }
 
 /// The node's state behind its front door: the service until drain,
@@ -514,6 +520,7 @@ fn drained_from(outcome: &ServiceOutcome) -> Drained {
             .map(|(&s, r)| (s, (r.events, r.encode())))
             .collect(),
         slo: outcome.slo_reports.iter().map(wire_slo).collect(),
+        slo_first: outcome.slo_dropped,
     }
 }
 
@@ -523,7 +530,9 @@ struct NodeConn {
     want_slo: bool,
     outstanding: u64,
     admitted: u64,
-    slo_cursor: usize,
+    /// SLO cuts this connection has been sent or has missed: the cut
+    /// number of the next one to push.
+    slo_cursor: u64,
     /// Session → state staged by `MigrateChunk` frames, consumed by the
     /// committing `MigrateSession`.
     migrations: BTreeMap<u64, Staging>,
@@ -922,22 +931,26 @@ impl<S: Storage + Send + 'static> Handler for Node<S> {
             | Msg::CursorAck { .. }
             | Msg::Error { .. } => Self::refuse(conn_id, "unexpected_message", &mut replies),
         }
-        // Stream any SLO cuts this connection has not seen yet: from the
-        // live service, or from the final drained stream.
+        // Stream the kept SLO cuts this connection has not been sent,
+        // from the live service or the final drained stream: each at
+        // most once, and none that is still kept skipped.
         if cs.want_slo {
-            let fresh: Vec<WireSlo> = match (st.svc.as_ref(), st.drained.as_ref()) {
-                (Some(svc), _) => svc
-                    .service()
-                    .slo_reports()
-                    .get(cs.slo_cursor..)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(wire_slo)
-                    .collect(),
-                (None, Some(d)) => d.slo.get(cs.slo_cursor..).unwrap_or_default().to_vec(),
-                (None, None) => Vec::new(),
+            let (first, fresh): (u64, Vec<WireSlo>) = match (st.svc.as_ref(), st.drained.as_ref()) {
+                (Some(svc), _) => {
+                    let svc = svc.service();
+                    let first = svc.slo_reports_dropped();
+                    let skip = cs.slo_cursor.saturating_sub(first) as usize;
+                    let kept = svc.slo_reports().get(skip..).unwrap_or_default();
+                    (first + skip as u64, kept.iter().map(wire_slo).collect())
+                }
+                (None, Some(d)) => {
+                    let skip = cs.slo_cursor.saturating_sub(d.slo_first) as usize;
+                    let kept = d.slo.get(skip..).unwrap_or_default();
+                    (d.slo_first + skip as u64, kept.to_vec())
+                }
+                (None, None) => (cs.slo_cursor, Vec::new()),
             };
-            cs.slo_cursor += fresh.len();
+            cs.slo_cursor = cs.slo_cursor.max(first + fresh.len() as u64);
             replies.extend(fresh.into_iter().map(Msg::SloPush));
         }
         replies

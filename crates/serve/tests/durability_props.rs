@@ -74,6 +74,7 @@ fn drive(
 
 /// A [`MemStorage`] that notes, at every successful fsync, how far
 /// each session's journal reached: the events that sync made durable.
+/// It also logs each snapshot write as `(session, whole)`.
 struct FloorProbe {
     inner: MemStorage,
     /// The end (`base_seq + count`) of each session's last appended
@@ -81,6 +82,8 @@ struct FloorProbe {
     appended: BTreeMap<u64, u64>,
     /// `(op index, appended)` at every successful fsync.
     syncs: Vec<(usize, BTreeMap<u64, u64>)>,
+    /// `(session, whether the frame was put whole)` per snapshot write.
+    snap_writes: Vec<(u64, bool)>,
 }
 
 impl FloorProbe {
@@ -89,6 +92,13 @@ impl FloorProbe {
             inner,
             appended: BTreeMap::new(),
             syncs: Vec::new(),
+            snap_writes: Vec::new(),
+        }
+    }
+
+    fn note(&mut self, name: &str, whole: bool) {
+        if let Some((session, _)) = store::parse_snap_name(name) {
+            self.snap_writes.push((session, whole));
         }
     }
 
@@ -129,7 +139,13 @@ impl Storage for FloorProbe {
     }
 
     fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.note(name, true);
         self.inner.put(name, bytes)
+    }
+
+    fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
+        self.note(name, false);
+        self.inner.patch(name, len, extents)
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
@@ -283,7 +299,10 @@ proptest! {
     /// every op of the first recovery's own seal, recovery keeps every
     /// event a successful fsync covered — and once the seal's barrier
     /// succeeded, everything the first recovery restored. Torn writes
-    /// and failed fsyncs only: read faults may lose synced bytes.
+    /// and failed fsyncs only: read faults may lose synced bytes. The
+    /// checkpoints come often enough that every session patches its
+    /// snapshot files at least twice, so the crash points cover torn
+    /// patches as well as torn whole frames.
     #[test]
     fn fsynced_events_survive_every_crash(
         seed in 0u64..100_000,
@@ -292,7 +311,7 @@ proptest! {
         torn in prop_oneof![Just(300u32), Just(500u32), Just(1000u32)],
         fsync_fail in prop_oneof![Just(0u32), Just(200u32)],
         group_commit in 1u64..64,
-        snapshot_every in 32u64..256,
+        snapshot_every in 32u64..72,
     ) {
         let profiles = all_profiles();
         let streams: Vec<Vec<Event>> = (0..sessions)
@@ -311,6 +330,10 @@ proptest! {
             }
         }
         let run = svc.crash();
+        for s in 0..sessions as u64 {
+            let patches = run.snap_writes.iter().filter(|&&w| w == (s, false)).count();
+            prop_assert!(patches >= 2, "session {} patched {} times", s, patches);
+        }
         let none = BTreeMap::new();
         for crash_op in 0..=run.inner.ops_len() {
             let floor = run.floor(crash_op).unwrap_or(&none);
@@ -367,10 +390,13 @@ fn a_torn_older_generation_is_quarantined_and_the_newer_restores() {
     } else {
         (&frames[1], &frames[0])
     };
-    // The next checkpoint's put, cut short: the first half of a newer
-    // frame laid over the older generation's bytes.
+    // The next checkpoint's put, cut short: at least the first half of
+    // a newer frame, and its first byte that differs, laid over the
+    // older generation's bytes.
     let mut torn = older.1.clone();
-    let keep = newer.1.len().min(torn.len()) / 2;
+    let differs = (0..).find(|&i| torn.get(i) != newer.1.get(i)).unwrap();
+    let keep = (newer.1.len().min(torn.len()) / 2).max(differs + 1);
+    torn.resize(torn.len().max(keep), 0);
     torn[..keep].copy_from_slice(&newer.1[..keep]);
     assert!(storage.put(&older.0, &torn));
     assert!(storage.fsync());
@@ -536,4 +562,148 @@ fn clean_shutdown_then_recovery_restores_everything() {
             "session {s} diverged after clean recovery"
         );
     }
+}
+
+/// A session evicted and restored between two checkpoints of the same
+/// generation comes back as a new pipeline: the page mark its last
+/// frame there was taken at vouches for none of the restored pipeline's
+/// pages, so that checkpoint is written whole. Recovery from it resumes
+/// solo-identical.
+#[test]
+fn a_restored_session_writes_whole_and_recovers_solo_identical() {
+    // Session 0 writes one of five pages per event, so every page
+    // changes between any two checkpoints of a generation.
+    let a: Vec<Event> = (0..3_000u32)
+        .map(|i| {
+            let mut ev = Event::empty(0x40);
+            ev.source = Some(latch_sim::event::SourceInput {
+                kind: latch_dift::policy::SourceKind::File,
+                addr: (1 + i % 5) * 4096 + (i * 37) % 4000,
+                len: 8,
+                trusted: false,
+            });
+            ev
+        })
+        .collect();
+    let b = stream(&all_profiles()[0], 72, 400);
+    let cfg = ServeConfig {
+        max_resident: 1,
+        ..ServeConfig::default()
+    };
+    let dcfg = DurableConfig {
+        group_commit_events: 1,
+        snapshot_every: 100,
+    };
+    let plan = FaultPlan::benign();
+    let mut svc = DurableService::new(cfg, dcfg, plan, FloorProbe::new(MemStorage::new(plan)));
+    let run = |svc: &mut DurableService<FloorProbe>, s: u64, evs: &[Event]| {
+        for chunk in evs.chunks(100) {
+            svc.submit(s, chunk).unwrap();
+            svc.pump();
+        }
+    };
+    // Session 0 alone: whole frames into both generations, then
+    // patches while its pipeline stays resident.
+    run(&mut svc, 0, &a[..1_000]);
+    // Session 1 takes the one resident place; session 0 is frozen with
+    // nothing due, then restored by its next batch.
+    run(&mut svc, 1, &b);
+    // One checkpoint into each generation, each over a layout taken on
+    // the evicted pipeline; the crash comes before any later one.
+    run(&mut svc, 0, &a[1_000..1_200]);
+    let storage = svc.crash();
+    let writes: Vec<bool> = storage
+        .snap_writes
+        .iter()
+        .filter(|&&(s, _)| s == 0)
+        .map(|&(_, whole)| whole)
+        .collect();
+    assert_eq!(writes.len(), 12, "{writes:?}");
+    assert_eq!(
+        &writes[..2],
+        [true, true],
+        "the first frame into each generation is whole"
+    );
+    assert!(
+        writes[2..10].iter().all(|&w| !w),
+        "then patches: {writes:?}"
+    );
+    assert_eq!(
+        &writes[10..],
+        [true, true],
+        "a restored pipeline writes whole: {writes:?}"
+    );
+
+    let (mut svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(report.sessions[&0].snapshot_applied, 1_200);
+    assert_eq!(report.sessions[&1].snapshot_applied, 400);
+    run(&mut svc, 0, &a[1_200..]);
+    let (out, _) = svc.finish();
+    assert_eq!(out.sessions[&0].encode(), solo(&a, cfg.scrub_interval));
+    assert_eq!(out.sessions[&1].encode(), solo(&b, cfg.scrub_interval));
+    // A stale slot shows in the precise state even where no report
+    // counter reads it.
+    let mut alone = SessionPipeline::new(cfg.scrub_interval);
+    for ev in &a {
+        alone.apply(ev);
+    }
+    let resumed = out.pipelines[&0].engine().to_snapshot();
+    assert!(resumed == alone.engine().to_snapshot());
+}
+
+/// A frame a v2 writer left on disk — the pinned astar frame of
+/// `latch_serve::store`'s tests, built here the way that writer laid
+/// it out — still decodes, and recovery restores and resumes from it.
+#[test]
+fn a_v2_frame_on_disk_still_recovers() {
+    use latch_core::snapshot::{crc32, SnapWriter};
+    let profiles = all_profiles();
+    let astar = profiles.iter().find(|p| p.name == "astar").unwrap();
+    let evs = stream(astar, 5, 24_000);
+    let mut pipe = SessionPipeline::new(512);
+    for ev in &evs[..20_000] {
+        pipe.apply(ev);
+    }
+    let blob = pipe.to_snapshot();
+    let mut w = SnapWriter::new();
+    w.header(store::SNAP_FRAME_MAGIC, 2);
+    w.u64(0x5EED);
+    w.u64(3);
+    w.u64(20_000);
+    w.u8(Priority::Critical.rank());
+    w.u64(blob.len() as u64);
+    w.bytes(&blob);
+    let frame = w.finish_crc();
+    assert_eq!(
+        (frame.len(), crc32(&frame[..frame.len() - 4])),
+        (98_241, 0x3EAD_CAEC)
+    );
+    let plan = FaultPlan::benign();
+    let mut storage = MemStorage::new(plan);
+    assert!(storage.put(&store::snap_name(0x5EED, 1), &frame));
+    assert!(storage.fsync());
+
+    let (cfg, dcfg) = (ServeConfig::default(), DurableConfig::default());
+    let (mut svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    let rec = report.sessions[&0x5EED];
+    assert_eq!(
+        (rec.snapshot_applied, rec.recovered, rec.epoch),
+        (20_000, 20_000, 1)
+    );
+    assert_eq!(
+        svc.service().session_priority(0x5EED),
+        Some(Priority::Critical)
+    );
+    for chunk in evs[20_000..].chunks(500) {
+        svc.submit(0x5EED, chunk).unwrap();
+        svc.pump();
+    }
+    let (out, mut storage) = svc.finish();
+    assert_eq!(out.sessions[&0x5EED].encode(), solo(&evs, 512));
+    // The seal went to the other generation, as v3; the v2 frame stays
+    // until a checkpoint overwrites it.
+    let sealed = storage.read(&store::snap_name(0x5EED, 0)).unwrap();
+    assert_eq!(sealed[4..8], store::SNAP_FRAME_VERSION.to_le_bytes());
 }

@@ -24,6 +24,7 @@ use latch_core::stats::{CheckStats, ScrubStats};
 use latch_core::unit::LatchUnit;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::SecurityViolation;
+use latch_dift::shadow::PageMark;
 use latch_sim::event::{Event, MemAccessKind};
 use latch_sim::machine::apply_event_dift;
 
@@ -252,9 +253,21 @@ impl SessionPipeline {
     /// sealed in place. Seal it with [`SnapWriter::finish_crc`], or
     /// nest it inside an enclosing blob with [`SnapWriter::sealed`].
     pub fn snap_encode(&self, w: &mut SnapWriter) {
+        self.snap_encode_with(w, true);
+    }
+
+    /// [`snap_encode`](Self::snap_encode) with the shadow's page
+    /// section written empty: everything but the resident pages, for a
+    /// writer that stores each page apart. Its blob and those pages
+    /// thaw with [`from_snapshot_and_pages`](Self::from_snapshot_and_pages).
+    pub fn snap_encode_without_pages(&self, w: &mut SnapWriter) {
+        self.snap_encode_with(w, false);
+    }
+
+    fn snap_encode_with(&self, w: &mut SnapWriter, pages: bool) {
         w.header(SNAP_MAGIC, SNAP_VERSION);
         w.sealed(|w| self.latch.snap_encode(w));
-        w.sealed(|w| self.engine.snap_encode(w));
+        w.sealed(|w| self.engine.snap_encode_with(w, pages));
         w.u64(self.window_left);
         w.u64(self.applied);
         w.u64(self.selected);
@@ -277,6 +290,41 @@ impl SessionPipeline {
     #[must_use]
     pub fn snapshot_len_hint(&self) -> usize {
         self.engine.snapshot_len_hint() + (16 << 10) + self.violations.len() * 19
+    }
+
+    /// The current point in the shadow's write history: which pages
+    /// change after it, [`ShadowMemory::pages_since`] tells. A mark
+    /// holds only for the pipeline that issued it. A fresh, thawed or
+    /// cloned pipeline has a shadow of its own, whose every page counts
+    /// as changed since any earlier mark.
+    ///
+    /// [`ShadowMemory::pages_since`]: latch_dift::shadow::ShadowMemory::pages_since
+    #[must_use]
+    pub fn page_mark(&self) -> PageMark {
+        self.engine.shadow().mark()
+    }
+
+    /// Thaws a blob written by
+    /// [`snap_encode_without_pages`](Self::snap_encode_without_pages)
+    /// and sealed, with the resident pages stored apart as
+    /// `(index, tag bytes)`. The result encodes to the
+    /// [`to_snapshot`](Self::to_snapshot) bytes of the pipeline that
+    /// wrote them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapError`] when the blob does not thaw, or a page
+    /// is not 4 KiB long or repeats an index.
+    pub fn from_snapshot_and_pages<'a>(
+        blob: &[u8],
+        pages: impl IntoIterator<Item = (u32, &'a [u8])>,
+    ) -> Result<Self, SnapError> {
+        let mut pipe = Self::from_snapshot(blob)?;
+        let shadow = pipe.engine.shadow_mut();
+        for (idx, tags) in pages {
+            shadow.restore_page(idx, tags)?;
+        }
+        Ok(pipe)
     }
 
     /// Inverse of [`to_snapshot`](Self::to_snapshot).

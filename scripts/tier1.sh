@@ -76,6 +76,20 @@ cargo run --release -q -p latch-conform --bin latch-stress -- crash \
     --seed 7 --iters 24 --sessions 8 --dir "$CRASH_DIR"
 rm -rf "$CRASH_DIR"
 
+# The kill loop at a seed whose kills leave two snapshot generations of
+# a session whose slots differ, so the stale-slot mangle fires: it
+# copies one 4 KiB slot block from the other generation, a patch extent
+# that never landed, and the scenario asserts recovery quarantines that
+# frame. The grep fails the step if no slot was staled.
+echo "==> latch-stress crash (stale snapshot slots)"
+CRASH_DIR="$(mktemp -d)"
+CRASH_OUT="$(mktemp)"
+cargo run --release -q -p latch-conform --bin latch-stress -- crash \
+    --seed 3 --iters 24 --dir "$CRASH_DIR" | tee "$CRASH_OUT"
+grep -q "([1-9][0-9]* stale slots)" "$CRASH_OUT" \
+    || { rm -rf "$CRASH_DIR" "$CRASH_OUT"; echo "tier1: no stale slot was mangled" >&2; exit 1; }
+rm -rf "$CRASH_DIR" "$CRASH_OUT"
+
 # The committed overload trajectory: every BENCH_serve.json figure is an
 # event or simulated-cycle count, so a rerun must reproduce the file
 # byte for byte, or the change moved admission or shedding without
