@@ -263,18 +263,19 @@ impl ShadowMemory {
     }
 
     /// Makes page `idx` resident with the raw tag bytes `tags`, as the
-    /// snapshot decoder does for each encoded page. The census and the
-    /// tainted-byte count are the snapshot's to restore.
+    /// snapshot decoder does for each encoded page. The page keeps the
+    /// buffer it is given. The census and the tainted-byte count are the
+    /// snapshot's to restore.
     ///
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] when `tags` is not one page long or the
     /// page is already resident.
-    pub fn restore_page(&mut self, idx: u32, tags: &[u8]) -> Result<(), SnapError> {
+    pub fn restore_page(&mut self, idx: u32, tags: Box<[u8]>) -> Result<(), SnapError> {
         if tags.len() != PAGE || self.pages.contains_key(&idx) {
             return Err(SnapError::Corrupt("shadow page"));
         }
-        self.pages.insert(idx, Page::new(tags.into()));
+        self.pages.insert(idx, Page::new(tags));
         Ok(())
     }
 

@@ -19,7 +19,10 @@
 //!   whole when the generation holds no landed frame of the session's
 //!   current pipeline (a fresh, restored, recovered or imported one),
 //!   when its last write failed or missed its barrier, when a slotted
-//!   page left residency, and for a frozen session. One barrier covers
+//!   page left residency, for a frozen session, and at every
+//!   [`store::WHOLE_EVERY`]th checkpoint into the generation, so a
+//!   clean slot that rotted after it landed spoils at most that many
+//!   frames of its generation. One barrier covers
 //!   every frame of the pass. Only after it succeeds does the session
 //!   keep the new layout, flip its generation, advance its snapshot
 //!   mark and cut its journal, by putting the 17-byte header over it;
@@ -563,30 +566,34 @@ impl<S: Storage> DurableService<S> {
                     error,
                 });
             };
-            // Newest valid snapshot across both generations, each frame
-            // thawed once; a frame that decodes but whose pipeline
+            // Newest valid snapshot across both generations (by epoch,
+            // then applied, as `SnapFrame::newer_than` orders them), each
+            // frame thawed once; a frame that decodes but whose pipeline
             // does not thaw is quarantined exactly like a bad frame.
-            let mut best: Option<(u8, store::SnapFrame, SessionPipeline)> = None;
+            let mut best: Option<(u8, (u64, u64), Priority, SessionPipeline)> = None;
             for generation in [0u8, 1u8] {
                 let name = store::snap_name(session, generation);
                 let Some(bytes) = storage.read(&name) else {
                     continue;
                 };
                 match store::decode_frame(session, &bytes) {
-                    Ok(frame) => match frame.thaw() {
-                        Ok(pipe) => {
-                            if best.as_ref().is_none_or(|(_, b, _)| frame.newer_than(b)) {
-                                best = Some((generation, frame, pipe));
+                    Ok(frame) => {
+                        let (age, priority) = ((frame.epoch, frame.applied), frame.priority);
+                        match frame.thaw() {
+                            Ok(pipe) => {
+                                if best.as_ref().is_none_or(|b| age > b.1) {
+                                    best = Some((generation, age, priority, pipe));
+                                }
                             }
+                            Err(_) => quarantine(name, 0, RecoveryError::BadSnapshot),
                         }
-                        Err(_) => quarantine(name, 0, RecoveryError::BadSnapshot),
-                    },
+                    }
                     Err(err) => quarantine(name, 0, err),
                 }
             }
             let (source, snapshot_applied, frame_priority, mut pipe) = match best {
-                Some((generation, frame, pipe)) => {
-                    (Some(generation), frame.applied, Some(frame.priority), pipe)
+                Some((generation, (_, applied), priority, pipe)) => {
+                    (Some(generation), applied, Some(priority), pipe)
                 }
                 None => (None, 0, None, SessionPipeline::new(cfg.scrub_interval)),
             };
@@ -872,17 +879,26 @@ pub fn thaw_export(
 /// the raw journal bytes alongside. `None` when no file mentions the
 /// session.
 pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<SessionExport> {
-    let mut best: Option<(store::SnapFrame, SessionPipeline)> = None;
+    // (epoch and applied, priority, LTSE blob) of the newest frame that
+    // thaws; a frame no newer than it is not thawed at all.
+    let mut best: Option<((u64, u64), Priority, Vec<u8>)> = None;
     for generation in [0u8, 1u8] {
         let Some(bytes) = storage.read(&store::snap_name(session, generation)) else {
             continue;
         };
-        if let Ok(frame) = store::decode_frame(session, &bytes) {
-            if let Ok(pipe) = frame.thaw() {
-                if best.as_ref().is_none_or(|(b, _)| frame.newer_than(b)) {
-                    best = Some((frame, pipe));
-                }
-            }
+        let Ok(frame) = store::decode_frame(session, &bytes) else {
+            continue;
+        };
+        let (age, priority) = ((frame.epoch, frame.applied), frame.priority);
+        if best.as_ref().is_some_and(|b| age <= b.0) {
+            continue;
+        }
+        let blob = match frame.body {
+            store::FrameBody::Blob(blob) => SessionPipeline::from_snapshot(&blob).map(|_| blob),
+            store::FrameBody::Slotted { .. } => frame.thaw().map(|pipe| pipe.to_snapshot()),
+        };
+        if let Ok(blob) = blob {
+            best = Some((age, priority, blob));
         }
     }
     let wal = storage.read(&journal::wal_name(session));
@@ -893,13 +909,7 @@ pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<
         .as_ref()
         .and_then(|bytes| journal::scan_wal(session, bytes).priority);
     let (blob, frame_priority) = match best {
-        Some((frame, pipe)) => {
-            let blob = match frame.body {
-                store::FrameBody::Blob(blob) => blob,
-                store::FrameBody::Slotted { .. } => pipe.to_snapshot(),
-            };
-            (blob, Some(frame.priority))
-        }
+        Some((_, priority, blob)) => (blob, Some(priority)),
         None => (Vec::new(), None),
     };
     Some(SessionExport {

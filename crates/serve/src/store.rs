@@ -32,7 +32,10 @@
 //! read again. A patch that lands in part fails the trailer as a torn
 //! put does. The frame is written whole when the writer holds no
 //! landed layout of this pipeline for the file, a slotted page left
-//! residency, or a file with no slot gains its first.
+//! residency, a file with no slot gains its first, and at every
+//! [`WHOLE_EVERY`]th checkpoint into the file: a patch trusts that the
+//! file's clean slots still hold what landed there, and a whole write
+//! stops a slot that rotted since from failing every later frame.
 //!
 //! Versions 1 and 2 held the LTSE blob whole, behind the fields:
 //!
@@ -68,6 +71,9 @@ pub const SNAP_MAX_BLOB: usize = 1 << 28;
 /// Bytes of a v3 slot, and of the head block before the first one: one
 /// shadow page, one filesystem block.
 pub const SLOT_BYTES: usize = latch_core::PAGE_SIZE as usize;
+/// Checkpoints into one snapshot file per whole write of it: after a
+/// whole frame, at most `WHOLE_EVERY - 1` patches follow.
+pub const WHOLE_EVERY: u32 = 16;
 /// Offset of the slot count in the v3 head.
 const SLOTS_AT: usize = 16;
 /// Bytes of the v3 head before its padding.
@@ -103,10 +109,8 @@ pub enum FrameBody {
     Blob(Vec<u8>),
     /// A v3 frame's resident pages and the rest of its pipeline.
     Slotted {
-        /// The page index each slot holds, in slot order.
-        pages: Vec<u32>,
-        /// The slots' tag bytes, 4 KiB per slot, in slot order.
-        tags: Vec<u8>,
+        /// Each slot's page index and 4 KiB of tag bytes, in slot order.
+        pages: Vec<(u32, Box<[u8]>)>,
         /// The "LTSE" pipeline snapshot with an empty page section.
         blob: Vec<u8>,
     },
@@ -137,34 +141,35 @@ impl SnapFrame {
         (self.epoch, self.applied) > (other.epoch, other.applied)
     }
 
-    /// Thaws the frame's pipeline. A v3 frame's pages go straight into
-    /// the thawed shadow, so the frame is decoded once and never
-    /// reassembled into an LTSE blob.
+    /// Thaws the frame's pipeline. A v3 frame's pages move into the
+    /// thawed shadow as decoded, so each is copied once out of the file
+    /// and never reassembled into an LTSE blob.
     ///
     /// # Errors
     ///
     /// The [`SnapError`] of a pipeline state that does not thaw.
-    pub fn thaw(&self) -> Result<SessionPipeline, SnapError> {
-        match &self.body {
-            FrameBody::Blob(blob) => SessionPipeline::from_snapshot(blob),
-            FrameBody::Slotted { pages, tags, blob } => SessionPipeline::from_snapshot_and_pages(
-                blob,
-                pages.iter().copied().zip(tags.chunks_exact(SLOT_BYTES)),
-            ),
+    pub fn thaw(self) -> Result<SessionPipeline, SnapError> {
+        match self.body {
+            FrameBody::Blob(blob) => SessionPipeline::from_snapshot(&blob),
+            FrameBody::Slotted { pages, blob } => {
+                SessionPipeline::from_snapshot_and_pages(&blob, pages)
+            }
         }
     }
 }
 
 /// What this process last landed in one generation's v3 file: the page
-/// each slot holds, each slot's CRC-32, and the pipeline's page mark
-/// when the frame was taken. A patch of the file is computed against
-/// it, so it is kept only once the frame is durable.
+/// each slot holds, each slot's CRC-32, the pipeline's page mark when
+/// the frame was taken, and the patches since the file was last written
+/// whole. A patch of the file is computed against it, so it is kept
+/// only once the frame is durable.
 #[derive(Debug, Clone)]
 pub struct SlotFile {
     pages: Vec<u32>,
     slot_of: HashMap<u32, usize>,
     crcs: Vec<u32>,
     mark: PageMark,
+    patches: u32,
 }
 
 /// One checkpoint's write into a snapshot file: the whole frame, or a
@@ -274,11 +279,12 @@ fn file_crc(head: u32, slots: &[u32], tail: &[u8]) -> u32 {
 /// the layout the file holds once it lands.
 ///
 /// The write is a patch when `prev` was taken on this very pipeline,
-/// every page it slots is still resident, and it has a slot or gains
-/// none (the first slot pads the head): the slots of the pages changed
-/// since `prev`'s mark, one new slot per newly resident page, the tail
-/// and the trailer, and the slot count when it grew. Otherwise it is
-/// the whole frame, its slots in page order.
+/// fewer than `WHOLE_EVERY - 1` patches followed the file's last whole
+/// write, every page it slots is still resident, and it has a slot or
+/// gains none (the first slot pads the head): the slots of the pages
+/// changed since `prev`'s mark, one new slot per newly resident page,
+/// the tail and the trailer, and the slot count when it grew.
+/// Otherwise it is the whole frame, its slots in page order.
 #[must_use]
 pub fn encode_checkpoint(
     session: u64,
@@ -288,7 +294,7 @@ pub fn encode_checkpoint(
 ) -> (FrameWrite, SlotFile) {
     let shadow = pipe.engine().shadow();
     let mark = pipe.page_mark();
-    if let Some(prev) = prev.filter(|p| shadow.issued(p.mark)) {
+    if let Some(prev) = prev.filter(|p| shadow.issued(p.mark) && p.patches + 1 < WHOLE_EVERY) {
         let mut dirty = Vec::new();
         let mut fresh = Vec::new();
         let mut slotted = 0;
@@ -338,6 +344,7 @@ pub fn encode_checkpoint(
         slot_of,
         crcs,
         mark,
+        patches: 0,
     };
     (write, file)
 }
@@ -355,6 +362,7 @@ fn patch(
 ) -> (FrameWrite, SlotFile) {
     let mut file = prev.clone();
     file.mark = mark;
+    file.patches += 1;
     let old_slots = file.pages.len();
     for &(idx, tags) in fresh {
         file.slot_of.insert(idx, file.pages.len());
@@ -407,7 +415,7 @@ pub fn decode_frame(session: u64, bytes: &[u8]) -> Result<SnapFrame, RecoveryErr
     .map_err(|_| RecoveryError::BadSnapshot)?;
     let held = match &frame.body {
         FrameBody::Blob(blob) => blob.len(),
-        FrameBody::Slotted { tags, blob, .. } => tags.len() + blob.len(),
+        FrameBody::Slotted { pages, blob } => pages.len() * SLOT_BYTES + blob.len(),
     };
     if held > SNAP_MAX_BLOB {
         return Err(RecoveryError::OversizedFrame);
@@ -455,13 +463,16 @@ fn decode_slotted(r: &mut SnapReader<'_>, body_len: usize) -> Result<SnapFrame, 
     if r.bytes(padding)?.iter().any(|&b| b != 0) {
         return Err(SnapError::Corrupt("head padding"));
     }
-    let tags = r.bytes(slots * SLOT_BYTES)?.to_vec();
+    let tags = (0..slots)
+        .map(|_| r.bytes(SLOT_BYTES).map(Box::from))
+        .collect::<Result<Vec<Box<[u8]>>, _>>()?;
     let epoch = r.u64()?;
     let applied = r.u64()?;
     let priority = Priority::from_rank(r.u8()?).ok_or(SnapError::Corrupt("priority"))?;
-    let pages = (0..slots)
-        .map(|_| r.u32())
-        .collect::<Result<Vec<u32>, _>>()?;
+    let pages = tags
+        .into_iter()
+        .map(|tags| Ok((r.u32()?, tags)))
+        .collect::<Result<Vec<_>, SnapError>>()?;
     let blob_len = r.len(1)?;
     let blob = r.bytes(blob_len)?.to_vec();
     r.expect_end()?;
@@ -470,7 +481,7 @@ fn decode_slotted(r: &mut SnapReader<'_>, body_len: usize) -> Result<SnapFrame, 
         epoch,
         applied,
         priority,
-        body: FrameBody::Slotted { pages, tags, blob },
+        body: FrameBody::Slotted { pages, blob },
     })
 }
 
@@ -763,25 +774,39 @@ mod tests {
     /// A checkpoint overwrites the older generation in place, so a
     /// crash can leave any prefix of a whole new frame over the old
     /// one. Every such tear reads back as the old frame (nothing that
-    /// differs landed) or a typed error — never as the new frame.
+    /// differs landed) or a typed error — never as the new frame. The
+    /// slotless bzip2 pair tears in the head fields and the tail; the
+    /// slotted pair, whose new frame holds one more slot, also tears in
+    /// the head padding and in the slots.
     #[test]
     fn a_torn_put_over_an_older_frame_is_the_old_frame_or_typed() {
-        let mut pipe = pipeline("bzip2", 5, 300);
-        let (old, _) = whole(5, Priority::Normal, &pipe);
-        feed(&mut pipe, "bzip2", 5, 300, 600);
-        let (new, _) = whole(5, Priority::Normal, &pipe);
-        let want_old = decode_frame(5, &old).unwrap();
-        for keep in (0..new.len()).step_by(7) {
-            let mut torn = old.clone();
-            if torn.len() < keep {
-                torn.resize(keep, 0);
+        let mut bzip2 = pipeline("bzip2", 5, 300);
+        let (old, _) = whole(5, Priority::Normal, &bzip2);
+        feed(&mut bzip2, "bzip2", 5, 300, 600);
+        let (new, _) = whole(5, Priority::Normal, &bzip2);
+        let page = SLOT_BYTES as u32;
+        let mut slotted = SessionPipeline::new(512);
+        taint(&mut slotted, page, 16);
+        taint(&mut slotted, 3 * page + 40, 16);
+        let (old_slotted, _) = whole(5, Priority::Normal, &slotted);
+        taint(&mut slotted, 3 * page + 100, 8);
+        taint(&mut slotted, 2 * page, 8);
+        let (new_slotted, file) = whole(5, Priority::Normal, &slotted);
+        assert_eq!(file.pages, [1, 2, 3]);
+        for (old, new) in [(old, new), (old_slotted, new_slotted)] {
+            let want_old = decode_frame(5, &old).unwrap();
+            for keep in 0..new.len() {
+                let mut torn = old.clone();
+                if torn.len() < keep {
+                    torn.resize(keep, 0);
+                }
+                torn[..keep].copy_from_slice(&new[..keep]);
+                if let Ok(frame) = decode_frame(5, &torn) {
+                    assert_eq!(frame, want_old, "tear at {keep}");
+                }
             }
-            torn[..keep].copy_from_slice(&new[..keep]);
-            if let Ok(frame) = decode_frame(5, &torn) {
-                assert_eq!(frame, want_old, "tear at {keep}");
-            }
+            assert!(decode_frame(5, &new).unwrap().newer_than(&want_old));
         }
-        assert_eq!(decode_frame(5, &new).unwrap().applied, 600);
     }
 
     /// Taints `len` bytes at `addr` through an untrusted file read.
@@ -820,6 +845,41 @@ mod tests {
         assert_eq!(decode_frame(3, &write.bytes).unwrap().thaw().unwrap().to_snapshot(), pipe.to_snapshot());
     }
 
+    /// A patch trusts that the file still holds the frame its writer
+    /// landed there, so the file is written whole at every
+    /// [`WHOLE_EVERY`]th checkpoint into it. Bit rot in a slot that no
+    /// later checkpoint changes fails every frame patched over it, and
+    /// no frame from the next whole write on.
+    #[test]
+    fn a_rotted_clean_slot_fails_only_the_patches_before_the_next_whole_write() {
+        let page = SLOT_BYTES as u32;
+        let mut pipe = SessionPipeline::new(512);
+        taint(&mut pipe, page, 16);
+        taint(&mut pipe, 2 * page, 16);
+        let (mut disk, mut file) = whole(2, Priority::Normal, &pipe);
+        disk[SLOT_BYTES + 100] ^= 1; // page 1's slot
+        for k in 1..=2 * WHOLE_EVERY {
+            taint(&mut pipe, 2 * page + 32 + k, 1);
+            let (write, next) = encode_checkpoint(2, Priority::Normal, &pipe, Some(&file));
+            assert_eq!(write.is_whole(), k % WHOLE_EVERY == 0, "checkpoint {k}");
+            disk = lay(&disk, &write, |_, n| n, true);
+            assert_eq!(
+                decode_frame(2, &disk).is_ok(),
+                k >= WHOLE_EVERY,
+                "checkpoint {k}"
+            );
+            file = next;
+        }
+        assert_eq!(
+            decode_frame(2, &disk)
+                .unwrap()
+                .thaw()
+                .unwrap()
+                .to_snapshot(),
+            pipe.to_snapshot()
+        );
+    }
+
     /// A patch writes its extents over the older generation in place,
     /// and a crash may land each extent whole, torn to a prefix, or not
     /// at all, and the new length or not. Every combination reads back
@@ -848,7 +908,10 @@ mod tests {
             decode_frame(7, &old).unwrap(),
             decode_frame(7, &new).unwrap(),
         );
-        assert_eq!(want_new.thaw().unwrap().to_snapshot(), pipe.to_snapshot());
+        assert_eq!(
+            want_new.clone().thaw().unwrap().to_snapshot(),
+            pipe.to_snapshot()
+        );
         // Outcome of extent k: 0 lands whole, 1 tears at half, 2 is lost.
         let (mut olds, mut news, mut typed) = (0, 0, 0);
         for combo in 0..3usize.pow(extents as u32) {

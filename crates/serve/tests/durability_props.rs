@@ -10,8 +10,8 @@
 
 use latch_faults::FaultPlan;
 use latch_serve::{
-    journal, store, DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig,
-    Slo, Storage,
+    journal, store, DirStorage, DurableConfig, DurableService, MemStorage, Priority, Rejected,
+    ServeConfig, Slo, Storage,
 };
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
@@ -299,10 +299,11 @@ proptest! {
     /// every op of the first recovery's own seal, recovery keeps every
     /// event a successful fsync covered — and once the seal's barrier
     /// succeeded, everything the first recovery restored. Torn writes
-    /// and failed fsyncs only: read faults may lose synced bytes. The
-    /// checkpoints come often enough that every session patches its
+    /// and failed fsyncs only: read faults may lose synced bytes. Half
+    /// the cases checkpoint often enough that every session patches its
     /// snapshot files at least twice, so the crash points cover torn
-    /// patches as well as torn whole frames.
+    /// patches as well as torn whole frames; the other half checkpoint
+    /// at most a few times, so recovery replays long journal suffixes.
     #[test]
     fn fsynced_events_survive_every_crash(
         seed in 0u64..100_000,
@@ -311,7 +312,7 @@ proptest! {
         torn in prop_oneof![Just(300u32), Just(500u32), Just(1000u32)],
         fsync_fail in prop_oneof![Just(0u32), Just(200u32)],
         group_commit in 1u64..64,
-        snapshot_every in 32u64..72,
+        snapshot_every in prop_oneof![32u64..72, 72u64..256],
     ) {
         let profiles = all_profiles();
         let streams: Vec<Vec<Event>> = (0..sessions)
@@ -330,7 +331,7 @@ proptest! {
             }
         }
         let run = svc.crash();
-        for s in 0..sessions as u64 {
+        for s in (0..sessions as u64).filter(|_| snapshot_every < 72) {
             let patches = run.snap_writes.iter().filter(|&&w| w == (s, false)).count();
             prop_assert!(patches >= 2, "session {} patched {} times", s, patches);
         }
@@ -354,6 +355,75 @@ proptest! {
             }
         }
     }
+}
+
+/// A patch trusts that its generation's file still holds the frame the
+/// service landed there. Bit rot in a clean slot after it landed fails
+/// every frame patched over it, while the journal is cut past each of
+/// them; the generation is written whole at every
+/// [`store::WHOLE_EVERY`]th checkpoint into it, so the rot spoils
+/// `WHOLE_EVERY - 1` frames and no more, and recovery after the whole
+/// write quarantines nothing and loses nothing.
+#[test]
+fn a_rotted_clean_slot_spoils_its_generation_until_the_next_whole_write() {
+    use latch_sim::event::SourceInput;
+    let taint = |addr: u32| {
+        let mut ev = Event::empty(0x40);
+        ev.source = Some(SourceInput {
+            kind: latch_dift::policy::SourceKind::File,
+            addr,
+            len: 8,
+            trusted: false,
+        });
+        ev
+    };
+    // One checkpoint per pump: a taint event and filler.
+    let round = |first: Event| {
+        let mut evs = vec![first];
+        evs.resize(64, Event::empty(0x10));
+        evs
+    };
+    let dir = std::env::temp_dir().join(format!("latch-serve-rot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::default();
+    let dcfg = DurableConfig {
+        group_commit_events: 16,
+        snapshot_every: 64,
+    };
+    let plan = FaultPlan::benign();
+    let mut svc = DurableService::new(cfg, dcfg, plan, DirStorage::open(&dir).unwrap());
+    let page = store::SLOT_BYTES as u32;
+    // The first checkpoint lands pages 1 and 2 whole in generation 0.
+    let mut all = round(taint(page));
+    all[1] = taint(2 * page);
+    svc.submit(0, &all).unwrap();
+    svc.pump();
+    let gen0 = dir.join(store::snap_name(0, 0));
+    let mut bytes = std::fs::read(&gen0).unwrap();
+    bytes[store::SLOT_BYTES + 100] ^= 1; // page 1's slot
+    std::fs::write(&gen0, &bytes).unwrap();
+    // Every later checkpoint changes page 2 only, alternating
+    // generations: checkpoint k + 1 goes to generation 0 for even k.
+    let mut spoiled = 0;
+    for k in 1..=2 * store::WHOLE_EVERY {
+        let evs = round(taint(2 * page + 16 + k));
+        svc.submit(0, &evs).unwrap();
+        svc.pump();
+        all.extend(evs);
+        if k % 2 == 0 {
+            let decodes = store::decode_frame(0, &std::fs::read(&gen0).unwrap()).is_ok();
+            assert_eq!(decodes, k == 2 * store::WHOLE_EVERY, "checkpoint {}", k + 1);
+            spoiled += usize::from(!decodes);
+        }
+    }
+    assert_eq!(spoiled, store::WHOLE_EVERY as usize - 1);
+    let storage = svc.crash();
+    let (svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(report.sessions[&0].recovered, all.len() as u64);
+    let (out, _) = svc.finish();
+    assert_eq!(out.sessions[&0].encode(), solo(&all, cfg.scrub_interval));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A torn in-place put over the older generation — a checkpoint cut

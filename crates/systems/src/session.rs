@@ -307,17 +307,17 @@ impl SessionPipeline {
     /// Thaws a blob written by
     /// [`snap_encode_without_pages`](Self::snap_encode_without_pages)
     /// and sealed, with the resident pages stored apart as
-    /// `(index, tag bytes)`. The result encodes to the
-    /// [`to_snapshot`](Self::to_snapshot) bytes of the pipeline that
-    /// wrote them.
+    /// `(index, tag bytes)`, which the shadow takes as they are. The
+    /// result encodes to the [`to_snapshot`](Self::to_snapshot) bytes
+    /// of the pipeline that wrote them.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapError`] when the blob does not thaw, or a page
     /// is not 4 KiB long or repeats an index.
-    pub fn from_snapshot_and_pages<'a>(
+    pub fn from_snapshot_and_pages(
         blob: &[u8],
-        pages: impl IntoIterator<Item = (u32, &'a [u8])>,
+        pages: impl IntoIterator<Item = (u32, Box<[u8]>)>,
     ) -> Result<Self, SnapError> {
         let mut pipe = Self::from_snapshot(blob)?;
         let shadow = pipe.engine.shadow_mut();
