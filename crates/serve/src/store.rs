@@ -835,14 +835,31 @@ mod tests {
         pipe.apply(&latch_sim::event::Event::empty(0x10));
         let (write, file) = encode_checkpoint(3, Priority::Normal, &pipe, Some(&file));
         assert_eq!(write.extents.len(), 1);
-        assert_eq!(write.extents[0].0, HEAD_FIELDS as u64, "the tail, after the head fields");
+        assert_eq!(
+            write.extents[0].0, HEAD_FIELDS as u64,
+            "the tail, after the head fields"
+        );
         disk = lay(&disk, &write, |_, n| n, true);
-        assert_eq!(decode_frame(3, &disk).unwrap().thaw().unwrap().to_snapshot(), pipe.to_snapshot());
+        assert_eq!(
+            decode_frame(3, &disk)
+                .unwrap()
+                .thaw()
+                .unwrap()
+                .to_snapshot(),
+            pipe.to_snapshot()
+        );
         taint(&mut pipe, 0x5000, 4);
         let (write, file) = encode_checkpoint(3, Priority::Normal, &pipe, Some(&file));
         assert!(write.is_whole(), "the first slot pads the head");
         assert_eq!(file.pages.len(), 1);
-        assert_eq!(decode_frame(3, &write.bytes).unwrap().thaw().unwrap().to_snapshot(), pipe.to_snapshot());
+        assert_eq!(
+            decode_frame(3, &write.bytes)
+                .unwrap()
+                .thaw()
+                .unwrap()
+                .to_snapshot(),
+            pipe.to_snapshot()
+        );
     }
 
     /// A patch trusts that the file still holds the frame its writer
