@@ -10,12 +10,16 @@
 //! ```
 //!
 //! * **crash** — a kill loop over the real-directory storage backend:
-//!   each iteration kills a durable service at a seeded round, mangles
-//!   the surviving files (torn tail, bit rot, or a stale snapshot slot:
-//!   one 4 KiB slot block copied from the other generation, as a patch
-//!   extent that never landed, which recovery must quarantine),
+//!   each iteration runs one taint-heavy astar session among its
+//!   sessions, kills a durable service at a seeded round, mangles the
+//!   surviving files (by turns: a stale snapshot slot — one 4 KiB slot
+//!   block copied from the other generation, as a patch extent that
+//!   never landed —, a journal torn inside its live log, a journal
+//!   whose end frame was lost, a torn file tail, bit rot, or nothing),
 //!   recovers, re-submits the lost suffixes, and requires
-//!   solo-identical reports.
+//!   solo-identical reports. Recovery must quarantine a staled frame
+//!   and a journal whose end frame was lost. The OK line counts each
+//!   mangle.
 //! * **overload** — a deterministic service with an armed SLO under
 //!   seeded burst and slow-client plans: critical traffic is never
 //!   shed, the coarse state covers precise taint, every session equals
@@ -51,13 +55,15 @@ use latch_conform::fixture::{
     Nodes,
 };
 use latch_core::PAGE_SIZE;
+use latch_dift::policy::SourceKind;
 use latch_faults::{FaultInjector, FaultPlan};
 use latch_proto::{Endpoint, WireRejected};
 use latch_router::{Exporter, Router, RouterServer, RouterServerConfig};
 use latch_serve::{
-    store, DirStorage, DurableConfig, DurableService, Rejected, ServeConfig, SessionExport, Slo,
+    journal, store, DirStorage, DurableConfig, DurableService, Rejected, ServeConfig,
+    SessionExport, Slo,
 };
-use latch_sim::event::Event;
+use latch_sim::event::{Event, SourceInput};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -222,6 +228,32 @@ fn crash_drive(
     }
 }
 
+/// Session 0 of every crash iteration: astar, with every fourth event
+/// replaced by a write of 8 untrusted file bytes into one of five
+/// shadow pages, at an offset that moves with the event. astar alone
+/// holds one to three shadow pages after 1500 events, and they seldom
+/// change between checkpoints; these writes change every page between
+/// any two, so the two snapshot generations hold slots that differ and
+/// the stale-slot mangle has a frame to spoil.
+fn churning_astar(seed: u64, n: u64) -> Vec<Event> {
+    let astar = latch_workloads::all_profiles()
+        .iter()
+        .position(|p| p.name == "astar")
+        .expect("astar is a profile");
+    let mut evs = stream(astar, seed, n);
+    for (i, ev) in evs.iter_mut().enumerate().skip(3).step_by(4) {
+        let i = i as u32;
+        *ev = Event::empty(ev.pc);
+        ev.source = Some(SourceInput {
+            kind: SourceKind::File,
+            addr: (1 + i % 5) * PAGE_SIZE + (i * 37) % (PAGE_SIZE - 8),
+            len: 8,
+            trusted: false,
+        });
+    }
+    evs
+}
+
 /// A v3 snapshot frame's slot count, or `None` for anything else.
 fn slot_count(frame: &[u8]) -> Option<usize> {
     let version = u32::from_le_bytes(frame.get(4..8)?.try_into().ok()?);
@@ -268,47 +300,123 @@ fn stale_slot(files: &[PathBuf], r: u64) -> Option<(String, String)> {
     Some((format!("staled slot {k} of {target} from {source}"), target))
 }
 
+/// The post-mortem manglings of the crash loop, which takes them by
+/// turns.
+#[derive(Clone, Copy)]
+enum Mangle {
+    StaleSlot,
+    LiveLogTear,
+    LostEndFrame,
+    TornTail,
+    BitFlip,
+    Clean,
+}
+
+const MANGLES: [Mangle; 6] = [
+    Mangle::StaleSlot,
+    Mangle::LiveLogTear,
+    Mangle::LostEndFrame,
+    Mangle::TornTail,
+    Mangle::BitFlip,
+    Mangle::Clean,
+];
+
+/// Every journal in `files` whose scan passes `keep`: its path, bytes
+/// and scan.
+fn journals(
+    files: &[PathBuf],
+    keep: impl Fn(&journal::WalScan) -> bool,
+) -> Vec<(PathBuf, Vec<u8>, journal::WalScan)> {
+    let mut found = Vec::new();
+    for path in files {
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let Some(session) = name.as_deref().and_then(journal::parse_wal_name) else {
+            continue;
+        };
+        let Ok(bytes) = std::fs::read(path) else {
+            continue;
+        };
+        let scan = journal::scan_wal(session, &bytes);
+        if keep(&scan) {
+            found.push((path.clone(), bytes, scan));
+        }
+    }
+    found
+}
+
 /// Post-mortem file mangling: what the kernel may leave behind that
 /// the in-memory fault model cannot produce on a real directory.
-/// Returns what it did, and a file recovery must quarantine.
-fn mangle(dir: &Path, r: u64) -> Option<(String, Option<String>)> {
+/// Returns what it did, and a file recovery must quarantine; `None`
+/// when no file takes this kind of mangling.
+fn mangle(dir: &Path, r: u64, kind: Mangle) -> Option<(String, Option<String>)> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .ok()?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
     files.sort();
-    if files.is_empty() {
-        return None;
-    }
-    // A kill that leaves two generations of a session whose slots
-    // differ stales one of them; the rest tear or rot any file.
-    if let Some((what, staled)) = stale_slot(&files, r) {
-        return Some((what, Some(staled)));
-    }
-    let target = &files[(mix(r) as usize) % files.len()];
-    let bytes = std::fs::read(target).ok()?;
-    let name = target.file_name()?.to_string_lossy().into_owned();
-    match mix(r ^ 0xA5) % 3 {
-        0 => {
-            // Torn tail: drop 1..=64 bytes off the end.
+    let pick = |n: usize| (mix(r ^ 0x3C) as usize) % n;
+    let name = |p: &Path| p.file_name().map(|n| n.to_string_lossy().into_owned());
+    match kind {
+        // Two generations of a session whose slots differ: one of them
+        // staled.
+        Mangle::StaleSlot => stale_slot(&files, r).map(|(what, staled)| (what, Some(staled))),
+        Mangle::LiveLogTear => {
+            // A journal cut at a byte inside its live log, past the
+            // header: a record torn mid-write where it ended the file.
+            let found = journals(&files, |scan| !scan.records.is_empty());
+            let (path, bytes, scan) = found.get(pick(found.len().max(1)))?;
+            let first = journal::WAL_HEADER_LEN + 1;
+            let cut = first + (mix(r ^ 0xB6) as usize) % (scan.end as usize - first);
+            std::fs::write(path, &bytes[..cut]).ok()?;
+            let what = format!(
+                "tore {} inside its live log at {cut}/{}",
+                name(path)?,
+                scan.end
+            );
+            Some((what, None))
+        }
+        Mangle::LostEndFrame => {
+            // A journal whose end frame never landed: its 8 bytes hold
+            // nonzero bytes that frame no record, so recovery must
+            // quarantine the journal there.
+            let found = journals(&files, |scan| scan.ended);
+            let (path, bytes, scan) = found.get(pick(found.len().max(1)))?;
+            let mut lost = mix(r ^ 0xF1).to_le_bytes();
+            lost[0] |= 1;
+            let mut bad = bytes.clone();
+            let end = scan.end as usize;
+            bad[end..end + lost.len()].copy_from_slice(&lost);
+            std::fs::write(path, &bad).ok()?;
+            let file = name(path)?;
+            Some((format!("lost the end frame of {file} at {end}"), Some(file)))
+        }
+        Mangle::TornTail => {
+            // Drop 1..=64 bytes off the end of any file.
+            let target = files.get(pick(files.len().max(1)))?;
+            let bytes = std::fs::read(target).ok()?;
             let cut = bytes
                 .len()
                 .saturating_sub(1 + (mix(r ^ 0xB6) as usize) % 64);
             std::fs::write(target, &bytes[..cut]).ok()?;
-            Some((format!("torn {name} to {cut}/{} bytes", bytes.len()), None))
+            let what = format!("torn {} to {cut}/{} bytes", name(target)?, bytes.len());
+            Some((what, None))
         }
-        1 => {
-            // Bit rot: flip one bit anywhere.
-            if bytes.is_empty() {
+        Mangle::BitFlip => {
+            // Flip one bit anywhere in any file.
+            let target = files.get(pick(files.len().max(1)))?;
+            let mut bad = std::fs::read(target).ok()?;
+            if bad.is_empty() {
                 return None;
             }
-            let mut bad = bytes.clone();
             let at = (mix(r ^ 0xC7) as usize) % bad.len();
             bad[at] ^= 1 << (mix(r ^ 0xD8) % 8);
             std::fs::write(target, &bad).ok()?;
-            Some((format!("flipped bit in {name} at byte {at}"), None))
+            Some((
+                format!("flipped bit in {} at byte {at}", name(target)?),
+                None,
+            ))
         }
-        _ => None, // clean kill: the torn frame is the crash point itself
+        Mangle::Clean => None, // the torn frame is the crash point itself
     }
 }
 
@@ -321,8 +429,8 @@ fn crash(args: &Args) {
     let chunk = 96usize;
     let mut total_quarantined = 0usize;
     let mut total_replayed = 0u64;
-    let mut mangles = 0usize;
-    let mut stale_slots = 0usize;
+    // Images mangled by each kind, in `MANGLES` order.
+    let mut fired = [0usize; MANGLES.len()];
 
     for iter in 0..args.iters {
         let r = mix(args.seed ^ (iter << 17));
@@ -335,11 +443,11 @@ fn crash(args: &Args) {
         };
         let streams: Vec<Vec<Event>> = (0..args.sessions)
             .map(|s| {
-                stream(
-                    iter as usize + s,
-                    args.seed + iter * 31 + s as u64,
-                    args.events,
-                )
+                let seed = args.seed + iter * 31 + s as u64;
+                match s {
+                    0 => churning_astar(seed, args.events),
+                    _ => stream(iter as usize + s, seed, args.events),
+                }
             })
             .collect();
         let rounds = streams
@@ -354,10 +462,10 @@ fn crash(args: &Args) {
         drop(svc.crash()); // the kill: all volatile state is gone
 
         let mut must_quarantine = None;
-        if let Some((what, staled)) = mangle(&dir, r) {
-            mangles += 1;
-            stale_slots += usize::from(staled.is_some());
-            must_quarantine = staled;
+        let turn = mix(args.seed).wrapping_add(iter) as usize % MANGLES.len();
+        if let Some((what, spoiled)) = mangle(&dir, r, MANGLES[turn]) {
+            fired[turn] += 1;
+            must_quarantine = spoiled;
             println!("iter {iter}: {what}");
         }
 
@@ -373,7 +481,7 @@ fn crash(args: &Args) {
         if let Some(file) = must_quarantine {
             assert!(
                 report.quarantined.iter().any(|q| q.file == file),
-                "iter {iter}: the staled {file} was restored"
+                "iter {iter}: the mangled {file} was not quarantined"
             );
         }
         let suffixes: Vec<Vec<Event>> = streams
@@ -410,8 +518,18 @@ fn crash(args: &Args) {
     let _ = std::fs::remove_dir_all(&args.dir);
     println!(
         "crash_stress OK: {} iters, {} sessions each, {} mangled images \
-         ({} stale slots), {} frames quarantined, {} events replayed from WAL",
-        args.iters, args.sessions, mangles, stale_slots, total_quarantined, total_replayed
+         ({} stale slots, {} live-log tears, {} lost end frames, {} torn tails, \
+         {} bit flips), {} frames quarantined, {} events replayed from WAL",
+        args.iters,
+        args.sessions,
+        fired.iter().sum::<usize>(),
+        fired[0],
+        fired[1],
+        fired[2],
+        fired[3],
+        fired[4],
+        total_quarantined,
+        total_replayed
     );
 }
 

@@ -4,10 +4,14 @@
 //! the whole multi-session scheduler survives being killed at any
 //! instant:
 //!
-//! * **Write-ahead journal** — every admitted batch is appended to the
+//! * **Write-ahead journal** — every admitted batch is written to the
 //!   session's `wal-*` file *after* admission succeeds, as a
-//!   CRC-framed record (see [`crate::journal`]). Fsyncs are batched:
-//!   one group commit per `group_commit_events` journaled events.
+//!   CRC-framed record at the live log's end with an end frame after
+//!   it, in one positional write (see [`crate::journal`]). Fsyncs are
+//!   batched: one group commit per `group_commit_events` journaled
+//!   events. The file never shrinks while the session serves: a cut
+//!   rewinds the log in place, so after a session's first cycle its
+//!   records overwrite blocks the file already has.
 //! * **Checkpoints** — once a session has applied `snapshot_every`
 //!   events past its last durable snapshot, the maintenance pass writes
 //!   its checksummed frame (see [`crate::store`]) in place over the
@@ -25,20 +29,27 @@
 //!   frames of its generation. One barrier covers
 //!   every frame of the pass. Only after it succeeds does the session
 //!   keep the new layout, flip its generation, advance its snapshot
-//!   mark and cut its journal, by putting the 17-byte header over it;
-//!   the next group commit makes the cut durable, and until then
-//!   recovery skips the records the frame covers. A failed barrier
+//!   mark and cut its journal, by writing the 17-byte header and an end
+//!   frame at offset 0; the next group commit makes the cut durable,
+//!   and until then recovery skips the records the frame covers. The
+//!   records past the new end frame are stale: each ends at or before
+//!   the cut point, which a durable frame covers. A failed barrier
 //!   lands nothing, so the same generation is written whole next time.
-//!   Recovery and import seal a session by the same steps.
+//!   Recovery and import seal a session by the same steps, but cut
+//!   with a truncating put, since the journal they cut may hold records
+//!   past its live log that no frame covers.
 //! * **Recovery** — [`DurableService::recover`] scans the store,
 //!   quarantines every corrupt or torn frame with a typed
 //!   [`RecoveryError`] (never a panic), restores the newest valid
 //!   snapshot per session, replays the journal suffix through the
 //!   real pipeline, bumps the session epoch, and seals the result into
-//!   the generation its source frame is not in. Recovered state is an
-//!   *exact prefix* of the submitted stream: re-submitting the
-//!   un-recovered suffix yields reports byte-identical to a run that
-//!   never crashed.
+//!   the generation its source frame is not in. A clean v3 journal
+//!   that nothing follows keeps taking appends in place; any other is
+//!   cut. Recovered state is an *exact prefix* of the submitted
+//!   stream: re-submitting the un-recovered suffix yields reports
+//!   byte-identical to a run that never crashed.
+//! * **Drain** — [`DurableService::finish`] trims each journal to its
+//!   live log, so a drained directory holds no stale journal bytes.
 //!
 //! The durability contract deliberately acknowledges bounded loss:
 //! events journaled but never covered by a successful fsync may
@@ -101,10 +112,11 @@ struct DurState {
     /// left a gap, or a recovery or import seal still waits for its
     /// journal cut. No further appends make sense until a
     /// durable snapshot covers everything admitted and the journal is
-    /// cut clean.
+    /// cut clean — by a truncating put, since the file may hold an
+    /// unknown tail past its live log.
     needs_resync: bool,
-    /// Whether the `wal-*` file exists (header written).
-    has_wal: bool,
+    /// Where the journal's live log ends and how long its file is.
+    wal: journal::WalLog,
     /// Per generation, the layout of the last frame landed there from
     /// the session's live pipeline, which the next checkpoint into that
     /// generation patches; `None` writes it whole.
@@ -118,7 +130,7 @@ impl DurState {
             snapshotted: 0,
             next_generation: 0,
             needs_resync: false,
-            has_wal: false,
+            wal: journal::WalLog::default(),
             slots: [None, None],
         }
     }
@@ -152,8 +164,10 @@ pub struct SessionExport {
     /// The newest valid LTSE pipeline snapshot, or empty when the
     /// session has no durable snapshot yet.
     pub blob: Vec<u8>,
-    /// The raw write-ahead journal file, or empty when the session has
-    /// none.
+    /// The write-ahead journal's header and live records, with no end
+    /// frame and none of the stale bytes past it, or empty when the
+    /// session has no journal or its header is unreadable. A backup
+    /// seeded from it takes appends right after these bytes.
     pub wal: Vec<u8>,
 }
 
@@ -317,15 +331,9 @@ impl<S: Storage> DurableService<S> {
         let priority = self.svc.session_priority(session).unwrap_or(priority);
         let state = self.sessions.entry(session).or_insert_with(DurState::new);
         if !state.needs_resync {
-            match journal::append_frame(
-                &mut self.storage,
-                session,
-                state.has_wal,
-                priority,
-                &frame,
-            ) {
+            let log = &mut state.wal;
+            match log.append(&mut self.storage, session, priority, &frame) {
                 Some(bytes) => {
-                    state.has_wal = true;
                     self.unsynced_events += events.len() as u64;
                     self.dirty_files += 1;
                     latch_obs::counter_inc("serve.journal.appends");
@@ -380,19 +388,24 @@ impl<S: Storage> DurableService<S> {
     }
 
     /// Steps 2 and 3 of every checkpoint. One barrier covers every
-    /// frame of `pass`, and every journal append before it. Only once
+    /// frame of `pass`, and every journal write before it. Only once
     /// it succeeds does each session keep the frame's layout for its
     /// generation, flip its generation, advance its snapshot mark and,
-    /// where the frame covers everything journaled, cut its journal by
-    /// putting the header over it. The cut needs no barrier of its own:
-    /// until the next group commit makes it durable, a crash may keep
-    /// old records, and the durable frame covers them. A failed barrier
-    /// lands nothing, and the generations written in the pass keep no
-    /// layout, so they are written whole next time.
+    /// where the frame covers everything journaled, cut its journal:
+    /// rewound in place, or reset by a truncating put when it needs a
+    /// resync. A rewind needs no barrier of its own: until the next
+    /// group commit makes it durable, a crash may keep old records, and
+    /// the durable frame covers them. Resets get one, because the bytes
+    /// a reset cuts off may hold records past a lost one that no frame
+    /// covers, and until the truncation is durable an append whose end
+    /// frame tears could expose them. A failed barrier lands nothing,
+    /// and the generations written in the pass keep no layout, so they
+    /// are written whole next time.
     fn land(&mut self, pass: Vec<Checkpoint>) {
         if !self.group_commit() {
             return;
         }
+        let mut resets = false;
         for ck in pass {
             let Some(state) = self.sessions.get_mut(&ck.session) else {
                 continue;
@@ -403,16 +416,23 @@ impl<S: Storage> DurableService<S> {
             if !ck.cut {
                 continue;
             }
-            let header = journal::wal_header(ck.session, ck.priority);
-            if self.storage.put(&journal::wal_name(ck.session), &header) {
+            let cut = if state.needs_resync {
+                resets = true;
+                state.wal.reset(&mut self.storage, ck.session, ck.priority)
+            } else {
+                state.wal.rewind(&mut self.storage, ck.session, ck.priority)
+            };
+            if cut {
                 state.needs_resync = false;
-                state.has_wal = true;
                 self.dirty_files += 1;
             } else {
                 // The stale journal still stands; keep refusing
                 // appends until a later cut lands.
                 state.needs_resync = true;
             }
+        }
+        if resets {
+            self.group_commit();
         }
     }
 
@@ -485,12 +505,18 @@ impl<S: Storage> DurableService<S> {
         self.land(pass);
     }
 
-    /// Graceful drain: final maintenance pass, group commit, then the
-    /// wrapped service's outcome plus the storage backend. Sessions
-    /// expelled by [`expel_session`](Self::expel_session) are omitted
-    /// — their importer reports them.
+    /// Graceful drain: final maintenance pass, each journal trimmed to
+    /// its live log, group commit, then the wrapped service's outcome
+    /// plus the storage backend. Sessions expelled by
+    /// [`expel_session`](Self::expel_session) are omitted — their
+    /// importer reports them.
     pub fn finish(mut self) -> (ServiceOutcome, S) {
         self.pump();
+        for (&session, state) in &mut self.sessions {
+            if state.wal.trim(&mut self.storage, session) {
+                self.dirty_files += 1;
+            }
+        }
         self.group_commit();
         let expelled = std::mem::take(&mut self.expelled);
         let mut outcome = self.svc.finish();
@@ -600,13 +626,20 @@ impl<S: Storage> DurableService<S> {
             debug_assert_eq!(pipe.applied(), snapshot_applied);
 
             // Replay the journal suffix on top of the snapshot. The
-            // scan stops at the first corruption; records the snapshot
-            // already covers are skipped (straddlers partially).
-            // `clean` stays set while the journal reads to its end with
-            // no quarantine and no gap.
+            // scan stops at the first corruption or at the end frame;
+            // records the snapshot already covers are skipped
+            // (straddlers partially). `clean` stays set while the
+            // journal is a v3 log that reads to its end frame or to the
+            // file's end with no quarantine and no gap, and nothing
+            // follows its live log: only a crash leaves records past
+            // the end frame that continue the recovered prefix (a later
+            // un-synced append landed and an earlier one did not), and
+            // an end frame written over the live log after recovery
+            // could tear and expose them.
             let mut replayed = 0u64;
             let mut wal_priority = None;
             let (mut has_wal, mut clean) = (false, true);
+            let mut log = journal::WalLog::default();
             let wal = journal::wal_name(session);
             if let Some(bytes) = storage.read(&wal) {
                 has_wal = true;
@@ -616,6 +649,11 @@ impl<S: Storage> DurableService<S> {
                     quarantine(wal.clone(), offset, err);
                     clean = false;
                 }
+                clean &= scan.version == journal::WAL_VERSION && scan.ends_the_file(bytes.len());
+                log = journal::WalLog {
+                    end: scan.end,
+                    len: bytes.len() as u64,
+                };
                 for rec in scan.records {
                     let end = rec.base_seq + rec.events.len() as u64;
                     if end <= pipe.applied() {
@@ -648,10 +686,11 @@ impl<S: Storage> DurableService<S> {
             let epoch = pipe.epoch();
             let recovered = pipe.applied();
             // A clean journal with this class in its header keeps
-            // taking appends from `recovered` on; any other is cut once
-            // the seal is durable, and takes none until then —
-            // appending after a torn tail or a gap would strand the
-            // new records behind it.
+            // taking appends from `recovered` on, in place at its live
+            // log's end; any other is cut by a truncating put once the
+            // seal is durable, and takes none until then — appending
+            // after a torn tail or a gap would strand the new records
+            // behind it.
             let cut = has_wal && !(clean && wal_priority == Some(priority));
             let generation = source.map_or(0, |g| 1 - g);
             // The recovered pipeline is frozen below, so the seal's
@@ -673,7 +712,7 @@ impl<S: Storage> DurableService<S> {
                     snapshotted: snapshot_applied,
                     next_generation: generation,
                     needs_resync: cut,
-                    has_wal,
+                    wal: log,
                     slots: [None, None],
                 },
             );
@@ -876,8 +915,8 @@ pub fn thaw_export(
 /// its disk survives. Picks the newest snapshot generation whose frame
 /// decodes *and* whose pipeline thaws (the recovery criterion), and
 /// ships its LTSE blob — a v3 frame's thawed pipeline re-encoded — with
-/// the raw journal bytes alongside. `None` when no file mentions the
-/// session.
+/// the journal's header and live records alongside, up to the first
+/// end frame or corruption. `None` when no file mentions the session.
 pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<SessionExport> {
     // (epoch and applied, priority, LTSE blob) of the newest frame that
     // thaws; a frame no newer than it is not thawed at all.
@@ -905,9 +944,17 @@ pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<
     if best.is_none() && wal.is_none() {
         return None;
     }
-    let wal_priority = wal
-        .as_ref()
-        .and_then(|bytes| journal::scan_wal(session, bytes).priority);
+    // Stale bytes past the live log would sit between the shipped
+    // records and a backup's later appends, and hide those from its
+    // scan.
+    let (wal, wal_priority) = match wal {
+        Some(mut bytes) => {
+            let scan = journal::scan_wal(session, &bytes);
+            bytes.truncate(scan.end as usize);
+            (bytes, scan.priority)
+        }
+        None => (Vec::new(), None),
+    };
     let (blob, frame_priority) = match best {
         Some((_, priority, blob)) => (blob, Some(priority)),
         None => (Vec::new(), None),
@@ -916,7 +963,7 @@ pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<
         session,
         priority: frame_priority.or(wal_priority).unwrap_or_default(),
         blob,
-        wal: wal.unwrap_or_default(),
+        wal,
     })
 }
 

@@ -7,12 +7,13 @@
 //!        | priority rank (u8, v2+)
 //! record : payload_len (u32 LE) | crc32(payload) (u32 LE) | payload
 //! payload: base_seq (u64 LE) | count (u32 LE) | trace bytes
+//! end    : 0 (u32 LE) | 0 (u32 LE)                          (v3)
 //! ```
 //!
 //! `base_seq` is the session-relative index of the first event in the
 //! record; `trace bytes` is a self-contained [`latch_sim::trace`]
 //! stream holding exactly `count` events. Records are framed by length
-//! and CRC so a torn append (a crash mid-write) is detected at the
+//! and CRC so a torn write (a crash mid-write) is detected at the
 //! first bad frame: the scan returns everything before it and
 //! quarantines the tail rather than guessing.
 //!
@@ -20,6 +21,15 @@
 //! header. The header is written at first admission — exactly when the
 //! sticky class is fixed — so recovery can rehydrate the class even
 //! for sessions that crashed before their first durable snapshot.
+//!
+//! Version 3 makes the journal a log that is rewound in place
+//! ([`WalLog`]). Every write ends the live log with an 8-byte end
+//! frame, a frame whose length and CRC are both zero, and a cut
+//! rewrites the header and an end frame at offset 0 instead of
+//! truncating the file. So the file keeps its high-water length, and
+//! the bytes past the end frame are stale records of earlier cycles,
+//! which the scan never reads. In a v1 or v2 file a zero frame is still
+//! a corrupt payload.
 
 use crate::overload::Priority;
 use crate::storage::Storage;
@@ -30,15 +40,17 @@ use latch_sim::trace::{TraceReader, TraceWriter};
 /// Journal file magic: "LTWL" (LaTch Write-ahead Log).
 pub const WAL_MAGIC: u32 = 0x4C54_574C;
 /// Journal format version.
-pub const WAL_VERSION: u32 = 2;
-/// Current (v2) header length in bytes; v1 headers are one byte
-/// shorter (no priority rank).
+pub const WAL_VERSION: u32 = 3;
+/// Current (v2 and v3) header length in bytes; v1 headers are one
+/// byte shorter (no priority rank).
 pub const WAL_HEADER_LEN: usize = 17;
 /// Length of the version-independent header prefix
 /// (magic | version | session).
 pub const WAL_HEADER_V1_LEN: usize = 16;
 /// Per-record frame overhead (length + CRC), in bytes.
 pub const WAL_FRAME_LEN: usize = 8;
+/// The v3 end-of-log frame: a zero length and a zero CRC.
+pub const END_FRAME: [u8; WAL_FRAME_LEN] = [0; WAL_FRAME_LEN];
 /// Cap on a single record's payload. Enforced on **both** sides of the
 /// codec: [`encode_record`] refuses to build a larger record (a typed
 /// [`JournalError::RecordTooLarge`], never a silently truncated length
@@ -196,24 +208,49 @@ pub struct WalRecord {
 pub struct WalScan {
     /// Valid records, in file order.
     pub records: Vec<WalRecord>,
-    /// The session's sticky admission class from a clean v2 header;
-    /// `None` for v1 files (which predate the field) or a corrupt
-    /// header.
+    /// The header's format version, or 0 for a corrupt header.
+    pub version: u32,
+    /// The session's sticky admission class from a clean v2 or v3
+    /// header; `None` for v1 files (which predate the field) or a
+    /// corrupt header.
     pub priority: Option<Priority>,
     /// The corruption that ended the scan and its byte offset, or
-    /// `None` when the file was clean to the end.
+    /// `None` when the file was clean to its end frame or to its end.
     pub quarantined: Option<(u64, RecoveryError)>,
+    /// Where the live log ends: the offset just past the last valid
+    /// record, which is where the end frame, the first bad frame or the
+    /// end of the file sits; 0 for a corrupt header.
+    pub end: u64,
+    /// Whether a v3 end frame stopped the scan at [`end`](Self::end).
+    pub ended: bool,
+}
+
+impl WalScan {
+    /// Whether nothing follows the live log in a file of `len` bytes:
+    /// its end frame is the file's last 8 bytes, or it has none and the
+    /// scan read to the end. Only then can a writer append in place at
+    /// [`end`](Self::end) without leaving bytes past its own end frame
+    /// that a later scan could read.
+    #[must_use]
+    pub fn ends_the_file(&self, len: usize) -> bool {
+        let frame = if self.ended { WAL_FRAME_LEN as u64 } else { 0 };
+        self.end + frame == len as u64
+    }
 }
 
 /// Scans a journal file's bytes for `session`. Never panics: any
 /// malformed region ends the scan with a typed error and the records
-/// before it.
+/// before it. In a v3 file an end frame ends the scan cleanly, and the
+/// bytes after it are not read.
 #[must_use]
 pub fn scan_wal(session: u64, bytes: &[u8]) -> WalScan {
     let bad_header = |err: RecoveryError| WalScan {
         records: Vec::new(),
+        version: 0,
         priority: None,
         quarantined: Some((0, err)),
+        end: 0,
+        ended: false,
     };
     let mut records = Vec::new();
     if bytes.len() < WAL_HEADER_V1_LEN {
@@ -241,6 +278,7 @@ pub fn scan_wal(session: u64, bytes: &[u8]) -> WalScan {
     };
     let mut pos = hdr_len;
     let mut quarantined = None;
+    let mut ended = false;
     while pos < bytes.len() {
         // The length prefix is untrusted until the CRC passes, so every
         // step is bounded with checked arithmetic *before* any slice is
@@ -252,6 +290,10 @@ pub fn scan_wal(session: u64, bytes: &[u8]) -> WalScan {
             quarantined = Some((pos as u64, RecoveryError::TornFrame));
             break;
         };
+        if version >= 3 && bytes[pos..body] == END_FRAME {
+            ended = true;
+            break;
+        }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if len > WAL_MAX_PAYLOAD {
@@ -278,8 +320,11 @@ pub fn scan_wal(session: u64, bytes: &[u8]) -> WalScan {
     }
     WalScan {
         records,
+        version,
         priority,
         quarantined,
+        end: pos.min(bytes.len()) as u64,
+        ended,
     }
 }
 
@@ -306,47 +351,110 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecoveryError> {
     Ok(WalRecord { base_seq, events })
 }
 
-/// Appends a pre-encoded record frame (from [`encode_record`]) to
-/// `session`'s journal, creating the file (with a header carrying the
-/// session's sticky `priority`) on first use. Returns the bytes
-/// appended, or `None` when the backend refused the write.
-pub fn append_frame<S: Storage>(
-    storage: &mut S,
-    session: u64,
-    has_file: bool,
-    priority: Priority,
-    frame: &[u8],
-) -> Option<u64> {
-    let name = wal_name(session);
-    let mut bytes = if has_file {
-        Vec::new()
-    } else {
-        wal_header(session, priority)
-    };
-    bytes.extend_from_slice(frame);
-    let n = bytes.len() as u64;
-    storage.append(&name, &bytes).then_some(n)
+/// A session's journal as its writer sees it: where the live log ends
+/// and how long the file is. Every write is positional, so once a
+/// session's first cycle has grown the file, its appends overwrite
+/// blocks the file already has and its cuts free none. Only
+/// [`reset`](Self::reset) and [`trim`](Self::trim) shrink the file.
+///
+/// Each method leaves the file's scan well defined at every instant a
+/// crash could freeze it, given [`Storage::patch`]'s contract that each
+/// extent lands whole, in part or not at all: a torn record or end frame
+/// is a bad frame, which ends the scan with the records before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalLog {
+    /// Offset just past the live log's last record, where the next
+    /// record goes; 0 while the file holds no header of this writer.
+    pub end: u64,
+    /// The file's length as far as this writer knows.
+    pub len: u64,
 }
 
-/// Appends a record for `events` starting at `base_seq` to `session`'s
-/// journal, creating the file (with a header carrying the session's
-/// sticky `priority`) on first use. Returns the bytes appended, or
-/// `Ok(None)` when the backend refused the write.
-///
-/// # Errors
-///
-/// [`JournalError::RecordTooLarge`] when the batch exceeds
-/// [`WAL_MAX_PAYLOAD`] — nothing is written, the file is untouched.
-pub fn append_record<S: Storage>(
-    storage: &mut S,
-    session: u64,
-    has_file: bool,
-    base_seq: u64,
-    priority: Priority,
-    events: &[Event],
-) -> Result<Option<u64>, JournalError> {
-    let frame = encode_record(base_seq, events)?;
-    Ok(append_frame(storage, session, has_file, priority, &frame))
+impl WalLog {
+    /// Writes `record` (from [`encode_record`]) at the log's end with
+    /// an end frame after it, in one [`Storage::patch`] that keeps the
+    /// file's length unless the write reaches past it. The first write
+    /// into a file carries the header, with the session's sticky
+    /// `priority`. Returns the bytes the log grew by, or `None` when
+    /// the backend refused the write (the log then holds an unknown
+    /// tail until a cut).
+    pub fn append<S: Storage>(
+        &mut self,
+        storage: &mut S,
+        session: u64,
+        priority: Priority,
+        record: &[u8],
+    ) -> Option<u64> {
+        let mut bytes = if self.end == 0 {
+            wal_header(session, priority)
+        } else {
+            Vec::with_capacity(record.len() + WAL_FRAME_LEN)
+        };
+        bytes.extend_from_slice(record);
+        bytes.extend_from_slice(&END_FRAME);
+        let grown = (bytes.len() - WAL_FRAME_LEN) as u64;
+        self.len = self.len.max(self.end + bytes.len() as u64);
+        if !storage.patch(&wal_name(session), self.len, &[(self.end, &bytes)]) {
+            return None;
+        }
+        self.end += grown;
+        Some(grown)
+    }
+
+    /// Rewinds the log to empty: the header and an end frame at offset
+    /// 0, in one patch that keeps the file's length. The records past
+    /// the new end frame stay on disk but are never read again.
+    pub fn rewind<S: Storage>(
+        &mut self,
+        storage: &mut S,
+        session: u64,
+        priority: Priority,
+    ) -> bool {
+        let cut = empty_log(session, priority);
+        self.len = self.len.max(cut.len() as u64);
+        let ok = storage.patch(&wal_name(session), self.len, &[(0, &cut)]);
+        if ok {
+            self.end = WAL_HEADER_LEN as u64;
+        }
+        ok
+    }
+
+    /// Cuts the log to empty and the file to the header and an end
+    /// frame, with a truncating [`Storage::put`]: for a journal whose
+    /// bytes past the live log may continue it, which a rewind would
+    /// leave in place.
+    pub fn reset<S: Storage>(&mut self, storage: &mut S, session: u64, priority: Priority) -> bool {
+        let cut = empty_log(session, priority);
+        let ok = storage.put(&wal_name(session), &cut);
+        if ok {
+            *self = WalLog {
+                end: WAL_HEADER_LEN as u64,
+                len: cut.len() as u64,
+            };
+        }
+        ok
+    }
+
+    /// Cuts the end frame and every stale byte off the file, so it
+    /// holds the header and the live records alone. Returns whether it
+    /// wrote anything.
+    pub fn trim<S: Storage>(&mut self, storage: &mut S, session: u64) -> bool {
+        if self.end == 0 || self.len <= self.end {
+            return false;
+        }
+        let ok = storage.patch(&wal_name(session), self.end, &[]);
+        if ok {
+            self.len = self.end;
+        }
+        ok
+    }
+}
+
+/// A journal's empty log: the header and an end frame.
+fn empty_log(session: u64, priority: Priority) -> Vec<u8> {
+    let mut bytes = wal_header(session, priority);
+    bytes.extend_from_slice(&END_FRAME);
+    bytes
 }
 
 #[cfg(test)]
@@ -365,6 +473,12 @@ mod tests {
         out
     }
 
+    /// Appends one record of `evs` at `base_seq` through `log`.
+    fn append(s: &mut MemStorage, log: &mut WalLog, session: u64, base_seq: u64, evs: &[Event]) {
+        let record = encode_record(base_seq, evs).unwrap();
+        log.append(s, session, Priority::Normal, &record).unwrap();
+    }
+
     #[test]
     fn wal_names_roundtrip() {
         assert_eq!(parse_wal_name(&wal_name(0)), Some(0));
@@ -377,12 +491,19 @@ mod tests {
     fn records_roundtrip_through_scan() {
         let evs = events(100);
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 7, false, 0, Priority::Critical, &evs[..40]).unwrap().unwrap();
-        append_record(&mut s, 7, true, 40, Priority::Critical, &evs[40..]).unwrap().unwrap();
+        let mut log = WalLog::default();
+        for (base, part) in [(0, &evs[..40]), (40, &evs[40..])] {
+            let record = encode_record(base, part).unwrap();
+            log.append(&mut s, 7, Priority::Critical, &record).unwrap();
+        }
         let bytes = s.read(&wal_name(7)).unwrap();
+        assert_eq!(bytes.len() as u64, log.len);
+        assert_eq!(log.end + WAL_FRAME_LEN as u64, log.len);
         let scan = scan_wal(7, &bytes);
         assert!(scan.quarantined.is_none());
-        assert_eq!(scan.priority, Some(Priority::Critical));
+        assert_eq!((scan.version, scan.priority), (3, Some(Priority::Critical)));
+        assert_eq!((scan.end, scan.ended), (log.end, true));
+        assert!(scan.ends_the_file(bytes.len()));
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0].base_seq, 0);
         assert_eq!(scan.records[0].events, &evs[..40]);
@@ -401,9 +522,45 @@ mod tests {
         bytes.extend_from_slice(&encode_record(0, &evs).unwrap());
         let scan = scan_wal(9, &bytes);
         assert!(scan.quarantined.is_none());
-        assert_eq!(scan.priority, None);
+        assert_eq!((scan.version, scan.priority), (1, None));
+        assert_eq!((scan.end, scan.ended), (bytes.len() as u64, false));
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].events, evs);
+    }
+
+    /// A zero frame ends a v3 log cleanly, and nothing after it is
+    /// read; in a v1 or v2 file it is still a corrupt payload.
+    #[test]
+    fn a_zero_frame_ends_only_a_v3_log() {
+        let evs = events(30);
+        let record = encode_record(0, &evs).unwrap();
+        let stale = encode_record(0, &evs[..5]).unwrap();
+        for version in 1..=3u32 {
+            let mut bytes = wal_header(4, Priority::Normal);
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            if version == 1 {
+                bytes.truncate(WAL_HEADER_V1_LEN);
+            }
+            let end = bytes.len() + record.len();
+            bytes.extend_from_slice(&record);
+            bytes.extend_from_slice(&END_FRAME);
+            bytes.extend_from_slice(&stale);
+            let scan = scan_wal(4, &bytes);
+            assert_eq!(scan.records.len(), 1, "v{version}");
+            assert_eq!(scan.end, end as u64, "v{version}");
+            if version == 3 {
+                assert!(scan.ended && scan.quarantined.is_none());
+                assert!(!scan.ends_the_file(bytes.len()), "stale bytes follow");
+                assert!(scan.ends_the_file(end + WAL_FRAME_LEN));
+            } else {
+                assert!(!scan.ended);
+                assert_eq!(
+                    scan.quarantined,
+                    Some((end as u64, RecoveryError::BadPayload)),
+                    "v{version}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -412,6 +569,7 @@ mod tests {
         bytes[WAL_HEADER_V1_LEN] = 7; // no such rank
         let scan = scan_wal(4, &bytes);
         assert_eq!(scan.priority, None);
+        assert_eq!((scan.version, scan.end), (0, 0));
         assert_eq!(scan.quarantined, Some((0, RecoveryError::BadHeader)));
     }
 
@@ -419,20 +577,18 @@ mod tests {
     fn torn_tail_is_quarantined_with_prefix_kept() {
         let evs = events(60);
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 1, false, 0, Priority::Normal, &evs[..30]).unwrap().unwrap();
-        append_record(&mut s, 1, true, 30, Priority::Normal, &evs[30..]).unwrap().unwrap();
+        let mut log = WalLog::default();
+        append(&mut s, &mut log, 1, 0, &evs[..30]);
+        let first_rec_end = log.end as usize;
+        append(&mut s, &mut log, 1, 30, &evs[30..]);
         let full = s.read(&wal_name(1)).unwrap();
         // Tear the second record at every possible byte: the first
         // record always survives, the scan never panics.
-        let first_rec_end = WAL_HEADER_LEN
-            + WAL_FRAME_LEN
-            + u32::from_le_bytes(
-                full[WAL_HEADER_LEN..WAL_HEADER_LEN + 4].try_into().unwrap(),
-            ) as usize;
-        for cut in first_rec_end + 1..full.len() {
+        for cut in first_rec_end + 1..log.end as usize {
             let scan = scan_wal(1, &full[..cut]);
             assert_eq!(scan.records.len(), 1, "cut at {cut}");
             assert_eq!(scan.records[0].events, &evs[..30]);
+            assert_eq!(scan.end, first_rec_end as u64);
             let (off, err) = scan.quarantined.expect("torn tail must quarantine");
             assert_eq!(off, first_rec_end as u64);
             assert!(
@@ -440,20 +596,29 @@ mod tests {
                 "cut at {cut}: {err:?}"
             );
         }
+        // A torn end frame is a torn frame too, after both records.
+        for cut in log.end as usize..full.len() {
+            let scan = scan_wal(1, &full[..cut]);
+            assert_eq!(scan.records.len(), 2, "cut at {cut}");
+            let torn = (cut > log.end as usize).then_some((log.end, RecoveryError::TornFrame));
+            assert_eq!(scan.quarantined, torn, "cut at {cut}");
+        }
     }
 
     #[test]
     fn bitflips_are_quarantined_never_panic() {
         let evs = events(40);
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 2, false, 0, Priority::Normal, &evs).unwrap().unwrap();
+        let mut log = WalLog::default();
+        append(&mut s, &mut log, 2, 0, &evs);
         let full = s.read(&wal_name(2)).unwrap();
         for i in 0..full.len() {
             let mut bad = full.clone();
             bad[i] ^= 0x08;
             let scan = scan_wal(2, &bad);
             // A flip in the header kills the file; a flip in the frame
-            // is caught by length sanity or CRC. Either way: typed.
+            // or in the end frame is caught by length sanity or CRC.
+            // Either way: typed.
             if scan.quarantined.is_none() {
                 panic!("flip at byte {i} went undetected");
             }
@@ -469,21 +634,18 @@ mod tests {
         let n = WAL_MAX_PAYLOAD / 8 + 8;
         let evs = vec![Event::empty(0); n];
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 11, false, 0, Priority::Normal, &[evs[0]])
-            .unwrap()
-            .unwrap();
-        let before = s.read(&wal_name(11)).unwrap();
-        let err = append_record(&mut s, 11, true, 1, Priority::Normal, &evs).unwrap_err();
+        let mut log = WalLog::default();
+        append(&mut s, &mut log, 11, 0, &evs[..1]);
+        let before = (s.read(&wal_name(11)).unwrap(), log);
+        // The record is refused before it exists, so no write can
+        // follow it.
+        let err = encode_record(1, &evs).unwrap_err();
         let JournalError::RecordTooLarge { events, bytes } = err;
         assert_eq!(events, n as u64);
         assert!(bytes as usize > WAL_MAX_PAYLOAD);
-        assert_eq!(
-            s.read(&wal_name(11)).unwrap(),
-            before,
-            "a refused batch must not touch the file"
-        );
+        assert_eq!((s.read(&wal_name(11)).unwrap(), log), before);
         // The journal stays scannable and complete.
-        let scan = scan_wal(11, &s.read(&wal_name(11)).unwrap());
+        let scan = scan_wal(11, &before.0);
         assert!(scan.quarantined.is_none());
         assert_eq!(scan.records.len(), 1);
     }
@@ -492,7 +654,7 @@ mod tests {
     fn hostile_length_prefix_is_bounded_before_allocation() {
         let evs = events(10);
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 6, false, 0, Priority::Normal, &evs).unwrap().unwrap();
+        append(&mut s, &mut WalLog::default(), 6, 0, &evs);
         let good = s.read(&wal_name(6)).unwrap();
         let rec_off = WAL_HEADER_LEN;
         // A prefix claiming u32::MAX bytes: quarantined from the 8-byte
@@ -518,20 +680,47 @@ mod tests {
         );
     }
 
+    /// A rewind empties the log in place: the file keeps its length,
+    /// the next record overwrites the first stale one, and the scan
+    /// reads only the live log.
     #[test]
-    fn a_header_put_over_the_journal_cuts_it() {
-        let evs = events(20);
+    fn a_rewind_empties_the_log_and_keeps_the_file() {
+        let evs = events(60);
         let mut s = MemStorage::new(FaultPlan::benign());
-        append_record(&mut s, 3, false, 0, Priority::Bulk, &evs).unwrap().unwrap();
-        assert!(s.put(&wal_name(3), &wal_header(3, Priority::Bulk)));
-        let scan = scan_wal(3, &s.read(&wal_name(3)).unwrap());
-        assert!(scan.records.is_empty());
-        assert_eq!(scan.priority, Some(Priority::Bulk), "the cut keeps the class");
-        assert!(scan.quarantined.is_none());
-        // Appends continue cleanly after the cut.
-        append_record(&mut s, 3, true, 20, Priority::Bulk, &evs).unwrap().unwrap();
-        let scan = scan_wal(3, &s.read(&wal_name(3)).unwrap());
+        let mut log = WalLog::default();
+        append(&mut s, &mut log, 3, 0, &evs[..20]);
+        append(&mut s, &mut log, 3, 20, &evs[20..]);
+        let high = log.len;
+        assert!(log.rewind(&mut s, 3, Priority::Bulk));
+        assert_eq!((log.end, log.len), (WAL_HEADER_LEN as u64, high));
+        let bytes = s.read(&wal_name(3)).unwrap();
+        assert_eq!(bytes.len() as u64, high, "a rewind frees nothing");
+        let scan = scan_wal(3, &bytes);
+        assert!(scan.records.is_empty() && scan.quarantined.is_none());
+        assert_eq!(
+            scan.priority,
+            Some(Priority::Bulk),
+            "the cut keeps the class"
+        );
+        assert_eq!((scan.end, scan.ended), (WAL_HEADER_LEN as u64, true));
+        // Appends continue cleanly after the cut, over the stale bytes.
+        append(&mut s, &mut log, 3, 60, &evs[..10]);
+        assert_eq!(log.len, high);
+        let bytes = s.read(&wal_name(3)).unwrap();
+        let scan = scan_wal(3, &bytes);
         assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].base_seq, 20);
+        assert_eq!(scan.records[0].base_seq, 60);
+        assert_eq!(scan.end, log.end);
+        // A reset truncates; a trim drops the end frame and stale tail.
+        assert!(log.trim(&mut s, 3));
+        assert_eq!(s.read(&wal_name(3)).unwrap(), bytes[..log.end as usize]);
+        assert!(!log.trim(&mut s, 3), "nothing left to trim");
+        assert!(log.reset(&mut s, 3, Priority::Bulk));
+        let bytes = s.read(&wal_name(3)).unwrap();
+        assert_eq!(
+            bytes,
+            [&wal_header(3, Priority::Bulk)[..], &END_FRAME].concat()
+        );
+        assert_eq!(log.len, bytes.len() as u64);
     }
 }

@@ -7,7 +7,9 @@
 //!
 //! * [`DirStorage`] — a real directory. Appends go straight to the
 //!   file; a put overwrites the file in place; a patch writes each of
-//!   its extents at its offset and then sets the file's length; atomic
+//!   its extents at its offset and then sets the file's length, only
+//!   if that changes it (the journal's writes and most snapshot
+//!   patches keep it, and leave the inode's size alone); atomic
 //!   replaces write and sync a temp file, then rename it over the
 //!   target; fsync syncs every file appended to, put or patched since
 //!   its last sync, and the directory once if a rename, creation or
@@ -43,7 +45,10 @@ pub trait Storage {
     /// treat the bytes as untrusted.
     fn read(&mut self, name: &str) -> Option<Vec<u8>>;
     /// Appends bytes to a file (creating it). Returns `false` when the
-    /// backend could not perform the append.
+    /// backend could not perform the append. The durability layer
+    /// writes its journal with [`patch`](Self::patch) and no longer
+    /// calls this; it stays for backends and wrappers that implement
+    /// it.
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool;
     /// Atomically replaces a file's contents (temp file + rename on
     /// real directories). Returns `false` on failure. After a crash
@@ -225,13 +230,18 @@ impl Storage for DirStorage {
         use std::os::unix::fs::FileExt;
         let mut opts = std::fs::OpenOptions::new();
         opts.write(true);
+        // A `set_len` to the same length still dirties the inode, which
+        // the next sync then writes, so it runs only on a change.
         let ok = self
             .open_with(name, opts)
             .and_then(|f| {
                 for &(at, bytes) in extents {
                     f.write_all_at(bytes, at)?;
                 }
-                f.set_len(len)
+                if f.metadata()?.len() != len {
+                    f.set_len(len)?;
+                }
+                Ok(())
             })
             .is_ok();
         if ok {

@@ -74,13 +74,18 @@ fn drive(
 
 /// A [`MemStorage`] that notes, at every successful fsync, how far
 /// each session's journal reached: the events that sync made durable.
-/// It also logs each snapshot write as `(session, whole)`.
+/// A journal cut claims the same for its session: the service rewinds
+/// a journal only once a barrier has made a frame covering every
+/// record in it durable. It also logs each snapshot write as
+/// `(session, whole)`.
 struct FloorProbe {
     inner: MemStorage,
-    /// The end (`base_seq + count`) of each session's last appended
-    /// journal record.
+    /// The end (`base_seq + count`) of each session's last journal
+    /// record written.
     appended: BTreeMap<u64, u64>,
-    /// `(op index, appended)` at every successful fsync.
+    /// The events of each session that a sync or a cut made durable.
+    durable: BTreeMap<u64, u64>,
+    /// `(op index, durable)` at every successful fsync and every cut.
     syncs: Vec<(usize, BTreeMap<u64, u64>)>,
     /// `(session, whether the frame was put whole)` per snapshot write.
     snap_writes: Vec<(u64, bool)>,
@@ -91,6 +96,7 @@ impl FloorProbe {
         Self {
             inner,
             appended: BTreeMap::new(),
+            durable: BTreeMap::new(),
             syncs: Vec::new(),
             snap_writes: Vec::new(),
         }
@@ -102,8 +108,8 @@ impl FloorProbe {
         }
     }
 
-    /// The journal ends the last successful fsync before op
-    /// `crash_op` covered, or `None` when no fsync before it succeeded.
+    /// The journal ends the last successful fsync or cut before op
+    /// `crash_op` made durable, or `None` when there was none.
     fn floor(&self, crash_op: usize) -> Option<&BTreeMap<u64, u64>> {
         self.syncs
             .iter()
@@ -123,18 +129,6 @@ impl Storage for FloorProbe {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
-        if let Some(session) = journal::parse_wal_name(name) {
-            // A session's first append carries the header before its
-            // record; a record's length prefix can never equal the
-            // magic, which is far above the payload cap.
-            let rec = match bytes.strip_prefix(&journal::WAL_MAGIC.to_le_bytes()[..]) {
-                Some(_) => &bytes[journal::WAL_HEADER_LEN..],
-                None => bytes,
-            };
-            let base = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-            let count = u32::from_le_bytes(rec[16..20].try_into().unwrap());
-            self.appended.insert(session, base + u64::from(count));
-        }
         self.inner.append(name, bytes)
     }
 
@@ -145,6 +139,26 @@ impl Storage for FloorProbe {
 
     fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
         self.note(name, false);
+        // A journal write is one extent: a record and an end frame at
+        // the log's end, or at offset 0 the header first, before the
+        // session's first record or, for a rewind, before the end
+        // frame alone (whose length prefix is 0).
+        if let (Some(session), [(at, bytes)]) = (journal::parse_wal_name(name), extents) {
+            let rec = if *at == 0 {
+                &bytes[journal::WAL_HEADER_LEN..]
+            } else {
+                bytes
+            };
+            if rec[..journal::WAL_FRAME_LEN] != journal::END_FRAME {
+                let base = u64::from_le_bytes(rec[8..16].try_into().unwrap());
+                let count = u32::from_le_bytes(rec[16..20].try_into().unwrap());
+                self.appended.insert(session, base + u64::from(count));
+            } else if let Some(&end) = self.appended.get(&session) {
+                self.durable.insert(session, end);
+                self.syncs
+                    .push((self.inner.ops_len(), self.durable.clone()));
+            }
+        }
         self.inner.patch(name, len, extents)
     }
 
@@ -156,7 +170,8 @@ impl Storage for FloorProbe {
         let op = self.inner.ops_len();
         let ok = self.inner.fsync();
         if ok {
-            self.syncs.push((op, self.appended.clone()));
+            self.durable.clone_from(&self.appended);
+            self.syncs.push((op, self.durable.clone()));
         }
         ok
     }
@@ -776,4 +791,243 @@ fn a_v2_frame_on_disk_still_recovers() {
     // until a checkpoint overwrites it.
     let sealed = storage.read(&store::snap_name(0x5EED, 0)).unwrap();
     assert_eq!(sealed[4..8], store::SNAP_FRAME_VERSION.to_le_bytes());
+}
+
+/// `n` taint events of one fixed shape: every 64-event record of them
+/// encodes to the same length, so a rewound journal's records line up
+/// with the stale ones of its earlier cycles.
+fn uniform(n: u32) -> Vec<Event> {
+    (0..n)
+        .map(|i| {
+            let mut ev = Event::empty(0x40 + i);
+            ev.source = Some(latch_sim::event::SourceInput {
+                kind: latch_dift::policy::SourceKind::File,
+                addr: 4096 + (i * 37) % 60_000,
+                len: 8,
+                trusted: false,
+            });
+            ev
+        })
+        .collect()
+}
+
+/// One record per 64-event submit, a group commit after each, and a
+/// checkpoint once 256 events are applied past the last one.
+const REWIND: DurableConfig = DurableConfig {
+    group_commit_events: 64,
+    snapshot_every: 256,
+};
+
+/// Submits `evs` to session 0 in 64-event records and pumps once.
+fn submit_records(svc: &mut DurableService<MemStorage>, evs: &[Event]) {
+    for chunk in evs.chunks(64) {
+        svc.submit(0, chunk).unwrap();
+    }
+    svc.pump();
+}
+
+/// A journal image as one synced file in a fresh store.
+fn store_with(name: &str, bytes: &[u8]) -> MemStorage {
+    let mut storage = MemStorage::new(FaultPlan::benign());
+    assert!(storage.put(name, bytes));
+    assert!(storage.fsync());
+    storage
+}
+
+/// A store holding `storage`'s snapshot files and `wal` as session 0's
+/// journal.
+fn with_journal(storage: &mut MemStorage, wal: &[u8]) -> MemStorage {
+    let mut image = store_with(&journal::wal_name(0), wal);
+    for g in [0, 1] {
+        let name = store::snap_name(0, g);
+        if let Some(bytes) = storage.read(&name) {
+            assert!(image.put(&name, &bytes));
+        }
+    }
+    assert!(image.fsync());
+    image
+}
+
+/// A rewound journal whose newest end frame never landed: the scan
+/// reads on past the live record into the stale records of the cycle
+/// before the cut, which all end at or before the cut point. Recovery
+/// skips them (the durable frame covers them) and restores the exact
+/// prefix, replaying the live record alone.
+#[test]
+fn a_lost_end_frame_exposes_only_covered_records() {
+    let evs = uniform(512);
+    let (cfg, plan) = (ServeConfig::default(), FaultPlan::benign());
+    let mut svc = DurableService::new(cfg, REWIND, plan, MemStorage::new(plan));
+    submit_records(&mut svc, &evs[..256]);
+    svc.submit(0, &evs[256..320]).unwrap();
+    let mut storage = svc.crash();
+    let wal = journal::wal_name(0);
+    // The journal before the last record's write and its group commit:
+    // rewound to empty, the first cycle's records stale behind it.
+    let rewound = storage
+        .crash_image(storage.ops_len() - 2)
+        .read(&wal)
+        .unwrap();
+    let cut = journal::scan_wal(0, &rewound);
+    assert!(cut.ended && cut.records.is_empty());
+    // The record landed and its end frame did not: the bytes the end
+    // frame would have overwritten, the next stale record's frame,
+    // stand.
+    let mut image = storage.read(&wal).unwrap();
+    assert_eq!(image.len(), rewound.len(), "the record reused the file");
+    let end = journal::scan_wal(0, &image).end as usize;
+    image[end..end + 8].copy_from_slice(&rewound[end..end + 8]);
+    let scan = journal::scan_wal(0, &image);
+    let bases: Vec<u64> = scan.records.iter().map(|r| r.base_seq).collect();
+    assert_eq!(bases, [256, 64, 128, 192], "stale records are read");
+    let storage = with_journal(&mut storage, &image);
+    let (mut svc, report) = DurableService::recover(cfg, REWIND, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    let rec = report.sessions[&0];
+    assert_eq!(
+        (rec.snapshot_applied, rec.replayed, rec.recovered),
+        (256, 64, 320)
+    );
+    submit_records(&mut svc, &evs[320..]);
+    let (out, _) = svc.finish();
+    assert_eq!(out.sessions[&0].encode(), solo(&evs, cfg.scrub_interval));
+}
+
+/// A crash keeps a later record whose predecessor never landed, past
+/// the end frame of the rewound log. Recovery restores the prefix
+/// before the gap and cuts the journal with a truncating put, so when
+/// the end frame after its first new record tears, nothing from before
+/// the crash follows it. A rewind in place would have left the old
+/// record right there, continuing the new one.
+#[test]
+fn recovery_truncates_a_journal_with_records_past_its_end() {
+    let evs = uniform(384);
+    let (cfg, plan) = (ServeConfig::default(), FaultPlan::benign());
+    let mut svc = DurableService::new(cfg, REWIND, plan, MemStorage::new(plan));
+    submit_records(&mut svc, &evs[..256]);
+    let wal = journal::wal_name(0);
+    svc.submit(0, &evs[256..320]).unwrap();
+    svc.submit(0, &evs[320..384]).unwrap();
+    let mut storage = svc.crash();
+    // Before the two records' writes and group commits.
+    let rewound = storage
+        .crash_image(storage.ops_len() - 4)
+        .read(&wal)
+        .unwrap();
+    let after = storage.read(&wal).unwrap();
+    let rec = journal::WAL_HEADER_LEN..journal::WAL_HEADER_LEN + (after.len() - 25) / 4;
+    let a = after[rec.clone()].to_vec();
+    // The crash image: the record of events 256..320 never landed, so
+    // the cut's end frame and a stale record's tail stand where it
+    // went; the record of events 320..384 and its end frame landed.
+    let mut image = after.clone();
+    image[rec.clone()].copy_from_slice(&rewound[rec.clone()]);
+    let scan = journal::scan_wal(0, &image);
+    assert!(scan.ended && scan.records.is_empty());
+    assert!(!scan.ends_the_file(image.len()), "a record follows the end");
+    let storage = with_journal(&mut storage, &image);
+    let (mut svc, report) = DurableService::recover(cfg, REWIND, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(report.sessions[&0].recovered, 256);
+    svc.submit(0, &evs[256..320]).unwrap();
+    let mut storage = svc.crash();
+    let mut resumed = storage.read(&wal).unwrap();
+    assert_eq!(resumed[rec.clone()], a[..], "the same record, re-journaled");
+    assert_eq!(resumed.len(), rec.end + 8, "the cut truncated the file");
+    // The end frame after it tears: the file ends at the record.
+    resumed.truncate(rec.end);
+    let storage = with_journal(&mut storage, &resumed);
+    let (_, report) = DurableService::recover(cfg, REWIND, plan, storage);
+    assert_eq!(
+        report.sessions[&0].recovered, 320,
+        "nothing pre-crash follows"
+    );
+    // In place, the same tear would have exposed the pre-crash record.
+    let mut in_place = image;
+    in_place[rec.clone()].copy_from_slice(&a);
+    let exposed = journal::scan_wal(0, &in_place);
+    assert_eq!(exposed.records.len(), 2);
+    assert_eq!(exposed.records[1].base_seq, 320);
+}
+
+/// An export taken after a cut ships the header and the live records:
+/// no end frame and none of the stale bytes past it. A backup seeded
+/// from it takes the later acked records right after those bytes and
+/// restores every acked batch; seeded from the raw file, the end frame
+/// would hide every later record from its scan.
+#[test]
+fn an_export_after_a_cut_ships_only_the_live_log() {
+    let evs = uniform(512);
+    let (cfg, plan) = (ServeConfig::default(), FaultPlan::benign());
+    let mut svc = DurableService::new(cfg, REWIND, plan, MemStorage::new(plan));
+    submit_records(&mut svc, &evs[..256]);
+    submit_records(&mut svc, &evs[256..320]);
+    let export = svc.export_session(0).unwrap();
+    let mut storage = svc.crash();
+    let raw = storage.read(&journal::wal_name(0)).unwrap();
+    let live = journal::scan_wal(0, &raw);
+    assert!(live.ended && live.records.len() == 1);
+    assert!(
+        raw.len() > live.end as usize + 8,
+        "stale bytes follow the end"
+    );
+    assert_eq!(export.wal, raw[..live.end as usize]);
+    let shipped = journal::scan_wal(0, &export.wal);
+    assert!(!shipped.ended && shipped.quarantined.is_none());
+    assert_eq!(shipped.end, export.wal.len() as u64);
+
+    let rank = export.priority.rank();
+    let mut backups = latch_replica::ReplicaStore::new();
+    let mut raw_backups = latch_replica::ReplicaStore::new();
+    backups.seed(0, rank, 320, export.blob.clone(), export.wal.clone());
+    raw_backups.seed(0, rank, 320, export.blob.clone(), raw);
+    for (base, chunk) in (320..).step_by(64).zip(evs[320..].chunks(64)) {
+        let record = journal::encode_record(base, chunk).unwrap();
+        let acked = base + 64;
+        for store in [&mut backups, &mut raw_backups] {
+            let off = store.get(0).unwrap().wal.len() as u64;
+            store.append(0, rank, off, acked, &record).unwrap();
+        }
+    }
+    let thaw = |store: &latch_replica::ReplicaStore| {
+        let j = store.get(0).unwrap();
+        latch_serve::thaw_export(0, cfg.scrub_interval, &j.blob, &j.wal).unwrap()
+    };
+    let pipe = thaw(&backups);
+    assert_eq!(pipe.applied(), 512, "every acked batch");
+    assert_eq!(pipe.report().encode(), solo(&evs, cfg.scrub_interval));
+    assert_eq!(thaw(&raw_backups).applied(), 320, "the raw file hides them");
+}
+
+/// A v2 journal whose header holds the session's class is still cut at
+/// recovery, with a truncating put, since its writer never ended its
+/// log with an end frame; the v3 journal that replaces it takes
+/// appends, and a second recovery restores them.
+#[test]
+fn a_v2_journal_is_cut_at_recovery_then_takes_appends() {
+    let evs = uniform(256);
+    let (cfg, plan) = (ServeConfig::default(), FaultPlan::benign());
+    let mut v2 = journal::wal_header(0, Priority::Normal);
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    for (base, chunk) in (0..).step_by(64).zip(evs[..128].chunks(64)) {
+        v2.extend_from_slice(&journal::encode_record(base, chunk).unwrap());
+    }
+    let wal = journal::wal_name(0);
+    let storage = store_with(&wal, &v2);
+    let (mut svc, report) = DurableService::recover(cfg, REWIND, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(report.sessions[&0].replayed, 128);
+    svc.submit(0, &evs[128..192]).unwrap();
+    let mut storage = svc.crash();
+    let bytes = storage.read(&wal).unwrap();
+    let scan = journal::scan_wal(0, &bytes);
+    assert_eq!((scan.version, scan.priority), (3, Some(Priority::Normal)));
+    assert_eq!(scan.records.len(), 1, "the v2 records are gone");
+    assert_eq!(scan.records[0].base_seq, 128);
+    assert!(scan.ends_the_file(bytes.len()));
+    let (mut svc, report) = DurableService::recover(cfg, REWIND, plan, storage);
+    assert_eq!(report.sessions[&0].recovered, 192);
+    svc.submit(0, &evs[192..]).unwrap();
+    let (out, _) = svc.finish();
+    assert_eq!(out.sessions[&0].encode(), solo(&evs, cfg.scrub_interval));
 }

@@ -17,12 +17,16 @@
 //!
 //! Each storage table counts the calls of each kind and the bytes they
 //! carry (written for the mutating calls, returned for reads), and
-//! totals the bytes written to snapshot files.
+//! the shrinking writes: calls that leave a file shorter than it was,
+//! with the bytes they cut off. It then totals the bytes written to
+//! snapshot files, and the journal files' bytes at the end of the
+//! drive and after the recovery.
 
 use latch_faults::FaultPlan;
 use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, Storage};
 use latch_sim::event::{Event, EventSource};
 use latch_workloads::BenchmarkProfile;
+use std::collections::BTreeMap;
 
 const CALLS: [&str; 7] = [
     "append",
@@ -35,13 +39,18 @@ const CALLS: [&str; 7] = [
 ];
 
 /// A [`MemStorage`] that counts every call and the bytes it carries,
-/// by [`CALLS`] index.
+/// by [`CALLS`] index, and every write that shrinks a file.
 struct Counting {
     inner: MemStorage,
     calls: [u64; 7],
     bytes: [u64; 7],
     /// Bytes written to `snap-*` files.
     snap_bytes: u64,
+    /// Each file's length.
+    lens: BTreeMap<String, u64>,
+    /// Writes that left a file shorter than it was, and the bytes they
+    /// cut off.
+    shrinking: (u64, u64),
 }
 
 impl Counting {
@@ -51,6 +60,8 @@ impl Counting {
             calls: [0; 7],
             bytes: [0; 7],
             snap_bytes: 0,
+            lens: BTreeMap::new(),
+            shrinking: (0, 0),
         }
     }
 
@@ -61,6 +72,24 @@ impl Counting {
         if i != 5 && name.starts_with("snap-") {
             self.snap_bytes += bytes as u64;
         }
+    }
+
+    /// Notes that a write leaves `name` `len` bytes long.
+    fn resize(&mut self, name: &str, len: u64) {
+        let old = self.lens.insert(name.to_string(), len).unwrap_or(0);
+        if len < old {
+            self.shrinking.0 += 1;
+            self.shrinking.1 += old - len;
+        }
+    }
+
+    /// The bytes the journal files hold.
+    fn journal_bytes(&self) -> u64 {
+        self.lens
+            .iter()
+            .filter(|(name, _)| name.starts_with("wal-"))
+            .map(|(_, len)| len)
+            .sum()
     }
 }
 
@@ -77,21 +106,26 @@ impl Storage for Counting {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
         self.note(0, name, bytes.len());
+        let len = self.lens.get(name).copied().unwrap_or(0);
+        self.resize(name, len + bytes.len() as u64);
         self.inner.append(name, bytes)
     }
 
     fn put(&mut self, name: &str, bytes: &[u8]) -> bool {
         self.note(1, name, bytes.len());
+        self.resize(name, bytes.len() as u64);
         self.inner.put(name, bytes)
     }
 
     fn patch(&mut self, name: &str, len: u64, extents: &[(u64, &[u8])]) -> bool {
         self.note(2, name, extents.iter().map(|(_, b)| b.len()).sum());
+        self.resize(name, len);
         self.inner.patch(name, len, extents)
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
         self.note(3, name, bytes.len());
+        self.resize(name, bytes.len() as u64);
         self.inner.write_atomic(name, bytes)
     }
 
@@ -102,6 +136,7 @@ impl Storage for Counting {
 
     fn remove(&mut self, name: &str) {
         self.note(6, name, 0);
+        self.lens.remove(name);
         self.inner.remove(name);
     }
 }
@@ -112,25 +147,34 @@ const EVENTS_PER_SESSION: usize = 16_384;
 
 /// The clean drive's storage table: each call's count in the drive,
 /// that count per 1000 driven events, the bytes those calls carried,
-/// and the count and bytes in the recovery; then the bytes written to
-/// snapshot files, in all and per 1000 driven events. With 4 × 4096
-/// events per pass and a checkpoint due every 2048 applied events per
-/// session, every second pump checkpoints all four sessions: one write
-/// of the frame and one journal-cut put per checkpoint, one barrier
-/// per pass that checkpoints, one group-commit fsync per submit, and no
+/// and the count and bytes in the recovery; then the shrinking writes
+/// in the same columns, the bytes written to snapshot files, in all and
+/// per 1000 driven events, and the journal files' bytes at the end of
+/// the drive and after the recovery. With 4 × 4096 events per pass and
+/// a checkpoint due every 2048 applied events per session, every
+/// second pump checkpoints all four sessions: one write of the frame
+/// and one journal rewind per checkpoint, one barrier per pass that
+/// checkpoints, one group-commit fsync per submit, and no `append` or
 /// `write_atomic` at all. Each session's first checkpoint into each
 /// generation puts the whole frame (8 puts); the other 24 patch it.
+/// Every journal record is a patch with its end frame, and so is every
+/// cut, which keeps the file's length: no write in the drive shrinks a
+/// file, and each journal keeps its high-water length, which the
+/// recovery cuts back with a truncating put that one more barrier makes
+/// durable.
 const PINNED: &str = "\
 events 65536
 call         drive  per_kevent       bytes  recover  recover_bytes
-append         256       3.906     1139855        0              0
-put             40       0.610       57968        4          28712
-patch           24       0.366       73680        0              0
+append           0       0.000           0        0              0
+put              8       0.122       57424        8          28812
+patch          312       4.761     1216383        0              0
 write_atomic     0       0.000           0        0              0
-fsync          264       4.028           0        1              0
-read             0       0.000           0       12          57492
+fsync          264       4.028           0        2              0
+read             0       0.000           0       12         201494
 remove           0       0.000           0        0              0
+shrinking        0       0.000           0        4         143970
 snapshot bytes 131104 per_kevent 2000.5
+journal bytes 144070 recovered 100
 ";
 
 /// The tainted drive's storage table (see [`PINNED`] for the columns).
@@ -142,14 +186,16 @@ snapshot bytes 131104 per_kevent 2000.5
 const PINNED_TAINTED: &str = "\
 events 131072
 call         drive  per_kevent       bytes  recover  recover_bytes
-append         512       3.906     2472073        0              0
-put             72       0.549      198956        4         719634
-patch           56       0.427     1623710        0              0
+append           0       0.000           0        0              0
+put              8       0.061      197868        8         719734
+patch          632       4.822     4101479        0              0
 write_atomic     0       0.000           0        0              0
-fsync          528       4.028           0        1              0
-read             0       0.000           0       12        1402094
+fsync          528       4.028           0        2              0
+read             0       0.000           0       12        1572125
 remove           0       0.000           0        0              0
+shrinking        0       0.000           0        4         169999
 snapshot bytes 1821578 per_kevent 13897.5
+journal bytes 170099 recovered 100
 ";
 
 /// The clean drive's scheduler counts: 64-event batches, no session
@@ -159,18 +205,22 @@ const PINNED_CLEAN_SCHED: &str = "dispatches 1024 evictions 0 restores 0 queue_d
 /// The many drive's storage table (see [`PINNED`] for the columns).
 /// A session that comes back from eviction is a new pipeline, a frozen
 /// one is thawed for its frame, and a file's first slot pads its head,
-/// so all three write whole frames.
+/// so all three write whole frames. The recovery cuts back the 16
+/// journals that were rewound with records past their end frame, and
+/// keeps the other 112 in place.
 const PINNED_MANY: &str = "\
 events 165120
 call         drive  per_kevent       bytes  recover  recover_bytes
-append         645       3.906     2934283        0              0
-put             72       0.436      168876      128         557368
-patch           16       0.097       49166        0              0
+append           0       0.000           0        0              0
+put             28       0.170      168128      144         557768
+patch          705       4.270     2989709        0              0
 write_atomic     0       0.000           0        0              0
-fsync          670       4.058           0        1              0
-read             0       0.000           0      384        1317016
+fsync          670       4.058           0        2              0
+read             0       0.000           0      384        1784277
 remove           0       0.000           0        0              0
+shrinking        0       0.000           0       16         637602
 snapshot bytes 217294 per_kevent 1316.0
+journal bytes 1631504 recovered 993902
 ";
 
 /// The many drive's scheduler counts. Evictions and restores depend on
@@ -297,6 +347,11 @@ fn storage_table(d: &Drive) -> String {
     let drive = std::mem::take(&mut storage.calls);
     let drive_bytes = std::mem::take(&mut storage.bytes);
     let snap_bytes = std::mem::take(&mut storage.snap_bytes);
+    let shrinking = std::mem::take(&mut storage.shrinking);
+    // Truncation frees blocks that the next write must allocate again,
+    // so no write that serves a session may shrink a file.
+    assert_eq!(shrinking, (0, 0), "a write in the drive shrank a file");
+    let journal_bytes = storage.journal_bytes();
     let (svc, report) = DurableService::recover(
         ServeConfig::default(),
         DurableConfig::default(),
@@ -310,6 +365,7 @@ fn storage_table(d: &Drive) -> String {
     }
     let recovered = svc.crash();
     let (recover, recover_bytes) = (recovered.calls, recovered.bytes);
+    let recover_shrinking = recovered.shrinking;
 
     let events: usize = streams.iter().map(Vec::len).sum();
     let kevents = events as f64 / 1000.0;
@@ -327,8 +383,21 @@ fn storage_table(d: &Drive) -> String {
         );
     }
     table += &format!(
+        "{:<12} {:>5} {:>11.3} {:>11} {:>8} {:>14}\n",
+        "shrinking",
+        shrinking.0,
+        shrinking.0 as f64 / kevents,
+        shrinking.1,
+        recover_shrinking.0,
+        recover_shrinking.1
+    );
+    table += &format!(
         "snapshot bytes {snap_bytes} per_kevent {:.1}\n",
         snap_bytes as f64 / kevents
+    );
+    table += &format!(
+        "journal bytes {journal_bytes} recovered {}\n",
+        recovered.journal_bytes()
     );
     table
 }
